@@ -21,10 +21,12 @@
 //               stack copies, an extra whole-payload unpad copy) — the
 //               baseline the ≥3x acceptance target is measured against.
 //   sha1        streaming SHA-1 over the serialized container (the
-//               integrity-hash half of the content path).
+//               integrity-hash half of the content path; SHA-NI
+//               compress on hosts with the SHA extensions).
 //
-// Output: human-readable summary + JSON (default BENCH_dcf.json), gated
-// in CI by scripts/check_bench_regression.py.
+// Output: human-readable summary + JSON (default BENCH_dcf.json) that
+// records the host it ran on (nproc, CPU flags, build type), gated in CI
+// by scripts/check_bench_regression.py.
 //
 // Usage: bench_dcf_stream [--quick] [--json <path>]
 #include <algorithm>
@@ -36,6 +38,7 @@
 #include <fstream>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "agent/drm_agent.h"
@@ -44,6 +47,7 @@
 #include "crypto/aes.h"
 #include "crypto/modes.h"
 #include "crypto/sha1.h"
+#include "crypto/sha1_accel.h"
 #include "dcf/dcf.h"
 #include "dcf/dcf_reader.h"
 #include "pki/authority.h"
@@ -96,6 +100,31 @@ constexpr std::size_t kChunkBytes = 256 * 1024;
 double mbps(std::size_t bytes, std::size_t iters, double total_ms) {
   return static_cast<double>(bytes) * static_cast<double>(iters) /
          (total_ms / 1000.0) / (1024.0 * 1024.0);
+}
+
+#ifndef OMADRM_BUILD_TYPE
+#define OMADRM_BUILD_TYPE "unknown"
+#endif
+
+// The crypto-relevant CPU flags of this host, as a JSON string array.
+std::string cpu_flags_json() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  std::string flags;
+  while (std::getline(in, line)) {
+    if (line.rfind("flags", 0) == 0) {
+      flags = " " + line.substr(line.find(':') + 1) + " ";
+      break;
+    }
+  }
+  std::string out = "[";
+  for (const char* f :
+       {"aes", "sha_ni", "ssse3", "sse4_1", "avx2", "adx", "bmi2"}) {
+    if (flags.find(std::string(" ") + f + " ") == std::string::npos) continue;
+    if (out.size() > 1) out += ", ";
+    out += std::string("\"") + f + "\"";
+  }
+  return out + "]";
 }
 
 // ---------------------------------------------------------------------------
@@ -331,8 +360,9 @@ int main(int argc, char** argv) {
                                         : 96u * 1024 * 1024;
 
   const bool aesni = crypto::Aes(Bytes(16, 0)).has_accel();
-  std::printf("=== DCF content-path benchmark (AES-NI %s) ===\n\n",
-              aesni ? "on" : "off");
+  const bool shani = crypto::accel::sha1_supported();
+  std::printf("=== DCF content-path benchmark (AES-NI %s, SHA-NI %s) ===\n\n",
+              aesni ? "on" : "off", shani ? "on" : "off");
 
   Fixture fx;
   std::vector<SizeResult> results;
@@ -374,7 +404,11 @@ int main(int argc, char** argv) {
        << "  \"config\": {\"rsa_bits\": " << kRsaBits
        << ", \"chunk_bytes\": " << kChunkBytes
        << ", \"quick\": " << (quick ? "true" : "false")
-       << ", \"aesni\": " << (aesni ? "true" : "false") << "},\n"
+       << ", \"aesni\": " << (aesni ? "true" : "false")
+       << ", \"shani\": " << (shani ? "true" : "false") << "},\n"
+       << "  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
+       << ", \"cpu_flags\": " << cpu_flags_json()
+       << ", \"build_type\": \"" << OMADRM_BUILD_TYPE << "\"},\n"
        << "  \"sizes\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SizeResult& r = results[i];

@@ -8,7 +8,11 @@ field:
                  bench's outputs on shared CI runners).
   dcf_stream     gates on streaming decrypt MB/s at the largest payload
                  size present in BOTH documents (quick CI runs omit the
-                 16 MiB point the full baseline carries).
+                 16 MiB point the full baseline carries), and on SHA-1
+                 MB/s at that same size when both documents carry the
+                 same "shani" config value (a SHA-NI baseline against a
+                 portable-path runner would gate on the CPU, not the
+                 code; the skip reason is printed).
   state_store    gates on the buffered FileStore p50 commit latency,
                  expressed as a rate (1e6 / commit_us_p50). The sealed
                  journal + counter path every constraint burn rides;
@@ -58,6 +62,36 @@ def dcf_throughput(doc: dict, payload_bytes: int) -> tuple[float, str, str]:
                  if s["payload_bytes"] == payload_bytes)
     label = f"stream decrypt ({payload_bytes // 1024} KiB payload)"
     return float(entry["stream_decrypt_mbps"]), label, "MB/s"
+
+
+def check_dcf_sha1(baseline: dict, current: dict, payload_bytes: int,
+                   tolerance: float) -> bool:
+    """Secondary dcf_stream gate: container SHA-1 MB/s at `payload_bytes`,
+    only when both documents ran the same SHA-1 back end. Returns False
+    on a regression beyond tolerance."""
+    base_ni = baseline.get("config", {}).get("shani")
+    cur_ni = current.get("config", {}).get("shani")
+    if base_ni is None or base_ni != cur_ni:
+        print(f"sha1 gate skipped: baseline shani={base_ni} but current "
+              f"shani={cur_ni} (not the same SHA-1 back end)")
+        return True
+
+    def sha1_mbps(doc: dict) -> float:
+        return float(next(s for s in doc["sizes"]
+                          if s["payload_bytes"] == payload_bytes)["sha1_mbps"])
+
+    base = sha1_mbps(baseline)
+    cur = sha1_mbps(current)
+    floor = base * (1.0 - tolerance)
+    label = f"sha1 ({payload_bytes // 1024} KiB payload, shani={cur_ni})"
+    print(f"baseline {label}: {base:10.1f} MB/s")
+    print(f"current  {label}: {cur:10.1f} MB/s")
+    print(f"floor (-{tolerance:.0%}): {floor:10.1f} MB/s")
+    if cur < floor:
+        print(f"FAIL: SHA-1 throughput regressed more than {tolerance:.0%} "
+              f"vs the checked-in baseline", file=sys.stderr)
+        return False
+    return True
 
 
 def store_throughput(doc: dict) -> tuple[float, str, str]:
@@ -175,8 +209,9 @@ def main() -> int:
             print("FAIL: no payload size measured in both documents",
                   file=sys.stderr)
             return 1
-        base, base_label, unit = dcf_throughput(baseline, max(shared))
-        cur, cur_label, _ = dcf_throughput(current, max(shared))
+        dcf_payload = max(shared)
+        base, base_label, unit = dcf_throughput(baseline, dcf_payload)
+        cur, cur_label, _ = dcf_throughput(current, dcf_payload)
     elif kind == "state_store":
         base, base_label, unit = store_throughput(baseline)
         cur, cur_label, _ = store_throughput(current)
@@ -244,6 +279,9 @@ def main() -> int:
         print(f"FAIL: throughput regressed more than "
               f"{args.tolerance:.0%} vs the checked-in baseline",
               file=sys.stderr)
+        return 1
+    if kind == "dcf_stream" and not check_dcf_sha1(
+            baseline, current, dcf_payload, args.tolerance):
         return 1
     if kind == "net_fleet" and not check_net_worker_sweep(
             baseline, current, args.tolerance):

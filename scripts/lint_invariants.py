@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant linter for the OMA DRM 2 reproduction.
 
-Five rule classes, each encoding an invariant the test suite cannot see
+Six rule classes, each encoding an invariant the test suite cannot see
 (tests exercise behavior; these are structural properties of the source):
 
   failpoint-adjacency  Every raw durability syscall in src/store/ sits
@@ -42,6 +42,14 @@ Five rule classes, each encoding an invariant the test suite cannot see
                        failpoint::catalog(). `--fix-catalog` regenerates
                        the catalog from the discovered sites, keeping
                        existing descriptions.
+
+  isa-confinement      x86 intrinsic headers (*mmintrin.h, x86intrin.h)
+                       and __attribute__((target(...))) appear only in
+                       src/crypto/*_accel.cpp, and every such file has
+                       its COMPILE_OPTIONS set in CMakeLists.txt. Keeps
+                       ISA-specific code in the units that get the ISA
+                       flags and sit behind a cpuid check, so the rest
+                       of the library stays portable baseline code.
 
 Exit status: 0 clean, 1 violations (one `path:line: [rule] message` per
 finding), 2 usage/internal error. `--self-test` first proves every rule
@@ -373,13 +381,47 @@ def fix_catalog(repo: pathlib.Path, files: dict[str, str],
 
 
 # --------------------------------------------------------------------------
+# Rule: isa-confinement
+# --------------------------------------------------------------------------
+
+ISA_ROOTS = ("src", "tools", "bench", "tests", "examples", "perfbench")
+ACCEL_FILE_RE = re.compile(r"^src/crypto/\w+_accel\.cpp$")
+ISA_RE = re.compile(r"#\s*include\s*<(?:[a-z0-9]*mmintrin|x86intrin)\.h>"
+                    r"|__attribute__\s*\(\(\s*target\s*\(")
+CMAKE_PROPS_RE = re.compile(r"set_source_files_properties\s*\(([^)]*)\)", re.S)
+
+
+def check_isa_confinement(path: str, lines: list[str]) -> list[Finding]:
+    if ACCEL_FILE_RE.match(path):
+        return []
+    return [Finding(path, i + 1, "isa-confinement",
+                    "x86 intrinsics or a target attribute outside "
+                    "src/crypto/*_accel.cpp — move the code into an accel "
+                    "unit behind a cpuid check")
+            for i, raw in enumerate(lines) if ISA_RE.search(strip_comment(raw))]
+
+
+def check_accel_compile_options(accel_paths: list[str],
+                                cmake_text: str) -> list[Finding]:
+    blocks = [m.group(1) for m in CMAKE_PROPS_RE.finditer(cmake_text)]
+    return [Finding(path, 1, "isa-confinement",
+                    "accel unit has no set_source_files_properties(... "
+                    "COMPILE_OPTIONS ...) in CMakeLists.txt — its ISA "
+                    "flags are missing")
+            for path in accel_paths
+            if not any(path in b and "COMPILE_OPTIONS" in b for b in blocks)]
+
+
+# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
 
-def load_tree(repo: pathlib.Path) -> dict[str, str]:
+def load_tree(repo: pathlib.Path,
+              roots: tuple[str, ...] = ("src", "tools", "bench")
+              ) -> dict[str, str]:
     files = {}
-    for sub in ("src", "tools", "bench"):
+    for sub in roots:
         root = repo / sub
         if not root.is_dir():
             continue
@@ -408,6 +450,14 @@ def run_lint(repo: pathlib.Path) -> list[Finding]:
     retry = files.get("src/roap/retry.cpp", "")
     findings += check_classify_coverage(status, "src/roap/retry.cpp", retry)
     findings += check_catalog_drift(files, "src/common/failpoint.cpp")
+
+    isa_files = load_tree(repo, ISA_ROOTS)
+    for path, text in isa_files.items():
+        findings += check_isa_confinement(path, text.splitlines())
+    cmake = repo / "CMakeLists.txt"
+    findings += check_accel_compile_options(
+        [p for p in isa_files if ACCEL_FILE_RE.match(p)],
+        cmake.read_text() if cmake.is_file() else "")
     return findings
 
 
@@ -528,6 +578,34 @@ def self_test() -> list[str]:
     expect("catalog-drift",
            check_catalog_drift(drifted, "src/common/failpoint.cpp"), True,
            "catalog with dead + missing entries")
+
+    # isa-confinement -----------------------------------------------------
+    expect("isa-confinement",
+           check_isa_confinement("src/net/frame.cpp",
+                                 ["#include <immintrin.h>"]), True,
+           "intrinsic header outside an accel unit")
+    expect("isa-confinement",
+           check_isa_confinement(
+               "src/crypto/sha1.cpp",
+               ['__attribute__((target("sha"))) void f();']), True,
+           "target attribute outside an accel unit")
+    expect("isa-confinement",
+           check_isa_confinement("src/crypto/aes_accel.cpp",
+                                 ["#include <wmmintrin.h>"]), False,
+           "intrinsic header in an accel unit")
+    expect("isa-confinement",
+           check_isa_confinement("src/crypto/sha1.cpp",
+                                 ["// see <immintrin.h> in sha1_accel.cpp"]),
+           False, "intrinsic header named in a comment")
+    props = ("set_source_files_properties(\n"
+             "    ${CMAKE_CURRENT_SOURCE_DIR}/src/crypto/x_accel.cpp\n"
+             "    PROPERTIES COMPILE_OPTIONS \"-mx\")\n")
+    expect("isa-confinement",
+           check_accel_compile_options(["src/crypto/x_accel.cpp"], props),
+           False, "accel unit with COMPILE_OPTIONS")
+    expect("isa-confinement",
+           check_accel_compile_options(["src/crypto/y_accel.cpp"], props),
+           True, "accel unit with no COMPILE_OPTIONS")
     return errors
 
 
@@ -568,7 +646,7 @@ def main() -> int:
         return 1
     print("lint_invariants: OK "
           "(failpoint-adjacency, classify-coverage, wire-alloc, "
-          "mutex-header, catalog-drift)")
+          "mutex-header, catalog-drift, isa-confinement)")
     return 0
 
 

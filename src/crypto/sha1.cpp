@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "crypto/sha1_accel.h"
 
 namespace omadrm::crypto {
 
@@ -12,31 +13,21 @@ inline std::uint32_t rotl(std::uint32_t v, int s) {
   return (v << s) | (v >> (32 - s));
 }
 
-}  // namespace
-
-Sha1::Sha1() { reset(); }
-
-void Sha1::reset() {
-  state_ = {0x67452301u, 0xefcdab89u, 0x98badcfeu, 0x10325476u, 0xc3d2e1f0u};
-  buffer_len_ = 0;
-  total_len_ = 0;
-  finished_ = false;
-}
-
 // Fully unrolled compression over a 16-word rolling message schedule.
 // The canonicalization/digest hot path of the wire layer (every ROAP
 // signature covers a freshly serialized document) hashes short messages
 // constantly; unrolling removes the per-round branch on the round index
 // and the 80-word schedule array, and the register rotation is expressed
 // by argument rotation so the compiler keeps a..e in registers.
-void Sha1::process_block(const std::uint8_t* block) {
+inline void compress_block(std::uint32_t state[5],
+                           const std::uint8_t* block) {
   std::uint32_t w[16];
   for (int i = 0; i < 16; ++i) {
     w[i] = load_be32(block + 4 * i);
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3],
-                e = state_[4];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+                e = state[4];
 
   auto sched = [&w](int i) {
     const std::uint32_t v = rotl(w[(i - 3) & 15] ^ w[(i - 8) & 15] ^
@@ -113,11 +104,38 @@ void Sha1::process_block(const std::uint8_t* block) {
 #undef SHA1_R2
 #undef SHA1_R3
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+}
+
+}  // namespace
+
+void sha1_compress_portable(std::uint32_t state[5], const std::uint8_t* p,
+                            std::size_t n_blocks) {
+  for (; n_blocks > 0; --n_blocks, p += Sha1::kBlockSize) {
+    compress_block(state, p);
+  }
+}
+
+Sha1::Sha1() { reset(); }
+
+void Sha1::reset() {
+  state_ = {0x67452301u, 0xefcdab89u, 0x98badcfeu, 0x10325476u, 0xc3d2e1f0u};
+  buffer_len_ = 0;
+  total_len_ = 0;
+  finished_ = false;
+}
+
+void Sha1::compress(std::uint32_t* state, const std::uint8_t* p,
+                    std::size_t n_blocks) {
+  if (accel::sha1_supported()) {
+    accel::sha1_compress_blocks(state, p, n_blocks);
+  } else {
+    sha1_compress_portable(state, p, n_blocks);
+  }
 }
 
 void Sha1::update(ByteView data) {
@@ -135,13 +153,14 @@ void Sha1::update(ByteView data) {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == kBlockSize) {
-      process_block(buffer_.data());
+      compress(state_.data(), buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + kBlockSize <= data.size()) {
-    process_block(data.data() + offset);
-    offset += kBlockSize;
+  const std::size_t whole = (data.size() - offset) / kBlockSize;
+  if (whole > 0) {
+    compress(state_.data(), data.data() + offset, whole);
+    offset += whole * kBlockSize;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -155,19 +174,15 @@ void Sha1::finish_into(std::uint8_t out[kDigestSize]) {
   }
   finished_ = true;
 
-  std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t pad[kBlockSize * 2] = {0x80};
-  // Pad to 56 mod 64, then append the 64-bit big-endian length.
-  std::size_t pad_len =
-      (buffer_len_ < 56) ? (56 - buffer_len_) : (120 - buffer_len_);
-  finished_ = false;  // allow the padding updates
-  std::uint64_t saved_total = total_len_;
-  update(ByteView(pad, pad_len));
-  std::uint8_t len_bytes[8];
-  store_be64(bit_len, len_bytes);
-  update(ByteView(len_bytes, 8));
-  total_len_ = saved_total;
-  finished_ = true;
+  // The buffered tail, 0x80, zeros to 56 mod 64, then the 64-bit
+  // big-endian bit length: one final block, or two when the tail is 56
+  // bytes or longer and leaves no room for the length.
+  std::uint8_t tail[kBlockSize * 2] = {};
+  std::memcpy(tail, buffer_.data(), buffer_len_);
+  tail[buffer_len_] = 0x80;
+  const std::size_t tail_len = buffer_len_ < 56 ? kBlockSize : kBlockSize * 2;
+  store_be64(total_len_ * 8, tail + tail_len - 8);
+  compress(state_.data(), tail, tail_len / kBlockSize);
 
   for (int i = 0; i < 5; ++i) {
     store_be32(state_[static_cast<std::size_t>(i)], out + 4 * i);

@@ -3,6 +3,13 @@
 //
 // Streaming interface so multi-megabyte DCFs can be hashed without
 // buffering; a one-shot helper covers the common case.
+//
+// All compression goes through one dispatch point, Sha1::compress, which
+// picks once per call between the x86 SHA-extension path
+// (crypto/sha1_accel.h, selected by cpuid alone) and the portable
+// unrolled rounds below. update() hands every whole block of its input
+// to a single call, so the choice is made per update, not per block.
+// Both paths produce identical digests.
 #pragma once
 
 #include <array>
@@ -11,6 +18,13 @@
 #include "common/bytes.h"
 
 namespace omadrm::crypto {
+
+/// Portable SHA-1 compression over `n_blocks` consecutive 64-byte blocks
+/// at `p`, updating the five-word chaining `state` in place. The
+/// fallback for hosts without the SHA extensions, and the reference the
+/// accelerated path is tested against.
+void sha1_compress_portable(std::uint32_t state[5], const std::uint8_t* p,
+                            std::size_t n_blocks);
 
 class Sha1 {
  public:
@@ -38,7 +52,8 @@ class Sha1 {
   static Bytes hash(ByteView data);
 
  private:
-  void process_block(const std::uint8_t* block);
+  static void compress(std::uint32_t* state, const std::uint8_t* p,
+                       std::size_t n_blocks);
 
   std::array<std::uint32_t, 5> state_;
   std::array<std::uint8_t, kBlockSize> buffer_;

@@ -384,8 +384,10 @@ void RiServer::accept_ready() {
       active = conns_.size();
     }
     if (active >= config_.max_connections) {
-      ::close(fd);
+      // Count before closing, so a peer that has seen the EOF also sees
+      // the rejection in stats().
       stats_.rejected.fetch_add(1, std::memory_order_relaxed);
+      ::close(fd);
       continue;
     }
     set_nonblocking(fd);
