@@ -14,6 +14,8 @@
 #include "provider/provider.h"
 #include "ri/rights_issuer.h"
 #include "roap/transport.h"
+#include "xml/node.h"
+#include "xml/writer.h"
 
 using namespace omadrm;  // NOLINT
 
@@ -86,26 +88,34 @@ int main() {
 
   // ...and hands the RO file to the player out-of-band (e.g. USB). Both
   // install and play it with their copy of K_D.
-  std::string ro_file = acq->to_xml().serialize();
+  std::string ro_file;
+  xml::Writer writer(ro_file);
+  acq->write(writer);
+  // Each recipient decodes its own copy of the file.
+  auto read_ro_file = [&ro_file] {
+    xml::Arena arena;
+    return roap::ProtectedRo::from_node(xml::parse_in(arena, ro_file));
+  };
   std::printf("RO transferred out-of-band as a %zu-byte XML file\n\n",
               ro_file.size());
 
   for (agent::DrmAgent* d : {&phone, &player}) {
-    roap::ProtectedRo ro = roap::ProtectedRo::from_xml(xml::parse(ro_file));
-    if (d->install_ro(ro, now) != agent::AgentStatus::kOk) return 1;
+    if (d->install_ro(read_ro_file(), now) != agent::AgentStatus::kOk) {
+      return 1;
+    }
     agent::ConsumeResult r = d->consume(dcf, rel::PermissionType::kPlay, now);
     std::printf("%s: install ok, playback %s (%zu bytes)\n",
                 d->device_id().c_str(),
                 r.status == agent::AgentStatus::kOk ? "ok" : "FAILED",
                 r.content.size());
+    if (r.status != agent::AgentStatus::kOk) return 1;
   }
 
   // A stranger's device (registered, but not a domain member) cannot.
   agent::DrmAgent stranger = make_device("stranger-01", ca, validity, rng);
   if (!stranger.register_with(transport, now).ok()) return 1;
-  roap::ProtectedRo ro = roap::ProtectedRo::from_xml(xml::parse(ro_file));
-  agent::AgentStatus status = stranger.install_ro(ro, now);
+  agent::AgentStatus status = stranger.install_ro(read_ro_file(), now);
   std::printf("\nstranger-01 (not in the domain): install -> %s\n",
               agent::to_string(status));
-  return 0;
+  return status == agent::AgentStatus::kOk ? 1 : 0;
 }

@@ -10,9 +10,12 @@
 // with its serialized size, so the analytic model's nominal sizes (see
 // model/analytic.h) can be checked against reality.
 //
-// Usage: ./build/examples/roap_inspector [--dump]   (--dump prints the XML)
+// Usage: ./build/examples/roap_inspector [--dump]
+//   --dump prints each document's exact compact wire bytes.
+// Exits 1 if any exchange is refused or any document fails to decode.
 #include <cstdio>
 #include <cstring>
+#include <exception>
 
 #include "ci/content_issuer.h"
 #include "common/random.h"
@@ -22,6 +25,7 @@
 #include "roap/envelope.h"
 #include "roap/messages.h"
 #include "rsa/pss.h"
+#include "xml/writer.h"
 
 using namespace omadrm;  // NOLINT
 
@@ -29,27 +33,25 @@ namespace {
 
 bool g_dump = false;
 
-void show(const char* direction, const char* name, const xml::Element& doc) {
-  std::string wire = doc.serialize();
+void show(const char* direction, const char* name, const std::string& wire) {
   std::printf("%-4s %-28s %6zu bytes\n", direction, name, wire.size());
   if (g_dump) {
-    std::printf("%s\n", doc.serialize(true).c_str());
+    std::printf("%s\n", wire.c_str());
   }
 }
 
 void show(const char* direction, const roap::Envelope& env) {
-  std::printf("%-4s %-28s %6zu bytes\n", direction,
-              roap::to_string(env.type()), env.size());
-  if (g_dump) {
-    std::printf("%s\n", xml::parse(env.wire()).serialize(true).c_str());
-  }
+  show(direction, roap::to_string(env.type()), env.wire());
 }
 
-}  // namespace
+bool succeeded(const char* message, roap::Status status) {
+  if (status == roap::Status::kSuccess) return true;
+  std::fprintf(stderr, "roap_inspector: %s refused: %s\n", message,
+               roap::to_string(status));
+  return false;
+}
 
-int main(int argc, char** argv) {
-  g_dump = argc > 1 && std::strcmp(argv[1], "--dump") == 0;
-
+int inspect() {
   DeterministicRng rng(1);
   provider::CryptoProvider& crypto = provider::plain_provider();
   const std::uint64_t now = 1100000000;
@@ -97,6 +99,7 @@ int main(int argc, char** argv) {
   roap::Envelope ri_hello_env = ri.handle(hello_env, now);
   show("<-", ri_hello_env);
   roap::RiHello ri_hello = ri_hello_env.open<roap::RiHello>();
+  if (!succeeded("RIHello", ri_hello.status)) return 1;
 
   roap::RegistrationRequest reg_req;
   reg_req.session_id = ri_hello.session_id;
@@ -115,6 +118,7 @@ int main(int argc, char** argv) {
   show("<-", reg_resp_env);
   roap::RegistrationResponse reg_resp =
       reg_resp_env.open<roap::RegistrationResponse>();
+  if (!succeeded("RegistrationResponse", reg_resp.status)) return 1;
   std::printf("     (RI certificate: %zu bytes, OCSP response: %zu bytes)\n",
               reg_resp.ri_certificate_der.size(),
               reg_resp.ocsp_response_der.size());
@@ -132,17 +136,23 @@ int main(int argc, char** argv) {
   roap::Envelope ro_resp_env = ri.handle(ro_req_env, now);
   show("<-", ro_resp_env);
   roap::RoResponse ro_resp = ro_resp_env.open<roap::RoResponse>();
-  if (!ro_resp.ros.empty()) {
-    const roap::ProtectedRo& ro = ro_resp.ros.front();
-    show("  ", "  protectedRO (within)", ro.to_xml());
-    std::printf(
-        "     C = C1||C2: %zu bytes (C1 %d + C2 %zu), E_KREK(KCEK): %zu, "
-        "MAC: %zu\n",
-        ro.wrapped_keys.size(), 128, ro.wrapped_keys.size() - 128,
-        ro.enc_kcek.size(), ro.mac.size());
-    std::printf("     MAC-protected payload: %zu bytes\n",
-                ro.mac_payload().size());
+  if (!succeeded("ROResponse", ro_resp.status)) return 1;
+  if (ro_resp.ros.empty()) {
+    std::fprintf(stderr, "roap_inspector: ROResponse carries no RO\n");
+    return 1;
   }
+  const roap::ProtectedRo& ro = ro_resp.ros.front();
+  std::string ro_wire;
+  xml::Writer w(ro_wire);
+  ro.write(w);
+  show("  ", "  protectedRO (within)", ro_wire);
+  std::printf(
+      "     C = C1||C2: %zu bytes (C1 %d + C2 %zu), E_KREK(KCEK): %zu, "
+      "MAC: %zu\n",
+      ro.wrapped_keys.size(), 128, ro.wrapped_keys.size() - 128,
+      ro.enc_kcek.size(), ro.mac.size());
+  std::printf("     MAC-protected payload: %zu bytes\n",
+              ro.mac_payload().size());
 
   std::printf(
       "\nThese sizes feed the SHA-1 terms of the cost model; compare with\n"
@@ -150,4 +160,16 @@ int main(int argc, char** argv) {
       "dominate the one-time phases regardless (Figure 7), so modest size\n"
       "differences do not move the totals.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  g_dump = argc > 1 && std::strcmp(argv[1], "--dump") == 0;
+  try {
+    return inspect();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "roap_inspector: %s\n", e.what());
+    return 1;
+  }
 }

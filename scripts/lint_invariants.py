@@ -25,7 +25,9 @@ Six rule classes, each encoding an invariant the test suite cannot see
                        `// coldpath:` comment on the line or within the
                        2 lines above. Guards the paper's zero-copy
                        parse-path claim against regression by drive-by
-                       edits.
+                       edits. Every WIRE_FILES entry must exist, so a
+                       rename or deletion cannot quietly narrow the
+                       scope.
 
   mutex-header         No header under src/ declares raw std::mutex /
                        std::shared_mutex / std::condition_variable
@@ -218,7 +220,6 @@ def check_classify_coverage(status_text: str, retry_path: str,
 WIRE_FILES = [
     "src/xml/node.cpp", "src/xml/node.h",
     "src/xml/writer.cpp", "src/xml/writer.h",
-    "src/xml/xml.cpp", "src/xml/xml.h",
     "src/xml/arena.cpp", "src/xml/arena.h",
     "src/roap/envelope.cpp", "src/roap/envelope.h",
     "src/common/base64.cpp", "src/common/base64.h",
@@ -245,6 +246,14 @@ def check_wire_alloc(path: str, lines: list[str]) -> list[Finding]:
             "naked allocation on a wire path — route it through the arena "
             "(`// pool:`) or mark the non-hot path (`// coldpath: <why>`)"))
     return findings
+
+
+def check_wire_scope(files: dict[str, str],
+                     wire_files: list[str]) -> list[Finding]:
+    return [Finding(path, 0, "wire-alloc",
+                    "listed in WIRE_FILES but not in the tree — update the "
+                    "list so the rule keeps covering the wire path")
+            for path in wire_files if path not in files]
 
 
 # --------------------------------------------------------------------------
@@ -446,6 +455,8 @@ def run_lint(repo: pathlib.Path) -> list[Finding]:
                 and path not in MUTEX_HEADER_ALLOWLIST:
             findings += check_mutex_header(path, lines)
 
+    findings += check_wire_scope(files, WIRE_FILES)
+
     status = files.get("src/common/status.h", "")
     retry = files.get("src/roap/retry.cpp", "")
     findings += check_classify_coverage(status, "src/roap/retry.cpp", retry)
@@ -538,6 +549,13 @@ def self_test() -> list[str]:
     expect("wire-alloc",
            check_wire_alloc("w.cpp", ["#include <new>"]), False,
            "include line")
+    tree = {"src/xml/node.cpp": ""}
+    expect("wire-alloc",
+           check_wire_scope(tree, ["src/xml/node.cpp"]), False,
+           "every WIRE_FILES entry present")
+    expect("wire-alloc",
+           check_wire_scope(tree, ["src/xml/node.cpp", "src/xml/gone.cpp"]),
+           True, "stale WIRE_FILES entry")
 
     # mutex-header --------------------------------------------------------
     expect("mutex-header",

@@ -5,6 +5,8 @@
 #include "agent/sessions.h"
 #include "common/base64.h"
 #include "common/error.h"
+#include "xml/node.h"
+#include "xml/writer.h"
 
 namespace omadrm::agent {
 
@@ -820,13 +822,37 @@ std::optional<std::uint32_t> DrmAgent::remaining_count(
 
 namespace {
 
-std::uint64_t parse_u64_attr(const xml::Element& e, const std::string& key) {
-  const std::string& s = e.require_attr(key);
+std::uint64_t parse_u64_attr(const xml::Node& e, std::string_view key) {
+  const std::string_view s = e.require_attr(key);
   std::optional<std::uint64_t> v = parse_u64_dec(s);
   if (!v) {
-    throw Error(ErrorKind::kFormat, "agent state: bad number " + s);
+    throw Error(ErrorKind::kFormat,
+                "agent state: bad number " + std::string(s));
   }
   return *v;
+}
+
+std::uint32_t parse_u32_attr(const xml::Node& e, std::string_view key) {
+  const std::uint64_t v = parse_u64_attr(e, key);
+  if (v > 0xffffffffull) {
+    throw Error(ErrorKind::kFormat, "agent state: number overflow on " +
+                                        std::string(key));
+  }
+  return static_cast<std::uint32_t>(v);
+}
+
+/// Parses a stored XML document into `arena` (reset first); throws
+/// kFormat with `error` unless its root element is `root`.
+const xml::Node& parse_doc(xml::Arena& arena, ByteView doc,
+                           std::string_view root, const char* error) {
+  arena.reset();
+  const xml::Node& n = xml::parse_in(
+      arena,
+      std::string_view(reinterpret_cast<const char*>(doc.data()), doc.size()));
+  if (n.name() != root) {
+    throw Error(ErrorKind::kFormat, error);
+  }
+  return n;
 }
 
 void restore_enforcer_state(rel::RightsEnforcer& enforcer, ByteView value) {
@@ -852,56 +878,67 @@ void restore_enforcer_state(rel::RightsEnforcer& enforcer, ByteView value) {
 }  // namespace
 
 Bytes DrmAgent::encode_identity() const {
-  xml::Element root("identity");
-  root.set_attr("device-id", device_id_);
-  xml::Element key("device-key");
-  key.set_attr("n", key_.n.to_hex());
-  key.set_attr("e", key_.e.to_hex());
-  key.set_attr("d", key_.d.to_hex());
+  std::string out;
+  xml::Writer w(out);
+  w.open("identity");
+  w.attr("device-id", device_id_);
+  w.open("device-key");
+  w.attr("n", key_.n.to_hex());
+  w.attr("e", key_.e.to_hex());
+  w.attr("d", key_.d.to_hex());
   if (key_.has_crt) {
-    key.set_attr("p", key_.p.to_hex());
-    key.set_attr("q", key_.q.to_hex());
-    key.set_attr("dp", key_.dp.to_hex());
-    key.set_attr("dq", key_.dq.to_hex());
-    key.set_attr("qinv", key_.qinv.to_hex());
+    w.attr("p", key_.p.to_hex());
+    w.attr("q", key_.q.to_hex());
+    w.attr("dp", key_.dp.to_hex());
+    w.attr("dq", key_.dq.to_hex());
+    w.attr("qinv", key_.qinv.to_hex());
   }
-  root.add_child(std::move(key));
+  w.close();
   if (!certificate_der_.empty()) {
-    root.add_text_child("certificate", base64_encode(certificate_der_));
+    w.b64_element("certificate", certificate_der_);
   }
-  return to_bytes(root.serialize());
+  w.close();
+  return to_bytes(out);
 }
 
 Bytes DrmAgent::encode_ri_context(const RiContext& ctx) {
-  xml::Element e("ri-context");
-  e.set_attr("id", ctx.ri_id);
-  e.set_attr("url", ctx.ri_url);
-  e.set_attr("established", std::to_string(ctx.established_at));
-  e.add_text_child("certificate",
-                   base64_encode(ctx.ri_certificate().to_der()));
+  std::string out;
+  xml::Writer w(out);
+  w.open("ri-context");
+  w.attr("id", ctx.ri_id);
+  w.attr("url", ctx.ri_url);
+  w.attr("established", std::to_string(ctx.established_at));
+  w.b64_element("certificate", ctx.ri_certificate().to_der());
   // Intermediates beyond the leaf (ri_chain[0] is the certificate above).
   for (std::size_t i = 1; i < ctx.ri_chain.size(); ++i) {
-    e.add_text_child("intermediate", base64_encode(ctx.ri_chain[i].to_der()));
+    w.b64_element("intermediate", ctx.ri_chain[i].to_der());
   }
-  return to_bytes(e.serialize());
+  w.close();
+  return to_bytes(out);
 }
 
 Bytes DrmAgent::encode_domain_key(
     const std::string& domain_id,
     const std::pair<Bytes, std::uint32_t>& entry) {
-  xml::Element e("domain-key");
-  e.set_attr("id", domain_id);
-  e.set_attr("generation", std::to_string(entry.second));
-  e.set_text(base64_encode(entry.first));
-  return to_bytes(e.serialize());
+  std::string out;
+  xml::Writer w(out);
+  w.open("domain-key");
+  w.attr("id", domain_id);
+  w.attr("generation", std::to_string(entry.second));
+  w.base64(entry.first);
+  w.close();
+  return to_bytes(out);
 }
 
 Bytes DrmAgent::encode_installed_ro(const roap::ProtectedRo& ro,
                                     const Bytes& c2dev) {
-  xml::Element e("installed-ro");
-  e.add_child(ro.to_xml());
-  e.add_text_child("c2dev", base64_encode(c2dev));
-  return to_bytes(e.serialize());
+  std::string out;
+  xml::Writer w(out);
+  w.open("installed-ro");
+  ro.write(w);
+  w.b64_element("c2dev", c2dev);
+  w.close();
+  return to_bytes(out);
 }
 
 Bytes DrmAgent::encode_enforcer_state(const rel::RightsEnforcer& enforcer) {
@@ -963,6 +1000,7 @@ DrmAgent::ParsedState DrmAgent::parse_records(
   auto& by_content = out.by_content;
 
   bool have_identity = false;
+  xml::Arena arena;  // reset per record; parsed fields are copied out
   // Constraint state applies after every RO exists, independent of the
   // record order a caller hands us.
   std::vector<const store::Record*> state_records;
@@ -970,33 +1008,34 @@ DrmAgent::ParsedState DrmAgent::parse_records(
   for (const store::Record& rec : records) {
     const std::string_view key = rec.key;
     if (key == kIdentityKey) {
-      xml::Element root = xml::parse(omadrm::to_string(rec.value));
-      if (root.name() != "identity") {
-        throw Error(ErrorKind::kFormat, "agent state: bad identity record");
-      }
+      const xml::Node& root =
+          parse_doc(arena, rec.value, "identity",
+                    "agent state: bad identity record");
       device_id = root.require_attr("device-id");
-      const xml::Element& k = root.require_child("device-key");
-      rsa_key.n = bigint::BigInt("0x" + k.require_attr("n"));
-      rsa_key.e = bigint::BigInt("0x" + k.require_attr("e"));
-      rsa_key.d = bigint::BigInt("0x" + k.require_attr("d"));
+      const xml::Node& k = root.require_child("device-key");
+      auto hex_attr = [&k](std::string_view name) {
+        return bigint::BigInt("0x" + std::string(k.require_attr(name)));
+      };
+      rsa_key.n = hex_attr("n");
+      rsa_key.e = hex_attr("e");
+      rsa_key.d = hex_attr("d");
       rsa_key.has_crt = k.attr("p") != nullptr;
       if (rsa_key.has_crt) {
-        rsa_key.p = bigint::BigInt("0x" + k.require_attr("p"));
-        rsa_key.q = bigint::BigInt("0x" + k.require_attr("q"));
-        rsa_key.dp = bigint::BigInt("0x" + k.require_attr("dp"));
-        rsa_key.dq = bigint::BigInt("0x" + k.require_attr("dq"));
-        rsa_key.qinv = bigint::BigInt("0x" + k.require_attr("qinv"));
+        rsa_key.p = hex_attr("p");
+        rsa_key.q = hex_attr("q");
+        rsa_key.dp = hex_attr("dp");
+        rsa_key.dq = hex_attr("dq");
+        rsa_key.qinv = hex_attr("qinv");
       }
-      if (const xml::Element* cert = root.child("certificate")) {
+      if (const xml::Node* cert = root.child("certificate")) {
         certificate_der = base64_decode(cert->text());
         certificate = pki::Certificate::from_der(certificate_der);
       }
       have_identity = true;
     } else if (key.starts_with("ri/")) {
-      xml::Element e = xml::parse(omadrm::to_string(rec.value));
-      if (e.name() != "ri-context") {
-        throw Error(ErrorKind::kFormat, "agent state: bad ri record");
-      }
+      const xml::Node& e =
+          parse_doc(arena, rec.value, "ri-context",
+                    "agent state: bad ri record");
       RiContext ctx;
       ctx.ri_id = e.require_attr("id");
       if (ctx.ri_id != key.substr(3)) {
@@ -1006,33 +1045,30 @@ DrmAgent::ParsedState DrmAgent::parse_records(
       ctx.established_at = parse_u64_attr(e, "established");
       ctx.ri_chain.push_back(pki::Certificate::from_der(
           base64_decode(e.child_text("certificate"))));
-      for (const xml::Element* ic : e.children_named("intermediate")) {
+      for (const xml::Node* ic : e.children_named("intermediate")) {
         ctx.ri_chain.push_back(
             pki::Certificate::from_der(base64_decode(ic->text())));
       }
       ri_contexts[ctx.ri_id] = std::move(ctx);
     } else if (key.starts_with("dom/")) {
-      xml::Element e = xml::parse(omadrm::to_string(rec.value));
-      if (e.name() != "domain-key") {
-        throw Error(ErrorKind::kFormat, "agent state: bad domain record");
-      }
-      const std::string& domain_id = e.require_attr("id");
+      const xml::Node& e =
+          parse_doc(arena, rec.value, "domain-key",
+                    "agent state: bad domain record");
+      const std::string domain_id(e.require_attr("id"));
       if (domain_id != key.substr(4)) {
         // A skewed record would load under one id but be addressed (and
         // erased) under another — an undeletable stale domain key.
         throw Error(ErrorKind::kFormat,
                     "agent state: domain record key skew");
       }
-      domain_keys[domain_id] = {
-          base64_decode(e.text()),
-          static_cast<std::uint32_t>(parse_u64_attr(e, "generation"))};
+      domain_keys[domain_id] = {base64_decode(e.text()),
+                                parse_u32_attr(e, "generation")};
     } else if (key.starts_with("ro/")) {
-      xml::Element e = xml::parse(omadrm::to_string(rec.value));
-      if (e.name() != "installed-ro") {
-        throw Error(ErrorKind::kFormat, "agent state: bad ro record");
-      }
+      const xml::Node& e =
+          parse_doc(arena, rec.value, "installed-ro",
+                    "agent state: bad ro record");
       roap::ProtectedRo ro =
-          roap::ProtectedRo::from_xml(e.require_child("roap:protectedRO"));
+          roap::ProtectedRo::from_node(e.require_child("roap:protectedRO"));
       Bytes c2dev = base64_decode(e.child_text("c2dev"));
       const std::string ro_id = ro.rights.ro_id;
       if (ro_id != key.substr(3)) {
@@ -1153,31 +1189,34 @@ Bytes DrmAgent::export_state() const {
   // The blob is K_DEV plus exactly the record set a bound store carries —
   // export/import and store snapshots can never drift because they are
   // the same encoding.
-  xml::Element root("agent-state");
-  root.add_text_child("kdev", base64_encode(kdev_));
+  std::string out;
+  xml::Writer w(out);
+  w.open("agent-state");
+  w.b64_element("kdev", kdev_);
   for (const store::Record& rec : render_records()) {
-    xml::Element e("record");
-    e.set_attr("key", rec.key);
-    e.set_text(base64_encode(rec.value));
-    root.add_child(std::move(e));
+    w.open("record");
+    w.attr("key", rec.key);
+    w.base64(rec.value);
+    w.close();
   }
-  return to_bytes(root.serialize());
+  w.close();
+  return to_bytes(out);
 }
 
 void DrmAgent::import_state(ByteView blob) {
-  xml::Element root = xml::parse(omadrm::to_string(blob));
-  if (root.name() != "agent-state") {
-    throw Error(ErrorKind::kFormat, "agent state: wrong root element");
-  }
+  xml::Arena arena;
+  const xml::Node& root =
+      parse_doc(arena, blob, "agent-state",
+                "agent state: wrong root element");
   Bytes kdev = base64_decode(root.child_text("kdev"));
   std::vector<store::Record> records;
-  for (const xml::Element& e : root.children()) {
+  for (const xml::Node& e : root.children()) {
     if (e.name() == "record") {
-      records.push_back(
-          store::Record{e.require_attr("key"), base64_decode(e.text())});
+      records.push_back(store::Record{std::string(e.require_attr("key")),
+                                      base64_decode(e.text())});
     } else if (e.name() != "kdev") {
-      throw Error(ErrorKind::kFormat,
-                  "agent state: unknown element <" + e.name() + ">");
+      throw Error(ErrorKind::kFormat, "agent state: unknown element <" +
+                                          std::string(e.name()) + ">");
     }
   }
 

@@ -56,12 +56,23 @@ std::uint64_t parse_u64(std::string_view s) {
   return *v;
 }
 
-// Field extraction is written once, generically, against the shared
-// accessor surface of xml::Element (owning DOM) and xml::Node (zero-copy
-// wire DOM); from_xml/from_node instantiate it for each.
+}  // namespace
 
-template <typename E>
-Constraint constraint_from(const E& e) {
+void Constraint::write(xml::Writer& w) const {
+  w.open("o-dd:constraint");
+  if (count) w.u64_element("o-dd:count", *count);
+  if (not_before || not_after) {
+    w.open("o-dd:datetime");
+    if (not_before) w.u64_element("o-dd:start", *not_before);
+    if (not_after) w.u64_element("o-dd:end", *not_after);
+    w.close();
+  }
+  if (interval_secs) w.u64_element("o-dd:interval", *interval_secs);
+  if (accumulated_secs) w.u64_element("o-dd:accumulated", *accumulated_secs);
+  w.close();
+}
+
+Constraint Constraint::from_node(const xml::Node& e) {
   Constraint c;
   if (const auto* n = e.child("o-dd:count")) {
     std::uint64_t v = parse_u64(n->text());
@@ -87,94 +98,6 @@ Constraint constraint_from(const E& e) {
   return c;
 }
 
-template <typename E>
-Permission permission_from(const E& e) {
-  std::string_view name = e.name();
-  constexpr std::string_view kPrefix = "o-dd:";
-  if (name.substr(0, kPrefix.size()) == kPrefix) {
-    name = name.substr(kPrefix.size());
-  }
-  auto type = permission_from_string(name);
-  if (!type) {
-    throw Error(ErrorKind::kFormat,
-                "rel: unknown permission '" + std::string(name) + "'");
-  }
-  Permission p;
-  p.type = *type;
-  if (const auto* c = e.child("o-dd:constraint")) {
-    p.constraint = constraint_from(*c);
-  }
-  return p;
-}
-
-template <typename E>
-Rights rights_from(const E& e) {
-  if (e.name() != std::string_view("o-ex:rights")) {
-    throw Error(ErrorKind::kFormat, "rel: root must be <o-ex:rights>");
-  }
-  Rights r;
-  r.ro_id = e.require_attr("o-ex:id");
-  const auto& agreement = e.require_child("o-ex:agreement");
-  const auto& asset = agreement.require_child("o-ex:asset");
-  r.content_id = asset.child_text("o-ex:context");
-  r.dcf_hash = base64_decode(asset.child_text("ds:DigestValue"));
-  const auto& perms = agreement.require_child("o-ex:permission");
-  for (const auto& p : perms.children()) {
-    r.permissions.push_back(permission_from(p));
-  }
-  return r;
-}
-
-}  // namespace
-
-xml::Element Constraint::to_xml() const {
-  xml::Element e("o-dd:constraint");
-  if (count) e.add_text_child("o-dd:count", std::to_string(*count));
-  if (not_before || not_after) {
-    xml::Element dt("o-dd:datetime");
-    if (not_before) dt.add_text_child("o-dd:start", std::to_string(*not_before));
-    if (not_after) dt.add_text_child("o-dd:end", std::to_string(*not_after));
-    e.add_child(std::move(dt));
-  }
-  if (interval_secs) {
-    e.add_text_child("o-dd:interval", std::to_string(*interval_secs));
-  }
-  if (accumulated_secs) {
-    e.add_text_child("o-dd:accumulated", std::to_string(*accumulated_secs));
-  }
-  return e;
-}
-
-void Constraint::write(xml::Writer& w) const {
-  w.open("o-dd:constraint");
-  if (count) w.u64_element("o-dd:count", *count);
-  if (not_before || not_after) {
-    w.open("o-dd:datetime");
-    if (not_before) w.u64_element("o-dd:start", *not_before);
-    if (not_after) w.u64_element("o-dd:end", *not_after);
-    w.close();
-  }
-  if (interval_secs) w.u64_element("o-dd:interval", *interval_secs);
-  if (accumulated_secs) w.u64_element("o-dd:accumulated", *accumulated_secs);
-  w.close();
-}
-
-Constraint Constraint::from_xml(const xml::Element& e) {
-  return constraint_from(e);
-}
-
-Constraint Constraint::from_node(const xml::Node& e) {
-  return constraint_from(e);
-}
-
-xml::Element Permission::to_xml() const {
-  xml::Element e(std::string("o-dd:") + to_string(type));
-  if (!constraint.is_unconstrained()) {
-    e.add_child(constraint.to_xml());
-  }
-  return e;
-}
-
 void Permission::write(xml::Writer& w) const {
   // Permission element names are "o-dd:" + the permission keyword; emit
   // the two pieces without building the concatenation.
@@ -189,12 +112,23 @@ void Permission::write(xml::Writer& w) const {
   w.close();
 }
 
-Permission Permission::from_xml(const xml::Element& e) {
-  return permission_from(e);
-}
-
 Permission Permission::from_node(const xml::Node& e) {
-  return permission_from(e);
+  std::string_view name = e.name();
+  constexpr std::string_view kPrefix = "o-dd:";
+  if (name.substr(0, kPrefix.size()) == kPrefix) {
+    name = name.substr(kPrefix.size());
+  }
+  auto type = permission_from_string(name);
+  if (!type) {
+    throw Error(ErrorKind::kFormat,
+                "rel: unknown permission '" + std::string(name) + "'");
+  }
+  Permission p;
+  p.type = *type;
+  if (const auto* c = e.child("o-dd:constraint")) {
+    p.constraint = Constraint::from_node(*c);
+  }
+  return p;
 }
 
 const Permission* Rights::find(PermissionType type) const {
@@ -202,22 +136,6 @@ const Permission* Rights::find(PermissionType type) const {
     if (p.type == type) return &p;
   }
   return nullptr;
-}
-
-xml::Element Rights::to_xml() const {
-  xml::Element root("o-ex:rights");
-  root.set_attr("o-ex:id", ro_id);
-
-  xml::Element& agreement = root.add_child(xml::Element("o-ex:agreement"));
-  xml::Element& asset = agreement.add_child(xml::Element("o-ex:asset"));
-  asset.add_text_child("o-ex:context", content_id);
-  asset.add_text_child("ds:DigestValue", base64_encode(dcf_hash));
-
-  xml::Element& perm_el = agreement.add_child(xml::Element("o-ex:permission"));
-  for (const auto& p : permissions) {
-    perm_el.add_child(p.to_xml());
-  }
-  return root;
 }
 
 void Rights::write(xml::Writer& w) const {
@@ -244,9 +162,27 @@ std::string Rights::serialize() const {
   return out;
 }
 
-Rights Rights::from_xml(const xml::Element& e) { return rights_from(e); }
+Rights Rights::from_node(const xml::Node& e) {
+  if (e.name() != "o-ex:rights") {
+    throw Error(ErrorKind::kFormat, "rel: root must be <o-ex:rights>");
+  }
+  Rights r;
+  r.ro_id = e.require_attr("o-ex:id");
+  const xml::Node& agreement = e.require_child("o-ex:agreement");
+  const xml::Node& asset = agreement.require_child("o-ex:asset");
+  r.content_id = asset.child_text("o-ex:context");
+  r.dcf_hash = base64_decode(asset.child_text("ds:DigestValue"));
+  const xml::Node& perms = agreement.require_child("o-ex:permission");
+  for (const xml::Node& p : perms.children()) {
+    r.permissions.push_back(Permission::from_node(p));
+  }
+  return r;
+}
 
-Rights Rights::from_node(const xml::Node& e) { return rights_from(e); }
+Rights Rights::parse(const std::string& doc) {
+  xml::Arena arena;
+  return from_node(xml::parse_in(arena, doc));
+}
 
 RightsEnforcer::RightsEnforcer(Rights rights) : rights_(std::move(rights)) {}
 

@@ -15,7 +15,8 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "xml/xml.h"
+#include "xml/node.h"
+#include "xml/writer.h"
 
 namespace omadrm::rel {
 
@@ -56,10 +57,8 @@ struct Constraint {
            !accumulated_secs;
   }
 
-  xml::Element to_xml() const;
   /// Streams `<o-dd:constraint>` into `w` (wire path, allocation-free).
   void write(xml::Writer& w) const;
-  static Constraint from_xml(const xml::Element& e);
   static Constraint from_node(const xml::Node& e);
 
   bool operator==(const Constraint&) const = default;
@@ -69,9 +68,7 @@ struct Permission {
   PermissionType type = PermissionType::kPlay;
   Constraint constraint;
 
-  xml::Element to_xml() const;
   void write(xml::Writer& w) const;
-  static Permission from_xml(const xml::Element& e);
   static Permission from_node(const xml::Node& e);
 
   bool operator==(const Permission&) const = default;
@@ -88,16 +85,11 @@ struct Rights {
 
   const Permission* find(PermissionType type) const;
 
-  xml::Element to_xml() const;
-  /// Streams the `<o-ex:rights>` document into `w` — identical bytes to
-  /// to_xml().serialize(), without building an Element tree.
+  /// Streams the `<o-ex:rights>` document into `w`.
   void write(xml::Writer& w) const;
-  static Rights from_xml(const xml::Element& e);
   static Rights from_node(const xml::Node& e);
   std::string serialize() const;
-  static Rights parse(const std::string& doc) {
-    return from_xml(xml::parse(doc));
-  }
+  static Rights parse(const std::string& doc);
 
   bool operator==(const Rights&) const = default;
 };

@@ -22,7 +22,8 @@
 
 #include "common/error.h"
 #include "roap/messages.h"
-#include "xml/xml.h"
+#include "xml/node.h"
+#include "xml/writer.h"
 
 namespace omadrm::roap {
 

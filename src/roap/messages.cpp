@@ -8,7 +8,6 @@ namespace omadrm::roap {
 using omadrm::Error;
 using omadrm::ErrorKind;
 using omadrm::StatusCode;
-using xml::Element;
 using xml::Node;
 using xml::Writer;
 
@@ -56,19 +55,15 @@ Status status_from_string(std::string_view s) {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Serialization helpers. Building (Writer) and decoding (the templates,
-// instantiated for both the owning Element DOM and the zero-copy Node
-// DOM) are the single source of truth for each message's wire shape;
-// to_xml() re-parses the written bytes so the two DOMs can never drift.
+// Serialization helpers. Each message's write() (Writer) and from_node()
+// (zero-copy Node DOM) are the single source of truth for its wire shape.
 // ---------------------------------------------------------------------------
 
-template <typename E>
-Bytes get_b64(const E& e, const char* name) {
+Bytes get_b64(const Node& e, const char* name) {
   return base64_decode(e.child_text(name));
 }
 
-template <typename E>
-Bytes get_b64_optional(const E& e, const char* name) {
+Bytes get_b64_optional(const Node& e, const char* name) {
   const auto* c = e.child(name);
   return c ? base64_decode(c->text()) : Bytes{};
 }
@@ -79,8 +74,7 @@ void write_algorithms(Writer& w, const std::vector<std::string>& algs) {
   w.close();
 }
 
-template <typename E>
-std::vector<std::string> get_algorithms(const E& e) {
+std::vector<std::string> get_algorithms(const Node& e) {
   std::vector<std::string> out;
   if (const auto* list = e.child("roap:supportedAlgorithms")) {
     for (const auto* a : list->children_named("roap:algorithm")) {
@@ -106,14 +100,10 @@ std::uint32_t parse_u32(std::string_view s) {
   return static_cast<std::uint32_t>(v);
 }
 
-rel::Rights rights_from(const Element& e) { return rel::Rights::from_xml(e); }
-rel::Rights rights_from(const Node& e) { return rel::Rights::from_node(e); }
-
-template <typename E>
-void expect_root(const E& e, const char* root) {
-  if (e.name() != std::string_view(root)) {
+void expect_root(const Node& e, std::string_view root) {
+  if (e.name() != root) {
     throw Error(ErrorKind::kFormat,
-                std::string("roap: expected <") + root + ">");
+                "roap: expected <" + std::string(root) + ">");
   }
 }
 
@@ -131,17 +121,6 @@ Bytes payload_of(const Msg& m) {
   Writer w(s);
   m.write_payload(w);
   return to_bytes(s);
-}
-
-// to_xml() for every message: serialize with the Writer, parse back into
-// an owning Element tree. Keeps one serializer while preserving the
-// Element-based tooling/test surface.
-template <typename Msg>
-Element element_of(const Msg& m) {
-  std::string s;
-  Writer w(s);
-  m.write(w);
-  return xml::parse(s);
 }
 
 }  // namespace
@@ -180,15 +159,10 @@ void ProtectedRo::write(Writer& w) const {
   w.close();
 }
 
-Element ProtectedRo::to_xml() const { return element_of(*this); }
-
-namespace {
-
-template <typename E>
-ProtectedRo protected_ro_from(const E& e) {
+ProtectedRo ProtectedRo::from_node(const Node& e) {
   expect_root(e, "roap:protectedRO");
   ProtectedRo out;
-  out.rights = rights_from(e.require_child("o-ex:rights"));
+  out.rights = rel::Rights::from_node(e.require_child("o-ex:rights"));
   out.wrapped_keys = get_b64(e, "roap:encKey");
   out.enc_kcek = get_b64(e, "roap:encCEK");
   out.mac = get_b64(e, "roap:mac");
@@ -204,16 +178,6 @@ ProtectedRo protected_ro_from(const E& e) {
   return out;
 }
 
-}  // namespace
-
-ProtectedRo ProtectedRo::from_xml(const Element& e) {
-  return protected_ro_from(e);
-}
-
-ProtectedRo ProtectedRo::from_node(const Node& e) {
-  return protected_ro_from(e);
-}
-
 // ---------------------------------------------------------------------------
 // DeviceHello / RiHello
 // ---------------------------------------------------------------------------
@@ -226,28 +190,13 @@ void DeviceHello::write(Writer& w) const {
   w.close();
 }
 
-Element DeviceHello::to_xml() const { return element_of(*this); }
-
-namespace {
-
-template <typename E>
-DeviceHello device_hello_from(const E& e) {
+DeviceHello DeviceHello::from_node(const Node& e) {
   expect_root(e, "roap:deviceHello");
   DeviceHello out;
   out.device_id = e.child_text("roap:deviceID");
   out.algorithms = get_algorithms(e);
   out.device_nonce = get_b64(e, "roap:nonce");
   return out;
-}
-
-}  // namespace
-
-DeviceHello DeviceHello::from_xml(const Element& e) {
-  return device_hello_from(e);
-}
-
-DeviceHello DeviceHello::from_node(const Node& e) {
-  return device_hello_from(e);
 }
 
 void RiHello::write(Writer& w) const {
@@ -260,12 +209,7 @@ void RiHello::write(Writer& w) const {
   w.close();
 }
 
-Element RiHello::to_xml() const { return element_of(*this); }
-
-namespace {
-
-template <typename E>
-RiHello ri_hello_from(const E& e) {
+RiHello RiHello::from_node(const Node& e) {
   expect_root(e, "roap:riHello");
   RiHello out;
   out.status = status_from_string(e.require_attr("status"));
@@ -275,12 +219,6 @@ RiHello ri_hello_from(const E& e) {
   out.ri_nonce = get_b64(e, "roap:nonce");
   return out;
 }
-
-}  // namespace
-
-RiHello RiHello::from_xml(const Element& e) { return ri_hello_from(e); }
-
-RiHello RiHello::from_node(const Node& e) { return ri_hello_from(e); }
 
 // ---------------------------------------------------------------------------
 // RegistrationRequest / RegistrationResponse
@@ -303,20 +241,6 @@ void write_registration_request(const RegistrationRequest& m, Writer& w,
   w.close();
 }
 
-template <typename E>
-RegistrationRequest registration_request_from(const E& e) {
-  expect_root(e, "roap:registrationRequest");
-  RegistrationRequest out;
-  out.session_id = e.child_text("roap:sessionID");
-  out.device_id = e.child_text("roap:deviceID");
-  out.device_nonce = get_b64(e, "roap:deviceNonce");
-  out.ri_nonce = get_b64(e, "roap:riNonce");
-  out.certificate_der = get_b64(e, "roap:certificate");
-  out.ocsp_nonce = get_b64(e, "roap:ocspNonce");
-  out.signature = get_b64_optional(e, "roap:signature");
-  return out;
-}
-
 }  // namespace
 
 void RegistrationRequest::write(Writer& w) const {
@@ -327,16 +251,19 @@ void RegistrationRequest::write_payload(Writer& w) const {
   write_registration_request(*this, w, false);
 }
 
-Element RegistrationRequest::to_xml() const { return element_of(*this); }
-
 Bytes RegistrationRequest::payload() const { return payload_of(*this); }
 
-RegistrationRequest RegistrationRequest::from_xml(const Element& e) {
-  return registration_request_from(e);
-}
-
 RegistrationRequest RegistrationRequest::from_node(const Node& e) {
-  return registration_request_from(e);
+  expect_root(e, "roap:registrationRequest");
+  RegistrationRequest out;
+  out.session_id = e.child_text("roap:sessionID");
+  out.device_id = e.child_text("roap:deviceID");
+  out.device_nonce = get_b64(e, "roap:deviceNonce");
+  out.ri_nonce = get_b64(e, "roap:riNonce");
+  out.certificate_der = get_b64(e, "roap:certificate");
+  out.ocsp_nonce = get_b64(e, "roap:ocspNonce");
+  out.signature = get_b64_optional(e, "roap:signature");
+  return out;
 }
 
 namespace {
@@ -359,8 +286,19 @@ void write_registration_response(const RegistrationResponse& m, Writer& w,
   w.close();
 }
 
-template <typename E>
-RegistrationResponse registration_response_from(const E& e) {
+}  // namespace
+
+void RegistrationResponse::write(Writer& w) const {
+  write_registration_response(*this, w, true);
+}
+
+void RegistrationResponse::write_payload(Writer& w) const {
+  write_registration_response(*this, w, false);
+}
+
+Bytes RegistrationResponse::payload() const { return payload_of(*this); }
+
+RegistrationResponse RegistrationResponse::from_node(const Node& e) {
   expect_root(e, "roap:registrationResponse");
   RegistrationResponse out;
   out.status = status_from_string(e.require_attr("status"));
@@ -374,28 +312,6 @@ RegistrationResponse registration_response_from(const E& e) {
   out.ocsp_response_der = get_b64(e, "roap:ocspResponse");
   out.signature = get_b64_optional(e, "roap:signature");
   return out;
-}
-
-}  // namespace
-
-void RegistrationResponse::write(Writer& w) const {
-  write_registration_response(*this, w, true);
-}
-
-void RegistrationResponse::write_payload(Writer& w) const {
-  write_registration_response(*this, w, false);
-}
-
-Element RegistrationResponse::to_xml() const { return element_of(*this); }
-
-Bytes RegistrationResponse::payload() const { return payload_of(*this); }
-
-RegistrationResponse RegistrationResponse::from_xml(const Element& e) {
-  return registration_response_from(e);
-}
-
-RegistrationResponse RegistrationResponse::from_node(const Node& e) {
-  return registration_response_from(e);
 }
 
 // ---------------------------------------------------------------------------
@@ -417,8 +333,17 @@ void write_ro_request(const RoRequest& m, Writer& w, bool with_signature) {
   w.close();
 }
 
-template <typename E>
-RoRequest ro_request_from(const E& e) {
+}  // namespace
+
+void RoRequest::write(Writer& w) const { write_ro_request(*this, w, true); }
+
+void RoRequest::write_payload(Writer& w) const {
+  write_ro_request(*this, w, false);
+}
+
+Bytes RoRequest::payload() const { return payload_of(*this); }
+
+RoRequest RoRequest::from_node(const Node& e) {
   expect_root(e, "roap:roRequest");
   RoRequest out;
   out.device_id = e.child_text("roap:deviceID");
@@ -429,22 +354,6 @@ RoRequest ro_request_from(const E& e) {
   out.signature = get_b64_optional(e, "roap:signature");
   return out;
 }
-
-}  // namespace
-
-void RoRequest::write(Writer& w) const { write_ro_request(*this, w, true); }
-
-void RoRequest::write_payload(Writer& w) const {
-  write_ro_request(*this, w, false);
-}
-
-Element RoRequest::to_xml() const { return element_of(*this); }
-
-Bytes RoRequest::payload() const { return payload_of(*this); }
-
-RoRequest RoRequest::from_xml(const Element& e) { return ro_request_from(e); }
-
-RoRequest RoRequest::from_node(const Node& e) { return ro_request_from(e); }
 
 namespace {
 
@@ -463,21 +372,6 @@ void write_ro_response(const RoResponse& m, Writer& w, bool with_signature) {
   w.close();
 }
 
-template <typename E>
-RoResponse ro_response_from(const E& e) {
-  expect_root(e, "roap:roResponse");
-  RoResponse out;
-  out.status = status_from_string(e.require_attr("status"));
-  out.device_id = e.child_text("roap:deviceID");
-  out.ri_id = e.child_text("roap:riID");
-  out.device_nonce = get_b64(e, "roap:deviceNonce");
-  for (const auto* ro : e.children_named("roap:protectedRO")) {
-    out.ros.push_back(protected_ro_from(*ro));
-  }
-  out.signature = get_b64_optional(e, "roap:signature");
-  return out;
-}
-
 }  // namespace
 
 void RoResponse::write(Writer& w) const { write_ro_response(*this, w, true); }
@@ -486,13 +380,21 @@ void RoResponse::write_payload(Writer& w) const {
   write_ro_response(*this, w, false);
 }
 
-Element RoResponse::to_xml() const { return element_of(*this); }
-
 Bytes RoResponse::payload() const { return payload_of(*this); }
 
-RoResponse RoResponse::from_xml(const Element& e) { return ro_response_from(e); }
-
-RoResponse RoResponse::from_node(const Node& e) { return ro_response_from(e); }
+RoResponse RoResponse::from_node(const Node& e) {
+  expect_root(e, "roap:roResponse");
+  RoResponse out;
+  out.status = status_from_string(e.require_attr("status"));
+  out.device_id = e.child_text("roap:deviceID");
+  out.ri_id = e.child_text("roap:riID");
+  out.device_nonce = get_b64(e, "roap:deviceNonce");
+  for (const auto* ro : e.children_named("roap:protectedRO")) {
+    out.ros.push_back(ProtectedRo::from_node(*ro));
+  }
+  out.signature = get_b64_optional(e, "roap:signature");
+  return out;
+}
 
 // ---------------------------------------------------------------------------
 // JoinDomainRequest / JoinDomainResponse
@@ -513,18 +415,6 @@ void write_join_domain_request(const JoinDomainRequest& m, Writer& w,
   w.close();
 }
 
-template <typename E>
-JoinDomainRequest join_domain_request_from(const E& e) {
-  expect_root(e, "roap:joinDomainRequest");
-  JoinDomainRequest out;
-  out.device_id = e.child_text("roap:deviceID");
-  out.ri_id = e.child_text("roap:riID");
-  out.domain_id = e.child_text("roap:domainID");
-  out.device_nonce = get_b64(e, "roap:deviceNonce");
-  out.signature = get_b64_optional(e, "roap:signature");
-  return out;
-}
-
 }  // namespace
 
 void JoinDomainRequest::write(Writer& w) const {
@@ -535,16 +425,17 @@ void JoinDomainRequest::write_payload(Writer& w) const {
   write_join_domain_request(*this, w, false);
 }
 
-Element JoinDomainRequest::to_xml() const { return element_of(*this); }
-
 Bytes JoinDomainRequest::payload() const { return payload_of(*this); }
 
-JoinDomainRequest JoinDomainRequest::from_xml(const Element& e) {
-  return join_domain_request_from(e);
-}
-
 JoinDomainRequest JoinDomainRequest::from_node(const Node& e) {
-  return join_domain_request_from(e);
+  expect_root(e, "roap:joinDomainRequest");
+  JoinDomainRequest out;
+  out.device_id = e.child_text("roap:deviceID");
+  out.ri_id = e.child_text("roap:riID");
+  out.domain_id = e.child_text("roap:domainID");
+  out.device_nonce = get_b64(e, "roap:deviceNonce");
+  out.signature = get_b64_optional(e, "roap:signature");
+  return out;
 }
 
 namespace {
@@ -563,19 +454,6 @@ void write_join_domain_response(const JoinDomainResponse& m, Writer& w,
   w.close();
 }
 
-template <typename E>
-JoinDomainResponse join_domain_response_from(const E& e) {
-  expect_root(e, "roap:joinDomainResponse");
-  JoinDomainResponse out;
-  out.status = status_from_string(e.require_attr("status"));
-  out.domain_id = e.child_text("roap:domainID");
-  out.generation = parse_u32(e.child_text("roap:generation"));
-  out.device_nonce = get_b64_optional(e, "roap:deviceNonce");
-  out.wrapped_domain_key = get_b64(e, "roap:domainKey");
-  out.signature = get_b64_optional(e, "roap:signature");
-  return out;
-}
-
 }  // namespace
 
 void JoinDomainResponse::write(Writer& w) const {
@@ -586,16 +464,18 @@ void JoinDomainResponse::write_payload(Writer& w) const {
   write_join_domain_response(*this, w, false);
 }
 
-Element JoinDomainResponse::to_xml() const { return element_of(*this); }
-
 Bytes JoinDomainResponse::payload() const { return payload_of(*this); }
 
-JoinDomainResponse JoinDomainResponse::from_xml(const Element& e) {
-  return join_domain_response_from(e);
-}
-
 JoinDomainResponse JoinDomainResponse::from_node(const Node& e) {
-  return join_domain_response_from(e);
+  expect_root(e, "roap:joinDomainResponse");
+  JoinDomainResponse out;
+  out.status = status_from_string(e.require_attr("status"));
+  out.domain_id = e.child_text("roap:domainID");
+  out.generation = parse_u32(e.child_text("roap:generation"));
+  out.device_nonce = get_b64_optional(e, "roap:deviceNonce");
+  out.wrapped_domain_key = get_b64(e, "roap:domainKey");
+  out.signature = get_b64_optional(e, "roap:signature");
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -617,18 +497,6 @@ void write_leave_domain_request(const LeaveDomainRequest& m, Writer& w,
   w.close();
 }
 
-template <typename E>
-LeaveDomainRequest leave_domain_request_from(const E& e) {
-  expect_root(e, "roap:leaveDomainRequest");
-  LeaveDomainRequest out;
-  out.device_id = e.child_text("roap:deviceID");
-  out.ri_id = e.child_text("roap:riID");
-  out.domain_id = e.child_text("roap:domainID");
-  out.device_nonce = get_b64(e, "roap:deviceNonce");
-  out.signature = get_b64_optional(e, "roap:signature");
-  return out;
-}
-
 }  // namespace
 
 void LeaveDomainRequest::write(Writer& w) const {
@@ -639,16 +507,17 @@ void LeaveDomainRequest::write_payload(Writer& w) const {
   write_leave_domain_request(*this, w, false);
 }
 
-Element LeaveDomainRequest::to_xml() const { return element_of(*this); }
-
 Bytes LeaveDomainRequest::payload() const { return payload_of(*this); }
 
-LeaveDomainRequest LeaveDomainRequest::from_xml(const Element& e) {
-  return leave_domain_request_from(e);
-}
-
 LeaveDomainRequest LeaveDomainRequest::from_node(const Node& e) {
-  return leave_domain_request_from(e);
+  expect_root(e, "roap:leaveDomainRequest");
+  LeaveDomainRequest out;
+  out.device_id = e.child_text("roap:deviceID");
+  out.ri_id = e.child_text("roap:riID");
+  out.domain_id = e.child_text("roap:domainID");
+  out.device_nonce = get_b64(e, "roap:deviceNonce");
+  out.signature = get_b64_optional(e, "roap:signature");
+  return out;
 }
 
 namespace {
@@ -665,17 +534,6 @@ void write_leave_domain_response(const LeaveDomainResponse& m, Writer& w,
   w.close();
 }
 
-template <typename E>
-LeaveDomainResponse leave_domain_response_from(const E& e) {
-  expect_root(e, "roap:leaveDomainResponse");
-  LeaveDomainResponse out;
-  out.status = status_from_string(e.require_attr("status"));
-  out.domain_id = e.child_text("roap:domainID");
-  out.device_nonce = get_b64(e, "roap:deviceNonce");
-  out.signature = get_b64_optional(e, "roap:signature");
-  return out;
-}
-
 }  // namespace
 
 void LeaveDomainResponse::write(Writer& w) const {
@@ -686,16 +544,16 @@ void LeaveDomainResponse::write_payload(Writer& w) const {
   write_leave_domain_response(*this, w, false);
 }
 
-Element LeaveDomainResponse::to_xml() const { return element_of(*this); }
-
 Bytes LeaveDomainResponse::payload() const { return payload_of(*this); }
 
-LeaveDomainResponse LeaveDomainResponse::from_xml(const Element& e) {
-  return leave_domain_response_from(e);
-}
-
 LeaveDomainResponse LeaveDomainResponse::from_node(const Node& e) {
-  return leave_domain_response_from(e);
+  expect_root(e, "roap:leaveDomainResponse");
+  LeaveDomainResponse out;
+  out.status = status_from_string(e.require_attr("status"));
+  out.domain_id = e.child_text("roap:domainID");
+  out.device_nonce = get_b64(e, "roap:deviceNonce");
+  out.signature = get_b64_optional(e, "roap:signature");
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -712,12 +570,7 @@ void RoAcquisitionTrigger::write(Writer& w) const {
   w.close();
 }
 
-Element RoAcquisitionTrigger::to_xml() const { return element_of(*this); }
-
-namespace {
-
-template <typename E>
-RoAcquisitionTrigger trigger_from(const E& e) {
+RoAcquisitionTrigger RoAcquisitionTrigger::from_node(const Node& e) {
   expect_root(e, "roap:roAcquisitionTrigger");
   RoAcquisitionTrigger out;
   out.ri_id = e.child_text("roap:riID");
@@ -726,16 +579,6 @@ RoAcquisitionTrigger trigger_from(const E& e) {
   out.content_id = e.child_text("roap:contentID");
   if (const auto* d = e.child("roap:domainID")) out.domain_id = d->text();
   return out;
-}
-
-}  // namespace
-
-RoAcquisitionTrigger RoAcquisitionTrigger::from_xml(const Element& e) {
-  return trigger_from(e);
-}
-
-RoAcquisitionTrigger RoAcquisitionTrigger::from_node(const Node& e) {
-  return trigger_from(e);
 }
 
 }  // namespace omadrm::roap

@@ -22,7 +22,8 @@
 #include "common/bytes.h"
 #include "common/status.h"
 #include "rel/rights.h"
-#include "xml/xml.h"
+#include "xml/node.h"
+#include "xml/writer.h"
 
 namespace omadrm::roap {
 
@@ -87,11 +88,8 @@ struct ProtectedRo {
   Bytes signed_payload() const;
 
   bool operator==(const ProtectedRo&) const = default;
-  xml::Element to_xml() const;
-  /// Streams `<roap:protectedRO>` into `w` — identical bytes to
-  /// to_xml().serialize(), with no Element tree or temporaries.
+  /// Streams `<roap:protectedRO>` into `w` with no temporaries.
   void write(xml::Writer& w) const;
-  static ProtectedRo from_xml(const xml::Element& e);
   static ProtectedRo from_node(const xml::Node& e);
 };
 
@@ -104,9 +102,7 @@ struct DeviceHello {
   Bytes device_nonce;
 
   bool operator==(const DeviceHello&) const = default;
-  xml::Element to_xml() const;
   void write(xml::Writer& w) const;
-  static DeviceHello from_xml(const xml::Element& e);
   static DeviceHello from_node(const xml::Node& e);
 };
 
@@ -118,9 +114,7 @@ struct RiHello {
   Bytes ri_nonce;
 
   bool operator==(const RiHello&) const = default;
-  xml::Element to_xml() const;
   void write(xml::Writer& w) const;
-  static RiHello from_xml(const xml::Element& e);
   static RiHello from_node(const xml::Node& e);
 };
 
@@ -136,12 +130,10 @@ struct RegistrationRequest {
   /// Bytes the signature covers (message without <signature>).
   Bytes payload() const;
   bool operator==(const RegistrationRequest&) const = default;
-  xml::Element to_xml() const;
   void write(xml::Writer& w) const;
   /// Streams the message without its <roap:signature> element — the
   /// canonical byte string the signature covers.
   void write_payload(xml::Writer& w) const;
-  static RegistrationRequest from_xml(const xml::Element& e);
   static RegistrationRequest from_node(const xml::Node& e);
 };
 
@@ -160,12 +152,10 @@ struct RegistrationResponse {
 
   Bytes payload() const;
   bool operator==(const RegistrationResponse&) const = default;
-  xml::Element to_xml() const;
   void write(xml::Writer& w) const;
   /// Streams the message without its <roap:signature> element — the
   /// canonical byte string the signature covers.
   void write_payload(xml::Writer& w) const;
-  static RegistrationResponse from_xml(const xml::Element& e);
   static RegistrationResponse from_node(const xml::Node& e);
 };
 
@@ -182,12 +172,10 @@ struct RoRequest {
 
   Bytes payload() const;
   bool operator==(const RoRequest&) const = default;
-  xml::Element to_xml() const;
   void write(xml::Writer& w) const;
   /// Streams the message without its <roap:signature> element — the
   /// canonical byte string the signature covers.
   void write_payload(xml::Writer& w) const;
-  static RoRequest from_xml(const xml::Element& e);
   static RoRequest from_node(const xml::Node& e);
 };
 
@@ -201,12 +189,10 @@ struct RoResponse {
 
   Bytes payload() const;
   bool operator==(const RoResponse&) const = default;
-  xml::Element to_xml() const;
   void write(xml::Writer& w) const;
   /// Streams the message without its <roap:signature> element — the
   /// canonical byte string the signature covers.
   void write_payload(xml::Writer& w) const;
-  static RoResponse from_xml(const xml::Element& e);
   static RoResponse from_node(const xml::Node& e);
 };
 
@@ -222,12 +208,10 @@ struct JoinDomainRequest {
 
   Bytes payload() const;
   bool operator==(const JoinDomainRequest&) const = default;
-  xml::Element to_xml() const;
   void write(xml::Writer& w) const;
   /// Streams the message without its <roap:signature> element — the
   /// canonical byte string the signature covers.
   void write_payload(xml::Writer& w) const;
-  static JoinDomainRequest from_xml(const xml::Element& e);
   static JoinDomainRequest from_node(const xml::Node& e);
 };
 
@@ -241,12 +225,10 @@ struct JoinDomainResponse {
 
   Bytes payload() const;
   bool operator==(const JoinDomainResponse&) const = default;
-  xml::Element to_xml() const;
   void write(xml::Writer& w) const;
   /// Streams the message without its <roap:signature> element — the
   /// canonical byte string the signature covers.
   void write_payload(xml::Writer& w) const;
-  static JoinDomainResponse from_xml(const xml::Element& e);
   static JoinDomainResponse from_node(const xml::Node& e);
 };
 
@@ -259,12 +241,10 @@ struct LeaveDomainRequest {
 
   Bytes payload() const;
   bool operator==(const LeaveDomainRequest&) const = default;
-  xml::Element to_xml() const;
   void write(xml::Writer& w) const;
   /// Streams the message without its <roap:signature> element — the
   /// canonical byte string the signature covers.
   void write_payload(xml::Writer& w) const;
-  static LeaveDomainRequest from_xml(const xml::Element& e);
   static LeaveDomainRequest from_node(const xml::Node& e);
 };
 
@@ -276,12 +256,10 @@ struct LeaveDomainResponse {
 
   Bytes payload() const;
   bool operator==(const LeaveDomainResponse&) const = default;
-  xml::Element to_xml() const;
   void write(xml::Writer& w) const;
   /// Streams the message without its <roap:signature> element — the
   /// canonical byte string the signature covers.
   void write_payload(xml::Writer& w) const;
-  static LeaveDomainResponse from_xml(const xml::Element& e);
   static LeaveDomainResponse from_node(const xml::Node& e);
 };
 
@@ -299,9 +277,7 @@ struct RoAcquisitionTrigger {
   std::string domain_id;  // non-empty: a domain RO needing membership
 
   bool operator==(const RoAcquisitionTrigger&) const = default;
-  xml::Element to_xml() const;
   void write(xml::Writer& w) const;
-  static RoAcquisitionTrigger from_xml(const xml::Element& e);
   static RoAcquisitionTrigger from_node(const xml::Node& e);
 };
 

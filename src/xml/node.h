@@ -1,4 +1,13 @@
-// Zero-copy XML DOM view.
+// Zero-copy XML DOM view — the only XML reader in the stack.
+//
+// OMA DRM 2 carries Rights Objects (REL) and ROAP messages as XML; the
+// paper leaves XML handling out of its cycle model ("these components
+// cannot easily be accelerated by dedicated hardware cells"), so the
+// stack keeps one parser (this) and one serializer (writer.h). Supported:
+// elements, attributes (single- or double-quoted), character data with
+// the five predefined entities plus decimal/hex character references,
+// comments, processing instructions, and self-closing tags. Rejected
+// cleanly: DTDs, CDATA sections, namespaces beyond literal prefixed names.
 //
 // A Node tree is produced by parse_in() in a single pass over the
 // document: element names, attribute values, and character data are
@@ -8,9 +17,6 @@
 // long as the Nodes are used. This is the wire-path DOM: the ROAP
 // envelope retains its serialized bytes anyway, so the parse costs no
 // string copies and, once the arena is warm, no heap allocations at all.
-//
-// The accessor surface deliberately mirrors xml::Element so message
-// decoding can be written once, generically, against either DOM.
 #pragma once
 
 #include <cstddef>

@@ -6,13 +6,18 @@
 #include "agent/drm_agent.h"
 #include "agent/sessions.h"
 #include "ci/content_issuer.h"
+#include "common/base64.h"
 #include "common/error.h"
+#include "common/hex.h"
 #include "common/random.h"
+#include "crypto/sha1.h"
 #include "pki/authority.h"
 #include "provider/provider.h"
 #include "ri/rights_issuer.h"
 #include "roap/envelope.h"
 #include "roap/transport.h"
+#include "xml/node.h"
+#include "xml/writer.h"
 
 namespace omadrm {
 namespace {
@@ -22,6 +27,40 @@ using agent::DrmAgent;
 
 constexpr std::uint64_t kNow = 1100000000;
 const pki::Validity kValidity{kNow - 86400, kNow + 365 * 86400};
+
+/// Re-encodes an export image with `from` replaced by `to` inside the
+/// decoded value of record `key` (every other byte is carried over).
+Bytes edit_record(ByteView image, std::string_view key, std::string_view from,
+                  std::string_view to) {
+  const std::string doc = to_string(image);
+  xml::Arena arena;
+  const xml::Node& root = xml::parse_in(arena, doc);
+  std::string out;
+  xml::Writer w(out);
+  w.open(root.name());
+  w.text_element("kdev", root.child_text("kdev"));
+  bool edited = false;
+  for (const xml::Node* rec : root.children_named("record")) {
+    w.open("record");
+    w.attr("key", rec->require_attr("key"));
+    if (rec->require_attr("key") == key) {
+      std::string value = to_string(base64_decode(rec->text()));
+      const std::size_t at = value.find(from);
+      EXPECT_NE(at, std::string::npos) << value;
+      if (at != std::string::npos) {
+        value.replace(at, from.size(), to);
+        edited = true;
+      }
+      w.base64(to_bytes(value));
+    } else {
+      w.text(rec->text());
+    }
+    w.close();
+  }
+  w.close();
+  EXPECT_TRUE(edited) << "no record " << key;
+  return to_bytes(out);
+}
 
 class AgentExtended : public ::testing::Test {
  protected:
@@ -479,6 +518,65 @@ TEST_F(AgentExtended, ImportRejectsGarbage) {
                  provider::plain_provider(), *rng_, 512);
   EXPECT_THROW(blank.import_state(to_bytes("not xml at all")), Error);
   EXPECT_THROW(blank.import_state(to_bytes("<wrong-root/>")), Error);
+}
+
+TEST_F(AgentExtended, ImportRejectsDomainGenerationPastUint32) {
+  setup_content("gen", 300, 0, /*domain_ro=*/true);
+  ASSERT_EQ(device_->register_with(tx(), kNow), AgentStatus::kOk);
+  ASSERT_EQ(device_->join_domain(tx(), "ri.example", "domain:home", kNow),
+            AgentStatus::kOk);
+  const Bytes before = device_->export_state();
+
+  // 2^32 + 1: a narrowing load would read it back as generation 1.
+  const Bytes crafted = edit_record(before, "dom/domain:home",
+                                    "generation=\"1\"",
+                                    "generation=\"4294967297\"");
+  EXPECT_THROW(device_->import_state(crafted), Error);
+  EXPECT_EQ(device_->export_state(), before);
+  EXPECT_EQ(*device_->domain_generation("domain:home"), 1u);
+
+  // UINT32_MAX itself is a valid generation.
+  DrmAgent blank("blank", ca_->root_certificate(),
+                 provider::plain_provider(), *rng_, 512);
+  blank.import_state(edit_record(before, "dom/domain:home",
+                                 "generation=\"1\"",
+                                 "generation=\"4294967295\""));
+  EXPECT_EQ(*blank.domain_generation("domain:home"), 4294967295u);
+}
+
+// Persisted images are a storage format: the bytes export_state() writes
+// for a fixed scenario are pinned, and an image written by the earlier
+// (Element-based) encoder still imports and re-exports unchanged.
+TEST_F(AgentExtended, ExportImageBytesArePinned) {
+  dcf::Dcf song = setup_content("pin", 700, /*count_limit=*/3);
+  setup_content("pindom", 500, 0, /*domain_ro=*/true);
+  ASSERT_EQ(device_->register_with(tx(), kNow), AgentStatus::kOk);
+  ASSERT_EQ(device_->join_domain(tx(), "ri.example", "domain:home", kNow),
+            AgentStatus::kOk);
+  auto device_ro = device_->acquire_ro(tx(), "ri.example", "ro:pin", kNow);
+  auto domain_ro = device_->acquire_ro(tx(), "ri.example", "ro:pindom", kNow);
+  ASSERT_EQ(device_ro, AgentStatus::kOk);
+  ASSERT_EQ(domain_ro, AgentStatus::kOk);
+  ASSERT_EQ(device_->install_ro(*device_ro, kNow), AgentStatus::kOk);
+  ASSERT_EQ(device_->install_ro(*domain_ro, kNow), AgentStatus::kOk);
+  ASSERT_EQ(device_->consume(song, rel::PermissionType::kPlay, kNow).status,
+            AgentStatus::kOk);
+
+  const Bytes image = device_->export_state();
+  EXPECT_EQ(to_hex(crypto::Sha1::hash(image)),
+            "d382e1e7d210511b6eee4b8b1eb5e15abd70f432");
+
+  const Bytes earlier = to_bytes(
+#include "golden/agent_export_image.inc"
+  );
+  EXPECT_EQ(image, earlier);
+  DrmAgent rebooted("blank", ca_->root_certificate(),
+                    provider::plain_provider(), *rng_, 512);
+  rebooted.import_state(earlier);
+  EXPECT_EQ(rebooted.export_state(), earlier);
+  EXPECT_EQ(*rebooted.remaining_count("ro:pin", rel::PermissionType::kPlay),
+            2u);
+  EXPECT_EQ(*rebooted.domain_generation("domain:home"), 1u);
 }
 
 TEST_F(AgentExtended, ExportImportRoundTripIsStable) {

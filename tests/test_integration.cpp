@@ -385,6 +385,15 @@ TEST_F(DrmEcosystem, ReinstallResetsState) {
             AgentStatus::kOk);
 }
 
+// Writer -> parse_in -> from_node: the RO's standalone XML wire form.
+roap::ProtectedRo round_trip(const roap::ProtectedRo& ro) {
+  std::string wire;
+  xml::Writer w(wire);
+  ro.write(w);
+  xml::Arena arena;
+  return roap::ProtectedRo::from_node(xml::parse_in(arena, wire));
+}
+
 TEST_F(DrmEcosystem, RoSurvivesXmlTransport) {
   // The protected RO round-trips through its XML wire form and still
   // installs and plays — proving the whole chain is carried in-band.
@@ -393,8 +402,7 @@ TEST_F(DrmEcosystem, RoSurvivesXmlTransport) {
   auto acq = device_->acquire_ro(tx(), "ri.example", "ro:wire", kNow);
   ASSERT_EQ(acq, AgentStatus::kOk);
 
-  std::string wire = acq->to_xml().serialize();
-  roap::ProtectedRo reparsed = roap::ProtectedRo::from_xml(xml::parse(wire));
+  roap::ProtectedRo reparsed = round_trip(*acq);
   ASSERT_EQ(device_->install_ro(reparsed, kNow), AgentStatus::kOk);
   EXPECT_EQ(device_->consume(dcf, rel::PermissionType::kPlay, kNow).status,
             AgentStatus::kOk);

@@ -19,7 +19,8 @@
 #include "ri/rights_issuer.h"
 #include "roap/messages.h"
 #include "roap/transport.h"
-#include "xml/xml.h"
+#include "xml/node.h"
+#include "xml/writer.h"
 
 namespace omadrm {
 namespace {
@@ -42,17 +43,34 @@ Bytes mutate(Bytes data, Rng& rng, int n = 1) {
   return data;
 }
 
+std::string ro_wire(const roap::ProtectedRo& ro) {
+  std::string wire;
+  xml::Writer w(wire);
+  ro.write(w);
+  return wire;
+}
+
+roap::ProtectedRo parse_ro(std::string_view wire) {
+  xml::Arena arena;
+  return roap::ProtectedRo::from_node(xml::parse_in(arena, wire));
+}
+
 TEST(Robustness, XmlParserNeverCrashesOnMutations) {
   DeterministicRng rng(0xF00);
-  xml::Element doc("roap:roRequest");
-  doc.set_attr("id", "x");
-  doc.add_text_child("roap:deviceID", "device & <friends>");
-  std::string wire = doc.serialize();
+  std::string wire;
+  xml::Writer w(wire);
+  w.open("roap:roRequest");
+  w.attr("id", "x");
+  w.text_element("roap:deviceID", "device & <friends>");
+  w.close();
+  xml::Arena arena;
   int parsed = 0, rejected = 0;
   for (int i = 0; i < 500; ++i) {
     Bytes m = mutate(to_bytes(wire), rng, 1 + static_cast<int>(rng.uniform(4)));
+    const std::string doc = to_string(m);
+    arena.reset();
     try {
-      xml::Element e = xml::parse(to_string(m));
+      (void)xml::parse_in(arena, doc);
       ++parsed;  // structurally still valid XML — fine
     } catch (const Error&) {
       ++rejected;
@@ -64,10 +82,13 @@ TEST(Robustness, XmlParserNeverCrashesOnMutations) {
 
 TEST(Robustness, XmlParserOnRandomGarbage) {
   DeterministicRng rng(0xF01);
+  xml::Arena arena;
   for (int i = 0; i < 300; ++i) {
     Bytes garbage = rng.bytes(1 + rng.uniform(200));
+    const std::string doc = to_string(garbage);
+    arena.reset();
     try {
-      xml::parse(to_string(garbage));
+      (void)xml::parse_in(arena, doc);
     } catch (const Error&) {
       // expected almost always
     }
@@ -189,7 +210,7 @@ class RoMutationFixture : public ::testing::Test {
               agent::AgentStatus::kOk);
     auto acq = device_->acquire_ro(transport, "ri.example", "ro:fuzz", kNow);
     ASSERT_EQ(acq, agent::AgentStatus::kOk);
-    ro_wire_ = acq->to_xml().serialize();
+    ro_wire_ = ro_wire(*acq);
   }
 
   std::unique_ptr<DeterministicRng> rng_;
@@ -208,7 +229,7 @@ TEST_F(RoMutationFixture, MutatedProtectedRoNeverInstallsCleanly) {
                      1 + static_cast<int>(mut_rng.uniform(3)));
     roap::ProtectedRo ro;
     try {
-      ro = roap::ProtectedRo::from_xml(xml::parse(to_string(m)));
+      ro = parse_ro(to_string(m));
     } catch (const Error&) {
       ++refused;
       continue;
@@ -217,7 +238,7 @@ TEST_F(RoMutationFixture, MutatedProtectedRoNeverInstallsCleanly) {
     if (status == agent::AgentStatus::kOk) {
       // Installing is only legitimate when the document is semantically
       // unchanged (e.g. whitespace/mutation cancelled out).
-      EXPECT_EQ(ro.to_xml().serialize(), ro_wire_) << "mutation " << i;
+      EXPECT_EQ(ro_wire(ro), ro_wire_) << "mutation " << i;
       ++installed_identical;
     } else {
       ++refused;
@@ -228,8 +249,7 @@ TEST_F(RoMutationFixture, MutatedProtectedRoNeverInstallsCleanly) {
 }
 
 TEST_F(RoMutationFixture, MutatedAgentStateNeverImportsSilently) {
-  ASSERT_EQ(device_->install_ro(
-                roap::ProtectedRo::from_xml(xml::parse(ro_wire_)), kNow),
+  ASSERT_EQ(device_->install_ro(parse_ro(ro_wire_), kNow),
             agent::AgentStatus::kOk);
   Bytes image = device_->export_state();
   DeterministicRng mut_rng(0xF07);
@@ -280,25 +300,26 @@ TEST(Robustness, RoapMessagesFromForeignXml) {
       "<roap:domainKey>AAAA</roap:domainKey></roap:joinDomainResponse>",
   };
   for (const char* doc : docs) {
-    xml::Element e = xml::parse(doc);
+    xml::Arena arena;
+    const xml::Node& e = xml::parse_in(arena, doc);
     bool threw = false;
     try {
-      (void)roap::RoResponse::from_xml(e);
+      (void)roap::RoResponse::from_node(e);
     } catch (const Error&) {
       threw = true;
     }
     try {
-      (void)roap::RegistrationResponse::from_xml(e);
+      (void)roap::RegistrationResponse::from_node(e);
     } catch (const Error&) {
       threw = true;
     }
     try {
-      (void)roap::ProtectedRo::from_xml(e);
+      (void)roap::ProtectedRo::from_node(e);
     } catch (const Error&) {
       threw = true;
     }
     try {
-      (void)roap::JoinDomainResponse::from_xml(e);
+      (void)roap::JoinDomainResponse::from_node(e);
     } catch (const Error&) {
       threw = true;
     }
