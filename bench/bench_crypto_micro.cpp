@@ -4,7 +4,12 @@
 // kernels under RSA.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <utility>
+
+#include "bigint/mont_accel.h"
 #include "bigint/montgomery.h"
+#include "bigint/prime.h"
 #include "common/random.h"
 #include "crypto/aes_wrap.h"
 #include "crypto/hmac.h"
@@ -159,6 +164,69 @@ void BM_MontgomeryMul1024(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MontgomeryMul1024);
+
+// The hot operation of an RSA-1024 private-key op: one CRT half, a
+// 512-bit exponent under a 512-bit prime on the cached context.
+void BM_CrtHalfModExp512(benchmark::State& state) {
+  DeterministicRng rng(13);
+  const bigint::BigInt p = bigint::generate_prime(512, rng);
+  const bigint::MontgomeryCtx ctx(p);
+  const bigint::BigInt base = bigint::BigInt::random_below(p, rng);
+  const bigint::BigInt exp = bigint::BigInt::random_bits(512, rng);
+  for (auto _ : state) {
+    bigint::BigInt c = ctx.mod_exp(base, exp);
+    benchmark::DoNotOptimize(c);
+  }
+}
+BENCHMARK(BM_CrtHalfModExp512);
+
+// One 8-word (512-bit) Montgomery multiply on packed words, chained as in
+// an exponentiation: the SW and HW rows of a host-calibrated Table 1.
+using MontMulFn = void (*)(std::uint64_t*, const std::uint64_t*,
+                           const std::uint64_t*, const std::uint64_t*,
+                           std::uint64_t);
+
+void run_mont_mul8(benchmark::State& state, MontMulFn mul) {
+  DeterministicRng rng(14);
+  std::uint64_t m[8], a[8], b[8], r[8];
+  for (int i = 0; i < 8; ++i) {
+    m[i] = rng.next_u64();
+    a[i] = rng.next_u64();
+    b[i] = rng.next_u64();
+  }
+  m[0] |= 1;
+  m[7] |= std::uint64_t{1} << 63;  // operands below m
+  a[7] >>= 1;
+  b[7] >>= 1;
+  std::uint64_t inv = 1;
+  for (int i = 0; i < 6; ++i) inv *= 2 - m[0] * inv;
+  const std::uint64_t k = 0 - inv;
+  std::uint64_t* x = a;
+  std::uint64_t* y = r;
+  for (auto _ : state) {
+    mul(y, x, b, m, k);
+    std::swap(x, y);
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_MontMul8Portable(benchmark::State& state) {
+  run_mont_mul8(state, [](std::uint64_t* r, const std::uint64_t* a,
+                          const std::uint64_t* b, const std::uint64_t* m,
+                          std::uint64_t k) {
+    bigint::mont_mul_portable(r, a, b, m, k, 8);
+  });
+}
+BENCHMARK(BM_MontMul8Portable);
+
+void BM_MontMul8Accel(benchmark::State& state) {
+  if (!bigint::accel::mont_supported()) {
+    state.SkipWithError("host lacks BMI2+ADX");
+    return;
+  }
+  run_mont_mul8(state, &bigint::accel::mont_mul8);
+}
+BENCHMARK(BM_MontMul8Accel);
 
 void BM_RsaKeygen1024(benchmark::State& state) {
   std::uint64_t seed = 100;

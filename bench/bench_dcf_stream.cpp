@@ -38,7 +38,6 @@
 #include <fstream>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "agent/drm_agent.h"
@@ -54,6 +53,7 @@
 #include "provider/provider.h"
 #include "ri/rights_issuer.h"
 #include "roap/transport.h"
+#include "host_facts.h"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter: every operator-new in the process bumps it.
@@ -100,31 +100,6 @@ constexpr std::size_t kChunkBytes = 256 * 1024;
 double mbps(std::size_t bytes, std::size_t iters, double total_ms) {
   return static_cast<double>(bytes) * static_cast<double>(iters) /
          (total_ms / 1000.0) / (1024.0 * 1024.0);
-}
-
-#ifndef OMADRM_BUILD_TYPE
-#define OMADRM_BUILD_TYPE "unknown"
-#endif
-
-// The crypto-relevant CPU flags of this host, as a JSON string array.
-std::string cpu_flags_json() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  std::string flags;
-  while (std::getline(in, line)) {
-    if (line.rfind("flags", 0) == 0) {
-      flags = " " + line.substr(line.find(':') + 1) + " ";
-      break;
-    }
-  }
-  std::string out = "[";
-  for (const char* f :
-       {"aes", "sha_ni", "ssse3", "sse4_1", "avx2", "adx", "bmi2"}) {
-    if (flags.find(std::string(" ") + f + " ") == std::string::npos) continue;
-    if (out.size() > 1) out += ", ";
-    out += std::string("\"") + f + "\"";
-  }
-  return out + "]";
 }
 
 // ---------------------------------------------------------------------------
@@ -406,9 +381,7 @@ int main(int argc, char** argv) {
        << ", \"quick\": " << (quick ? "true" : "false")
        << ", \"aesni\": " << (aesni ? "true" : "false")
        << ", \"shani\": " << (shani ? "true" : "false") << "},\n"
-       << "  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
-       << ", \"cpu_flags\": " << cpu_flags_json()
-       << ", \"build_type\": \"" << OMADRM_BUILD_TYPE << "\"},\n"
+       << "  \"host\": " << bench::host_json() << ",\n"
        << "  \"sizes\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SizeResult& r = results[i];

@@ -28,7 +28,11 @@
 //                entry point: server-side fan-in throughput.
 //
 // Output: human-readable summary on stdout + JSON (default
-// BENCH_roap.json) so the perf trajectory is tracked across PRs.
+// BENCH_roap.json) so the perf trajectory is tracked across PRs. The
+// JSON records the host (nproc, CPU flags, build type) and whether the
+// BMI2/ADX Montgomery kernels ran (config.mont_accel);
+// scripts/check_bench_regression.py gates per_stage_us.pss_sign when the
+// baseline ran the same back end.
 //
 // Usage: bench_roap_session [--quick] [--json <path>]
 #include <algorithm>
@@ -45,6 +49,7 @@
 
 #include "agent/drm_agent.h"
 #include "agent/sessions.h"
+#include "bigint/mont_accel.h"
 #include "bigint/mont_cache.h"
 #include "common/base64.h"
 #include "common/random.h"
@@ -58,6 +63,7 @@
 #include "rsa/pss.h"
 #include "rsa/rsa.h"
 #include "xml/node.h"
+#include "host_facts.h"
 #include "xml/writer.h"
 
 // ---------------------------------------------------------------------------
@@ -433,8 +439,10 @@ int main(int argc, char** argv) {
   const std::size_t fleet_agents = quick ? 8 : 64;
   const std::size_t fleet_acqs = quick ? 2 : 4;
 
-  std::printf("=== ROAP session benchmark (RSA-%zu, 3-cert chain) ===\n\n",
-              kRsaBits);
+  std::printf(
+      "=== ROAP session benchmark (RSA-%zu, 3-cert chain, Montgomery "
+      "kernels %s) ===\n\n",
+      kRsaBits, bigint::accel::mont_supported() ? "BMI2/ADX" : "portable");
   Session s;
 
   // Registration, cold: chain-verdict cache empty, Montgomery contexts
@@ -541,7 +549,8 @@ int main(int argc, char** argv) {
       "  \"bench\": \"roap_session\",\n"
       "  \"config\": {\"rsa_bits\": %zu, \"chain_len\": 3, "
       "\"iterations\": %zu, \"quick\": %s, \"transport\": "
-      "\"envelope_wire\"},\n"
+      "\"envelope_wire\", \"mont_accel\": %s},\n"
+      "  \"host\": %s,\n"
       "  \"registration_first_ms\": %.3f,\n"
       "  \"registration_repeat_ms\": %.3f,\n"
       "  \"ro_acquisition\": {\n"
@@ -567,7 +576,9 @@ int main(int argc, char** argv) {
       "  \"cache_stats\": {\"mont_hits\": %llu, \"mont_misses\": %llu, "
       "\"chain_hits\": %llu, \"chain_misses\": %llu}\n"
       "}\n",
-      kRsaBits, iterations, quick ? "true" : "false", registration_first_ms,
+      kRsaBits, iterations, quick ? "true" : "false",
+      bigint::accel::mont_supported() ? "true" : "false",
+      bench::host_json().c_str(), registration_first_ms,
       registration_repeat_ms, cached.full_ms_avg, cached.full_ms.p50,
       cached.full_ms.p95, cached.verify_ms_avg, cached.allocs_per_exchange,
       uncached.full_ms_avg, uncached.verify_ms_avg, no_context_full_ms,

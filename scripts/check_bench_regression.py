@@ -5,7 +5,12 @@ Handles both benchmark families by dispatching on the JSON's "bench"
 field:
 
   roap_session   gates on fleet exchanges/s (the least noisy of that
-                 bench's outputs on shared CI runners).
+                 bench's outputs on shared CI runners), and on the
+                 per_stage_us.pss_sign latency (an RSA-1024 CRT
+                 private-key op) when both documents carry the same
+                 "mont_accel" config value (a BMI2/ADX baseline against
+                 a portable-kernel runner would gate on the CPU, not the
+                 code; the skip reason is printed).
   dcf_stream     gates on streaming decrypt MB/s at the largest payload
                  size present in BOTH documents (quick CI runs omit the
                  16 MiB point the full baseline carries), and on SHA-1
@@ -89,6 +94,32 @@ def check_dcf_sha1(baseline: dict, current: dict, payload_bytes: int,
     print(f"floor (-{tolerance:.0%}): {floor:10.1f} MB/s")
     if cur < floor:
         print(f"FAIL: SHA-1 throughput regressed more than {tolerance:.0%} "
+              f"vs the checked-in baseline", file=sys.stderr)
+        return False
+    return True
+
+
+def check_roap_pss_sign(baseline: dict, current: dict,
+                        tolerance: float) -> bool:
+    """Secondary roap_session gate: per_stage_us.pss_sign must not grow
+    by more than `tolerance`, only when both documents ran the same
+    Montgomery back end. Returns False on a regression."""
+    base_accel = baseline.get("config", {}).get("mont_accel")
+    cur_accel = current.get("config", {}).get("mont_accel")
+    if base_accel is None or base_accel != cur_accel:
+        print(f"pss_sign gate skipped: baseline mont_accel={base_accel} but "
+              f"current mont_accel={cur_accel} (not the same Montgomery "
+              f"back end)")
+        return True
+    base = float(baseline["per_stage_us"]["pss_sign"])
+    cur = float(current["per_stage_us"]["pss_sign"])
+    ceiling = base * (1.0 + tolerance)
+    label = f"pss_sign (mont_accel={cur_accel})"
+    print(f"baseline {label}: {base:10.1f} us")
+    print(f"current  {label}: {cur:10.1f} us")
+    print(f"ceiling (+{tolerance:.0%}): {ceiling:10.1f} us")
+    if cur > ceiling:
+        print(f"FAIL: pss_sign latency regressed more than {tolerance:.0%} "
               f"vs the checked-in baseline", file=sys.stderr)
         return False
     return True
@@ -279,6 +310,9 @@ def main() -> int:
         print(f"FAIL: throughput regressed more than "
               f"{args.tolerance:.0%} vs the checked-in baseline",
               file=sys.stderr)
+        return 1
+    if kind == "roap_session" and not check_roap_pss_sign(
+            baseline, current, args.tolerance):
         return 1
     if kind == "dcf_stream" and not check_dcf_sha1(
             baseline, current, dcf_payload, args.tolerance):

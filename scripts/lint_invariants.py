@@ -45,13 +45,15 @@ Six rule classes, each encoding an invariant the test suite cannot see
                        the catalog from the discovered sites, keeping
                        existing descriptions.
 
-  isa-confinement      x86 intrinsic headers (*mmintrin.h, x86intrin.h)
-                       and __attribute__((target(...))) appear only in
-                       src/crypto/*_accel.cpp, and every such file has
-                       its COMPILE_OPTIONS set in CMakeLists.txt. Keeps
-                       ISA-specific code in the units that get the ISA
-                       flags and sit behind a cpuid check, so the rest
-                       of the library stays portable baseline code.
+  isa-confinement      x86 intrinsic headers (*mmintrin.h, x86intrin.h),
+                       __attribute__((target(...))) and inline asm
+                       statements (asm / __asm__) appear only in
+                       src/crypto/*_accel.cpp and src/bigint/*_accel.cpp,
+                       and every such file has its COMPILE_OPTIONS set in
+                       CMakeLists.txt. Keeps ISA-specific code in the
+                       units that get the ISA flags and sit behind a
+                       cpuid check, so the rest of the library stays
+                       portable baseline code.
 
 Exit status: 0 clean, 1 violations (one `path:line: [rule] message` per
 finding), 2 usage/internal error. `--self-test` first proves every rule
@@ -394,9 +396,11 @@ def fix_catalog(repo: pathlib.Path, files: dict[str, str],
 # --------------------------------------------------------------------------
 
 ISA_ROOTS = ("src", "tools", "bench", "tests", "examples", "perfbench")
-ACCEL_FILE_RE = re.compile(r"^src/crypto/\w+_accel\.cpp$")
+ACCEL_FILE_RE = re.compile(r"^src/(crypto|bigint)/\w+_accel\.cpp$")
 ISA_RE = re.compile(r"#\s*include\s*<(?:[a-z0-9]*mmintrin|x86intrin)\.h>"
-                    r"|__attribute__\s*\(\(\s*target\s*\(")
+                    r"|__attribute__\s*\(\(\s*target\s*\("
+                    r"|\b(?:asm|__asm|__asm__)\b"
+                    r"(?:\s+(?:volatile|__volatile__|inline|goto))*\s*\(")
 CMAKE_PROPS_RE = re.compile(r"set_source_files_properties\s*\(([^)]*)\)", re.S)
 
 
@@ -404,9 +408,9 @@ def check_isa_confinement(path: str, lines: list[str]) -> list[Finding]:
     if ACCEL_FILE_RE.match(path):
         return []
     return [Finding(path, i + 1, "isa-confinement",
-                    "x86 intrinsics or a target attribute outside "
-                    "src/crypto/*_accel.cpp — move the code into an accel "
-                    "unit behind a cpuid check")
+                    "x86 intrinsics, a target attribute or inline asm "
+                    "outside src/{crypto,bigint}/*_accel.cpp — move the "
+                    "code into an accel unit behind a cpuid check")
             for i, raw in enumerate(lines) if ISA_RE.search(strip_comment(raw))]
 
 
@@ -624,6 +628,35 @@ def self_test() -> list[str]:
     expect("isa-confinement",
            check_accel_compile_options(["src/crypto/y_accel.cpp"], props),
            True, "accel unit with no COMPILE_OPTIONS")
+    expect("isa-confinement",
+           check_isa_confinement(
+               "src/bigint/montgomery.cpp",
+               ['  __asm__ volatile("mulxq %[b], %%rax, %%rbx" : : );']),
+           True, "inline asm outside an accel unit")
+    expect("isa-confinement",
+           check_isa_confinement("src/bigint/montgomery.cpp",
+                                 ['asm("nop");']), True,
+           "plain asm statement outside an accel unit")
+    expect("isa-confinement",
+           check_isa_confinement("src/bigint/montgomery.cpp",
+                                 ["// the kernels are asm (see *_accel)",
+                                  "const char* kAsm = nullptr;"]),
+           False, "asm named in a comment and inside an identifier")
+    expect("isa-confinement",
+           check_isa_confinement(
+               "src/bigint/mont_accel.cpp",
+               ['  __asm__ volatile("adcxq %%rax, %%r8" : : );']),
+           False, "inline asm in a bigint accel unit")
+    bigint_props = ("set_source_files_properties(\n"
+                    "    ${CMAKE_CURRENT_SOURCE_DIR}/src/bigint/z_accel.cpp\n"
+                    "    PROPERTIES COMPILE_OPTIONS \"-mbmi2;-madx\")\n")
+    expect("isa-confinement",
+           check_accel_compile_options(["src/bigint/z_accel.cpp"],
+                                       bigint_props),
+           False, "bigint accel unit with COMPILE_OPTIONS")
+    expect("isa-confinement",
+           check_accel_compile_options(["src/bigint/z_accel.cpp"], props),
+           True, "bigint accel unit with no COMPILE_OPTIONS")
     return errors
 
 

@@ -1,8 +1,10 @@
 #include "bigint/montgomery.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
+#include "bigint/mont_accel.h"
 #include "common/error.h"
 
 namespace omadrm::bigint {
@@ -14,6 +16,9 @@ namespace {
 
 using u128 = unsigned __int128;
 
+constexpr std::size_t kTableSize = std::size_t{1}
+                                   << MontgomeryCtx::kWindowBits;
+
 // -m^-1 mod 2^64 via Newton iteration (doubles correct bits each step).
 std::uint64_t neg_inverse_u64(std::uint64_t m0) {
   std::uint64_t inv = 1;
@@ -23,7 +28,119 @@ std::uint64_t neg_inverse_u64(std::uint64_t m0) {
   return 0u - inv;
 }
 
+// Fixed-size kernels behind the context's generic routine signatures.
+void mul8(std::uint64_t* r, const std::uint64_t* a, const std::uint64_t* b,
+          const std::uint64_t* m, std::uint64_t k, std::size_t) {
+  accel::mont_mul8(r, a, b, m, k);
+}
+void sqr8(std::uint64_t* r, const std::uint64_t* a, const std::uint64_t* m,
+          std::uint64_t k, std::size_t) {
+  accel::mont_sqr8(r, a, m, k);
+}
+void mul16(std::uint64_t* r, const std::uint64_t* a, const std::uint64_t* b,
+           const std::uint64_t* m, std::uint64_t k, std::size_t) {
+  accel::mont_mul16(r, a, b, m, k);
+}
+void sqr16(std::uint64_t* r, const std::uint64_t* a, const std::uint64_t* m,
+           std::uint64_t k, std::size_t) {
+  accel::mont_sqr16(r, a, m, k);
+}
+void sqr_portable(std::uint64_t* r, const std::uint64_t* a,
+                  const std::uint64_t* m, std::uint64_t k, std::size_t n) {
+  mont_mul_portable(r, a, a, m, k, n);
+}
+
+// out <- table entry `idx`, reading every entry under a mask so the load
+// pattern is the same for every index. Two words at a time in a 128-bit
+// GCC vector (plain SSE2 on x86-64) with the accumulator in a register:
+// about a third of the cost of a word-at-a-time scan through memory.
+using u64x2 = std::uint64_t __attribute__((vector_size(16)));
+
+void select_entry(std::uint64_t* out, const std::vector<std::uint64_t>& table,
+                  std::uint64_t idx, std::size_t nw) {
+  auto mask_of = [idx](std::uint64_t e) {
+    const std::uint64_t d = e ^ idx;
+    return ((d | (0 - d)) >> 63) - 1;  // ~0 iff e == idx
+  };
+  const std::uint64_t* t = table.data();
+  std::size_t j = 0;
+  for (; j + 2 <= nw; j += 2) {
+    u64x2 acc = {0, 0};
+    for (std::size_t e = 0; e < kTableSize; ++e) {
+      const std::uint64_t m = mask_of(e);
+      u64x2 x;
+      std::memcpy(&x, t + e * nw + j, sizeof x);
+      acc |= x & u64x2{m, m};
+    }
+    std::memcpy(out + j, &acc, sizeof acc);
+  }
+  for (; j < nw; ++j) {
+    std::uint64_t acc = 0;
+    for (std::size_t e = 0; e < kTableSize; ++e) {
+      acc |= t[e * nw + j] & mask_of(e);
+    }
+    out[j] = acc;
+  }
+}
+
 }  // namespace
+
+// Coarsely Integrated Operand Scanning (CIOS) Montgomery multiplication
+// on 64-bit words with 128-bit products. The running sum lives in r plus
+// two overflow words, so no scratch memory is needed. Unrolling the inner
+// loops by 4 pays for the branch-free final subtraction.
+void mont_mul_portable(std::uint64_t* r, const std::uint64_t* a,
+                       const std::uint64_t* b, const std::uint64_t* m,
+                       std::uint64_t m_prime, std::size_t n) {
+  std::fill(r, r + n, 0);
+  std::uint64_t top = 0;  // word n of the running sum (word n+1 folds in)
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t ai = a[i];
+
+    // t += ai * b
+    u128 carry = 0;
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < n; ++j) {
+      const u128 cur =
+          static_cast<u128>(r[j]) + static_cast<u128>(ai) * b[j] + carry;
+      r[j] = static_cast<std::uint64_t>(cur);
+      carry = cur >> 64;
+    }
+    u128 cur = static_cast<u128>(top) + carry;
+    top = static_cast<std::uint64_t>(cur);
+    const std::uint64_t top1 = static_cast<std::uint64_t>(cur >> 64);
+
+    // u = t[0] * m' mod 2^64 ; t = (t + u * m) >> 64
+    const std::uint64_t u = r[0] * m_prime;
+    cur = static_cast<u128>(r[0]) + static_cast<u128>(u) * m[0];
+    carry = cur >> 64;
+#pragma GCC unroll 4
+    for (std::size_t j = 1; j < n; ++j) {
+      cur = static_cast<u128>(r[j]) + static_cast<u128>(u) * m[j] + carry;
+      r[j - 1] = static_cast<std::uint64_t>(cur);
+      carry = cur >> 64;
+    }
+    cur = static_cast<u128>(top) + carry;
+    r[n - 1] = static_cast<std::uint64_t>(cur);
+    top = top1 + static_cast<std::uint64_t>(cur >> 64);
+  }
+
+  // The sum is below 2m: subtract m once when it is at least m, as a
+  // masked subtraction so no branch depends on the operands.
+  std::uint64_t borrow = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const u128 d = static_cast<u128>(r[j]) - m[j] - borrow;
+    borrow = static_cast<std::uint64_t>(d >> 64) & 1;
+  }
+  const std::uint64_t mask = 0 - static_cast<std::uint64_t>(top >= borrow);
+  borrow = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const u128 d = static_cast<u128>(r[j]) - (m[j] & mask) - borrow;
+    r[j] = static_cast<std::uint64_t>(d);
+    borrow = static_cast<std::uint64_t>(d >> 64) & 1;
+  }
+}
 
 MontgomeryCtx::MontgomeryCtx(const BigInt& m) : m_(m) {
   if (m.is_zero() || m.is_negative() || m.is_even()) {
@@ -33,16 +150,23 @@ MontgomeryCtx::MontgomeryCtx(const BigInt& m) : m_(m) {
   nw_ = (n_ + 1) / 2;
   mw_ = pack(m_);
   m_prime64_ = neg_inverse_u64(mw_[0]);
+  mul_ = &mont_mul_portable;
+  sqr_ = &sqr_portable;
+  if (nw_ == 8 && accel::mont_supported()) {
+    mul_ = &mul8;
+    sqr_ = &sqr8;
+  } else if (nw_ == 16 && accel::mont_supported()) {
+    mul_ = &mul16;
+    sqr_ = &sqr16;
+  }
   // R^2 mod m where R = 2^(64 nw).
   BigInt r = BigInt(std::uint64_t{1}) << (64 * nw_);
   r2w_ = pack((r * r).mod(m_));
-  one_plain_.assign(nw_ + 2, 0);
+  one_plain_.assign(nw_, 0);
   one_plain_[0] = 1;
   // 1 in Montgomery form: 1 * R^2 * R^-1 = R mod m.
-  Words t;
-  cios_into(t, one_plain_, r2w_);
-  t.resize(nw_);
-  onew_ = std::move(t);
+  onew_.resize(nw_);
+  mul(onew_.data(), one_plain_.data(), r2w_.data());
   one_mont_ = unpack(onew_);
 }
 
@@ -64,87 +188,27 @@ BigInt MontgomeryCtx::unpack(const Words& w) const {
   return BigInt::from_limbs(std::move(limbs));
 }
 
-// Coarsely Integrated Operand Scanning (CIOS) Montgomery multiplication
-// on 64-bit words with 128-bit products. No allocation once `t` has
-// capacity — the exponentiation loops below reuse two scratch buffers
-// for their whole run.
-void MontgomeryCtx::cios_into(Words& t, const Words& a, const Words& b) const {
-  const std::uint64_t* m = mw_.data();
-  t.resize(nw_ + 2);
-  std::fill(t.begin(), t.end(), 0);
-
-  for (std::size_t i = 0; i < nw_; ++i) {
-    const std::uint64_t ai = a[i];
-
-    // t += ai * b
-    u128 carry = 0;
-    for (std::size_t j = 0; j < nw_; ++j) {
-      const u128 cur = static_cast<u128>(t[j]) + static_cast<u128>(ai) * b[j] +
-                       carry;
-      t[j] = static_cast<std::uint64_t>(cur);
-      carry = cur >> 64;
-    }
-    {
-      const u128 cur = static_cast<u128>(t[nw_]) + carry;
-      t[nw_] = static_cast<std::uint64_t>(cur);
-      t[nw_ + 1] = static_cast<std::uint64_t>(cur >> 64);
-    }
-
-    // u = t[0] * m' mod 2^64 ; t = (t + u * m) >> 64
-    const std::uint64_t u = t[0] * m_prime64_;
-    u128 cur = static_cast<u128>(t[0]) + static_cast<u128>(u) * m[0];
-    carry = cur >> 64;
-    for (std::size_t j = 1; j < nw_; ++j) {
-      cur = static_cast<u128>(t[j]) + static_cast<u128>(u) * m[j] + carry;
-      t[j - 1] = static_cast<std::uint64_t>(cur);
-      carry = cur >> 64;
-    }
-    cur = static_cast<u128>(t[nw_]) + carry;
-    t[nw_ - 1] = static_cast<std::uint64_t>(cur);
-    t[nw_] = t[nw_ + 1] + static_cast<std::uint64_t>(cur >> 64);
-    t[nw_ + 1] = 0;
-  }
-
-  // At most one final subtraction is needed: result < 2m.
-  bool ge = t[nw_] != 0;
-  if (!ge) {
-    ge = true;  // t == m subtracts to zero, which is the reduced form
-    for (std::size_t i = nw_; i-- > 0;) {
-      if (t[i] != m[i]) {
-        ge = t[i] > m[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    std::uint64_t borrow = 0;
-    for (std::size_t i = 0; i < nw_; ++i) {
-      const std::uint64_t mi = m[i];
-      const std::uint64_t ti = t[i];
-      const std::uint64_t d1 = ti - mi;
-      const std::uint64_t d2 = d1 - borrow;
-      borrow = static_cast<std::uint64_t>((ti < mi) || (d1 < borrow));
-      t[i] = d2;
-    }
-    t[nw_] -= borrow;  // consumes the overflow word; result < m fits nw_
-  }
+BigInt MontgomeryCtx::mont_mul(const BigInt& a, const BigInt& b) const {
+  Words t(nw_);
+  mul(t.data(), pack(a).data(), pack(b).data());
+  return unpack(t);
 }
 
-BigInt MontgomeryCtx::mont_mul(const BigInt& a, const BigInt& b) const {
-  Words t;
-  cios_into(t, pack(a), pack(b));
+BigInt MontgomeryCtx::mont_sqr(const BigInt& a) const {
+  Words t(nw_);
+  sqr(t.data(), pack(a).data());
   return unpack(t);
 }
 
 BigInt MontgomeryCtx::to_mont(const BigInt& a) const {
-  Words t;
-  cios_into(t, pack(a), r2w_);
+  Words t(nw_);
+  mul(t.data(), pack(a).data(), r2w_.data());
   return unpack(t);
 }
 
 BigInt MontgomeryCtx::from_mont(const BigInt& a) const {
-  Words t;
-  cios_into(t, pack(a), one_plain_);
+  Words t(nw_);
+  mul(t.data(), pack(a).data(), one_plain_.data());
   return unpack(t);
 }
 
@@ -156,19 +220,19 @@ BigInt MontgomeryCtx::mod_exp(const BigInt& base, const BigInt& exp) const {
     // Short exponent (RSA public exponents live here): left-to-right
     // square-and-multiply beats building the window table. Two scratch
     // buffers ping-pong through the whole run.
-    Words mont_base;
-    cios_into(mont_base, pack(base), r2w_);
+    Words mont_base(nw_);
+    mul(mont_base.data(), pack(base).data(), r2w_.data());
     Words acc = mont_base;
-    Words tmp;
+    Words tmp(nw_);
     for (std::size_t i = bits - 1; i-- > 0;) {
-      cios_into(tmp, acc, acc);
+      sqr(tmp.data(), acc.data());
       acc.swap(tmp);
       if (exp.bit(i)) {
-        cios_into(tmp, acc, mont_base);
+        mul(tmp.data(), acc.data(), mont_base.data());
         acc.swap(tmp);
       }
     }
-    cios_into(tmp, acc, one_plain_);
+    mul(tmp.data(), acc.data(), one_plain_.data());
     return unpack(tmp);
   }
 
@@ -181,13 +245,16 @@ PowerTable MontgomeryCtx::make_power_table(const BigInt& base) const {
   PowerTable out;
   out.base_ = base;
   out.modulus_ = m_;
-  out.words_.resize(std::size_t{1} << kWindowBits);
-  out.words_[0] = onew_;
-  cios_into(out.words_[1], pack(base), r2w_);
-  out.words_[1].resize(nw_);
-  for (std::size_t i = 2; i < out.words_.size(); ++i) {
-    cios_into(out.words_[i], out.words_[i - 1], out.words_[1]);
-    out.words_[i].resize(nw_);
+  out.words_.resize(kTableSize * nw_);
+  std::uint64_t* t = out.words_.data();
+  std::copy(onew_.begin(), onew_.end(), t);
+  mul(t + nw_, pack(base).data(), r2w_.data());
+  for (std::size_t i = 2; i < kTableSize; ++i) {
+    if (i % 2 == 0) {
+      sqr(t + i * nw_, t + i / 2 * nw_);
+    } else {
+      mul(t + i * nw_, t + (i - 1) * nw_, t + nw_);
+    }
   }
   return out;
 }
@@ -202,29 +269,32 @@ BigInt MontgomeryCtx::mod_exp(const PowerTable& table,
   return mod_exp_windowed(table.words_, exp);
 }
 
-BigInt MontgomeryCtx::mod_exp_windowed(const std::vector<Words>& table,
+BigInt MontgomeryCtx::mod_exp_windowed(const Words& table,
                                        const BigInt& exp) const {
-  const std::size_t bits = exp.bit_length();
-  const std::size_t windows = (bits + kWindowBits - 1) / kWindowBits;
-  Words acc(nw_ + 2, 0);
-  std::copy(onew_.begin(), onew_.end(), acc.begin());
-  Words tmp;
-  for (std::size_t w = windows; w-- > 0;) {
+  // A window never straddles a 32-bit limb, so each one is a shift and a
+  // mask of a single limb.
+  static_assert(32 % kWindowBits == 0);
+  constexpr std::size_t kPerLimb = 32 / kWindowBits;
+  const auto& limbs = exp.limbs();
+  auto window = [&limbs](std::size_t w) -> std::uint64_t {
+    return (limbs[w / kPerLimb] >> (kWindowBits * (w % kPerLimb))) &
+           (kTableSize - 1);
+  };
+
+  const std::size_t windows =
+      (exp.bit_length() + kWindowBits - 1) / kWindowBits;
+  Words acc(nw_), tmp(nw_), entry(nw_);
+  select_entry(acc.data(), table, window(windows - 1), nw_);
+  for (std::size_t w = windows - 1; w-- > 0;) {
     for (std::size_t s = 0; s < kWindowBits; ++s) {
-      cios_into(tmp, acc, acc);
+      sqr(tmp.data(), acc.data());
       acc.swap(tmp);
     }
-    std::size_t idx = 0;
-    for (std::size_t b = 0; b < kWindowBits; ++b) {
-      const std::size_t bit_pos = w * kWindowBits + (kWindowBits - 1 - b);
-      idx = (idx << 1) | (bit_pos < bits && exp.bit(bit_pos) ? 1u : 0u);
-    }
-    if (idx != 0) {
-      cios_into(tmp, acc, table[idx]);
-      acc.swap(tmp);
-    }
+    select_entry(entry.data(), table, window(w), nw_);
+    mul(tmp.data(), acc.data(), entry.data());
+    acc.swap(tmp);
   }
-  cios_into(tmp, acc, one_plain_);
+  mul(tmp.data(), acc.data(), one_plain_.data());
   return unpack(tmp);
 }
 

@@ -13,11 +13,31 @@
 // initial conversion no Montgomery multiply touches the heap. The BigInt
 // public surface is unchanged; pack/unpack at the call boundary is O(n).
 //
+// Dispatch: the constructor picks the multiply and square routines once,
+// from the word count and the host. 8-word moduli (the 512-bit CRT halves
+// of RSA-1024) and 16-word moduli (1024-bit public keys) run the
+// BMI2/ADX kernels of mont_accel.h when the CPU has them — the repo's
+// counterpart of the paper's RSA hardware macro. Every other size, and
+// every host without ADX, runs mont_mul_portable. Both give identical
+// results; contexts are immutable after construction and safe to share.
+//
+// Squarings go through a dedicated square routine (about 36 instead of
+// 64 word products at 8 words), so exponentiation costs roughly one
+// squaring per exponent bit plus one multiply per 4-bit window.
+//
+// The windowed exponentiation is constant-time in the exponent bits: every
+// window multiplies (entry 0 of the table is 1 in Montgomery form) and the
+// entry is read with a masked scan over the whole table, so neither a
+// branch nor a load address depends on the private CRT exponents. Only
+// the exponent's bit length is visible. The short-exponent path, used for
+// public exponents, branches on the bits.
+//
 // Contexts are expensive to build (R^2 mod m needs a full division) and
 // cheap to reuse; see mont_cache.h for the process-wide keyed cache that
 // amortizes construction across repeated operations on the same modulus.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -26,6 +46,16 @@
 namespace omadrm::bigint {
 
 class MontgomeryCtx;
+
+/// Generic CIOS Montgomery product over n 64-bit words:
+/// r = a * b * R^-1 mod m with R = 2^(64 n), fully reduced, for an odd
+/// modulus m, operands a, b < m and m_prime = -m^-1 mod 2^64. `r` must not
+/// overlap `a` or `b`. The path for every size without a hardware kernel
+/// and for hosts without BMI2+ADX; exported so tests and benchmarks can
+/// force it, as crypto::sha1_compress_portable is.
+void mont_mul_portable(std::uint64_t* r, const std::uint64_t* a,
+                       const std::uint64_t* b, const std::uint64_t* m,
+                       std::uint64_t m_prime, std::size_t n);
 
 /// Precomputed fixed-window powers of one base under one modulus.
 ///
@@ -47,8 +77,9 @@ class PowerTable {
 
   BigInt base_;
   BigInt modulus_;
-  // base^0 .. base^(2^w - 1) in Montgomery form, packed 64-bit words.
-  std::vector<std::vector<std::uint64_t>> words_;
+  // base^0 .. base^(2^w - 1) in Montgomery form, packed 64-bit words,
+  // entry after entry.
+  std::vector<std::uint64_t> words_;
 };
 
 class MontgomeryCtx {
@@ -78,6 +109,9 @@ class MontgomeryCtx {
   /// Montgomery product: a * b * R^-1 mod m, on reduced operands.
   BigInt mont_mul(const BigInt& a, const BigInt& b) const;
 
+  /// Montgomery square: a * a * R^-1 mod m, on a reduced operand.
+  BigInt mont_sqr(const BigInt& a) const;
+
   /// Conversion into / out of Montgomery form.
   BigInt to_mont(const BigInt& a) const;
   BigInt from_mont(const BigInt& a) const;
@@ -89,27 +123,36 @@ class MontgomeryCtx {
 
  private:
   using Words = std::vector<std::uint64_t>;
+  using MulFn = void (*)(std::uint64_t*, const std::uint64_t*,
+                         const std::uint64_t*, const std::uint64_t*,
+                         std::uint64_t, std::size_t);
+  using SqrFn = void (*)(std::uint64_t*, const std::uint64_t*,
+                         const std::uint64_t*, std::uint64_t, std::size_t);
 
-  // CIOS core: t <- a * b * R^-1 mod m. `t` is (re)sized to nw_ + 2 and
-  // the reduced result occupies t[0..nw_-1] (upper words zero), so
-  // buffers can be swapped into the next multiply without copying.
-  // Operands must expose at least nw_ words with any words beyond the
-  // value zero; the scratch buffers and packed tables guarantee this.
-  void cios_into(Words& t, const Words& a, const Words& b) const;
+  // r <- a * b * R^-1 and r <- a * a * R^-1 on nw_-word operands through
+  // the routines chosen at construction. `r` must not overlap the inputs.
+  void mul(std::uint64_t* r, const std::uint64_t* a,
+           const std::uint64_t* b) const {
+    mul_(r, a, b, mw_.data(), m_prime64_, nw_);
+  }
+  void sqr(std::uint64_t* r, const std::uint64_t* a) const {
+    sqr_(r, a, mw_.data(), m_prime64_, nw_);
+  }
 
   // 64-bit word packing of a (non-negative, reduced) BigInt.
   Words pack(const BigInt& v) const;
   BigInt unpack(const Words& w) const;
 
-  // Shared fixed-window scan over a packed powers table.
-  BigInt mod_exp_windowed(const std::vector<Words>& table,
-                          const BigInt& exp) const;
+  // Constant-time fixed-window scan over a packed powers table.
+  BigInt mod_exp_windowed(const Words& table, const BigInt& exp) const;
 
   BigInt m_;
   std::size_t n_;             // 32-bit limb count of the modulus
   std::size_t nw_;            // 64-bit word count of the modulus
   Words mw_;                  // modulus, packed
   std::uint64_t m_prime64_;   // -m^-1 mod 2^64
+  MulFn mul_;                 // accel kernel or mont_mul_portable
+  SqrFn sqr_;
   Words r2w_;                 // R^2 mod m, for to_mont
   Words onew_;                // R mod m (1 in Montgomery form)
   Words one_plain_;           // plain 1, the from-Montgomery multiplier

@@ -17,7 +17,7 @@ constexpr std::array<std::uint32_t, 54> kSmallPrimes = {
     191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251};
 
 // One witness round against the candidate behind `ctx`. Squarings run in
-// the Montgomery domain (one CIOS pass each) instead of multiply + divide;
+// the Montgomery domain (one square each) instead of multiply + divide;
 // `mont_one` / `mont_n_minus_1` are the comparison targets in that domain.
 bool miller_rabin_witness(const bigint::MontgomeryCtx& ctx,
                           const BigInt& mont_one,
@@ -26,7 +26,7 @@ bool miller_rabin_witness(const bigint::MontgomeryCtx& ctx,
   BigInt x = ctx.to_mont(ctx.mod_exp(a, d));
   if (x == mont_one || x == mont_n_minus_1) return true;
   for (std::size_t i = 1; i < r; ++i) {
-    x = ctx.mont_mul(x, x);
+    x = ctx.mont_sqr(x);
     if (x == mont_n_minus_1) return true;
   }
   return false;  // composite witness found

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "bigint/bigint.h"
+#include "bigint/mont_accel.h"
 #include "bigint/montgomery.h"
 #include "bigint/prime.h"
 #include "common/error.h"
@@ -321,6 +323,210 @@ TEST(Montgomery, ModExpMatchesGeneric) {
       if (exp.bit(b)) ref = (ref * base).mod(m);
     }
     EXPECT_EQ(ctx.mod_exp(base, exp), ref);
+  }
+}
+
+// Square-and-multiply on plain BigInt arithmetic: the generic path
+// BigInt::mod_exp takes for even moduli, used here as the reference.
+BigInt generic_mod_exp(const BigInt& base, const BigInt& exp,
+                       const BigInt& m) {
+  BigInt ref(1);
+  for (std::size_t b = exp.bit_length(); b-- > 0;) {
+    ref = (ref * ref).mod(m);
+    if (exp.bit(b)) ref = (ref * base).mod(m);
+  }
+  return ref;
+}
+
+TEST(Montgomery, ModExpZeroWindowsMatchGeneric) {
+  // Exponents made of zero windows exercise the always-multiply,
+  // masked-select window scan: every zero window multiplies by table
+  // entry 0 (R mod m) instead of skipping.
+  DeterministicRng rng(0x2E80);
+  const BigInt one(1);
+  for (std::size_t bits : {512u, 1024u}) {
+    BigInt m = BigInt::random_bits(bits, rng);
+    if (m.is_even()) m = m + one;
+    MontgomeryCtx ctx(m);
+    const BigInt base = BigInt::random_below(m, rng);
+    std::vector<BigInt> exps;
+    for (std::size_t k : {25u, 64u, 255u, 256u, 511u}) exps.push_back(one << k);
+    exps.push_back((one << (bits - 4)) + one);  // 0x1000...0001
+    exps.push_back((one << bits) - one);        // all ones
+    exps.push_back((one << 300) + (one << 40) + BigInt(0xF0F));
+    for (const BigInt& e : exps) {
+      const BigInt want = generic_mod_exp(base, e, m);
+      EXPECT_EQ(ctx.mod_exp(base, e), want) << bits << " bits, e=" << e.to_hex();
+      EXPECT_EQ(BigInt::mod_exp(base, e, m), want) << bits << " bits";
+      EXPECT_EQ(ctx.mod_exp(ctx.make_power_table(base), e), want);
+    }
+  }
+}
+
+// --- Montgomery kernels against the exported portable CIOS -------------
+
+using Words = std::vector<std::uint64_t>;
+
+Words to_words(const BigInt& v, std::size_t n) {
+  Words w(n, 0);
+  const auto& limbs = v.limbs();
+  for (std::size_t i = 0; i < limbs.size(); ++i) {
+    w[i / 2] |= static_cast<std::uint64_t>(limbs[i]) << (32 * (i % 2));
+  }
+  return w;
+}
+
+BigInt from_words(const Words& w) {
+  std::vector<std::uint32_t> limbs(2 * w.size());
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    limbs[2 * i] = static_cast<std::uint32_t>(w[i]);
+    limbs[2 * i + 1] = static_cast<std::uint32_t>(w[i] >> 32);
+  }
+  return BigInt::from_limbs(std::move(limbs));
+}
+
+// One modulus in packed form, with mont_mul_portable as the reference.
+struct PortableRef {
+  PortableRef(const BigInt& modulus, std::size_t words)
+      : m(modulus), n(words), mw(to_words(modulus, words)) {
+    std::uint64_t inv = 1;
+    for (int i = 0; i < 6; ++i) inv *= 2 - mw[0] * inv;
+    k = 0 - inv;
+  }
+  Words mul(const Words& a, const Words& b) const {
+    Words r(n);
+    mont_mul_portable(r.data(), a.data(), b.data(), mw.data(), k, n);
+    return r;
+  }
+  BigInt mul(const BigInt& a, const BigInt& b) const {
+    return from_words(mul(to_words(a, n), to_words(b, n)));
+  }
+  BigInt m;
+  std::size_t n;
+  Words mw;
+  std::uint64_t k;
+};
+
+// n-word odd moduli: top bit set, all ones (2^(64n) - 1, maximal
+// carries), and a short top word.
+std::vector<BigInt> kernel_moduli(std::size_t n, Rng& rng) {
+  const BigInt one(1);
+  BigInt full = BigInt::random_bits(64 * n, rng);
+  BigInt low_top = BigInt::random_bits(64 * n - 60, rng);
+  if (full.is_even()) full = full + one;
+  if (low_top.is_even()) low_top = low_top + one;
+  return {full, (one << (64 * n)) - one, low_top};
+}
+
+// 0, 1, m - 1, R mod m, and random residues.
+std::vector<BigInt> kernel_operands(const MontgomeryCtx& ctx, Rng& rng) {
+  const BigInt& m = ctx.modulus();
+  std::vector<BigInt> ops = {BigInt{}, BigInt(1), m - BigInt(1),
+                             ctx.mont_one()};
+  for (int i = 0; i < 6; ++i) ops.push_back(BigInt::random_below(m, rng));
+  return ops;
+}
+
+TEST(MontKernel, PortableIsMontgomeryProduct) {
+  DeterministicRng rng(0x9017);
+  for (std::size_t n = 1; n <= 17; ++n) {
+    for (const BigInt& m : kernel_moduli(n, rng)) {
+      const PortableRef ref(m, n);
+      const BigInt r = (BigInt(1) << (64 * n)).mod(m);
+      for (int i = 0; i < 6; ++i) {
+        const BigInt a = BigInt::random_below(m, rng);
+        const BigInt b = BigInt::random_below(m, rng);
+        const BigInt p = ref.mul(a, b);
+        EXPECT_LT(p, m) << n << " words";
+        EXPECT_EQ((p * r).mod(m), (a * b).mod(m)) << n << " words";
+      }
+    }
+  }
+}
+
+TEST(MontKernel, DispatchedMatchesPortableEverySize) {
+  DeterministicRng rng(0x4D4B);
+  for (std::size_t n = 1; n <= 17; ++n) {
+    for (const BigInt& m : kernel_moduli(n, rng)) {
+      const MontgomeryCtx ctx(m);
+      const PortableRef ref(m, n);
+      const std::vector<BigInt> ops = kernel_operands(ctx, rng);
+      for (const BigInt& a : ops) {
+        EXPECT_EQ(ctx.mont_sqr(a), ref.mul(a, a)) << n << " words";
+        for (const BigInt& b : ops) {
+          EXPECT_EQ(ctx.mont_mul(a, b), ref.mul(a, b)) << n << " words";
+        }
+      }
+    }
+  }
+}
+
+TEST(MontKernel, ChainedSquaringsMatchPortable) {
+  DeterministicRng rng(0xC4A1);
+  for (std::size_t n = 1; n <= 17; ++n) {
+    for (const BigInt& m : kernel_moduli(n, rng)) {
+      const MontgomeryCtx ctx(m);
+      const PortableRef ref(m, n);
+      BigInt x = BigInt::random_below(m, rng);
+      Words y = to_words(x, n);
+      for (int step = 0; step < 1000; ++step) {
+        x = ctx.mont_sqr(x);
+        y = ref.mul(y, y);
+      }
+      EXPECT_EQ(x, from_words(y)) << n << " words";
+    }
+  }
+}
+
+// The hardware kernels called directly, including in place (r == a).
+TEST(MontAccel, KernelsMatchPortable) {
+  if (!accel::mont_supported()) GTEST_SKIP() << "host lacks BMI2+ADX";
+  DeterministicRng rng(0xADC5);
+  for (std::size_t n : {8u, 16u}) {
+    auto mul = n == 8 ? &accel::mont_mul8 : &accel::mont_mul16;
+    auto sqr = n == 8 ? &accel::mont_sqr8 : &accel::mont_sqr16;
+    for (const BigInt& m : kernel_moduli(n, rng)) {
+      const MontgomeryCtx ctx(m);
+      const PortableRef ref(m, n);
+      const std::vector<BigInt> ops = kernel_operands(ctx, rng);
+      for (const BigInt& a : ops) {
+        const Words aw = to_words(a, n);
+        Words r(n);
+        sqr(r.data(), aw.data(), ref.mw.data(), ref.k);
+        EXPECT_EQ(r, ref.mul(aw, aw)) << n << " words";
+        for (const BigInt& b : ops) {
+          const Words bw = to_words(b, n);
+          mul(r.data(), aw.data(), bw.data(), ref.mw.data(), ref.k);
+          EXPECT_EQ(r, ref.mul(aw, bw)) << n << " words";
+          Words in_place = aw;
+          mul(in_place.data(), in_place.data(), bw.data(), ref.mw.data(),
+              ref.k);
+          EXPECT_EQ(in_place, r) << n << " words";
+        }
+      }
+    }
+  }
+}
+
+TEST(MontAccel, ChainedSquaringsMatchPortable) {
+  if (!accel::mont_supported()) GTEST_SKIP() << "host lacks BMI2+ADX";
+  DeterministicRng rng(0xADC6);
+  for (std::size_t n : {8u, 16u}) {
+    auto sqr = n == 8 ? &accel::mont_sqr8 : &accel::mont_sqr16;
+    auto mul = n == 8 ? &accel::mont_mul8 : &accel::mont_mul16;
+    for (const BigInt& m : kernel_moduli(n, rng)) {
+      const PortableRef ref(m, n);
+      Words x = to_words(BigInt::random_below(m, rng), n);
+      Words y = x;
+      Words z = x;
+      for (int step = 0; step < 1000; ++step) {
+        sqr(x.data(), x.data(), ref.mw.data(), ref.k);
+        mul(z.data(), z.data(), z.data(), ref.mw.data(), ref.k);
+        y = ref.mul(y, y);
+      }
+      EXPECT_EQ(x, y) << n << " words";
+      EXPECT_EQ(z, y) << n << " words";
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include "common/error.h"
 #include "common/hex.h"
 #include "common/random.h"
+#include "crypto/sha1.h"
 #include "rsa/kem.h"
 #include "rsa/pss.h"
 #include "rsa/rsa.h"
@@ -182,6 +183,24 @@ TEST_F(RsaFixture, KemEncapsulateDecapsulate) {
   EXPECT_EQ(enc.c1.size(), 128u);
   EXPECT_EQ(enc.kek.size(), kKekLen);
   EXPECT_EQ(kem_decapsulate(key(), enc.c1), enc.kek);
+}
+
+// The private-key output bytes are a function of the key, the message and
+// the RNG alone, whichever Montgomery kernel computed them. A seeded key
+// (whose Miller-Rabin rounds also ran on the kernel), four PSS signatures
+// and a KEM round trip are hashed together and pinned.
+TEST_F(RsaFixture, SignatureBytesArePinned) {
+  DeterministicRng rng(0x516);
+  crypto::Sha1 h;
+  for (std::size_t i = 0; i < 4; ++i) {
+    h.update(pss_sign(key(), rng.bytes(100 + i), rng));
+  }
+  KemEncapsulation enc = kem_encapsulate(key().public_key(), rng);
+  const Bytes kek = kem_decapsulate(key(), enc.c1);
+  EXPECT_EQ(kek, enc.kek);
+  h.update(enc.c1);
+  h.update(kek);
+  EXPECT_EQ(to_hex(h.finish()), "d932a622f79c358ba4d2cfd9029fe9c36f1ec801");
 }
 
 TEST_F(RsaFixture, KemWrapUnwrapKeys) {
