@@ -184,7 +184,7 @@ BENCHMARK(BM_CrtHalfModExp512);
 // an exponentiation: the SW and HW rows of a host-calibrated Table 1.
 using MontMulFn = void (*)(std::uint64_t*, const std::uint64_t*,
                            const std::uint64_t*, const std::uint64_t*,
-                           std::uint64_t);
+                           std::uint64_t, std::size_t);
 
 void run_mont_mul8(benchmark::State& state, MontMulFn mul) {
   DeterministicRng rng(14);
@@ -204,18 +204,14 @@ void run_mont_mul8(benchmark::State& state, MontMulFn mul) {
   std::uint64_t* x = a;
   std::uint64_t* y = r;
   for (auto _ : state) {
-    mul(y, x, b, m, k);
+    mul(y, x, b, m, k, 8);
     std::swap(x, y);
     benchmark::ClobberMemory();
   }
 }
 
 void BM_MontMul8Portable(benchmark::State& state) {
-  run_mont_mul8(state, [](std::uint64_t* r, const std::uint64_t* a,
-                          const std::uint64_t* b, const std::uint64_t* m,
-                          std::uint64_t k) {
-    bigint::mont_mul_portable(r, a, b, m, k, 8);
-  });
+  run_mont_mul8(state, &bigint::mont_mul_portable);
 }
 BENCHMARK(BM_MontMul8Portable);
 

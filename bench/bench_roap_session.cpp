@@ -14,9 +14,9 @@
 //                mode and of the fleet scenario, alongside the averages.
 //   per-stage    microbenchmarks of each wire-path stage on captured
 //                traffic — serialize / parse / base64 / sha1 / wrap /
-//                from_wire — plus the RSA sign/verify legs, so the
-//                cost split between crypto and message handling is
-//                explicit instead of inferred.
+//                from_wire — plus the RSA sign/verify legs (median
+//                call of the fastest block), so the cost split between crypto and message
+//                handling is explicit instead of inferred.
 //   allocations  a global operator-new counter. The wire path
 //                (streaming serialize into reused buffers, zero-copy
 //                arena parse, pooled envelopes) must perform ZERO heap
@@ -25,7 +25,8 @@
 //                exchange count (message structs, RSA, sessions) is
 //                reported for tracking.
 //   fleet        64 agents x 1 RI through the single envelope dispatch
-//                entry point: server-side fan-in throughput.
+//                entry point: server-side fan-in throughput (the
+//                fastest of 5 blocks of acquisitions).
 //
 // Output: human-readable summary on stdout + JSON (default
 // BENCH_roap.json) so the perf trajectory is tracked across PRs. The
@@ -45,6 +46,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "agent/drm_agent.h"
@@ -262,6 +264,42 @@ Stage run_stage(const char* name, std::size_t iters, Fn&& fn) {
   return s;
 }
 
+// A shared host has slow spells of up to a few hundred milliseconds that
+// stretch everything inside them by a third. The two figures the
+// regression gate reads (the RSA-sign median and the fleet rate) are
+// therefore taken as the best of kBlocks blocks spaced kBlockGap apart:
+// a spell moves some blocks, a code regression moves all of them.
+constexpr int kBlocks = 5;
+constexpr auto kBlockGap = std::chrono::milliseconds(100);
+
+// The RSA legs: each call is tens of microseconds, long enough to time
+// alone, so a block reports its median call.
+template <typename Fn>
+Stage run_stage_best_median(const char* name, std::size_t calls_per_block,
+                            Fn&& fn) {
+  fn();
+  fn();
+  std::vector<double> us(calls_per_block);
+  std::uint64_t allocs = 0;
+  Stage s;
+  s.name = name;
+  for (int b = 0; b < kBlocks; ++b) {
+    if (b > 0) std::this_thread::sleep_for(kBlockGap);
+    const std::uint64_t a0 = allocs_now();
+    for (double& u : us) {
+      const auto t0 = Clock::now();
+      fn();
+      u = ms_since(t0) * 1000.0;
+    }
+    allocs += allocs_now() - a0;
+    const double median = percentiles(us).p50;
+    if (b == 0 || median < s.us_per_op) s.us_per_op = median;
+  }
+  s.allocs_per_op = static_cast<double>(allocs) /
+                    static_cast<double>(kBlocks * calls_per_block);
+  return s;
+}
+
 struct StageBreakdown {
   Stage serialize, parse, b64, sha1, wrap, from_wire, open, sign, verify;
   std::size_t request_bytes = 0;
@@ -328,12 +366,13 @@ StageBreakdown run_stage_breakdown(Session& s, std::size_t iters) {
   DeterministicRng rng{0x51A9E};
   rsa::PrivateKey key = rsa::generate_key(kRsaBits, rng);
   rsa::PublicKey pub{key.n, key.e};
-  const std::size_t rsa_iters = std::max<std::size_t>(iters / 8, 8);
-  out.sign = run_stage("pss_sign", rsa_iters, [&] {
+  // The same count in quick and full runs (the gate compares the two).
+  const std::size_t rsa_calls = 401;
+  out.sign = run_stage_best_median("pss_sign", rsa_calls, [&] {
     (void)rsa::pss_sign(key, payload, rng);
   });
   const Bytes sig = rsa::pss_sign(key, payload, rng);
-  out.verify = run_stage("pss_verify", rsa_iters, [&] {
+  out.verify = run_stage_best_median("pss_verify", rsa_calls, [&] {
     (void)rsa::pss_verify(pub, payload, sig);
   });
   return out;
@@ -349,7 +388,7 @@ struct MultiAgentResult {
   double registration_ms_avg = 0;   // per agent, cold caches
   double acquisition_ms_avg = 0;    // per exchange, warm contexts
   Percentiles acquisition_ms;
-  double exchanges_per_s = 0;       // acquisition throughput at the RI
+  double exchanges_per_s = 0;       // RI acquisition rate, fastest block
   double allocs_per_exchange = 0;
 };
 
@@ -393,29 +432,38 @@ MultiAgentResult run_multi_agent(Session& s, std::size_t n_agents,
   out.registration_ms_avg =
       ms_since(reg_start) / static_cast<double>(n_agents);
 
+  // kBlocks blocks of acqs_per_agent rounds over the fleet; the rate is
+  // the fastest block's, the other figures cover every exchange.
   std::vector<double> latencies;
-  latencies.reserve(n_agents * acqs_per_agent);
-  const std::uint64_t a0 = allocs_now();
-  const auto acq_start = Clock::now();
-  for (std::size_t round = 0; round < acqs_per_agent; ++round) {
-    for (auto& dev : agents) {
-      const auto t0 = Clock::now();
-      if (!dev->acquire_ro(reliable, "ri:bench", "ro:bench", kNow, policy)
-               .ok()) {
-        std::fprintf(stderr, "fleet acquisition failed\n");
-        std::exit(1);
-      }
-      latencies.push_back(ms_since(t0));
-    }
-  }
-  const double acq_ms = ms_since(acq_start);
-  const double exchanges =
+  latencies.reserve(kBlocks * n_agents * acqs_per_agent);
+  const double block_exchanges =
       static_cast<double>(n_agents * acqs_per_agent);
+  double acq_ms = 0;
+  const std::uint64_t a0 = allocs_now();
+  for (int b = 0; b < kBlocks; ++b) {
+    if (b > 0) std::this_thread::sleep_for(kBlockGap);
+    const auto block_start = Clock::now();
+    for (std::size_t round = 0; round < acqs_per_agent; ++round) {
+      for (auto& dev : agents) {
+        const auto t0 = Clock::now();
+        if (!dev->acquire_ro(reliable, "ri:bench", "ro:bench", kNow, policy)
+                 .ok()) {
+          std::fprintf(stderr, "fleet acquisition failed\n");
+          std::exit(1);
+        }
+        latencies.push_back(ms_since(t0));
+      }
+    }
+    const double block_ms = ms_since(block_start);
+    acq_ms += block_ms;
+    out.exchanges_per_s =
+        std::max(out.exchanges_per_s, block_exchanges / (block_ms / 1000.0));
+  }
+  const double exchanges = kBlocks * block_exchanges;
   out.allocs_per_exchange =
       static_cast<double>(allocs_now() - a0) / exchanges;
   out.acquisition_ms_avg = acq_ms / exchanges;
   out.acquisition_ms = percentiles(latencies);
-  out.exchanges_per_s = exchanges / (acq_ms / 1000.0);
   return out;
 }
 

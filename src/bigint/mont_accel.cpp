@@ -23,33 +23,22 @@ bool mont_supported() {
 // `mulx`, which leaves the flags alone, and adds the low halves on the
 // CF chain (`adcx`) and the high halves on the OF chain (`adox`), so the
 // two carry chains interleave without a single flag save. Offsets are
-// assembler expressions such as 8*3+8*5(%rsi).
+// assembler expressions such as 8*3(%rsi).
 //
-// Products are separated from the reduction (SOS): a 2n-word product (or
+// Products are separated from the reduction (SOS): the 16-word product (or
 // square) goes to a stack buffer, then one Montgomery reduction turns it
-// into the result. Only the low n product words are reduced; the high
+// into the result. Only the low 8 product words are reduced; the high
 // half is added at the end, followed by one masked conditional
 // subtraction of m (cmov, no branch).
 //
-// 8 words: the whole running window lives in r8-r15. Rows rotate which
-// register holds which word instead of moving data, so a row is 8 mulx
-// and 16 adds. The product, square and reduction each fit in the 14
-// general registers left once rsp and rbp are excluded.
-//
-// 16 words: a 16-word window does not fit the register file, so rows
-// accumulate into the buffer itself: each column loads, adds on both
-// chains and stores one word, with the high half alternating between
-// rbx and rcx.
+// The whole running window lives in r8-r15. Rows rotate which register
+// holds which word instead of moving data, so a row is 8 mulx and 16
+// adds. The product, square and reduction each fit in the 14 general
+// registers left once rsp and rbp are excluded.
 
 #define MA_NL "\n\t"
 
 #define MA_REP8(M) M(0) M(1) M(2) M(3) M(4) M(5) M(6) M(7)
-#define MA_REP16(M) \
-  MA_REP8(M) M(8) M(9) M(10) M(11) M(12) M(13) M(14) M(15)
-
-// ---------------------------------------------------------------------------
-// 8-word kernels (register-resident window)
-// ---------------------------------------------------------------------------
 
 // Column j of a row: hi:lo = rdx * s[j]; lo joins the CF chain into
 // `cur`, hi the OF chain into `next`.
@@ -99,7 +88,7 @@ bool mont_supported() {
 #define MA_CLOBBER8 \
   "rax", "rbx", "rdx", "r8", "r9", "r10", "r11", "r12", "r13", "r14", "r15"
 
-// Square pass shared by both sizes: p holds the cross products
+// Diagonal pass of the square: p holds the cross products
 // sum_{i<j} s_i s_j; p = 2 p + sum_i s_i^2, doubling on the CF chain and
 // adding the diagonal on the OF chain.
 #define MA_DIAG(i)                                    \
@@ -167,7 +156,7 @@ void redc8(std::uint64_t* r, const std::uint64_t* p,
 
 void mont_mul8(std::uint64_t* r, const std::uint64_t* a,
                const std::uint64_t* b, const std::uint64_t* m,
-               std::uint64_t m_prime) {
+               std::uint64_t m_prime, std::size_t) {
   std::uint64_t p[17];
   p[16] = m_prime;
   // Word k of the window lives in r(8 + (k - 1) % 8).
@@ -199,7 +188,7 @@ void mont_mul8(std::uint64_t* r, const std::uint64_t* a,
 }
 
 void mont_sqr8(std::uint64_t* r, const std::uint64_t* a,
-               const std::uint64_t* m, std::uint64_t m_prime) {
+               const std::uint64_t* m, std::uint64_t m_prime, std::size_t) {
   std::uint64_t p[17];
   p[16] = m_prime;
   // Cross products s_i * s_j (i < j): row i covers words 2i+1 .. i+8 and
@@ -253,140 +242,14 @@ void mont_sqr8(std::uint64_t* r, const std::uint64_t* a,
   redc8(r, p, m);
 }
 
-// ---------------------------------------------------------------------------
-// 16-word kernels (window in the buffer)
-// ---------------------------------------------------------------------------
-
-// Column j of row i: hi:lo = rdx * s[j]; p[i+j] += lo (CF chain) + the
-// previous column's hi (OF chain). `hi` and `prev` alternate rbx/rcx.
-#define MA_STEP16(i, j, hi, prev)                       \
-  "mulxq 8*" #j "(%[s]), %%rax, %%" #hi MA_NL           \
-  "adcxq 8*" #i "+8*" #j "(%[p]), %%rax" MA_NL          \
-  "adoxq %%" #prev ", %%rax" MA_NL                      \
-  "movq %%rax, 8*" #i "+8*" #j "(%[p])" MA_NL
-
-// Top of row i: the fresh word p[i+16] = last hi + both pending carries.
-#define MA_TOP16(i)                                     \
-  "movl $0, %%eax" MA_NL                                \
-  "adcxq %%rax, %%rcx" MA_NL                            \
-  "adoxq %%rax, %%rcx" MA_NL                            \
-  "movq %%rcx, 8*" #i "+128(%[p])" MA_NL
-
-// MA_Sj(i) runs columns j..15 of row i. Rows start with rbx = rcx = 0
-// (and both flags clear), so the first column's OF add is a no-op
-// whichever register it reads.
-#define MA_S15(i) MA_STEP16(i, 15, rcx, rbx) MA_TOP16(i)
-#define MA_S14(i) MA_STEP16(i, 14, rbx, rcx) MA_S15(i)
-#define MA_S13(i) MA_STEP16(i, 13, rcx, rbx) MA_S14(i)
-#define MA_S12(i) MA_STEP16(i, 12, rbx, rcx) MA_S13(i)
-#define MA_S11(i) MA_STEP16(i, 11, rcx, rbx) MA_S12(i)
-#define MA_S10(i) MA_STEP16(i, 10, rbx, rcx) MA_S11(i)
-#define MA_S9(i) MA_STEP16(i, 9, rcx, rbx) MA_S10(i)
-#define MA_S8(i) MA_STEP16(i, 8, rbx, rcx) MA_S9(i)
-#define MA_S7(i) MA_STEP16(i, 7, rcx, rbx) MA_S8(i)
-#define MA_S6(i) MA_STEP16(i, 6, rbx, rcx) MA_S7(i)
-#define MA_S5(i) MA_STEP16(i, 5, rcx, rbx) MA_S6(i)
-#define MA_S4(i) MA_STEP16(i, 4, rbx, rcx) MA_S5(i)
-#define MA_S3(i) MA_STEP16(i, 3, rcx, rbx) MA_S4(i)
-#define MA_S2(i) MA_STEP16(i, 2, rbx, rcx) MA_S3(i)
-#define MA_S1(i) MA_STEP16(i, 1, rcx, rbx) MA_S2(i)
-#define MA_S0(i) MA_STEP16(i, 0, rbx, rcx) MA_S1(i)
-
-#define MA_CLEAR16 "xorl %%ebx, %%ebx" MA_NL "xorl %%ecx, %%ecx" MA_NL
-
-// Product row i: p += a[i] * s * 2^(64 i).
-#define MA_MUL16_ROW(i) \
-  "movq 8*" #i "(%[a]), %%rdx" MA_NL MA_CLEAR16 MA_S0(i)
-
-// Cross-product row i of a square: p += s[i] * s[i+1..15] * 2^(64 (2i+1)).
-#define MA_SQR16_ROW(i, cols) \
-  "movq 8*" #i "(%[s]), %%rdx" MA_NL MA_CLEAR16 cols(i)
-
-// Reduction row i: u = p[i] * m'; p += u * m * 2^(64 i), clearing p[i].
-#define MA_REDC16_ROW(i)                                            \
-  "movq 8*" #i "(%[p]), %%rdx" MA_NL "imulq %[k], %%rdx" MA_NL      \
-  MA_CLEAR16 MA_S0(i)
-
-// Final steps: r = window + high product half; then r - m into the
-// cleared low window, and a masked pick of one or the other.
-#define MA_ADDHI16(j)                                   \
-  "movq 128+8*" #j "(%[p]), %%rbx" MA_NL                \
-  "adcq 128+8*" #j "(%[t]), %%rbx" MA_NL                \
-  "movq %%rbx, 8*" #j "(%[r])" MA_NL
-#define MA_SUBM16(j)                                    \
-  "movq 8*" #j "(%[r]), %%rbx" MA_NL                    \
-  "sbbq 8*" #j "(%[s]), %%rbx" MA_NL                    \
-  "movq %%rbx, 8*" #j "(%[p])" MA_NL
-#define MA_PICK16(j)                                    \
-  "movq 8*" #j "(%[p]), %%rbx" MA_NL                    \
-  "cmovcq 8*" #j "(%[r]), %%rbx" MA_NL                  \
-  "movq %%rbx, 8*" #j "(%[r])" MA_NL
-
-namespace {
-
-// Montgomery reduction of the 32-word product t (below m * 2^1024).
-void redc16(std::uint64_t* r, const std::uint64_t* t,
-                   const std::uint64_t* m, std::uint64_t m_prime) {
-  // Reduction window: the low product half, plus 16 words each row's top
-  // column writes fresh.
-  std::uint64_t w[32];
-  for (int i = 0; i < 16; ++i) w[i] = t[i];
-  __asm__ volatile(
-      MA_REP16(MA_REDC16_ROW)
-      "xorl %%eax, %%eax" MA_NL
-      MA_REP16(MA_ADDHI16)
-      "adcq $0, %%rax" MA_NL
-      MA_REP16(MA_SUBM16)
-      "sbbq $0, %%rax" MA_NL
-      MA_REP16(MA_PICK16)
-      :
-      : [r] "r"(r), [p] "r"(w), [t] "r"(t), [s] "r"(m), [k] "r"(m_prime)
-      : "rax", "rbx", "rcx", "rdx", "cc", "memory");
-}
-
-}  // namespace
-
-void mont_mul16(std::uint64_t* r, const std::uint64_t* a,
-                const std::uint64_t* b, const std::uint64_t* m,
-                std::uint64_t m_prime) {
-  std::uint64_t t[32] = {};
-  __asm__ volatile(MA_REP16(MA_MUL16_ROW)
-                   :
-                   : [p] "r"(t), [a] "r"(a), [s] "r"(b)
-                   : "rax", "rbx", "rcx", "rdx", "cc", "memory");
-  redc16(r, t, m, m_prime);
-}
-
-void mont_sqr16(std::uint64_t* r, const std::uint64_t* a,
-                const std::uint64_t* m, std::uint64_t m_prime) {
-  std::uint64_t t[32] = {};
-  __asm__ volatile(
-      MA_SQR16_ROW(0, MA_S1) MA_SQR16_ROW(1, MA_S2) MA_SQR16_ROW(2, MA_S3)
-      MA_SQR16_ROW(3, MA_S4) MA_SQR16_ROW(4, MA_S5) MA_SQR16_ROW(5, MA_S6)
-      MA_SQR16_ROW(6, MA_S7) MA_SQR16_ROW(7, MA_S8) MA_SQR16_ROW(8, MA_S9)
-      MA_SQR16_ROW(9, MA_S10) MA_SQR16_ROW(10, MA_S11)
-      MA_SQR16_ROW(11, MA_S12) MA_SQR16_ROW(12, MA_S13)
-      MA_SQR16_ROW(13, MA_S14) MA_SQR16_ROW(14, MA_S15)
-      "xorl %%eax, %%eax" MA_NL
-      MA_REP16(MA_DIAG)
-      :
-      : [p] "r"(t), [s] "r"(a)
-      : "rax", "rbx", "rcx", "rdx", "r8", "r9", "cc", "memory");
-  redc16(r, t, m, m_prime);
-}
-
 #else  // !OMADRM_MONT_ADX — portable stubs, never reached at runtime.
 
 bool mont_supported() { return false; }
 
 void mont_mul8(std::uint64_t*, const std::uint64_t*, const std::uint64_t*,
-               const std::uint64_t*, std::uint64_t) {}
+               const std::uint64_t*, std::uint64_t, std::size_t) {}
 void mont_sqr8(std::uint64_t*, const std::uint64_t*, const std::uint64_t*,
-               std::uint64_t) {}
-void mont_mul16(std::uint64_t*, const std::uint64_t*, const std::uint64_t*,
-                const std::uint64_t*, std::uint64_t) {}
-void mont_sqr16(std::uint64_t*, const std::uint64_t*, const std::uint64_t*,
-                std::uint64_t) {}
+               std::uint64_t, std::size_t) {}
 
 #endif
 

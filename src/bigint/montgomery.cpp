@@ -28,23 +28,7 @@ std::uint64_t neg_inverse_u64(std::uint64_t m0) {
   return 0u - inv;
 }
 
-// Fixed-size kernels behind the context's generic routine signatures.
-void mul8(std::uint64_t* r, const std::uint64_t* a, const std::uint64_t* b,
-          const std::uint64_t* m, std::uint64_t k, std::size_t) {
-  accel::mont_mul8(r, a, b, m, k);
-}
-void sqr8(std::uint64_t* r, const std::uint64_t* a, const std::uint64_t* m,
-          std::uint64_t k, std::size_t) {
-  accel::mont_sqr8(r, a, m, k);
-}
-void mul16(std::uint64_t* r, const std::uint64_t* a, const std::uint64_t* b,
-           const std::uint64_t* m, std::uint64_t k, std::size_t) {
-  accel::mont_mul16(r, a, b, m, k);
-}
-void sqr16(std::uint64_t* r, const std::uint64_t* a, const std::uint64_t* m,
-           std::uint64_t k, std::size_t) {
-  accel::mont_sqr16(r, a, m, k);
-}
+// The portable path has no dedicated square.
 void sqr_portable(std::uint64_t* r, const std::uint64_t* a,
                   const std::uint64_t* m, std::uint64_t k, std::size_t n) {
   mont_mul_portable(r, a, a, m, k, n);
@@ -153,11 +137,8 @@ MontgomeryCtx::MontgomeryCtx(const BigInt& m) : m_(m) {
   mul_ = &mont_mul_portable;
   sqr_ = &sqr_portable;
   if (nw_ == 8 && accel::mont_supported()) {
-    mul_ = &mul8;
-    sqr_ = &sqr8;
-  } else if (nw_ == 16 && accel::mont_supported()) {
-    mul_ = &mul16;
-    sqr_ = &sqr16;
+    mul_ = &accel::mont_mul8;
+    sqr_ = &accel::mont_sqr8;
   }
   // R^2 mod m where R = 2^(64 nw).
   BigInt r = BigInt(std::uint64_t{1}) << (64 * nw_);

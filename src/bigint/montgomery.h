@@ -15,14 +15,15 @@
 //
 // Dispatch: the constructor picks the multiply and square routines once,
 // from the word count and the host. 8-word moduli (the 512-bit CRT halves
-// of RSA-1024) and 16-word moduli (1024-bit public keys) run the
-// BMI2/ADX kernels of mont_accel.h when the CPU has them — the repo's
-// counterpart of the paper's RSA hardware macro. Every other size, and
-// every host without ADX, runs mont_mul_portable. Both give identical
-// results; contexts are immutable after construction and safe to share.
+// of RSA-1024) run the BMI2/ADX kernels of mont_accel.h when the CPU has
+// them — the repo's counterpart of the paper's RSA hardware macro. Every
+// other size (1024-bit public keys included), and every host without
+// ADX, runs mont_mul_portable. Both give identical results; contexts are
+// immutable after construction and safe to share.
 //
-// Squarings go through a dedicated square routine (about 36 instead of
-// 64 word products at 8 words), so exponentiation costs roughly one
+// Squarings go through the square routine — on the kernel path a
+// dedicated square (about 36 instead of 64 word products), on the
+// portable path a multiply — so exponentiation costs roughly one
 // squaring per exponent bit plus one multiply per 4-bit window.
 //
 // The windowed exponentiation is constant-time in the exponent bits: every

@@ -482,27 +482,24 @@ TEST(MontKernel, ChainedSquaringsMatchPortable) {
 TEST(MontAccel, KernelsMatchPortable) {
   if (!accel::mont_supported()) GTEST_SKIP() << "host lacks BMI2+ADX";
   DeterministicRng rng(0xADC5);
-  for (std::size_t n : {8u, 16u}) {
-    auto mul = n == 8 ? &accel::mont_mul8 : &accel::mont_mul16;
-    auto sqr = n == 8 ? &accel::mont_sqr8 : &accel::mont_sqr16;
-    for (const BigInt& m : kernel_moduli(n, rng)) {
-      const MontgomeryCtx ctx(m);
-      const PortableRef ref(m, n);
-      const std::vector<BigInt> ops = kernel_operands(ctx, rng);
-      for (const BigInt& a : ops) {
-        const Words aw = to_words(a, n);
-        Words r(n);
-        sqr(r.data(), aw.data(), ref.mw.data(), ref.k);
-        EXPECT_EQ(r, ref.mul(aw, aw)) << n << " words";
-        for (const BigInt& b : ops) {
-          const Words bw = to_words(b, n);
-          mul(r.data(), aw.data(), bw.data(), ref.mw.data(), ref.k);
-          EXPECT_EQ(r, ref.mul(aw, bw)) << n << " words";
-          Words in_place = aw;
-          mul(in_place.data(), in_place.data(), bw.data(), ref.mw.data(),
-              ref.k);
-          EXPECT_EQ(in_place, r) << n << " words";
-        }
+  for (const BigInt& m : kernel_moduli(8, rng)) {
+    const MontgomeryCtx ctx(m);
+    const PortableRef ref(m, 8);
+    const std::vector<BigInt> ops = kernel_operands(ctx, rng);
+    for (const BigInt& a : ops) {
+      const Words aw = to_words(a, 8);
+      Words r(8);
+      accel::mont_sqr8(r.data(), aw.data(), ref.mw.data(), ref.k, 8);
+      EXPECT_EQ(r, ref.mul(aw, aw));
+      for (const BigInt& b : ops) {
+        const Words bw = to_words(b, 8);
+        accel::mont_mul8(r.data(), aw.data(), bw.data(), ref.mw.data(), ref.k,
+                         8);
+        EXPECT_EQ(r, ref.mul(aw, bw));
+        Words in_place = aw;
+        accel::mont_mul8(in_place.data(), in_place.data(), bw.data(),
+                         ref.mw.data(), ref.k, 8);
+        EXPECT_EQ(in_place, r);
       }
     }
   }
@@ -511,22 +508,18 @@ TEST(MontAccel, KernelsMatchPortable) {
 TEST(MontAccel, ChainedSquaringsMatchPortable) {
   if (!accel::mont_supported()) GTEST_SKIP() << "host lacks BMI2+ADX";
   DeterministicRng rng(0xADC6);
-  for (std::size_t n : {8u, 16u}) {
-    auto sqr = n == 8 ? &accel::mont_sqr8 : &accel::mont_sqr16;
-    auto mul = n == 8 ? &accel::mont_mul8 : &accel::mont_mul16;
-    for (const BigInt& m : kernel_moduli(n, rng)) {
-      const PortableRef ref(m, n);
-      Words x = to_words(BigInt::random_below(m, rng), n);
-      Words y = x;
-      Words z = x;
-      for (int step = 0; step < 1000; ++step) {
-        sqr(x.data(), x.data(), ref.mw.data(), ref.k);
-        mul(z.data(), z.data(), z.data(), ref.mw.data(), ref.k);
-        y = ref.mul(y, y);
-      }
-      EXPECT_EQ(x, y) << n << " words";
-      EXPECT_EQ(z, y) << n << " words";
+  for (const BigInt& m : kernel_moduli(8, rng)) {
+    const PortableRef ref(m, 8);
+    Words x = to_words(BigInt::random_below(m, rng), 8);
+    Words y = x;
+    Words z = x;
+    for (int step = 0; step < 1000; ++step) {
+      accel::mont_sqr8(x.data(), x.data(), ref.mw.data(), ref.k, 8);
+      accel::mont_mul8(z.data(), z.data(), z.data(), ref.mw.data(), ref.k, 8);
+      y = ref.mul(y, y);
     }
+    EXPECT_EQ(x, y);
+    EXPECT_EQ(z, y);
   }
 }
 
