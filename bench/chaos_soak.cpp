@@ -73,7 +73,6 @@
 #include "common/failpoint.h"
 #include "common/random.h"
 #include "dcf/dcf.h"
-#include "net/concurrent_issuer.h"
 #include "net/server.h"
 #include "net/socket_transport.h"
 #include "pki/authority.h"
@@ -178,7 +177,6 @@ class SeedRun {
   store::StateStore* ri_state_ = nullptr;
   std::unique_ptr<roap::InProcessTransport> loopback_;
   // --socket mode: server + client transport, destroyed before the RI.
-  std::unique_ptr<net::ConcurrentIssuer> cissuer_;
   std::unique_ptr<net::RiServer> server_;
   std::unique_ptr<net::SocketTransport> sock_;
   std::unique_ptr<roap::FaultyTransport> net_;
@@ -476,11 +474,10 @@ bool SeedRun::run() {
   if (opt_.socket) {
     // The real network stack wrapping the same RI: an in-process server
     // on an ephemeral port, and the fault injector over framed TCP.
-    cissuer_ = std::make_unique<net::ConcurrentIssuer>(*ri_);
     net::RiServer::Config sc;
     sc.now = kNow;
     sc.workers = opt_.workers;
-    server_ = std::make_unique<net::RiServer>(*cissuer_, sc);
+    server_ = std::make_unique<net::RiServer>(*ri_, sc);
     try {
       server_->start();
     } catch (const Error& e) {

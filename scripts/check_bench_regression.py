@@ -292,9 +292,7 @@ def main() -> int:
         largest = max(current["sizes"], key=lambda s: s["payload_bytes"])
         print(f"current open latency: {largest.get('open_us')} us, "
               f"{largest.get('open_allocs')} allocs/open, "
-              f"{largest.get('read_allocs_per_drain')} allocs/drain, "
-              f"{largest.get('speedup_stream_vs_legacy')}x vs legacy "
-              f"one-shot")
+              f"{largest.get('read_allocs_per_drain')} allocs/drain")
     elif kind == "state_store":
         durable = current.get("file_durable", {})
         agent = current.get("agent", {})

@@ -54,11 +54,11 @@ class Realm {
   /// A provisioned device agent (certificate issued by the realm root).
   /// Each agent gets its OWN realm-owned rng (seeded from the realm seed
   /// + a counter, never the shared stream): agents run on client worker
-  /// threads while the server-side RI draws from the realm rng under the
-  /// ConcurrentIssuer lock, so sharing one generator would be a data
-  /// race. Call make_agent itself from one thread only (it touches the
-  /// CA's issuance state); the returned agent is then thread-confined to
-  /// whichever thread drives it.
+  /// threads while the server-side RI draws from the realm rng through
+  /// its LockedRng, which serializes only the RI's own draws, so sharing
+  /// one generator would be a data race. Call make_agent itself from one
+  /// thread only (it touches the CA's issuance state); the returned agent
+  /// is then thread-confined to whichever thread drives it.
   std::unique_ptr<agent::DrmAgent> make_agent(const std::string& device_id);
 
  private:

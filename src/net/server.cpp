@@ -1,17 +1,14 @@
 #include "net/server.h"
 
-#include <fcntl.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
+#include <cinttypes>
+#include <cstdio>
 #include <cstring>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include "common/error.h"
 #include "common/failpoint.h"
@@ -21,123 +18,53 @@ namespace omadrm::net {
 using omadrm::Error;
 using omadrm::ErrorKind;
 
-// ---------------------------------------------------------------------------
-// Pollers
-// ---------------------------------------------------------------------------
+std::string format_issuer_stats(const ri::RightsIssuer& issuer) {
+  const auto shards = issuer.shard_stats();
+  std::string out;
+  const auto append = [&out](const char* label,
+                             const ri::RightsIssuer::ShardStats& s) {
+    const std::uint64_t lookups = s.replay_hits + s.replay_misses;
+    const double hit_rate = lookups == 0
+                                ? 0.0
+                                : 100.0 * static_cast<double>(s.replay_hits) /
+                                      static_cast<double>(lookups);
+    char line[160];
+    std::snprintf(line, sizeof(line),
+                  "%s: exchanges=%" PRIu64 " contended=%" PRIu64
+                  " replay_hits=%" PRIu64 " replay_misses=%" PRIu64
+                  " hit_rate=%.1f%%\n",
+                  label, s.exchanges, s.contended, s.replay_hits,
+                  s.replay_misses, hit_rate);
+    out += line;
+  };
 
-#ifdef __linux__
-namespace {
-
-class EpollPoller final : public Poller {
- public:
-  EpollPoller() : epfd_(::epoll_create1(0)) {
-    if (epfd_ < 0) {
-      throw Error(ErrorKind::kState,
-                  std::string("net: epoll_create1: ") + std::strerror(errno));
-    }
+  ri::RightsIssuer::ShardStats total;
+  for (const auto& sh : shards) {
+    total.exchanges += sh.exchanges;
+    total.contended += sh.contended;
+    total.replay_hits += sh.replay_hits;
+    total.replay_misses += sh.replay_misses;
   }
-  ~EpollPoller() override { ::close(epfd_); }
-
-  void add(int fd, bool want_write) override { ctl(EPOLL_CTL_ADD, fd, want_write); }
-  void update(int fd, bool want_write) override { ctl(EPOLL_CTL_MOD, fd, want_write); }
-  void remove(int fd) override {
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);  // tolerant: fd may be gone
-  }
-
-  void wait(std::vector<Event>& out, int timeout_ms) override {
-    out.clear();
-    epoll_event evs[128];
-    int n = ::epoll_wait(epfd_, evs, 128, timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return;
-      throw Error(ErrorKind::kState,
-                  std::string("net: epoll_wait: ") + std::strerror(errno));
+  append("issuer", total);
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const auto& sh = shards[i];
+    // Idle shards (no fleet traffic hashed there) are elided so a
+    // two-device test prints two lines, not kShardCount.
+    if (sh.exchanges == 0 && sh.replay_hits == 0 && sh.replay_misses == 0) {
+      continue;
     }
-    out.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      Event e;
-      e.fd = evs[i].data.fd;
-      e.readable = (evs[i].events & (EPOLLIN | EPOLLHUP)) != 0;
-      e.writable = (evs[i].events & EPOLLOUT) != 0;
-      e.hangup = (evs[i].events & EPOLLERR) != 0;
-      out.push_back(e);
-    }
+    char label[16];
+    std::snprintf(label, sizeof(label), "shard[%02zu]", i);
+    append(label, sh);
   }
-
- private:
-  void ctl(int op, int fd, bool want_write) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    ::epoll_ctl(epfd_, op, fd, &ev);  // tolerant on MOD-after-close races
-  }
-
-  int epfd_;
-};
-
-}  // namespace
-
-std::unique_ptr<Poller> make_epoll_poller() {
-  return std::make_unique<EpollPoller>();
-}
-#else
-std::unique_ptr<Poller> make_epoll_poller() { return nullptr; }
-#endif
-
-namespace {
-
-class PollPoller final : public Poller {
- public:
-  void add(int fd, bool want_write) override { wanted_[fd] = want_write; }
-  void update(int fd, bool want_write) override {
-    auto it = wanted_.find(fd);
-    if (it != wanted_.end()) it->second = want_write;
-  }
-  void remove(int fd) override { wanted_.erase(fd); }
-
-  void wait(std::vector<Event>& out, int timeout_ms) override {
-    out.clear();
-    fds_.clear();
-    for (const auto& [fd, want_write] : wanted_) {
-      pollfd p{};
-      p.fd = fd;
-      p.events = static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
-      fds_.push_back(p);
-    }
-    int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return;
-      throw Error(ErrorKind::kState,
-                  std::string("net: poll: ") + std::strerror(errno));
-    }
-    if (n == 0) return;
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      Event e;
-      e.fd = p.fd;
-      e.readable = (p.revents & (POLLIN | POLLHUP)) != 0;
-      e.writable = (p.revents & POLLOUT) != 0;
-      e.hangup = (p.revents & (POLLERR | POLLNVAL)) != 0;
-      out.push_back(e);
-    }
-  }
-
- private:
-  std::unordered_map<int, bool> wanted_;  // fd -> write interest
-  std::vector<pollfd> fds_;               // reused scratch
-};
-
-}  // namespace
-
-std::unique_ptr<Poller> make_poll_poller() {
-  return std::make_unique<PollPoller>();
+  return out;
 }
 
 // ---------------------------------------------------------------------------
 // RiServer
 // ---------------------------------------------------------------------------
 
-RiServer::RiServer(ConcurrentIssuer& issuer, Config config)
+RiServer::RiServer(ri::RightsIssuer& issuer, Config config)
     : issuer_(issuer), config_(std::move(config)) {}
 
 RiServer::~RiServer() { stop(); }
@@ -153,9 +80,18 @@ void RiServer::start() {
   listen_ = listen_tcp(config_.bind_address, config_.port, config_.backlog,
                        &port_);
 
+  const int epfd = ::epoll_create1(0);
+  if (epfd < 0) {
+    listen_.close();
+    throw Error(ErrorKind::kState,
+                std::string("net: epoll_create1: ") + std::strerror(errno));
+  }
+  epoll_ = Socket(epfd);
+
   int pipefd[2];
   if (::pipe(pipefd) != 0) {
     listen_.close();
+    epoll_.close();
     throw Error(ErrorKind::kState,
                 std::string("net: pipe: ") + std::strerror(errno));
   }
@@ -164,10 +100,8 @@ void RiServer::start() {
   wake_read_ = Socket(pipefd[0]);
   wake_write_ = Socket(pipefd[1]);
 
-  poller_ = config_.use_epoll ? make_epoll_poller() : nullptr;
-  if (!poller_) poller_ = make_poll_poller();
-  poller_->add(listen_.fd(), false);
-  poller_->add(wake_read_.fd(), false);
+  epoll_set(EPOLL_CTL_ADD, listen_.fd(), false);
+  epoll_set(EPOLL_CTL_ADD, wake_read_.fd(), false);
 
   stopping_.store(false, std::memory_order_release);
   loop_exit_.store(false, std::memory_order_release);
@@ -238,7 +172,7 @@ void RiServer::stop() {
     conns_.clear();
   }
 
-  poller_.reset();
+  epoll_.close();
   wake_read_.close();
   wake_write_.close();
   listen_.close();
@@ -261,28 +195,42 @@ void RiServer::wake() {
   (void)::write(wake_write_.fd(), &b, 1);
 }
 
+void RiServer::epoll_set(int op, int fd, bool want_write) {
+  epoll_event ev{};
+  ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  ::epoll_ctl(epoll_.fd(), op, fd, &ev);  // tolerant on MOD-after-close races
+}
+
 // ------------------------------- event loop --------------------------------
 
 void RiServer::event_loop() {
-  std::vector<Poller::Event> events;
+  constexpr int kMaxEvents = 128;
+  epoll_event events[kMaxEvents];
   bool accepting = true;
   std::uint64_t last_sweep = steady_ms();
 
   while (!loop_exit_.load(std::memory_order_acquire)) {
     if (accepting && stopping_.load(std::memory_order_acquire)) {
-      poller_->remove(listen_.fd());
+      ::epoll_ctl(epoll_.fd(), EPOLL_CTL_DEL, listen_.fd(), nullptr);
       listen_.close();
       accepting = false;
     }
 
-    poller_->wait(events, 100);
+    const int n = ::epoll_wait(epoll_.fd(), events, kMaxEvents, 100);
+    if (n < 0 && errno != EINTR) {
+      throw Error(ErrorKind::kState,
+                  std::string("net: epoll_wait: ") + std::strerror(errno));
+    }
 
-    for (const Poller::Event& ev : events) {
-      if (accepting && ev.fd == listen_.fd()) {
+    for (int i = 0; i < n; ++i) {
+      const int fd = events[i].data.fd;
+      const std::uint32_t mask = events[i].events;
+      if (accepting && fd == listen_.fd()) {
         accept_ready();
         continue;
       }
-      if (ev.fd == wake_read_.fd()) {
+      if (fd == wake_read_.fd()) {
         char drain[256];
         while (::read(wake_read_.fd(), drain, sizeof drain) > 0) {
         }
@@ -291,19 +239,19 @@ void RiServer::event_loop() {
       std::shared_ptr<Conn> conn;
       {
         MutexLock lock(conns_mu_);
-        auto it = conns_.find(ev.fd);
+        auto it = conns_.find(fd);
         if (it == conns_.end()) continue;  // closed earlier in this batch
         conn = it->second;
       }
-      if (ev.hangup) {
+      if ((mask & EPOLLERR) != 0) {
         close_conn(conn, false);
         continue;
       }
-      if (ev.readable) read_ready(conn);
+      if ((mask & (EPOLLIN | EPOLLHUP)) != 0) read_ready(conn);
       // No bare `dead` peek here: it is guarded state (the TSA pass
       // caught the old unlocked read racing close_conn); flush() checks
       // it under the lock and answers "keep open" for a dead conn.
-      if (ev.writable) {
+      if ((mask & EPOLLOUT) != 0) {
         if (!flush(conn)) close_conn(conn, false);
       }
     }
@@ -398,7 +346,7 @@ void RiServer::accept_ready() {
       MutexLock lock(conns_mu_);
       conns_.emplace(fd, conn);
     }
-    poller_->add(fd, false);
+    epoll_set(EPOLL_CTL_ADD, fd, false);
     stats_.accepted.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -535,9 +483,10 @@ bool RiServer::flush(const std::shared_ptr<Conn>& conn) {
     conn->outbox.clear();
     conn->outpos = 0;
     if (conn->draining) return false;  // error frame delivered; close now
-    poller_->update(conn->fd, false);
+    epoll_set(EPOLL_CTL_MOD, conn->fd, false);
   } else {
-    poller_->update(conn->fd, true);  // arm write-readiness for the rest
+    // Arm write-readiness for the rest.
+    epoll_set(EPOLL_CTL_MOD, conn->fd, true);
   }
   return true;
 }
@@ -554,7 +503,8 @@ void RiServer::close_conn(const std::shared_ptr<Conn>& conn, bool idle) {
   // a stats reader woken by that EOF must already see this close counted.
   stats_.closed.fetch_add(1, std::memory_order_relaxed);
   if (idle) stats_.idle_closed.fetch_add(1, std::memory_order_relaxed);
-  poller_->remove(conn->fd);
+  // Tolerant: the fd may already be gone from the set.
+  ::epoll_ctl(epoll_.fd(), EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
   {
     MutexLock lock(conns_mu_);

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,7 +24,6 @@
 #include "agent/drm_agent.h"
 #include "common/error.h"
 #include "common/random.h"
-#include "net/concurrent_issuer.h"
 #include "net/frame.h"
 #include "net/realm.h"
 #include "net/server.h"
@@ -232,9 +232,9 @@ Realm& shared_realm() {
 }
 
 struct ServerHarness {
-  explicit ServerHarness(RiServer::Config config = {}) : issuer(shared_realm().issuer()) {
+  explicit ServerHarness(RiServer::Config config = {}) {
     config.now = kRealmNow;
-    server = std::make_unique<RiServer>(issuer, config);
+    server = std::make_unique<RiServer>(shared_realm().issuer(), config);
     server->start();
   }
   SocketTransport::Config client_config() const {
@@ -242,7 +242,6 @@ struct ServerHarness {
     tc.port = server->port();
     return tc;
   }
-  ConcurrentIssuer issuer;
   std::unique_ptr<RiServer> server;
 };
 
@@ -367,9 +366,8 @@ std::size_t open_fd_count() {
 }
 #endif
 
-void run_concurrent_fleet(bool use_epoll) {
+TEST(RiServer, ConcurrentFleet) {
   RiServer::Config sc;
-  sc.use_epoll = use_epoll;
   sc.workers = 3;
   ServerHarness h(sc);
 
@@ -377,8 +375,8 @@ void run_concurrent_fleet(bool use_epoll) {
   constexpr std::size_t kAcqs = 3;
   std::vector<std::unique_ptr<agent::DrmAgent>> agents;
   for (std::size_t i = 0; i < kAgents; ++i) {
-    agents.push_back(shared_realm().make_agent(
-        "dev:life-" + std::string(use_epoll ? "e" : "p") + std::to_string(i)));
+    agents.push_back(
+        shared_realm().make_agent("dev:life-" + std::to_string(i)));
   }
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
@@ -417,8 +415,55 @@ void run_concurrent_fleet(bool use_epoll) {
   EXPECT_EQ(h.server->active_connections(), 0u);
 }
 
-TEST(RiServer, ConcurrentFleetEpoll) { run_concurrent_fleet(true); }
-TEST(RiServer, ConcurrentFleetPollFallback) { run_concurrent_fleet(false); }
+// Envelopes that parse but are not requests: RightsIssuer::handle throws
+// kProtocol on them, and every worker must turn that into an error frame
+// without tearing RI state or desyncing the stream.
+TEST(RiServer, ConcurrentNonRequestEnvelopesAreRefusedNotServed) {
+  const std::string wire = "<roap:roResponse xmlns:roap=\"x\"/>";
+  try {
+    (void)shared_realm().issuer().handle(roap::Envelope::from_wire(wire),
+                                         kRealmNow);
+    FAIL() << "expected kProtocol";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kProtocol) << e.what();
+  }
+
+  RiServer::Config sc;
+  sc.workers = 3;
+  ServerHarness h(sc);
+  const std::uint64_t served_before = h.server->stats().served.load();
+  const std::uint64_t refusals_before = h.server->stats().refusals.load();
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 8;
+  std::atomic<int> refused{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&] {
+      SocketTransport t(h.client_config());
+      for (int k = 0; k < kPerThread; ++k) {
+        try {
+          (void)t.request_raw(wire);
+        } catch (const Error& e) {
+          if (e.kind() == ErrorKind::kTransport) ++refused;
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(refused.load(), kThreads * kPerThread);
+  EXPECT_EQ(h.server->stats().refusals.load() - refusals_before,
+            static_cast<std::uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(h.server->stats().served.load(), served_before);
+  EXPECT_EQ(h.server->stats().frame_desyncs.load(), 0u);
+
+  // The RI behind the server still serves honest traffic.
+  SocketTransport t(h.client_config());
+  auto dev = shared_realm().make_agent("dev:hammer");
+  roap::RetryPolicy policy;
+  ASSERT_TRUE(dev->register_with(t, kRealmNow, policy).ok());
+  ASSERT_TRUE(
+      dev->acquire_ro(t, kRealmRiId, kRealmRoId, kRealmNow, policy).ok());
+}
 
 TEST(RiServer, GracefulStopIsIdempotentAndPortIsReusable) {
 #ifdef __linux__
@@ -437,11 +482,10 @@ TEST(RiServer, GracefulStopIsIdempotentAndPortIsReusable) {
     EXPECT_FALSE(h.server->running());
 
     // Same port is immediately reusable (SO_REUSEADDR + clean close).
-    ConcurrentIssuer issuer2(shared_realm().issuer());
     RiServer::Config sc;
     sc.port = port;
     sc.now = kRealmNow;
-    RiServer second(issuer2, sc);
+    RiServer second(shared_realm().issuer(), sc);
     second.start();
     EXPECT_EQ(second.port(), port);
     SocketTransport t2(t.config());
@@ -706,53 +750,25 @@ TEST(Socket, TransfersSurviveAnEintrSignalStorm) {
   ASSERT_EQ(::sigaction(SIGUSR1, &old, nullptr), 0);
 }
 
-TEST(ConcurrentIssuer, CountsExchangesAndSurvivesHammering) {
-  ConcurrentIssuer issuer(shared_realm().issuer());
-  ServerHarness* h = nullptr;  // not needed; hammer the wrapper directly
-  (void)h;
-  auto dev = shared_realm().make_agent("dev:hammer");
-  roap::InProcessTransport loop(shared_realm().issuer(), kRealmNow);
-  roap::RetryPolicy policy;
-  ASSERT_TRUE(dev->register_with(loop, kRealmNow, policy).ok());
-  const auto before = issuer.stats().exchanges;
-  std::vector<std::thread> threads;
-  std::atomic<int> refused{0};
-  for (int i = 0; i < 4; ++i) {
-    threads.emplace_back([&] {
-      for (int k = 0; k < 8; ++k) {
-        // Unparseable content must come back as a thrown refusal, and the
-        // lock must serialize all of it without tearing RI state.
-        try {
-          (void)issuer.handle(roap::Envelope::from_wire(
-                                  "<roap:roResponse xmlns:roap=\"x\"/>"),
-                              kRealmNow);
-        } catch (const Error&) {
-          ++refused;
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(issuer.stats().exchanges - before, 32u);
-  // The RI behind the wrapper still serves honest traffic.
-  ASSERT_TRUE(dev->acquire_ro(loop, kRealmRiId, kRealmRoId, kRealmNow,
-                              policy)
-                  .ok());
+/// The unsigned value after `key` in `line`, or -1 when absent.
+long long stats_field(const std::string& line, const std::string& key) {
+  const auto at = line.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stoll(line.substr(at + key.size()));
 }
 
-TEST(ConcurrentIssuer, StatsBlockFormatsIssuerAndPerShardLines) {
+TEST(RiServer, StatsBlockFormatsIssuerAndPerShardLines) {
   // The format `ri_server --stats` prints: one aggregate line, then one
   // line per shard that actually saw traffic (idle shards elided). A
   // private realm keeps the shard population deterministic: one device
   // registers, so exactly one shard line must appear.
   Realm realm(0xFACE);
-  ConcurrentIssuer issuer(realm.issuer());
   auto dev = realm.make_agent("dev:stats-format");
   roap::InProcessTransport loop(realm.issuer(), kRealmNow);
   roap::RetryPolicy policy;
   ASSERT_TRUE(dev->register_with(loop, kRealmNow, policy).ok());
 
-  const std::string block = format_issuer_stats(issuer);
+  const std::string block = format_issuer_stats(realm.issuer());
   // Aggregate header with every counter the ops runbook greps for.
   EXPECT_EQ(block.rfind("issuer: exchanges=", 0), 0u) << block;
   for (const char* field :
@@ -772,6 +788,23 @@ TEST(ConcurrentIssuer, StatsBlockFormatsIssuerAndPerShardLines) {
   }
   EXPECT_EQ(shard_lines, 1u);
   EXPECT_EQ(block.back(), '\n');
+
+  // The aggregate line is the sum of the shard lines, not a counter of
+  // its own: registration's two passes show up on both.
+  std::istringstream lines(block);
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, line));
+  const long long total_exchanges = stats_field(line, " exchanges=");
+  const long long total_contended = stats_field(line, " contended=");
+  long long shard_exchanges = 0;
+  long long shard_contended = 0;
+  while (std::getline(lines, line)) {
+    shard_exchanges += stats_field(line, " exchanges=");
+    shard_contended += stats_field(line, " contended=");
+  }
+  EXPECT_EQ(shard_exchanges, 2);
+  EXPECT_EQ(total_exchanges, shard_exchanges) << block;
+  EXPECT_EQ(total_contended, shard_contended) << block;
 }
 
 }  // namespace

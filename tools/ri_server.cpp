@@ -29,8 +29,7 @@
 //             [--idle-timeout-ms N] [--drain-timeout-ms N] [--seed N]
 //             [--max-queue-depth N] [--max-inflight N]
 //             [--max-outbox-bytes N] [--read-progress-timeout-ms N]
-//             [--store-dir DIR] [--failpoint SITE=SPEC]...
-//             [--poll] [--stats]
+//             [--store-dir DIR] [--failpoint SITE=SPEC]... [--stats]
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -41,7 +40,6 @@
 #include <thread>
 
 #include "common/failpoint.h"
-#include "net/concurrent_issuer.h"
 #include "net/realm.h"
 #include "net/server.h"
 #include "store/file_store.h"
@@ -61,7 +59,7 @@ int usage(const char* argv0) {
                "[--drain-timeout-ms N] [--seed N] [--max-queue-depth N] "
                "[--max-inflight N] [--max-outbox-bytes N] "
                "[--read-progress-timeout-ms N] [--store-dir DIR] "
-               "[--failpoint SITE=SPEC]... [--poll] [--stats]\n",
+               "[--failpoint SITE=SPEC]... [--stats]\n",
                argv0);
   return 2;
 }
@@ -123,8 +121,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "ri_server: bad --failpoint: %s\n", e.what());
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--poll") == 0) {
-      config.use_epoll = false;
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       print_stats = true;
     } else {
@@ -164,8 +160,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  net::ConcurrentIssuer issuer(realm.issuer());
-  net::RiServer server(issuer, config);
+  net::RiServer server(realm.issuer(), config);
   try {
     server.start();
   } catch (const Error& e) {
@@ -183,12 +178,10 @@ int main(int argc, char** argv) {
 
   if (print_stats) {
     const net::RiServer::Stats& st = server.stats();
-    const net::ConcurrentIssuer::Stats is = issuer.stats();
     std::fprintf(stderr,
                  "ri_server: accepted=%llu rejected=%llu closed=%llu "
                  "idle_closed=%llu frames_in=%llu served=%llu refusals=%llu "
-                 "desyncs=%llu shed=%llu slow_reader=%llu stalled=%llu "
-                 "exchanges=%llu contended=%llu\n",
+                 "desyncs=%llu shed=%llu slow_reader=%llu stalled=%llu\n",
                  static_cast<unsigned long long>(st.accepted.load()),
                  static_cast<unsigned long long>(st.rejected.load()),
                  static_cast<unsigned long long>(st.closed.load()),
@@ -199,13 +192,11 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(st.frame_desyncs.load()),
                  static_cast<unsigned long long>(st.shed.load()),
                  static_cast<unsigned long long>(st.slow_reader_closed.load()),
-                 static_cast<unsigned long long>(st.stalled_closed.load()),
-                 static_cast<unsigned long long>(is.exchanges),
-                 static_cast<unsigned long long>(is.contended));
+                 static_cast<unsigned long long>(st.stalled_closed.load()));
     // Per-shard breakdown (exchanges, lock contention, replay hit rates)
     // so "which shard is hot" is observable, not inferred. Format owned
     // by net::format_issuer_stats and covered by test_net.
-    std::fputs(net::format_issuer_stats(issuer).c_str(), stderr);
+    std::fputs(net::format_issuer_stats(realm.issuer()).c_str(), stderr);
   }
   return 0;
 }
