@@ -194,15 +194,9 @@ roap::RegistrationRequest DrmAgent::make_registration_request(
 }
 
 Result<> DrmAgent::register_with(roap::Transport& transport,
-                                 std::uint64_t now) {
-  return RegistrationSession(*this, now).run(transport);
-}
-
-Result<> DrmAgent::register_with(roap::Transport& transport,
                                  std::uint64_t now,
-                                 const roap::RetryPolicy& policy,
-                                 roap::RetryClock* clock) {
-  return RegistrationSession(*this, now).run(transport, policy, rng_, clock);
+                                 const roap::RetryPolicy& policy) {
+  return RegistrationSession(*this, now).run(transport, policy);
 }
 
 Result<> DrmAgent::accept_registration_response(
@@ -350,19 +344,11 @@ Result<roap::ProtectedRo> DrmAgent::accept_ro_response(
   return Result<roap::ProtectedRo>(response.ros.front());
 }
 
-Result<roap::ProtectedRo> DrmAgent::acquire_ro(roap::Transport& transport,
-                                               const std::string& ri_id,
-                                               const std::string& ro_id,
-                                               std::uint64_t now) {
-  return AcquisitionSession(*this, ri_id, ro_id, now).run(transport);
-}
-
 Result<roap::ProtectedRo> DrmAgent::acquire_ro(
     roap::Transport& transport, const std::string& ri_id,
     const std::string& ro_id, std::uint64_t now,
-    const roap::RetryPolicy& policy, roap::RetryClock* clock) {
-  return AcquisitionSession(*this, ri_id, ro_id, now)
-      .run(transport, policy, rng_, clock);
+    const roap::RetryPolicy& policy) {
+  return AcquisitionSession(*this, ri_id, ro_id, now).run(transport, policy);
 }
 
 // ---------------------------------------------------------------------------
@@ -737,65 +723,32 @@ Result<> DrmAgent::accept_leave_domain_response(
 
 Result<> DrmAgent::join_domain(roap::Transport& transport,
                                const std::string& ri_id,
-                               const std::string& domain_id,
-                               std::uint64_t now) {
-  return DomainSession(*this, DomainSession::Kind::kJoin, ri_id, domain_id,
-                       now)
-      .run(transport);
-}
-
-Result<> DrmAgent::leave_domain(roap::Transport& transport,
-                                const std::string& ri_id,
-                                const std::string& domain_id,
-                                std::uint64_t now) {
-  return DomainSession(*this, DomainSession::Kind::kLeave, ri_id, domain_id,
-                       now)
-      .run(transport);
-}
-
-Result<> DrmAgent::join_domain(roap::Transport& transport,
-                               const std::string& ri_id,
                                const std::string& domain_id, std::uint64_t now,
-                               const roap::RetryPolicy& policy,
-                               roap::RetryClock* clock) {
+                               const roap::RetryPolicy& policy) {
   return DomainSession(*this, DomainSession::Kind::kJoin, ri_id, domain_id,
                        now)
-      .run(transport, policy, rng_, clock);
+      .run(transport, policy);
 }
 
 Result<> DrmAgent::leave_domain(roap::Transport& transport,
                                 const std::string& ri_id,
                                 const std::string& domain_id,
                                 std::uint64_t now,
-                                const roap::RetryPolicy& policy,
-                                roap::RetryClock* clock) {
+                                const roap::RetryPolicy& policy) {
   return DomainSession(*this, DomainSession::Kind::kLeave, ri_id, domain_id,
                        now)
-      .run(transport, policy, rng_, clock);
+      .run(transport, policy);
 }
 
 Result<roap::ProtectedRo> DrmAgent::handle_trigger(
     roap::Transport& transport, const roap::RoAcquisitionTrigger& trigger,
-    std::uint64_t now) {
+    std::uint64_t now, const roap::RetryPolicy& policy) {
   if (!trigger.domain_id.empty() && !has_domain_key(trigger.domain_id)) {
     Result<> join = join_domain(transport, trigger.ri_id, trigger.domain_id,
-                                now);
+                                now, policy);
     if (!join.ok()) return propagate<roap::ProtectedRo>(join);
   }
-  return acquire_ro(transport, trigger.ri_id, trigger.ro_id, now);
-}
-
-Result<roap::ProtectedRo> DrmAgent::handle_trigger(
-    roap::Transport& transport, const roap::RoAcquisitionTrigger& trigger,
-    std::uint64_t now, const roap::RetryPolicy& policy,
-    roap::RetryClock* clock) {
-  if (!trigger.domain_id.empty() && !has_domain_key(trigger.domain_id)) {
-    Result<> join = join_domain(transport, trigger.ri_id, trigger.domain_id,
-                                now, policy, clock);
-    if (!join.ok()) return propagate<roap::ProtectedRo>(join);
-  }
-  return acquire_ro(transport, trigger.ri_id, trigger.ro_id, now, policy,
-                    clock);
+  return acquire_ro(transport, trigger.ri_id, trigger.ro_id, now, policy);
 }
 
 bool DrmAgent::has_domain_key(const std::string& domain_id) const {

@@ -15,9 +15,10 @@
 // flows through a roap::Transport as serialized roap::Envelope documents;
 // the per-protocol state machines live in agent/sessions.h
 // (RegistrationSession / AcquisitionSession / DomainSession), which own
-// the pending nonces for exactly one handshake each. The conveniences
-// below (`register_with`, `acquire_ro`, ...) are thin wrappers that run
-// one session to completion over a transport.
+// the pending nonces for exactly one handshake each. The protocol actions
+// below (`register_with`, `acquire_ro`, ...) each construct one session
+// and run it to completion over a transport under a retry policy
+// (roap::kSingleShot unless the caller passes one).
 //
 // Every cryptographic operation goes through the injected CryptoProvider,
 // which is how the cycle-cost model observes exactly the terminal-side
@@ -115,34 +116,22 @@ class DrmAgent {
   const pki::Certificate& certificate() const;
 
   // -- Phase 1: Registration ------------------------------------------------
-  /// Runs one 4-pass registration over the transport (a thin wrapper
-  /// around RegistrationSession).
-  Result<> register_with(roap::Transport& transport, std::uint64_t now);
-  /// Fault-tolerant registration: passes are retried with backoff under
-  /// `policy` (paced by this agent's rng on `clock`, or a deterministic
-  /// virtual clock when null) and an expired RI session restarts the
-  /// handshake from DeviceHello with fresh nonces. See
-  /// RegistrationSession::run(transport, policy).
+  /// Runs one 4-pass registration over the transport. Under a
+  /// multi-attempt `policy`, passes are retried with backoff (jitter from
+  /// this agent's rng) and an expired RI session restarts the handshake
+  /// from DeviceHello with fresh nonces. See RegistrationSession::run.
   Result<> register_with(roap::Transport& transport, std::uint64_t now,
-                         const roap::RetryPolicy& policy,
-                         roap::RetryClock* clock = nullptr);
+                         const roap::RetryPolicy& policy = roap::kSingleShot);
   bool has_ri_context(const std::string& ri_id) const;
   const RiContext* ri_context(const std::string& ri_id) const;
 
   // -- Phase 2: Acquisition ---------------------------------------------------
-  /// Runs one 2-pass RO acquisition over the transport (wrapper around
-  /// AcquisitionSession). Requires an established RI context for `ri_id`.
-  Result<roap::ProtectedRo> acquire_ro(roap::Transport& transport,
-                                       const std::string& ri_id,
-                                       const std::string& ro_id,
-                                       std::uint64_t now);
-  /// Fault-tolerant acquisition (retry semantics as register_with).
-  Result<roap::ProtectedRo> acquire_ro(roap::Transport& transport,
-                                       const std::string& ri_id,
-                                       const std::string& ro_id,
-                                       std::uint64_t now,
-                                       const roap::RetryPolicy& policy,
-                                       roap::RetryClock* clock = nullptr);
+  /// Runs one 2-pass RO acquisition over the transport (retry semantics
+  /// as register_with). Requires an established RI context for `ri_id`.
+  Result<roap::ProtectedRo> acquire_ro(
+      roap::Transport& transport, const std::string& ri_id,
+      const std::string& ro_id, std::uint64_t now,
+      const roap::RetryPolicy& policy = roap::kSingleShot);
 
   // -- Phase 3: Installation -------------------------------------------------
   AgentStatus install_ro(const roap::ProtectedRo& ro, std::uint64_t now);
@@ -181,33 +170,21 @@ class DrmAgent {
   /// Reacts to an RO-acquisition trigger pushed by the RI: joins the
   /// advertised domain first when needed, then acquires the RO. The
   /// trigger itself is untrusted — every security property comes from the
-  /// triggered ROAP exchange.
+  /// triggered ROAP exchange. The join (when needed) and the acquisition
+  /// each run under `policy`.
   Result<roap::ProtectedRo> handle_trigger(
       roap::Transport& transport, const roap::RoAcquisitionTrigger& trigger,
-      std::uint64_t now);
-  /// Fault-tolerant trigger handling: the join (when needed) and the
-  /// acquisition each run under `policy`.
-  Result<roap::ProtectedRo> handle_trigger(
-      roap::Transport& transport, const roap::RoAcquisitionTrigger& trigger,
-      std::uint64_t now, const roap::RetryPolicy& policy,
-      roap::RetryClock* clock = nullptr);
+      std::uint64_t now, const roap::RetryPolicy& policy = roap::kSingleShot);
 
   // -- Domains ---------------------------------------------------------------
-  Result<> join_domain(roap::Transport& transport, const std::string& ri_id,
-                       const std::string& domain_id, std::uint64_t now);
-  /// Leaves a domain: discards K_D and uninstalls that domain's ROs.
-  Result<> leave_domain(roap::Transport& transport, const std::string& ri_id,
-                        const std::string& domain_id, std::uint64_t now);
-  /// Fault-tolerant domain membership changes (retry semantics as
-  /// register_with).
+  // Domain membership changes (retry semantics as register_with).
   Result<> join_domain(roap::Transport& transport, const std::string& ri_id,
                        const std::string& domain_id, std::uint64_t now,
-                       const roap::RetryPolicy& policy,
-                       roap::RetryClock* clock = nullptr);
+                       const roap::RetryPolicy& policy = roap::kSingleShot);
+  /// Leaves a domain: discards K_D and uninstalls that domain's ROs.
   Result<> leave_domain(roap::Transport& transport, const std::string& ri_id,
                         const std::string& domain_id, std::uint64_t now,
-                        const roap::RetryPolicy& policy,
-                        roap::RetryClock* clock = nullptr);
+                        const roap::RetryPolicy& policy = roap::kSingleShot);
   bool has_domain_key(const std::string& domain_id) const;
   /// Generation of the held domain key (nullopt if not a member).
   std::optional<std::uint32_t> domain_generation(

@@ -70,19 +70,18 @@ bool terminal(StatusCode code) {
 /// Drives one request/response pass under a retry policy: send the SAME
 /// request envelope, classify the outcome through `conclude`, and retry
 /// retriable failures with backoff until the attempt budget or the
-/// deadline (measured from `start_ms` on `clock`, shared across a
-/// session's passes) runs out. `conclude` must be re-invokable — the
-/// session halves guarantee that by staying in their awaiting state on
-/// retriable outcomes.
+/// deadline (measured on `clock`, which the session's run() starts at 0
+/// and shares across its passes) runs out. With a one-attempt policy the
+/// pass's own failure comes back as is, never as kRetriesExhausted.
+/// `conclude` must be re-invokable — the session halves guarantee that by
+/// staying in their awaiting state on retriable outcomes.
 template <typename T, typename ConcludeFn>
 Result<T> drive_pass(roap::Transport& transport, const Envelope& request_env,
                      const roap::RetryPolicy& policy, Rng& rng,
-                     roap::RetryClock& clock, std::uint64_t start_ms,
-                     ConcludeFn&& conclude) {
+                     roap::VirtualRetryClock& clock, ConcludeFn&& conclude) {
   std::string last;
   for (std::size_t attempt = 1; attempt <= policy.max_attempts; ++attempt) {
-    if (policy.deadline_ms != 0 &&
-        clock.now_ms() - start_ms >= policy.deadline_ms) {
+    if (policy.deadline_ms != 0 && clock.now_ms() >= policy.deadline_ms) {
       return Result<T>(
           StatusCode::kTimeout,
           "retry deadline exceeded after " + std::to_string(attempt - 1) +
@@ -92,7 +91,9 @@ Result<T> drive_pass(roap::Transport& transport, const Envelope& request_env,
     Result<Envelope> response = exchange(transport, request_env);
     Result<T> out =
         response.ok() ? conclude(*response) : propagate<T>(response);
-    if (out.ok() || terminal(out.code())) return out;
+    if (out.ok() || terminal(out.code()) || policy.max_attempts == 1) {
+      return out;
+    }
     last = out.describe();
   }
   return Result<T>(StatusCode::kRetriesExhausted,
@@ -194,39 +195,9 @@ void RegistrationSession::reset() {
   state_ = State::kStart;
 }
 
-Result<> RegistrationSession::run(roap::Transport& transport) {
-  Result<Envelope> hello_env = hello();
-  if (!hello_env.ok()) return propagate<void>(hello_env);
-
-  Result<Envelope> ri_hello = exchange(transport, *hello_env);
-  if (!ri_hello.ok()) {
-    state_ = State::kFailed;
-    return propagate<void>(ri_hello);
-  }
-
-  Result<Envelope> request_env = request(*ri_hello);
-  if (!request_env.ok()) {
-    state_ = State::kFailed;  // single-shot semantics: any failure parks
-    return propagate<void>(request_env);
-  }
-
-  Result<Envelope> response = exchange(transport, *request_env);
-  if (!response.ok()) {
-    state_ = State::kFailed;
-    return propagate<void>(response);
-  }
-  Result<> out = conclude(*response);
-  if (!out.ok()) state_ = State::kFailed;
-  return out;
-}
-
 Result<> RegistrationSession::run(roap::Transport& transport,
-                                  const roap::RetryPolicy& policy, Rng& rng,
-                                  roap::RetryClock* clock) {
-  roap::VirtualRetryClock owned;
-  roap::RetryClock& clk = clock != nullptr ? *clock : owned;
-  const std::uint64_t start = clk.now_ms();
-
+                                  const roap::RetryPolicy& policy) {
+  roap::VirtualRetryClock clock;
   Result<> out(StatusCode::kRetriesExhausted, "never attempted");
   for (std::size_t round = 0; round <= policy.max_restarts; ++round) {
     if (round > 0) reset();  // restart from DeviceHello, fresh nonces
@@ -238,26 +209,23 @@ Result<> RegistrationSession::run(roap::Transport& transport,
     // SAME hello; the RI's replay cache answers exact duplicates with
     // the same session instead of minting a new one per resend.
     Result<Envelope> request_env = drive_pass<Envelope>(
-        transport, *hello_env, policy, rng, clk, start,
+        transport, *hello_env, policy, agent_.rng_, clock,
         [this](const Envelope& ri_hello) { return request(ri_hello); });
     if (!request_env.ok()) {
-      if (terminal(request_env.code())) state_ = State::kFailed;
+      state_ = State::kFailed;
       return propagate<void>(request_env);
     }
 
     // Pass 3+4: RegistrationRequest → RegistrationResponse.
     out = drive_pass<void>(
-        transport, *request_env, policy, rng, clk, start,
-        [this](const Envelope& response) -> Result<void> {
-          Result<> done = conclude(response);
-          return done;
-        });
+        transport, *request_env, policy, agent_.rng_, clock,
+        [this](const Envelope& response) { return conclude(response); });
     if (out.code() != StatusCode::kSessionExpired) break;
     // The RI garbage-collected our pending session while we retried —
     // the one terminal-for-the-pass outcome that is recoverable for the
     // SESSION: restart the whole handshake with fresh nonces.
   }
-  if (!out.ok() && terminal(out.code())) state_ = State::kFailed;
+  if (!out.ok()) state_ = State::kFailed;
   return out;
 }
 
@@ -327,33 +295,16 @@ Result<roap::ProtectedRo> AcquisitionSession::conclude(
   return out;
 }
 
-Result<roap::ProtectedRo> AcquisitionSession::run(roap::Transport& transport) {
-  Result<Envelope> request_env = request();
-  if (!request_env.ok()) return propagate<roap::ProtectedRo>(request_env);
-
-  Result<Envelope> response = exchange(transport, *request_env);
-  if (!response.ok()) {
-    state_ = State::kFailed;
-    return propagate<roap::ProtectedRo>(response);
-  }
-  Result<roap::ProtectedRo> out = conclude(*response);
-  if (!out.ok()) state_ = State::kFailed;  // single-shot semantics
-  return out;
-}
-
 Result<roap::ProtectedRo> AcquisitionSession::run(
-    roap::Transport& transport, const roap::RetryPolicy& policy, Rng& rng,
-    roap::RetryClock* clock) {
-  roap::VirtualRetryClock owned;
-  roap::RetryClock& clk = clock != nullptr ? *clock : owned;
-
+    roap::Transport& transport, const roap::RetryPolicy& policy) {
   Result<Envelope> request_env = request();
   if (!request_env.ok()) return propagate<roap::ProtectedRo>(request_env);
 
+  roap::VirtualRetryClock clock;
   Result<roap::ProtectedRo> out = drive_pass<roap::ProtectedRo>(
-      transport, *request_env, policy, rng, clk, clk.now_ms(),
+      transport, *request_env, policy, agent_.rng_, clock,
       [this](const Envelope& response) { return conclude(response); });
-  if (!out.ok() && terminal(out.code())) state_ = State::kFailed;
+  if (!out.ok()) state_ = State::kFailed;
   return out;
 }
 
@@ -428,35 +379,16 @@ Result<> DomainSession::conclude(const Envelope& response) {
   return out;
 }
 
-Result<> DomainSession::run(roap::Transport& transport) {
-  Result<Envelope> request_env = request();
-  if (!request_env.ok()) return propagate<void>(request_env);
-
-  Result<Envelope> response = exchange(transport, *request_env);
-  if (!response.ok()) {
-    state_ = State::kFailed;
-    return propagate<void>(response);
-  }
-  Result<> out = conclude(*response);
-  if (!out.ok()) state_ = State::kFailed;  // single-shot semantics
-  return out;
-}
-
 Result<> DomainSession::run(roap::Transport& transport,
-                            const roap::RetryPolicy& policy, Rng& rng,
-                            roap::RetryClock* clock) {
-  roap::VirtualRetryClock owned;
-  roap::RetryClock& clk = clock != nullptr ? *clock : owned;
-
+                            const roap::RetryPolicy& policy) {
   Result<Envelope> request_env = request();
   if (!request_env.ok()) return propagate<void>(request_env);
 
+  roap::VirtualRetryClock clock;
   Result<> out = drive_pass<void>(
-      transport, *request_env, policy, rng, clk, clk.now_ms(),
-      [this](const Envelope& response) -> Result<void> {
-        return conclude(response);
-      });
-  if (!out.ok() && terminal(out.code())) state_ = State::kFailed;
+      transport, *request_env, policy, agent_.rng_, clock,
+      [this](const Envelope& response) { return conclude(response); });
+  if (!out.ok()) state_ = State::kFailed;
   return out;
 }
 

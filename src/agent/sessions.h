@@ -7,11 +7,13 @@
 // cancellation, superseding retry — is cleaned up by the session's
 // destructor instead of lingering in agent-global maps forever.
 //
-// Two ways to drive a session:
+// A session is driven either by its one run() or by its per-pass halves:
 //
-//   run(transport)          one call; the session performs every pass
-//                           over the transport and classifies transport
-//                           exceptions into Result failures.
+//   run(transport, policy)  one call; the session performs every pass
+//                           over the transport under the retry policy
+//                           (roap::kSingleShot, one attempt per pass, by
+//                           default) and classifies transport exceptions
+//                           into Result failures.
 //
 //   the per-pass halves     hello()/request()/conclude() expose each
 //                           message so the envelopes can travel over any
@@ -30,21 +32,18 @@
 // state machine where it was, so the same pass can be driven again with
 // a fresh delivery of the same request.
 //
-// The run(transport, policy, rng) overloads do exactly that: each pass
-// is retried with backoff under the policy's attempt/deadline budget,
-// and a registration whose pending RI session expired mid-flight
-// (Status::kSessionExpired) is restarted from DeviceHello with fresh
-// nonces, up to policy.max_restarts times. The plain run(transport)
-// keeps the historical single-shot semantics: any failed pass parks the
-// session in kFailed and a fresh session must be started (retry = new
-// nonces, never reuse).
+// run() does exactly that: each pass is retried with backoff under the
+// policy's attempt/deadline budget, and a registration whose pending RI
+// session expired mid-flight (Status::kSessionExpired) is restarted from
+// DeviceHello with fresh nonces, up to policy.max_restarts times. A run()
+// that fails — whatever the code — parks the session in kFailed; a fresh
+// session must be started (retry = new nonces, never reuse).
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "agent/drm_agent.h"
-#include "common/random.h"
 #include "common/result.h"
 #include "roap/envelope.h"
 #include "roap/retry.h"
@@ -78,20 +77,17 @@ class RegistrationSession {
   Result<> conclude(const roap::Envelope& response);
   Result<> conclude(const roap::RegistrationResponse& response);
 
-  /// Drives all four passes over the transport (single-shot: any failed
-  /// pass parks the session in kFailed).
-  Result<> run(roap::Transport& transport);
-
-  /// Fault-tolerant drive: each pass is retried under `policy` (backoff
-  /// paced by `rng` on `clock`, or a deterministic VirtualRetryClock when
-  /// null), resending the *same* request on a retriable outcome. When the
-  /// RI answers kSessionExpired — its pending session died while we
-  /// retried — the whole handshake restarts from DeviceHello with fresh
-  /// nonces, up to policy.max_restarts times. Fails with kTimeout /
-  /// kRetriesExhausted (attempt counts in the context) when the budget
-  /// runs out.
-  Result<> run(roap::Transport& transport, const roap::RetryPolicy& policy,
-               Rng& rng, roap::RetryClock* clock = nullptr);
+  /// Drives all four passes over the transport. Each pass is retried
+  /// under `policy` (backoff jitter drawn from the agent's rng, paced on
+  /// a VirtualRetryClock), resending the *same* request on a retriable
+  /// outcome. When the RI answers kSessionExpired — its pending session
+  /// died while we retried — the whole handshake restarts from
+  /// DeviceHello with fresh nonces, up to policy.max_restarts times.
+  /// Fails with kTimeout / kRetriesExhausted (attempt counts in the
+  /// context) when a multi-attempt budget runs out; a one-attempt pass
+  /// returns its own failure.
+  Result<> run(roap::Transport& transport,
+               const roap::RetryPolicy& policy = roap::kSingleShot);
 
  private:
   /// Back to kStart with no pending state — the restart-from-DeviceHello
@@ -128,13 +124,11 @@ class AcquisitionSession {
   Result<roap::ProtectedRo> conclude(const roap::Envelope& response);
   Result<roap::ProtectedRo> conclude(const roap::RoResponse& response);
 
-  Result<roap::ProtectedRo> run(roap::Transport& transport);
-
-  /// Fault-tolerant drive of the single request/response pass (see
-  /// RegistrationSession::run(policy) for the retry semantics).
-  Result<roap::ProtectedRo> run(roap::Transport& transport,
-                                const roap::RetryPolicy& policy, Rng& rng,
-                                roap::RetryClock* clock = nullptr);
+  /// Drives the single request/response pass (see
+  /// RegistrationSession::run for the retry semantics).
+  Result<roap::ProtectedRo> run(
+      roap::Transport& transport,
+      const roap::RetryPolicy& policy = roap::kSingleShot);
 
  private:
   DrmAgent& agent_;
@@ -166,12 +160,10 @@ class DomainSession {
   Result<roap::Envelope> request();
   Result<> conclude(const roap::Envelope& response);
 
-  Result<> run(roap::Transport& transport);
-
-  /// Fault-tolerant drive of the single request/response pass (see
-  /// RegistrationSession::run(policy) for the retry semantics).
-  Result<> run(roap::Transport& transport, const roap::RetryPolicy& policy,
-               Rng& rng, roap::RetryClock* clock = nullptr);
+  /// Drives the single request/response pass (see
+  /// RegistrationSession::run for the retry semantics).
+  Result<> run(roap::Transport& transport,
+               const roap::RetryPolicy& policy = roap::kSingleShot);
 
  private:
   DrmAgent& agent_;

@@ -217,17 +217,10 @@ BigInt MontgomeryCtx::mod_exp(const BigInt& base, const BigInt& exp) const {
     return unpack(tmp);
   }
 
-  // Fixed window: one ad-hoc table per call. Callers exponentiating a
-  // truly fixed base repeatedly should hoist make_power_table instead.
-  return mod_exp_windowed(make_power_table(base).words_, exp);
-}
-
-PowerTable MontgomeryCtx::make_power_table(const BigInt& base) const {
-  PowerTable out;
-  out.base_ = base;
-  out.modulus_ = m_;
-  out.words_.resize(kTableSize * nw_);
-  std::uint64_t* t = out.words_.data();
+  // Fixed window: base^0 .. base^(2^w - 1) in Montgomery form, packed
+  // entry after entry.
+  Words table(kTableSize * nw_);
+  std::uint64_t* t = table.data();
   std::copy(onew_.begin(), onew_.end(), t);
   mul(t + nw_, pack(base).data(), r2w_.data());
   for (std::size_t i = 2; i < kTableSize; ++i) {
@@ -237,21 +230,7 @@ PowerTable MontgomeryCtx::make_power_table(const BigInt& base) const {
       mul(t + i * nw_, t + (i - 1) * nw_, t + nw_);
     }
   }
-  return out;
-}
 
-BigInt MontgomeryCtx::mod_exp(const PowerTable& table,
-                              const BigInt& exp) const {
-  if (table.empty() || !(table.modulus_ == m_)) {
-    throw Error(ErrorKind::kCrypto,
-                "PowerTable built for a different modulus");
-  }
-  if (exp.is_zero()) return BigInt(std::uint64_t{1}).mod(m_);
-  return mod_exp_windowed(table.words_, exp);
-}
-
-BigInt MontgomeryCtx::mod_exp_windowed(const Words& table,
-                                       const BigInt& exp) const {
   // A window never straddles a 32-bit limb, so each one is a shift and a
   // mask of a single limb.
   static_assert(32 % kWindowBits == 0);
@@ -262,8 +241,7 @@ BigInt MontgomeryCtx::mod_exp_windowed(const Words& table,
            (kTableSize - 1);
   };
 
-  const std::size_t windows =
-      (exp.bit_length() + kWindowBits - 1) / kWindowBits;
+  const std::size_t windows = (bits + kWindowBits - 1) / kWindowBits;
   Words acc(nw_), tmp(nw_), entry(nw_);
   select_entry(acc.data(), table, window(windows - 1), nw_);
   for (std::size_t w = windows - 1; w-- > 0;) {

@@ -46,8 +46,6 @@
 
 namespace omadrm::bigint {
 
-class MontgomeryCtx;
-
 /// Generic CIOS Montgomery product over n 64-bit words:
 /// r = a * b * R^-1 mod m with R = 2^(64 n), fully reduced, for an odd
 /// modulus m, operands a, b < m and m_prime = -m^-1 mod 2^64. `r` must not
@@ -57,31 +55,6 @@ class MontgomeryCtx;
 void mont_mul_portable(std::uint64_t* r, const std::uint64_t* a,
                        const std::uint64_t* b, const std::uint64_t* m,
                        std::uint64_t m_prime, std::size_t n);
-
-/// Precomputed fixed-window powers of one base under one modulus.
-///
-/// Exponentiating a *fixed* base repeatedly (e.g. a stored generator, or a
-/// benchmark hammering one operand) rebuilds the same 2^w-entry window
-/// table on every call; capturing it once in a PowerTable removes those
-/// 2^w - 2 Montgomery multiplications per exponentiation. Built by
-/// MontgomeryCtx::make_power_table and only valid with that context.
-class PowerTable {
- public:
-  PowerTable() = default;
-
-  const BigInt& base() const { return base_; }
-  const BigInt& modulus() const { return modulus_; }
-  bool empty() const { return words_.empty(); }
-
- private:
-  friend class MontgomeryCtx;
-
-  BigInt base_;
-  BigInt modulus_;
-  // base^0 .. base^(2^w - 1) in Montgomery form, packed 64-bit words,
-  // entry after entry.
-  std::vector<std::uint64_t> words_;
-};
 
 class MontgomeryCtx {
  public:
@@ -99,13 +72,6 @@ class MontgomeryCtx {
 
   /// base^exp mod m. `base` must already be reduced mod m.
   BigInt mod_exp(const BigInt& base, const BigInt& exp) const;
-
-  /// Precomputes the window table for a fixed base (reduced mod m).
-  PowerTable make_power_table(const BigInt& base) const;
-
-  /// table.base()^exp mod m using the precomputed powers. Throws kCrypto
-  /// if the table was built for a different modulus.
-  BigInt mod_exp(const PowerTable& table, const BigInt& exp) const;
 
   /// Montgomery product: a * b * R^-1 mod m, on reduced operands.
   BigInt mont_mul(const BigInt& a, const BigInt& b) const;
@@ -143,9 +109,6 @@ class MontgomeryCtx {
   // 64-bit word packing of a (non-negative, reduced) BigInt.
   Words pack(const BigInt& v) const;
   BigInt unpack(const Words& w) const;
-
-  // Constant-time fixed-window scan over a packed powers table.
-  BigInt mod_exp_windowed(const Words& table, const BigInt& exp) const;
 
   BigInt m_;
   std::size_t n_;             // 32-bit limb count of the modulus

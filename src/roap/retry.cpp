@@ -1,8 +1,6 @@
 #include "roap/retry.h"
 
-#include <chrono>
 #include <string>
-#include <thread>
 
 #include "common/error.h"
 
@@ -79,31 +77,17 @@ FaultClass RetryPolicy::classify(StatusCode code) {
   return FaultClass::kTerminal;  // unreachable; keeps -Wreturn-type quiet
 }
 
-std::uint64_t SystemRetryClock::now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-void SystemRetryClock::sleep_ms(std::uint64_t ms) {
-  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
-
 ReliableTransport::ReliableTransport(Transport& inner, RetryPolicy policy,
-                                     Rng& rng, RetryClock* clock)
-    : inner_(inner),
-      policy_(policy),
-      rng_(rng),
-      clock_(clock != nullptr ? clock : &owned_clock_) {}
+                                     Rng& rng)
+    : inner_(inner), policy_(policy), rng_(rng) {}
 
 Envelope ReliableTransport::request(const Envelope& request) {
   ++stats_.requests;
-  const std::uint64_t start = clock_->now_ms();
+  const std::uint64_t start = clock_.now_ms();
   std::string last;
   for (std::size_t attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
     if (policy_.deadline_ms != 0 &&
-        clock_->now_ms() - start >= policy_.deadline_ms) {
+        clock_.now_ms() - start >= policy_.deadline_ms) {
       ++stats_.timeouts;
       throw Error(ErrorKind::kTimeout,
                   "transport: deadline exceeded after " +
@@ -128,7 +112,7 @@ Envelope ReliableTransport::request(const Envelope& request) {
       last = e.what();
     }
     if (attempt < policy_.max_attempts) {
-      clock_->sleep_ms(policy_.backoff_ms(attempt, rng_));
+      clock_.sleep_ms(policy_.backoff_ms(attempt, rng_));
     }
   }
   ++stats_.exhausted;

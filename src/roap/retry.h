@@ -10,19 +10,17 @@
 //                      with jitter, and the per-fault classification that
 //                      separates retriable transport loss from terminal
 //                      verification/refusal outcomes.
-//   RetryClock         the time + sleep seam. VirtualRetryClock (the
-//                      default) advances a counter instead of sleeping,
-//                      keeping every retrying test and soak seeded and
-//                      instantaneous; SystemRetryClock is the production
-//                      binding.
+//   VirtualRetryClock  the pacing clock: sleeping advances a counter
+//                      instead of the wall clock, keeping every retrying
+//                      test, soak and benchmark seeded and instantaneous.
 //   ReliableTransport  a Transport decorator that absorbs *thrown*
 //                      transport losses (drops, timeouts) by resending
 //                      the same envelope with backoff. Anything that came
 //                      back as bytes — even garbage — is handed upward:
 //                      judging content is the session layer's job.
 //
-// The session layer (agent/sessions.h run(transport, policy) overloads)
-// uses the same policy to re-drive a *pass* whose response failed
+// The session layer (agent/sessions.h run(transport, policy)) uses the
+// same policy to re-drive a *pass* whose response failed
 // verification retriably, which is strictly stronger than resending at
 // the transport level: a replayed or corrupted response is delivered
 // fine by the wire but still needs the request sent again.
@@ -53,7 +51,7 @@ enum class FaultClass : std::uint8_t {
 
 /// Bounds and pacing for one protocol exchange (a session applies it per
 /// pass; ReliableTransport applies it per envelope). All times are in
-/// milliseconds on the driving RetryClock.
+/// milliseconds on the driver's VirtualRetryClock.
 struct RetryPolicy {
   std::size_t max_attempts = 5;     // total tries per pass, including the 1st
   std::uint64_t deadline_ms = 30000;  // whole-session budget; 0 = unlimited
@@ -87,39 +85,28 @@ struct RetryPolicy {
   }
 };
 
-/// Time + sleep seam for retry pacing.
-class RetryClock {
- public:
-  virtual ~RetryClock() = default;
-  virtual std::uint64_t now_ms() = 0;
-  virtual void sleep_ms(std::uint64_t ms) = 0;
-};
+/// One attempt, no deadline, no restart: the policy a caller that asks
+/// for none gets. A one-attempt pass returns its own failure, never
+/// kRetriesExhausted.
+inline constexpr RetryPolicy kSingleShot{
+    .max_attempts = 1, .deadline_ms = 0, .max_restarts = 0};
 
-/// Deterministic clock: sleeping advances the reading. The default for
-/// every driver in this repo — retries are instantaneous and the elapsed
-/// "time" is a pure function of the retry schedule, so deadline behaviour
-/// is testable without wall-clock flakiness.
-class VirtualRetryClock final : public RetryClock {
+/// Deterministic pacing clock: sleeping advances the reading. Every
+/// driver in this repo runs on one — retries are instantaneous and the
+/// elapsed "time" is a pure function of the retry schedule, so deadline
+/// behaviour is testable without wall-clock flakiness.
+class VirtualRetryClock {
  public:
-  explicit VirtualRetryClock(std::uint64_t start_ms = 0) : now_(start_ms) {}
-  std::uint64_t now_ms() override { return now_; }
-  void sleep_ms(std::uint64_t ms) override { now_ += ms; }
+  std::uint64_t now_ms() const { return now_; }
+  void sleep_ms(std::uint64_t ms) { now_ += ms; }
 
  private:
-  std::uint64_t now_;
+  std::uint64_t now_ = 0;
 };
 
-/// Wall-clock binding for deployments (std::chrono steady clock +
-/// std::this_thread::sleep_for).
-class SystemRetryClock final : public RetryClock {
- public:
-  std::uint64_t now_ms() override;
-  void sleep_ms(std::uint64_t ms) override;
-};
-
-/// Transport decorator that retries thrown deliveries. This is the seam a
-/// future SocketTransport sits under: the socket reports loss by
-/// throwing Error(kTransport), and this layer turns "lost" into "late".
+/// Transport decorator that retries thrown deliveries. SocketTransport
+/// reports loss by throwing Error(kTransport), and this layer turns
+/// "lost" into "late".
 ///
 /// Only *thrown* kTransport and kBusy failures are retried here (kBusy is
 /// a server's admission-control shed: answered before processing, so the
@@ -141,22 +128,20 @@ class ReliableTransport final : public Transport {
     std::size_t timeouts = 0;   // requests that hit the deadline
   };
 
-  /// `clock` may be null: the decorator then owns a VirtualRetryClock
-  /// (deterministic pacing, no real sleeping).
-  ReliableTransport(Transport& inner, RetryPolicy policy, Rng& rng,
-                    RetryClock* clock = nullptr);
+  ReliableTransport(Transport& inner, RetryPolicy policy, Rng& rng);
 
   Envelope request(const Envelope& request) override;
 
   const Stats& stats() const { return stats_; }
   const RetryPolicy& policy() const { return policy_; }
+  /// The pacing clock: its reading is the total backoff slept so far.
+  const VirtualRetryClock& clock() const { return clock_; }
 
  private:
   Transport& inner_;
   RetryPolicy policy_;
   Rng& rng_;
-  RetryClock* clock_;
-  VirtualRetryClock owned_clock_;
+  VirtualRetryClock clock_;
   Stats stats_;
 };
 

@@ -445,8 +445,7 @@ TEST_F(AgentExtended, StaleRiSessionCannotCompleteRegistration) {
   agent::RegistrationSession retry(*device_,
                                    kNow + ri::kPendingSessionTtl + 60);
   roap::RetryPolicy policy;
-  DeterministicRng pacing(0xFEED);
-  EXPECT_EQ(retry.run(tx(), policy, pacing), AgentStatus::kOk);
+  EXPECT_EQ(retry.run(tx(), policy), AgentStatus::kOk);
   EXPECT_TRUE(device_->has_ri_context("ri.example"));
 }
 

@@ -32,7 +32,6 @@ namespace {
 
 using bigint::BigInt;
 using bigint::MontgomeryCtx;
-using bigint::PowerTable;
 
 // ---------------------------------------------------------------------------
 // Montgomery / RSA edge cases
@@ -98,28 +97,6 @@ TEST(MontgomeryEdge, ShortAndLongExponentPathsAgree) {
     EXPECT_EQ(ctx.mod_exp(base, short_exp), reference(base, short_exp));
     EXPECT_EQ(ctx.mod_exp(base, long_exp), reference(base, long_exp));
   }
-}
-
-TEST(PowerTableTest, MatchesPlainExponentiation) {
-  DeterministicRng rng(0xAB1E);
-  MontgomeryCtx ctx(kOddModulus);
-  BigInt base = BigInt::random_below(kOddModulus, rng);
-  PowerTable table = ctx.make_power_table(base);
-  EXPECT_EQ(table.base(), base);
-  EXPECT_EQ(table.modulus(), kOddModulus);
-  for (int i = 0; i < 5; ++i) {
-    BigInt exp = BigInt::random_below(kOddModulus, rng);
-    EXPECT_EQ(ctx.mod_exp(table, exp), ctx.mod_exp(base, exp));
-  }
-  EXPECT_EQ(ctx.mod_exp(table, BigInt{}), BigInt(std::uint64_t{1}));
-}
-
-TEST(PowerTableTest, RejectsForeignModulus) {
-  MontgomeryCtx ctx(kOddModulus);
-  MontgomeryCtx other(BigInt(std::uint64_t{0xfffffffb}));
-  PowerTable table = other.make_power_table(BigInt(std::uint64_t{2}));
-  EXPECT_THROW(ctx.mod_exp(table, BigInt(std::uint64_t{3})), Error);
-  EXPECT_THROW(ctx.mod_exp(PowerTable{}, BigInt(std::uint64_t{3})), Error);
 }
 
 TEST(MontCacheTest, HitsAndInvalidation) {

@@ -223,15 +223,14 @@ TEST_F(RetryProtocol, BusySheddingIsAbsorbedWithBackoff) {
   // resends, and the session never notices the overload.
   BusyThenServe busy(*loopback_, 2);
   RetryPolicy p = quick_policy();
-  roap::VirtualRetryClock clock;
-  ReliableTransport reliable(busy, p, *rng_, &clock);
+  ReliableTransport reliable(busy, p, *rng_);
   EXPECT_EQ(device_->register_with(reliable, kNow), AgentStatus::kOk);
   EXPECT_TRUE(device_->has_ri_context("ri.example"));
   EXPECT_EQ(reliable.stats().busy, 2u);
   EXPECT_EQ(reliable.stats().retries, 2u);
   // The backoff between shed and resend really elapsed on the clock —
   // a shed fleet spreads out instead of hammering the server in place.
-  EXPECT_GE(clock.now_ms(), 2u * p.base_backoff_ms);
+  EXPECT_GE(reliable.clock().now_ms(), 2u * p.base_backoff_ms);
 }
 
 TEST_F(RetryProtocol, PersistentOverloadExhaustsAsRetriesExhausted) {
@@ -322,7 +321,7 @@ TEST_F(RetryProtocol, ExpiredRiSessionRestartsFromDeviceHello) {
   agent::RegistrationSession reg(*device_, kNow + ri::kPendingSessionTtl + 1);
   RetryPolicy p = quick_policy();
   ASSERT_EQ(p.max_restarts, 1u);
-  EXPECT_EQ(reg.run(racy, p, *rng_), AgentStatus::kOk);
+  EXPECT_EQ(reg.run(racy, p), AgentStatus::kOk);
   EXPECT_EQ(reg.state(), agent::RegistrationSession::State::kComplete);
   EXPECT_TRUE(device_->has_ri_context("ri.example"));
   EXPECT_EQ(ri_->counters().registrations, 1u);
@@ -352,7 +351,7 @@ TEST_F(RetryProtocol, RestartBudgetBoundsSessionExpiredLoops) {
   agent::RegistrationSession reg(*device_, kNow);
   RetryPolicy p = quick_policy();
   p.max_restarts = 2;
-  Result<> out = reg.run(hostile, p, *rng_);
+  Result<> out = reg.run(hostile, p);
   EXPECT_EQ(out, AgentStatus::kSessionExpired);
   EXPECT_EQ(reg.state(), agent::RegistrationSession::State::kFailed);
 }
@@ -419,6 +418,21 @@ TEST_F(RetryProtocol, SingleShotRunKeepsHistoricalParkingSemantics) {
   net().inject(Fault::kCorruptResponse);
   agent::RegistrationSession reg(*device_, kNow);
   EXPECT_FALSE(reg.run(net()).ok());
+  EXPECT_EQ(reg.state(), agent::RegistrationSession::State::kFailed);
+}
+
+TEST_F(RetryProtocol, TimedOutRunParksTheSession) {
+  // kTimeout is retriable for a pass, but a run() that gives up on it is
+  // over: the session parks like any other failed run instead of being
+  // left mid-handshake.
+  net().set_drop_rate(1.0);
+  RetryPolicy p;
+  p.max_attempts = 100;
+  p.deadline_ms = 50;
+  p.base_backoff_ms = 30;  // two sleeps cross the 50ms deadline
+  p.jitter = 0;
+  agent::RegistrationSession reg(*device_, kNow);
+  EXPECT_EQ(reg.run(net(), p), AgentStatus::kTimeout);
   EXPECT_EQ(reg.state(), agent::RegistrationSession::State::kFailed);
 }
 
