@@ -11,7 +11,7 @@
 //                paper's §2.4.1 story: the RI Context and the crypto
 //                caches amortize certificate-chain verification.
 //   latency      p50/p95 over the per-exchange latencies of the cached
-//                mode and of the fleet scenario, alongside the averages.
+//                mode and of the multi_agent block, alongside the averages.
 //   per-stage    microbenchmarks of each wire-path stage on captured
 //                traffic — serialize / parse / base64 / sha1 / wrap /
 //                from_wire — plus the RSA sign/verify legs (median
@@ -24,9 +24,14 @@
 //                asserts this and exits nonzero on regression. The full
 //                exchange count (message structs, RSA, sessions) is
 //                reported for tracking.
-//   fleet        64 agents x 1 RI through the single envelope dispatch
-//                entry point: server-side fan-in throughput (the
-//                fastest of 5 blocks of acquisitions).
+//   multi_agent  64 agents x 1 RI, driven round-robin from ONE thread
+//                through the in-process envelope dispatch: the RI's
+//                serial exchange rate over many device keys (the fastest
+//                of 5 blocks of acquisitions). There is no concurrency
+//                and no fan-in; the block's own Montgomery cache
+//                counters show whether the device moduli fit the cache
+//                (the full run's 64 agents overflow it, --quick's 8 do
+//                not).
 //
 // Output: human-readable summary on stdout + JSON (default
 // BENCH_roap.json) so the perf trajectory is tracked across PRs. The
@@ -379,7 +384,7 @@ StageBreakdown run_stage_breakdown(Session& s, std::size_t iters) {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet scenario.
+// Multi-agent scenario: one thread, agents taken round-robin.
 // ---------------------------------------------------------------------------
 
 struct MultiAgentResult {
@@ -390,18 +395,20 @@ struct MultiAgentResult {
   Percentiles acquisition_ms;
   double exchanges_per_s = 0;       // RI acquisition rate, fastest block
   double allocs_per_exchange = 0;
+  bigint::MontCacheStats mont;      // Montgomery cache, this block only
 };
 
-/// N devices share one Rights Issuer through the single envelope dispatch
-/// entry point: the server-side fan-in scenario. Each agent registers
-/// once (its own chain walk on both ends), then streams acquisitions
-/// whose per-message cost rides the caches and the recycled wire
-/// buffers.
+/// N devices share one Rights Issuer, driven one after another from the
+/// calling thread (no concurrency). Each agent registers once (its own
+/// chain walk on both ends), then the agents take turns acquiring, so
+/// each exchange's cost rides the caches and the recycled wire buffers
+/// only as far as N devices' keys fit in them.
 MultiAgentResult run_multi_agent(Session& s, std::size_t n_agents,
                                  std::size_t acqs_per_agent) {
   MultiAgentResult out;
   out.agents = n_agents;
   out.acquisitions_per_agent = acqs_per_agent;
+  const bigint::MontCacheStats mont0 = bigint::montgomery_cache_stats();
 
   std::vector<std::unique_ptr<agent::DrmAgent>> agents;
   agents.reserve(n_agents);
@@ -464,6 +471,10 @@ MultiAgentResult run_multi_agent(Session& s, std::size_t n_agents,
       static_cast<double>(allocs_now() - a0) / exchanges;
   out.acquisition_ms_avg = acq_ms / exchanges;
   out.acquisition_ms = percentiles(latencies);
+  const bigint::MontCacheStats mont1 = bigint::montgomery_cache_stats();
+  out.mont.hits = mont1.hits - mont0.hits;
+  out.mont.misses = mont1.misses - mont0.misses;
+  out.mont.evictions = mont1.evictions - mont0.evictions;
   return out;
 }
 
@@ -533,7 +544,7 @@ int main(int argc, char** argv) {
 
   const StageBreakdown stages = run_stage_breakdown(s, stage_iters);
 
-  // Multi-agent fan-in through the same dispatch path.
+  // Many agents, one thread, round-robin through the same dispatch path.
   const MultiAgentResult fleet = run_multi_agent(s, fleet_agents, fleet_acqs);
 
   const double speedup_verify = uncached.verify_ms_avg / cached.verify_ms_avg;
@@ -572,11 +583,16 @@ int main(int argc, char** argv) {
 
   std::printf("\nmulti-agent         %zu agents x %zu acq: reg %6.2f "
               "ms/agent,\n                    acq %6.3f ms (p50 %6.3f, p95 "
-              "%6.3f), %.0f exch/s, %.0f allocs/exch\n",
+              "%6.3f), %.0f exch/s, %.0f allocs/exch\n"
+              "                    mont cache %llu hits / %llu misses / "
+              "%llu evictions (one thread, round-robin)\n",
               fleet.agents, fleet.acquisitions_per_agent,
               fleet.registration_ms_avg, fleet.acquisition_ms_avg,
               fleet.acquisition_ms.p50, fleet.acquisition_ms.p95,
-              fleet.exchanges_per_s, fleet.allocs_per_exchange);
+              fleet.exchanges_per_s, fleet.allocs_per_exchange,
+              static_cast<unsigned long long>(fleet.mont.hits),
+              static_cast<unsigned long long>(fleet.mont.misses),
+              static_cast<unsigned long long>(fleet.mont.evictions));
   std::printf(
       "\nThe no-RI-context row is the paper's point: without the cached,\n"
       "verified RI Context every license fetch pays a full 4-pass\n"
@@ -620,7 +636,9 @@ int main(int argc, char** argv) {
       "  \"multi_agent\": {\"agents\": %zu, \"acquisitions_per_agent\": "
       "%zu, \"registration_ms_avg\": %.3f, \"acquisition_ms_avg\": %.4f, "
       "\"acquisition_ms_p50\": %.4f, \"acquisition_ms_p95\": %.4f, "
-      "\"exchanges_per_s\": %.1f, \"allocs_per_exchange\": %.1f},\n"
+      "\"exchanges_per_s\": %.1f, \"allocs_per_exchange\": %.1f, "
+      "\"mont_hits\": %llu, \"mont_misses\": %llu, "
+      "\"mont_evictions\": %llu},\n"
       "  \"cache_stats\": {\"mont_hits\": %llu, \"mont_misses\": %llu, "
       "\"chain_hits\": %llu, \"chain_misses\": %llu}\n"
       "}\n",
@@ -640,6 +658,9 @@ int main(int argc, char** argv) {
       fleet.acquisition_ms_avg, fleet.acquisition_ms.p50,
       fleet.acquisition_ms.p95, fleet.exchanges_per_s,
       fleet.allocs_per_exchange,
+      static_cast<unsigned long long>(fleet.mont.hits),
+      static_cast<unsigned long long>(fleet.mont.misses),
+      static_cast<unsigned long long>(fleet.mont.evictions),
       static_cast<unsigned long long>(mont.hits),
       static_cast<unsigned long long>(mont.misses),
       static_cast<unsigned long long>(chain.hits),

@@ -3,8 +3,9 @@
 //
 // A portable player with no network runs the complete ROAP — registration,
 // domain join, RO acquisition — with every message relayed as an opaque
-// serialized envelope through a phone. The phone uses the Rights Issuer's
-// raw wire entry point (`handle_wire`), so it never interprets the
+// serialized envelope through a phone. The phone hands the bytes to the
+// Rights Issuer unexamined (the RI side parses them with
+// `Envelope::from_wire` before `handle`), so it never interprets the
 // relayed traffic; all trust decisions happen on the player via the
 // per-pass halves of the agent's session state machines.
 //
@@ -29,9 +30,10 @@ roap::Envelope relay_via_phone(ri::RightsIssuer& ri,
                                const roap::Envelope& request,
                                std::uint64_t now) {
   std::printf("  [phone] relaying %4zu bytes to RI, ", request.size());
-  std::string response = ri.handle_wire(request.wire(), now);
+  roap::Envelope response =
+      ri.handle(roap::Envelope::from_wire(request.wire()), now);
   std::printf("returning %4zu bytes\n", response.size());
-  return roap::Envelope::from_wire(response);
+  return response;
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 Handles both benchmark families by dispatching on the JSON's "bench"
 field:
 
-  roap_session   gates on fleet exchanges/s (the least noisy of that
-                 bench's outputs on shared CI runners) and on the
+  roap_session   gates on the multi_agent block's exchanges/s (one
+                 thread driving N agents round-robin through the
+                 in-process RI; the least noisy of that bench's outputs
+                 on shared CI runners) and on the
                  per_stage_us.pss_sign latency (an RSA-1024 CRT
                  private-key op); the bench reports both as the best of
                  several blocks. Both gates apply only when both
@@ -61,7 +63,8 @@ import sys
 
 def roap_throughput(doc: dict) -> tuple[float, str, str]:
     value = float(doc["multi_agent"]["exchanges_per_s"])
-    label = f"fleet throughput ({doc['multi_agent']['agents']} agents)"
+    label = (f"round-robin throughput, 1 thread "
+             f"({doc['multi_agent']['agents']} agents)")
     return value, label, "exch/s"
 
 

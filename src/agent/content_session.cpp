@@ -4,10 +4,6 @@ namespace omadrm::agent {
 
 std::shared_ptr<const crypto::Aes> AesContextCache::get(
     ByteView cek, std::string_view ro_id) {
-  if (!enabled_) {
-    ++stats_.misses;
-    return std::make_shared<const crypto::Aes>(cek);
-  }
   std::array<std::uint8_t, crypto::Sha1::kDigestSize> fp;
   crypto::Sha1 h;
   h.update(cek);

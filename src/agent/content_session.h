@@ -57,6 +57,7 @@ struct AesCacheStats {
 /// SHA-1(CEK), so the cache never stores raw key material in its index.
 class AesContextCache {
  public:
+  /// Capacity 0 caches nothing: every get() builds a fresh schedule.
   explicit AesContextCache(std::size_t capacity = 16) : capacity_(capacity) {}
 
   /// Returns the cached schedule for `cek`, building and inserting it on
@@ -67,9 +68,6 @@ class AesContextCache {
   /// Drops every entry tagged with `ro_id` (RO replaced or uninstalled).
   void invalidate_ro(std::string_view ro_id);
   void clear();
-
-  /// Disabled: every get() builds a fresh schedule (for benchmarks).
-  void set_enabled(bool enabled) { enabled_ = enabled; }
 
   const AesCacheStats& stats() const { return stats_; }
   void reset_stats() { stats_ = AesCacheStats{}; }
@@ -84,7 +82,6 @@ class AesContextCache {
 
   std::list<Entry> lru_;  // front = most recently used
   std::size_t capacity_;
-  bool enabled_ = true;
   AesCacheStats stats_;
 };
 

@@ -48,30 +48,26 @@ std::uint32_t crc32(std::string_view data, std::uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
-std::size_t encoded_frame_size(std::size_t payload_size, bool with_crc) {
-  return kFrameHeaderSize + payload_size +
-         (with_crc ? kFrameTrailerSize : 0);
+std::size_t encoded_frame_size(std::size_t payload_size) {
+  return kFrameHeaderSize + payload_size + kFrameTrailerSize;
 }
 
 void encode_frame(std::uint8_t type, std::string_view payload,
-                  std::string& out, bool with_crc) {
+                  std::string& out) {
   if (payload.size() > 0xFFFFFFFFu) {
     throw Error(ErrorKind::kRange, "net: frame payload exceeds u32 length");
   }
   const std::size_t start = out.size();
-  out.reserve(start + encoded_frame_size(payload.size(), with_crc));
+  out.reserve(start + encoded_frame_size(payload.size()));
   out.push_back(static_cast<char>(kFrameMagic0));
   out.push_back(static_cast<char>(kFrameMagic1));
   out.push_back(static_cast<char>(kFrameVersion));
   out.push_back(static_cast<char>(type));
-  out.push_back(static_cast<char>(with_crc ? kFrameFlagCrc : 0));
+  out.push_back(static_cast<char>(kFrameFlagCrc));
   put_u32_be(out, static_cast<std::uint32_t>(payload.size()));
   out.append(payload);
-  if (with_crc) {
-    const std::uint32_t crc = crc32(
-        std::string_view(out).substr(start, kFrameHeaderSize + payload.size()));
-    put_u32_be(out, crc);
-  }
+  put_u32_be(out, crc32(std::string_view(out).substr(
+                      start, kFrameHeaderSize + payload.size())));
 }
 
 void FrameDecoder::feed(std::string_view bytes) {
@@ -103,8 +99,8 @@ std::optional<Frame> FrameDecoder::next() {
 
   const std::uint8_t type = static_cast<std::uint8_t>(p[3]);
   const std::uint8_t flags = static_cast<std::uint8_t>(p[4]);
-  if ((flags & ~kFrameFlagCrc) != 0) {
-    throw Error(ErrorKind::kFormat, "net: unknown frame flags");
+  if (flags != kFrameFlagCrc) {
+    throw Error(ErrorKind::kFormat, "net: frame flags must be 0x01 (CRC)");
   }
   const std::uint32_t len = get_u32_be(p + 5);
   if (len > max_payload_) {
@@ -113,23 +109,16 @@ std::optional<Frame> FrameDecoder::next() {
                 "net: frame payload length " + std::to_string(len) +
                     " exceeds cap " + std::to_string(max_payload_));
   }
-  const bool has_crc = (flags & kFrameFlagCrc) != 0;
-  const std::size_t total =
-      kFrameHeaderSize + len + (has_crc ? kFrameTrailerSize : 0);
+  const std::size_t total = encoded_frame_size(len);
   if (avail < total) return std::nullopt;
 
-  if (has_crc) {
-    const std::uint32_t want = get_u32_be(p + kFrameHeaderSize + len);
-    const std::uint32_t got = crc32(
-        std::string_view(p, kFrameHeaderSize + len));
-    if (want != got) {
-      throw Error(ErrorKind::kFormat, "net: frame CRC mismatch");
-    }
+  if (get_u32_be(p + kFrameHeaderSize + len) !=
+      crc32(std::string_view(p, kFrameHeaderSize + len))) {
+    throw Error(ErrorKind::kFormat, "net: frame CRC mismatch");
   }
 
   Frame frame;
   frame.type = type;
-  frame.crc = has_crc;
   frame.payload.assign(p + kFrameHeaderSize, len);
   pos_ += total;
   return frame;

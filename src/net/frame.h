@@ -11,24 +11,25 @@
 //                 kErrorFrameType for a server refusal, or kBusyFrameType
 //                 for an admission-control load shed; both carry a
 //                 human-readable reason as the payload)
-//   4       1     flags (bit 0: CRC-32 trailer present)
+//   4       1     flags, always kFrameFlagCrc (0x01)
 //   5       4     payload length, big-endian, capped (max_payload)
 //   9       n     payload — the serialized ROAP XML document
-//   [9+n]   4     CRC-32 (IEEE) of header+payload, big-endian, optional
+//   9+n     4     CRC-32 (IEEE) of header+payload, big-endian
 //
 // The length cap is a hard protocol limit, checked *before* any payload
 // is buffered: a peer announcing an oversized frame is cut off after 9
 // bytes instead of being allowed to balloon the read buffer. The CRC
-// trailer is optional per frame (flag bit) so transports can skip it
-// when the link already checksums; both sides of this repo default it
-// on — TCP's own checksum is 16-bit and the DRM threat model includes a
-// deliberately damaging middlebox.
+// trailer is mandatory: TCP's own checksum is 16-bit and the DRM threat
+// model includes a deliberately damaging middlebox. A frame whose flags
+// byte is anything but kFrameFlagCrc is refused, so no payload is ever
+// handed on unchecked.
 //
 // FrameDecoder is incremental: feed() arbitrary byte slices as they
 // arrive (a 1-byte-at-a-time trickle reassembles fine), next() yields
-// complete frames. Malformed input — bad magic, unknown version,
-// oversized length, CRC mismatch — throws omadrm::Error(kFormat); a
-// merely incomplete frame is not an error, next() just returns nothing.
+// complete frames. Malformed input — bad magic, unknown version, flags
+// other than kFrameFlagCrc, oversized length, CRC mismatch — throws
+// omadrm::Error(kFormat); a merely incomplete frame is not an error,
+// next() just returns nothing.
 #pragma once
 
 #include <cstdint>
@@ -65,16 +66,15 @@ std::uint32_t crc32(std::string_view data, std::uint32_t seed = 0);
 
 struct Frame {
   std::uint8_t type = 0;  // MessageType value, kErrorFrameType, kBusyFrameType
-  bool crc = false;       // request carried the CRC trailer (echo it back)
   std::string payload;
 };
 
 /// Appends one encoded frame carrying `payload` to `out`.
 void encode_frame(std::uint8_t type, std::string_view payload,
-                  std::string& out, bool with_crc = true);
+                  std::string& out);
 
 /// Bytes one encoded frame for `payload` occupies on the wire.
-std::size_t encoded_frame_size(std::size_t payload_size, bool with_crc);
+std::size_t encoded_frame_size(std::size_t payload_size);
 
 class FrameDecoder {
  public:
@@ -87,9 +87,10 @@ class FrameDecoder {
 
   /// Decodes the next complete frame from the buffered bytes, or
   /// std::nullopt when more bytes are needed. Throws
-  /// omadrm::Error(kFormat) on bad magic, unknown version, a payload
-  /// length over the cap, or a CRC mismatch — after which the stream is
-  /// unrecoverable and the connection should be dropped.
+  /// omadrm::Error(kFormat) on bad magic, unknown version, flags other
+  /// than kFrameFlagCrc, a payload length over the cap, or a CRC
+  /// mismatch — after which the stream is unrecoverable and the
+  /// connection should be dropped.
   std::optional<Frame> next();
 
   /// Bytes fed but not yet consumed by next().

@@ -373,13 +373,12 @@ void RiServer::read_ready(const std::shared_ptr<Conn>& conn) {
             // Load shed: answer busy straight from the event loop — the
             // payload is dropped unparsed and no worker is involved, so
             // a flood beyond capacity costs one small frame per request,
-            // not queue memory. The busy frame echoes the request's CRC
-            // choice like any reply.
+            // not queue memory.
             stats_.shed.fetch_add(1, std::memory_order_relaxed);
             std::string busy;
             encode_frame(kBusyFrameType,
                          "server busy: request shed by admission control",
-                         busy, frame->crc);
+                         busy);
             bool over_cap = false;
             {
               MutexLock cl(conn->mu);
@@ -404,7 +403,7 @@ void RiServer::read_ready(const std::shared_ptr<Conn>& conn) {
           }
           {
             MutexLock lock(jobs_mu_);
-            jobs_.push_back(Job{conn, std::move(frame->payload), frame->crc});
+            jobs_.push_back(Job{conn, std::move(frame->payload)});
           }
           jobs_cv_.notify_one();
         }
@@ -421,7 +420,7 @@ void RiServer::read_ready(const std::shared_ptr<Conn>& conn) {
         // why, stop reading, close once the error frame is out.
         stats_.frame_desyncs.fetch_add(1, std::memory_order_relaxed);
         std::string err;
-        encode_frame(kErrorFrameType, e.what(), err, true);
+        encode_frame(kErrorFrameType, e.what(), err);
         {
           MutexLock cl(conn->mu);
           conn->outbox.append(err);
@@ -536,16 +535,14 @@ void RiServer::worker_loop() {
     try {
       roap::Envelope env = roap::Envelope::from_wire(job.payload);
       roap::Envelope out = issuer_.handle(env, config_.now);
-      encode_frame(static_cast<std::uint8_t>(out.type()), out.wire(), reply,
-                   job.reply_with_crc);
+      encode_frame(static_cast<std::uint8_t>(out.type()), out.wire(), reply);
       stats_.served.fetch_add(1, std::memory_order_relaxed);
     } catch (const Error& e) {
-      encode_frame(kErrorFrameType, e.what(), reply, job.reply_with_crc);
+      encode_frame(kErrorFrameType, e.what(), reply);
       stats_.refusals.fetch_add(1, std::memory_order_relaxed);
     } catch (const std::exception& e) {
       encode_frame(kErrorFrameType,
-                   std::string("internal error: ") + e.what(), reply,
-                   job.reply_with_crc);
+                   std::string("internal error: ") + e.what(), reply);
       stats_.refusals.fetch_add(1, std::memory_order_relaxed);
     }
 

@@ -88,8 +88,8 @@ class RiServer {
     /// refusal (load shedding, not buffering) — the request is never
     /// parsed, never reaches a worker, and the client's retry stack
     /// backs off on the typed kServerBusy it maps to. 0 = unbounded
-    /// (the pre-overload-hardening behaviour, kept for benchmarks that
-    /// measure the queue itself).
+    /// (no queue-depth shedding; tests use it to isolate the
+    /// per-connection cap).
     std::size_t max_queue_depth = 1024;
     /// Per-connection ceiling on jobs queued or executing; a pipelining
     /// client over the cap gets busy frames for the excess.
@@ -175,7 +175,6 @@ class RiServer {
   struct Job {
     std::shared_ptr<Conn> conn;
     std::string payload;
-    bool reply_with_crc = false;
   };
 
   void event_loop();

@@ -37,7 +37,7 @@ roap::Envelope SocketTransport::exchange(std::uint8_t type,
     }
 
     outbuf_.clear();
-    encode_frame(type, payload, outbuf_, config_.crc);
+    encode_frame(type, payload, outbuf_);
     send_all(sock_.fd(), outbuf_, config_.write_timeout_ms);
 
     const std::uint64_t deadline = steady_ms() + config_.read_timeout_ms;

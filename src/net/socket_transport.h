@@ -56,7 +56,6 @@ class SocketTransport final : public roap::Transport {
     std::uint64_t connect_timeout_ms = 2000;
     std::uint64_t read_timeout_ms = 5000;
     std::uint64_t write_timeout_ms = 5000;
-    bool crc = true;  // append the CRC-32 trailer to outgoing frames
     std::size_t max_frame_payload = kDefaultMaxFramePayload;
   };
 

@@ -907,7 +907,6 @@ std::vector<RightsIssuer::ShardStats> RightsIssuer::shard_stats() const {
 std::optional<roap::Envelope> RightsIssuer::replay_lookup(
     Shard& sh, const std::string& key, const std::string& request_wire,
     std::uint64_t now) {
-  if (!replay_enabled_.load(std::memory_order_relaxed)) return std::nullopt;
   auto it = sh.replay.find(key);
   if (it == sh.replay.end()) {
     ++sh.replay_stats.misses;
@@ -940,9 +939,7 @@ void RightsIssuer::replay_insert(Shard& sh, const std::string& key,
                                  std::uint64_t now) {
   const std::size_t capacity =
       replay_capacity_.load(std::memory_order_relaxed);
-  if (!replay_enabled_.load(std::memory_order_relaxed) || capacity == 0) {
-    return;
-  }
+  if (capacity == 0) return;
   auto it = sh.replay.find(key);
   if (it != sh.replay.end()) {
     // Key reuse with different bytes (the lookup above missed on digest):
@@ -1115,11 +1112,6 @@ roap::Envelope RightsIssuer::handle(const roap::Envelope& request,
                   std::string("ri: ") + roap::to_string(request.type()) +
                       " is not a request message");
   }
-}
-
-std::string RightsIssuer::handle_wire(const std::string& request_xml,
-                                      std::uint64_t now) {
-  return handle(roap::Envelope::from_wire(request_xml), now).wire();
 }
 
 }  // namespace omadrm::ri

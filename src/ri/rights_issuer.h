@@ -203,11 +203,6 @@ class RightsIssuer {
   ///     RO issuing, which persists nothing — keeps working).
   roap::Envelope handle(const roap::Envelope& request, std::uint64_t now);
 
-  /// Raw-bytes entry point: parses the serialized request document,
-  /// dispatches it, and returns the serialized response. Throws
-  /// omadrm::Error(kFormat) on unparseable input or unknown message types.
-  std::string handle_wire(const std::string& request_xml, std::uint64_t now);
-
   bool is_registered(const std::string& device_id) const;
 
   /// Registration handshakes currently awaiting their RegistrationRequest,
@@ -234,10 +229,7 @@ class RightsIssuer {
   // cache is RAM-only (a restarted RI serves duplicates from its durable
   // one-shot session state instead, which is slower but equally safe).
   // kStoreFailure refusals are never cached — a retry after the store
-  // heals must be re-processed.
-  void set_replay_cache_enabled(bool v) {
-    replay_enabled_.store(v, std::memory_order_relaxed);
-  }
+  // heals must be re-processed. Capacity 0 switches the cache off.
   void set_replay_cache_capacity(std::size_t n);
   void set_replay_cache_ttl(std::uint64_t seconds) {
     replay_ttl_.store(seconds, std::memory_order_relaxed);
@@ -260,7 +252,7 @@ class RightsIssuer {
 
   /// When true, Device ROs are also RI-signed (allowed but not mandated by
   /// the standard; the paper notes the signature "is mandatory only for
-  /// Domain ROs"). Exercised by the ablation benchmark.
+  /// Domain ROs").
   void set_sign_device_ros(bool v) { sign_device_ros_ = v; }
 
   // -- Durable state --------------------------------------------------------
@@ -447,7 +439,6 @@ class RightsIssuer {
 
   store::StateStore* store_ = nullptr;
 
-  std::atomic<bool> replay_enabled_{true};
   std::atomic<std::size_t> replay_capacity_{1024};  // per shard
   std::atomic<std::uint64_t> replay_ttl_{600};  // s; mirrors session TTL
 

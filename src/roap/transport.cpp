@@ -24,13 +24,6 @@ Envelope InProcessTransport::request(const Envelope& request) {
   return ri_.handle(request, now_);
 }
 
-Envelope InProcessTransport::request_raw(std::string_view wire) {
-  // The bytes go to the RI's wire entry point unexamined — client-side
-  // parsing would reject damaged documents before the server ever saw
-  // them, which no real network does.
-  return Envelope::from_wire(ri_.handle_wire(std::string(wire), now_));
-}
-
 // ---------------------------------------------------------------------------
 // FaultyTransport
 // ---------------------------------------------------------------------------
@@ -105,9 +98,10 @@ Envelope FaultyTransport::request(const Envelope& request) {
 
     case Fault::kCorruptRequest: {
       ++stats_.corrupted;
-      // The mangled bytes are shipped through the raw seam, so they
-      // genuinely reach the peer's parser over any inner transport —
-      // in-process or socket. Whatever the peer makes of them, the
+      // The mangled bytes are shipped through the raw seam: over a
+      // socket they genuinely cross the wire to the server's parser, and
+      // in-process they meet the same Envelope::from_wire the RI's
+      // request path runs. Whatever the peer makes of them, the
       // caller gets no usable answer — the bytes no longer parse, the
       // peer refuses the document, or a server refusal frame comes
       // back. All of it surfaces as a lost exchange.

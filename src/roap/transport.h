@@ -8,9 +8,9 @@
 // code run over an in-process loopback, an HTTP client, or a proxy device
 // relaying for an Unconnected Device.
 //
-//   InProcessTransport  loopback onto a local RightsIssuer's wire
-//                       dispatcher (the only component allowed to hold a
-//                       RightsIssuer& on an agent's behalf).
+//   InProcessTransport  loopback onto a local RightsIssuer::handle (the
+//                       only component allowed to hold a RightsIssuer&
+//                       on an agent's behalf).
 //   FaultyTransport     decorator that drops / corrupts / delays /
 //                       reorders / replays envelopes, for network
 //                       simulation and robustness tests.
@@ -45,15 +45,13 @@ class Transport {
   virtual Envelope request(const Envelope& request) = 0;
 
   /// Carries pre-serialized wire bytes — possibly damaged ones — to the
-  /// peer. A real network delivers whatever bytes the medium produced
-  /// and lets the *server* refuse them; this seam preserves that
-  /// semantics for fault injectors (FaultyTransport's corrupt-request
-  /// fault ships the mangled document through here, so over a
-  /// SocketTransport the garbage genuinely crosses the wire and over an
-  /// InProcessTransport it reaches RightsIssuer::handle_wire). The
-  /// default for transports without a raw byte path parses locally and
-  /// forwards, throwing omadrm::Error(kFormat) when the bytes are
-  /// beyond delivery.
+  /// peer. FaultyTransport's corrupt-request fault ships the mangled
+  /// document through here. SocketTransport overrides it so the garbage
+  /// genuinely crosses the wire and the *server* refuses it, as on a
+  /// real network. This default, used in-process, parses the bytes with
+  /// the same Envelope::from_wire the RI's request path would run and
+  /// forwards them: damaged bytes throw omadrm::Error(kFormat) before any
+  /// RI state is touched, which is where the RI would have refused them.
   virtual Envelope request_raw(std::string_view wire) {
     return request(Envelope::from_wire(wire));
   }
@@ -69,9 +67,6 @@ class InProcessTransport final : public Transport {
   std::uint64_t now() const { return now_; }
 
   Envelope request(const Envelope& request) override;
-  /// Hands raw bytes to the RI's wire entry point — garbage reaches the
-  /// server-side parser exactly as it would over a real link.
-  Envelope request_raw(std::string_view wire) override;
 
  private:
   ri::RightsIssuer& ri_;

@@ -272,16 +272,16 @@ TEST_F(AgentExtended, StaleGenerationKeyCannotInstallNewRo) {
 }
 
 // ---------------------------------------------------------------------------
-// Relayed ROAP (Unconnected Devices) and the wire dispatcher
+// Relayed ROAP (Unconnected Devices) and request dispatch
 // ---------------------------------------------------------------------------
 
 TEST_F(AgentExtended, RelayedRoapThroughSessionHalves) {
   dcf::Dcf dcf = setup_content("relay", 900);
 
-  // The proxy's side of the exchange: opaque serialized documents in and
-  // out of the RI's raw wire entry point.
+  // The proxy's side of the exchange: opaque serialized documents in,
+  // parsed only at the RI's boundary.
   auto relay = [&](const roap::Envelope& req) {
-    return roap::Envelope::from_wire(ri_->handle_wire(req.wire(), kNow));
+    return ri_->handle(roap::Envelope::from_wire(req.wire()), kNow);
   };
 
   // Registration, every pass as serialized XML.
@@ -378,8 +378,6 @@ TEST_F(AgentExtended, ReplayedRoResponseRejected) {
 
 TEST_F(AgentExtended, WireDispatcherRejectsUnknownMessages) {
   setup_content("nodisp", 100);
-  EXPECT_THROW(ri_->handle_wire("<roap:unknownMessage/>", kNow), Error);
-  EXPECT_THROW(ri_->handle_wire("not xml", kNow), Error);
   // Response documents and triggers are not servable requests.
   EXPECT_THROW(
       ri_->handle(roap::Envelope::wrap(roap::RoResponse{}), kNow), Error);

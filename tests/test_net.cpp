@@ -39,25 +39,35 @@ namespace {
 // Frame codec
 // ---------------------------------------------------------------------------
 
-std::string encoded(std::uint8_t type, std::string_view payload,
-                    bool with_crc = true) {
+std::string encoded(std::uint8_t type, std::string_view payload) {
   std::string out;
-  encode_frame(type, payload, out, with_crc);
+  encode_frame(type, payload, out);
   return out;
 }
 
-TEST(Frame, RoundTripWithAndWithoutCrc) {
-  for (bool crc : {true, false}) {
-    FrameDecoder dec;
-    dec.feed(encoded(3, "hello world", crc));
-    auto f = dec.next();
-    ASSERT_TRUE(f.has_value());
-    EXPECT_EQ(f->type, 3);
-    EXPECT_EQ(f->crc, crc);
-    EXPECT_EQ(f->payload, "hello world");
-    EXPECT_FALSE(dec.next().has_value());
-    EXPECT_EQ(dec.buffered(), 0u);
-  }
+TEST(Frame, RoundTripWithCrc) {
+  const std::string wire = encoded(3, "hello world");
+  EXPECT_EQ(wire.size(), encoded_frame_size(11));
+  EXPECT_EQ(static_cast<std::uint8_t>(wire[4]), kFrameFlagCrc);
+  FrameDecoder dec;
+  dec.feed(wire);
+  auto f = dec.next();
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->type, 3);
+  EXPECT_EQ(f->payload, "hello world");
+  EXPECT_FALSE(dec.next().has_value());
+  EXPECT_EQ(dec.buffered(), 0u);
+}
+
+// The CRC trailer is mandatory: a complete frame whose flags byte does
+// not name it (here flags 0 and no trailer) is refused, never handed back
+// unchecked. Clearing the flag on a CRC'd frame is one of the flips
+// EverysingleBitFlipIsDetected sweeps.
+TEST(Frame, RejectsFrameWithoutCrcFlag) {
+  const std::string bare("OD\x01\x03\x00\x00\x00\x00\x05hello", 14);
+  FrameDecoder dec;
+  dec.feed(bare);
+  EXPECT_THROW(dec.next(), Error);
 }
 
 TEST(Frame, EmptyPayloadRoundTrips) {
@@ -73,7 +83,7 @@ TEST(Frame, EmptyPayloadRoundTrips) {
 // frame, never a format error. This is the truncation sweep at every
 // byte offset the wire can cut a frame at.
 TEST(Frame, TruncationAtEveryOffsetIsIncompleteNotError) {
-  const std::string wire = encoded(2, "truncate me anywhere", true);
+  const std::string wire = encoded(2, "truncate me anywhere");
   for (std::size_t cut = 0; cut < wire.size(); ++cut) {
     FrameDecoder dec;
     dec.feed(std::string_view(wire).substr(0, cut));
@@ -90,7 +100,7 @@ TEST(Frame, TruncationAtEveryOffsetIsIncompleteNotError) {
 
 TEST(Frame, OneByteAtATimeDelivery) {
   const std::string wire =
-      encoded(1, "first", true) + encoded(2, "second", false);
+      encoded(1, "first") + encoded(2, "second");
   FrameDecoder dec;
   std::vector<Frame> got;
   for (char c : wire) {
@@ -159,11 +169,12 @@ TEST(Frame, CrcMismatchRejected) {
   EXPECT_THROW(dec.next(), Error);
 }
 
-// Any single-bit flip anywhere in a CRC'd frame must be detected: the
-// decoder either throws (magic/version/flags/length/CRC) or — never —
-// silently returns the original frame.
+// Any single-bit flip anywhere in a frame must be detected: the decoder
+// either throws (magic/version/flags/length/CRC) or, when the flip grows
+// the announced length, waits for bytes that never come. It never hands
+// back a frame at all.
 TEST(Frame, EverysingleBitFlipIsDetected) {
-  const std::string wire = encoded(9, "integrity sweep", true);
+  const std::string wire = encoded(9, "integrity sweep");
   for (std::size_t i = 0; i < wire.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string mangled = wire;
@@ -172,14 +183,7 @@ TEST(Frame, EverysingleBitFlipIsDetected) {
       dec.feed(mangled);
       bool detected = false;
       try {
-        auto f = dec.next();
-        // A length-shrinking flip can leave a partial frame: incomplete
-        // counts as detected (the stream stalls instead of lying). The
-        // one flip that can hand back the intact payload is stripping
-        // the CRC flag — which then strands the orphaned trailer in the
-        // buffer, desynchronizing the stream: residue is detection too.
-        detected = !f.has_value() || f->type != 9 ||
-                   f->payload != "integrity sweep" || dec.buffered() != 0;
+        detected = !dec.next().has_value();
       } catch (const Error&) {
         detected = true;
       }
@@ -670,9 +674,9 @@ TEST(SocketTransport, BusyFrameThrowsKBusyAndKeepsTheConnection) {
       }
       if (n == 0) return;
       dec.feed(std::string_view(buf, n));
-      while (auto f = dec.next()) {
+      while (dec.next()) {
         std::string out;
-        encode_frame(kBusyFrameType, "server busy: test peer", out, f->crc);
+        encode_frame(kBusyFrameType, "server busy: test peer", out);
         send_all(conn.fd(), out, 1000);
         ++answered;
       }

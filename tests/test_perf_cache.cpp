@@ -556,11 +556,11 @@ TEST(AesContextCache, InvalidationAndDisable) {
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
 
-  cache.set_enabled(false);
-  auto a = cache.get(k1, "ro:x");
-  auto b = cache.get(k1, "ro:x");
+  agent::AesContextCache off(0);
+  auto a = off.get(k1, "ro:x");
+  auto b = off.get(k1, "ro:x");
   EXPECT_NE(a.get(), b.get());  // every get builds fresh
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(off.size(), 0u);
 }
 
 // ---------------------------------------------------------------------------

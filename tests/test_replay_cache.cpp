@@ -210,7 +210,7 @@ TEST_F(ReplayCache, DigestPinsEntryToExactRequestBytes) {
 }
 
 TEST_F(ReplayCache, DisabledCacheProcessesEveryRequestFresh) {
-  ri_->set_replay_cache_enabled(false);
+  ri_->set_replay_cache_capacity(0);
   ASSERT_EQ(device_->register_with(*loopback_, kNow), AgentStatus::kOk);
   const roap::Envelope request = make_ro_request();
   (void)loopback_->request(request);
