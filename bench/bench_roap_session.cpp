@@ -1,6 +1,7 @@
 // Session-level ROAP benchmark: one 4-pass registration followed by N
 // 2-pass RO acquisitions against a 3-certificate chain
-// (RI <- intermediate CA <- root), with the crypto caches on vs. off.
+// (RI <- intermediate CA <- root), with the chain-verdict caches on vs.
+// off.
 // Every exchange crosses the serialized transport boundary
 // (roap::Envelope through roap::InProcessTransport), the same path
 // production traffic takes.
@@ -8,8 +9,11 @@
 // Reported:
 //
 //   modes        cached / uncached_crypto / uncached_no_context, the
-//                paper's §2.4.1 story: the RI Context and the crypto
-//                caches amortize certificate-chain verification.
+//                paper's §2.4.1 story: the RI Context and the
+//                chain-verdict caches amortize certificate-chain
+//                verification. uncached_crypto turns off only the two
+//                verdict caches: Montgomery contexts belong to the keys
+//                and have no off switch.
 //   latency      p50/p95 over the per-exchange latencies of the cached
 //                mode and of the multi_agent block, alongside the averages.
 //   per-stage    microbenchmarks of each wire-path stage on captured
@@ -28,10 +32,10 @@
 //                through the in-process envelope dispatch: the RI's
 //                serial exchange rate over many device keys (the fastest
 //                of 5 blocks of acquisitions). There is no concurrency
-//                and no fan-in; the block's own Montgomery cache
-//                counters show whether the device moduli fit the cache
-//                (the full run's 64 agents overflow it, --quick's 8 do
-//                not).
+//                and no fan-in. ctx_builds counts the Montgomery
+//                contexts its acquisitions built: every key keeps its
+//                own, so it is 0 for any number of agents, and
+//                scripts/check_bench_regression.py fails otherwise.
 //
 // Output: human-readable summary on stdout + JSON (default
 // BENCH_roap.json) so the perf trajectory is tracked across PRs. The
@@ -57,7 +61,7 @@
 #include "agent/drm_agent.h"
 #include "agent/sessions.h"
 #include "bigint/mont_accel.h"
-#include "bigint/mont_cache.h"
+#include "bigint/montgomery.h"
 #include "common/base64.h"
 #include "common/random.h"
 #include "crypto/sha1.h"
@@ -213,8 +217,8 @@ ModeResult run_acquisitions(Session& s, std::size_t iterations) {
   return out;
 }
 
+// The two chain-verdict caches; Montgomery contexts live on the keys.
 void set_caches_enabled(Session& s, bool enabled) {
-  bigint::set_montgomery_cache_enabled(enabled);
   s.device.chain_verifier().set_enabled(enabled);
   s.ri.device_chain_verifier().set_enabled(enabled);
 }
@@ -370,7 +374,7 @@ StageBreakdown run_stage_breakdown(Session& s, std::size_t iters) {
   // The RSA legs, on a key of the deployed size.
   DeterministicRng rng{0x51A9E};
   rsa::PrivateKey key = rsa::generate_key(kRsaBits, rng);
-  rsa::PublicKey pub{key.n, key.e};
+  const rsa::PublicKey pub = key.public_key();
   // The same count in quick and full runs (the gate compares the two).
   const std::size_t rsa_calls = 401;
   out.sign = run_stage_best_median("pss_sign", rsa_calls, [&] {
@@ -395,20 +399,20 @@ struct MultiAgentResult {
   Percentiles acquisition_ms;
   double exchanges_per_s = 0;       // RI acquisition rate, fastest block
   double allocs_per_exchange = 0;
-  bigint::MontCacheStats mont;      // Montgomery cache, this block only
+  std::uint64_t ctx_builds = 0;     // Montgomery contexts, acquisitions only
 };
 
 /// N devices share one Rights Issuer, driven one after another from the
 /// calling thread (no concurrency). Each agent registers once (its own
 /// chain walk on both ends), then the agents take turns acquiring, so
 /// each exchange's cost rides the caches and the recycled wire buffers
-/// only as far as N devices' keys fit in them.
+/// only as far as N devices' keys fit in them. The keys themselves hold
+/// their Montgomery contexts, so those never miss.
 MultiAgentResult run_multi_agent(Session& s, std::size_t n_agents,
                                  std::size_t acqs_per_agent) {
   MultiAgentResult out;
   out.agents = n_agents;
   out.acquisitions_per_agent = acqs_per_agent;
-  const bigint::MontCacheStats mont0 = bigint::montgomery_cache_stats();
 
   std::vector<std::unique_ptr<agent::DrmAgent>> agents;
   agents.reserve(n_agents);
@@ -446,6 +450,7 @@ MultiAgentResult run_multi_agent(Session& s, std::size_t n_agents,
   const double block_exchanges =
       static_cast<double>(n_agents * acqs_per_agent);
   double acq_ms = 0;
+  const std::uint64_t ctx0 = bigint::montgomery_ctx_builds();
   const std::uint64_t a0 = allocs_now();
   for (int b = 0; b < kBlocks; ++b) {
     if (b > 0) std::this_thread::sleep_for(kBlockGap);
@@ -471,10 +476,7 @@ MultiAgentResult run_multi_agent(Session& s, std::size_t n_agents,
       static_cast<double>(allocs_now() - a0) / exchanges;
   out.acquisition_ms_avg = acq_ms / exchanges;
   out.acquisition_ms = percentiles(latencies);
-  const bigint::MontCacheStats mont1 = bigint::montgomery_cache_stats();
-  out.mont.hits = mont1.hits - mont0.hits;
-  out.mont.misses = mont1.misses - mont0.misses;
-  out.mont.evictions = mont1.evictions - mont0.evictions;
+  out.ctx_builds = bigint::montgomery_ctx_builds() - ctx0;
   return out;
 }
 
@@ -504,8 +506,8 @@ int main(int argc, char** argv) {
       kRsaBits, bigint::accel::mont_supported() ? "BMI2/ADX" : "portable");
   Session s;
 
-  // Registration, cold: chain-verdict cache empty, Montgomery contexts
-  // for the RI/intermediate moduli not yet seen.
+  // Registration, cold: chain-verdict cache empty, no Montgomery context
+  // built yet for the freshly decoded certificates' keys.
   auto reg_start = Clock::now();
   Result<> reg = s.device.register_with(s.transport, kNow);
   const double registration_first_ms = ms_since(reg_start);
@@ -525,10 +527,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  bigint::reset_montgomery_cache_stats();
   s.device.chain_verifier().reset_stats();
+  const std::uint64_t ctx0 = bigint::montgomery_ctx_builds();
   ModeResult cached = run_acquisitions(s, iterations);
-  const bigint::MontCacheStats mont = bigint::montgomery_cache_stats();
+  const std::uint64_t ctx_builds = bigint::montgomery_ctx_builds() - ctx0;
   const pki::ChainCacheStats chain = s.device.chain_verifier().stats();
 
   set_caches_enabled(s, false);
@@ -555,7 +557,7 @@ int main(int argc, char** argv) {
               registration_first_ms, registration_repeat_ms);
   std::printf("acquisition         cached %6.3f ms   p50 %6.3f   p95 %6.3f\n",
               cached.full_ms_avg, cached.full_ms.p50, cached.full_ms.p95);
-  std::printf("  crypto caches off        %6.3f ms   speedup %.2fx\n",
+  std::printf("  verdict caches off       %6.3f ms   speedup %.2fx\n",
               uncached.full_ms_avg, speedup_crypto);
   std::printf("  no RI context            %6.3f ms   speedup %.2fx\n",
               no_context_full_ms, speedup_full);
@@ -564,9 +566,8 @@ int main(int argc, char** argv) {
               cached.verify_ms_avg, uncached.verify_ms_avg, speedup_verify);
   std::printf("allocs/exchange     %.0f (full protocol, steady state)\n",
               cached.allocs_per_exchange);
-  std::printf("mont cache          %llu hits / %llu misses\n",
-              static_cast<unsigned long long>(mont.hits),
-              static_cast<unsigned long long>(mont.misses));
+  std::printf("mont contexts       %llu built (cached acquisitions)\n",
+              static_cast<unsigned long long>(ctx_builds));
   std::printf("chain cache         %llu hits / %llu misses\n",
               static_cast<unsigned long long>(chain.hits),
               static_cast<unsigned long long>(chain.misses));
@@ -584,15 +585,13 @@ int main(int argc, char** argv) {
   std::printf("\nmulti-agent         %zu agents x %zu acq: reg %6.2f "
               "ms/agent,\n                    acq %6.3f ms (p50 %6.3f, p95 "
               "%6.3f), %.0f exch/s, %.0f allocs/exch\n"
-              "                    mont cache %llu hits / %llu misses / "
-              "%llu evictions (one thread, round-robin)\n",
+              "                    %llu Montgomery contexts built (one "
+              "thread, round-robin)\n",
               fleet.agents, fleet.acquisitions_per_agent,
               fleet.registration_ms_avg, fleet.acquisition_ms_avg,
               fleet.acquisition_ms.p50, fleet.acquisition_ms.p95,
               fleet.exchanges_per_s, fleet.allocs_per_exchange,
-              static_cast<unsigned long long>(fleet.mont.hits),
-              static_cast<unsigned long long>(fleet.mont.misses),
-              static_cast<unsigned long long>(fleet.mont.evictions));
+              static_cast<unsigned long long>(fleet.ctx_builds));
   std::printf(
       "\nThe no-RI-context row is the paper's point: without the cached,\n"
       "verified RI Context every license fetch pays a full 4-pass\n"
@@ -637,10 +636,9 @@ int main(int argc, char** argv) {
       "%zu, \"registration_ms_avg\": %.3f, \"acquisition_ms_avg\": %.4f, "
       "\"acquisition_ms_p50\": %.4f, \"acquisition_ms_p95\": %.4f, "
       "\"exchanges_per_s\": %.1f, \"allocs_per_exchange\": %.1f, "
-      "\"mont_hits\": %llu, \"mont_misses\": %llu, "
-      "\"mont_evictions\": %llu},\n"
-      "  \"cache_stats\": {\"mont_hits\": %llu, \"mont_misses\": %llu, "
-      "\"chain_hits\": %llu, \"chain_misses\": %llu}\n"
+      "\"ctx_builds\": %llu},\n"
+      "  \"cache_stats\": {\"ctx_builds\": %llu, \"chain_hits\": %llu, "
+      "\"chain_misses\": %llu}\n"
       "}\n",
       kRsaBits, iterations, quick ? "true" : "false",
       bigint::accel::mont_supported() ? "true" : "false",
@@ -658,11 +656,8 @@ int main(int argc, char** argv) {
       fleet.acquisition_ms_avg, fleet.acquisition_ms.p50,
       fleet.acquisition_ms.p95, fleet.exchanges_per_s,
       fleet.allocs_per_exchange,
-      static_cast<unsigned long long>(fleet.mont.hits),
-      static_cast<unsigned long long>(fleet.mont.misses),
-      static_cast<unsigned long long>(fleet.mont.evictions),
-      static_cast<unsigned long long>(mont.hits),
-      static_cast<unsigned long long>(mont.misses),
+      static_cast<unsigned long long>(fleet.ctx_builds),
+      static_cast<unsigned long long>(ctx_builds),
       static_cast<unsigned long long>(chain.hits),
       static_cast<unsigned long long>(chain.misses));
   json << buf;

@@ -15,7 +15,11 @@ field:
                  signing is a large share of every exchange, so a
                  BMI2/ADX baseline against a portable-kernel runner
                  would gate on the CPU, not the code (the skip reason is
-                 printed).
+                 printed). Before either, and whatever the back end, it
+                 fails unless the current document's
+                 multi_agent.ctx_builds is 0: every RSA key owns its
+                 Montgomery context, so acquisitions by registered
+                 agents build none, for 8 agents (--quick) as for 64.
   dcf_stream     gates on streaming decrypt MB/s at the largest payload
                  size present in BOTH documents (quick CI runs omit the
                  16 MiB point the full baseline carries), and on SHA-1
@@ -101,6 +105,22 @@ def check_dcf_sha1(baseline: dict, current: dict, payload_bytes: int,
     if cur < floor:
         print(f"FAIL: SHA-1 throughput regressed more than {tolerance:.0%} "
               f"vs the checked-in baseline", file=sys.stderr)
+        return False
+    return True
+
+
+def check_roap_ctx_builds(current: dict) -> bool:
+    """roap_session correctness gate: the multi_agent acquisitions built
+    no Montgomery context. A missing key fails too."""
+    builds = current["multi_agent"].get("ctx_builds")
+    if builds is None:
+        print("FAIL: current document has no multi_agent.ctx_builds",
+              file=sys.stderr)
+        return False
+    print(f"multi_agent Montgomery contexts built: {builds}")
+    if builds != 0:
+        print("FAIL: multi_agent acquisitions built Montgomery contexts; "
+              "every key must reuse its own", file=sys.stderr)
         return False
     return True
 
@@ -280,6 +300,8 @@ def main() -> int:
         base, base_label, unit = net_throughput(baseline, max(shared))
         cur, cur_label, _ = net_throughput(current, max(shared))
     else:
+        if not check_roap_ctx_builds(current):
+            return 1
         if not same_mont_backend(baseline, current):
             print("OK")
             return 0

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "bigint/mont_cache.h"
 #include "bigint/montgomery.h"
 #include "common/error.h"
 #include "common/random.h"
@@ -578,9 +577,9 @@ BigInt BigInt::mod_exp(const BigInt& base, const BigInt& exp,
   }
   if (m == BigInt(std::uint64_t{1})) return BigInt{};
   if (m.is_odd()) {
-    // Shared context: R^2 mod m and m' are computed once per modulus and
-    // reused across every exponentiation against the same key.
-    return shared_montgomery_ctx(m)->mod_exp(base.mod(m), exp);
+    // A one-off context: callers exponentiating against one modulus
+    // repeatedly keep their own (rsa::CtxSlot).
+    return MontgomeryCtx(m).mod_exp(base.mod(m), exp);
   }
   // Generic square-and-multiply for even moduli (rare in practice).
   BigInt result(std::uint64_t{1});

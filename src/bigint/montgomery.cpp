@@ -1,6 +1,7 @@
 #include "bigint/montgomery.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <utility>
 
@@ -15,6 +16,8 @@ using omadrm::ErrorKind;
 namespace {
 
 using u128 = unsigned __int128;
+
+std::atomic<std::uint64_t> g_ctx_builds{0};
 
 constexpr std::size_t kTableSize = std::size_t{1}
                                    << MontgomeryCtx::kWindowBits;
@@ -149,6 +152,11 @@ MontgomeryCtx::MontgomeryCtx(const BigInt& m) : m_(m) {
   onew_.resize(nw_);
   mul(onew_.data(), one_plain_.data(), r2w_.data());
   one_mont_ = unpack(onew_);
+  g_ctx_builds.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::uint64_t montgomery_ctx_builds() {
+  return g_ctx_builds.load(std::memory_order_relaxed);
 }
 
 MontgomeryCtx::Words MontgomeryCtx::pack(const BigInt& v) const {

@@ -34,8 +34,9 @@
 // public exponents, branches on the bits.
 //
 // Contexts are expensive to build (R^2 mod m needs a full division) and
-// cheap to reuse; see mont_cache.h for the process-wide keyed cache that
-// amortizes construction across repeated operations on the same modulus.
+// cheap to reuse, so each RSA key keeps its own in an rsa::CtxSlot
+// (rsa/rsa.h) and builds it once. montgomery_ctx_builds() counts the
+// constructions, so tests and benchmarks can see a workload's setup cost.
 #pragma once
 
 #include <cstddef>
@@ -55,6 +56,10 @@ namespace omadrm::bigint {
 void mont_mul_portable(std::uint64_t* r, const std::uint64_t* a,
                        const std::uint64_t* b, const std::uint64_t* m,
                        std::uint64_t m_prime, std::size_t n);
+
+/// Number of MontgomeryCtx objects constructed in this process so far.
+/// Read-only; diff it around a workload to count the contexts it built.
+std::uint64_t montgomery_ctx_builds();
 
 class MontgomeryCtx {
  public:

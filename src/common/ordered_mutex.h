@@ -25,7 +25,6 @@
 //    40   store.front          GroupCommitStore::mu_ (batch queue)
 //    50   store.backing        MemoryStore::mu_ (terminal store mutex)
 //    60   pki.chain_verdict    ChainVerifier::State::mu (shared)
-//    70   bigint.mont_stripe   MontCache stripe mutexes (8 stripes)
 //    80   common.rng           LockedRng::mu_
 //   110   net.stop             RiServer::stop_mu_
 //   120   net.conns            RiServer::conns_mu_
@@ -68,7 +67,6 @@ enum class LockRank : std::uint16_t {
   kStoreFront = 40,
   kStoreBacking = 50,
   kChainVerdict = 60,
-  kMontStripe = 70,
   kRng = 80,
   kNetStop = 110,
   kNetConns = 120,

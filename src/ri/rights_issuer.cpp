@@ -590,7 +590,9 @@ roap::RegistrationResponse RightsIssuer::on_registration_request(
     out.status = verdict;
     return out;
   }
-  sh.devices[request.device_id] = device_cert;
+  // Moved, not copied: the key keeps the Montgomery context the signature
+  // check above built, for every later request from this device.
+  sh.devices[request.device_id] = std::move(device_cert);
   counters_.registrations.fetch_add(1, std::memory_order_relaxed);
 
   // Staple a fresh OCSP response for our own certificate, bound to the

@@ -1,6 +1,6 @@
 #include "rsa/rsa.h"
 
-#include <mutex>
+#include <memory>
 
 #include "bigint/montgomery.h"
 #include "bigint/prime.h"
@@ -54,44 +54,44 @@ Bytes i2osp(const BigInt& x, std::size_t len) {
 
 BigInt os2ip(ByteView data) { return BigInt::from_bytes_be(data); }
 
+// A replaced context stays alive until the slot is reset or destroyed:
+// a racing reader may still be comparing its modulus.
+struct CtxSlot::Node {
+  bigint::MontgomeryCtx ctx;
+  const Node* replaced;
+};
+
+void CtxSlot::reset(const Node* head) noexcept {
+  const Node* node = head_.exchange(head);
+  while (node != nullptr) {
+    const Node* next = node->replaced;
+    delete node;
+    node = next;
+  }
+}
+
+const bigint::MontgomeryCtx& CtxSlot::get(const BigInt& m) const {
+  const Node* seen = head_.load();
+  while (seen == nullptr || !(seen->ctx.modulus() == m)) {
+    std::unique_ptr<const Node> fresh(
+        new Node{bigint::MontgomeryCtx(m), seen});
+    if (head_.compare_exchange_strong(seen, fresh.get())) {
+      return fresh.release()->ctx;
+    }
+    // Lost a race: `seen` is now the winner's node; check it again.
+  }
+  return seen->ctx;
+}
+
 BigInt rsaep(const PublicKey& key, const BigInt& m) {
   if (m.is_negative() || !(m < key.n)) {
     throw Error(ErrorKind::kCrypto, "rsaep: message out of range");
   }
-  // mod_exp owns the dispatch: shared (cached) Montgomery context for odd
-  // moduli, generic square-and-multiply for hostile even ones.
-  return BigInt::mod_exp(m, key.e, key.n);
+  // A hostile even modulus has no Montgomery form; mod_exp takes it down
+  // the generic path.
+  if (!key.n.is_odd()) return BigInt::mod_exp(m, key.e, key.n);
+  return key.ctx_n.get(key.n).mod_exp(m, key.e);
 }
-
-namespace {
-
-// Guards every PrivateKey's lazy CRT-context slots. One process-wide
-// mutex is enough: the critical sections are pointer reads/writes, dwarfed
-// by the exponentiations around them.
-std::mutex& crt_slot_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-// Per-key cached context for a secret CRT prime. Deliberately NOT the
-// process-wide modulus cache: p and q must not outlive the key in global
-// memory. The modulus check makes field-wise key mutation (state import)
-// self-healing. Context construction happens outside the lock; a losing
-// racer adopts the winner's context.
-std::shared_ptr<const bigint::MontgomeryCtx> crt_prime_ctx(
-    std::shared_ptr<const bigint::MontgomeryCtx>& slot, const BigInt& prime) {
-  {
-    std::lock_guard<std::mutex> lock(crt_slot_mutex());
-    if (slot && slot->modulus() == prime) return slot;
-  }
-  auto ctx = std::make_shared<const bigint::MontgomeryCtx>(prime);
-  std::lock_guard<std::mutex> lock(crt_slot_mutex());
-  if (slot && slot->modulus() == prime) return slot;
-  slot = ctx;
-  return ctx;
-}
-
-}  // namespace
 
 BigInt rsadp(const PrivateKey& key, const BigInt& c) {
   if (c.is_negative() || !(c < key.n)) {
@@ -100,12 +100,10 @@ BigInt rsadp(const PrivateKey& key, const BigInt& c) {
   if (!key.has_crt) {
     return BigInt::mod_exp(c, key.d, key.n);
   }
-  // CRT with per-prime per-key contexts: both half-size exponentiations
-  // reuse their cached R^2 mod p / mod q across private-key operations.
-  BigInt m1 = crt_prime_ctx(key.crt_ctx_p.ctx, key.p)->mod_exp(c.mod(key.p),
-                                                               key.dp);
-  BigInt m2 = crt_prime_ctx(key.crt_ctx_q.ctx, key.q)->mod_exp(c.mod(key.q),
-                                                               key.dq);
+  // CRT on the key's per-prime contexts: both half-size exponentiations
+  // reuse their R^2 mod p / mod q across private-key operations.
+  BigInt m1 = key.crt_ctx_p.get(key.p).mod_exp(c.mod(key.p), key.dp);
+  BigInt m2 = key.crt_ctx_q.get(key.q).mod_exp(c.mod(key.q), key.dq);
   // Garner's recombination: m = m2 + q * (qinv * (m1 - m2) mod p).
   BigInt h = (key.qinv * (m1 - m2)).mod(key.p);
   return m2 + key.q * h;

@@ -7,8 +7,8 @@
 // "RSA 1024 Private Key Op" row of Table 1.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
-#include <memory>
 
 #include "bigint/bigint.h"
 #include "common/bytes.h"
@@ -22,31 +22,52 @@ namespace omadrm::rsa {
 
 using bigint::BigInt;
 
+/// A key's lazily built Montgomery context for one of its moduli: n for a
+/// public key, p and q for a private key's CRT halves. The key pays the
+/// context setup once, however many operations it serves.
+///
+/// Copying yields an empty slot: the copy rebuilds on first use, and
+/// never reading the source keeps key copies race-free against a
+/// concurrent operation filling the source's slot. Moving keeps the
+/// context. The slot publishes through one atomic pointer, so concurrent
+/// operations on one key are safe, and the keys keep defaulted copy/move
+/// operations.
+class CtxSlot {
+ public:
+  CtxSlot() = default;
+  CtxSlot(const CtxSlot&) noexcept {}
+  CtxSlot& operator=(const CtxSlot&) noexcept {
+    reset(nullptr);
+    return *this;
+  }
+  CtxSlot(CtxSlot&& other) noexcept : head_(other.head_.exchange(nullptr)) {}
+  CtxSlot& operator=(CtxSlot&& other) noexcept {
+    reset(other.head_.exchange(nullptr));
+    return *this;
+  }
+  ~CtxSlot() { reset(nullptr); }
+
+  /// The context for the odd modulus `m`, built on first use; valid until
+  /// the slot is assigned to or destroyed. A context for another modulus
+  /// (the key's field was overwritten in place) is replaced, so
+  /// field-wise key replacement heals itself.
+  const bigint::MontgomeryCtx& get(const BigInt& m) const;
+
+ private:
+  struct Node;  // a context and the one it replaced
+  void reset(const Node* head) noexcept;
+
+  mutable std::atomic<const Node*> head_{nullptr};
+};
+
 struct PublicKey {
   BigInt n;  // modulus
   BigInt e;  // public exponent
+  CtxSlot ctx_n;  // context for n (odd moduli only)
 
   /// Modulus size in bytes (k in PKCS#1 terms).
   std::size_t byte_length() const { return (n.bit_length() + 7) / 8; }
   std::size_t bit_length() const { return n.bit_length(); }
-};
-
-/// Holder for a lazily built Montgomery context of a secret CRT prime.
-/// Copying deliberately yields an empty slot: the context is rebuilt on
-/// first use, and never reading the source keeps key copies race-free
-/// against a concurrent private-key operation populating its slots. This
-/// confinement lets PrivateKey keep defaulted copy/move operations.
-struct CrtCtxSlot {
-  mutable std::shared_ptr<const bigint::MontgomeryCtx> ctx;
-
-  CrtCtxSlot() = default;
-  CrtCtxSlot(const CrtCtxSlot&) noexcept {}
-  CrtCtxSlot& operator=(const CrtCtxSlot&) noexcept {
-    ctx.reset();
-    return *this;
-  }
-  CrtCtxSlot(CrtCtxSlot&&) noexcept = default;
-  CrtCtxSlot& operator=(CrtCtxSlot&&) noexcept = default;
 };
 
 struct PrivateKey {
@@ -57,15 +78,12 @@ struct PrivateKey {
   BigInt p, q, dp, dq, qinv;
   bool has_crt = false;
 
-  // Lazily built Montgomery contexts for the CRT primes, kept on the key
-  // instead of the process-wide modulus cache so the secret primes never
-  // persist in global memory beyond the key's lifetime. rsadp validates
-  // the cached modulus before use, so field-wise key replacement (e.g.
-  // state import) self-heals.
-  CrtCtxSlot crt_ctx_p;
-  CrtCtxSlot crt_ctx_q;
+  // Contexts for the CRT primes. Kept on the key, so the secret primes
+  // never outlive it in memory.
+  CtxSlot crt_ctx_p;
+  CtxSlot crt_ctx_q;
 
-  PublicKey public_key() const { return {n, e}; }
+  PublicKey public_key() const { return {n, e, {}}; }
   std::size_t byte_length() const { return (n.bit_length() + 7) / 8; }
 };
 

@@ -11,7 +11,8 @@
 //     converge to consistent membership, and the persisted image
 //     rebuilds an identical RI;
 //   - GroupCommitStore merges concurrent commits into batches without
-//     losing, reordering-within-tx, or falsely acknowledging any.
+//     losing, reordering-within-tx, or falsely acknowledging any;
+//   - one RSA key's Montgomery context slots survive racing first uses.
 //
 // Agents are thread-confined (one device + one transport per thread);
 // only the RI and the store are shared — exactly the server's shape.
@@ -35,6 +36,7 @@
 #include "roap/envelope.h"
 #include "roap/messages.h"
 #include "roap/transport.h"
+#include "rsa/rsa.h"
 #include "store/group_commit_store.h"
 #include "store/memory_store.h"
 
@@ -461,6 +463,39 @@ TEST_F(ConcurrentRi, ConcurrentHellosReserveUniqueSessions) {
   EXPECT_EQ(ri_->expire_pending_sessions(kNow + ri::kPendingSessionTtl + 1),
             static_cast<std::size_t>(kDevices));
   EXPECT_EQ(ri_->pending_session_count(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Per-key Montgomery contexts under concurrent first use
+// ---------------------------------------------------------------------------
+
+TEST(CtxSlot, ConcurrentFirstUseOfOneKeyAgrees) {
+  // Every RI worker signs with the one RI key, so its context slots see
+  // racing first uses; so does a device key verified from two shards'
+  // workers. Fresh copies start with empty slots.
+  DeterministicRng rng(0xC75);
+  const rsa::PrivateKey source = rsa::generate_key(512, rng);
+  const rsa::PrivateKey priv = source;
+  const rsa::PublicKey pub = source.public_key();
+  const bigint::BigInt m = bigint::BigInt::random_below(source.n, rng);
+  const bigint::BigInt c = rsa::rsaep(source.public_key(), m);
+
+  constexpr int kThreads = 4;
+  StartGate gate(kThreads);
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      gate.arrive_and_wait();
+      for (int k = 0; k < 8; ++k) {
+        if (!(rsa::rsaep(pub, m) == c) || !(rsa::rsadp(priv, c) == m)) {
+          ++wrong;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 }  // namespace

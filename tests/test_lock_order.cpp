@@ -109,16 +109,20 @@ TEST(LockOrderDeath, AbortMessageCarriesBothBacktraces) {
 
 TEST(LockOrder, FullCanonicalChainNests) {
   // shard < stripe < meta < store.front < store.backing < verdict <
-  // mont < rng < net ranks < failpoint: one nested walk through every
-  // rank in the table must not trip the validator.
+  // rng < net ranks < failpoint: one nested walk through every rank in
+  // the table must not trip the validator.
   CheckedOrderedMutex shard{LockRank::kRiShard, "t.shard"};
   CheckedOrderedMutex stripe{LockRank::kRiDomainStripe, "t.stripe"};
   CheckedOrderedMutex meta{LockRank::kRiMeta, "t.meta"};
   CheckedOrderedMutex front{LockRank::kStoreFront, "t.front"};
   CheckedOrderedMutex backing{LockRank::kStoreBacking, "t.backing"};
   CheckedOrderedMutex verdict{LockRank::kChainVerdict, "t.verdict"};
-  CheckedOrderedMutex mont{LockRank::kMontStripe, "t.mont"};
   CheckedOrderedMutex rng{LockRank::kRng, "t.rng"};
+  CheckedOrderedMutex stop{LockRank::kNetStop, "t.stop"};
+  CheckedOrderedMutex conns{LockRank::kNetConns, "t.conns"};
+  CheckedOrderedMutex conn{LockRank::kNetConn, "t.conn"};
+  CheckedOrderedMutex jobs{LockRank::kNetJobs, "t.jobs"};
+  CheckedOrderedMutex replies{LockRank::kNetReplies, "t.replies"};
   CheckedOrderedMutex fp{LockRank::kFailpoint, "t.failpoint"};
   {
     CheckedMutexLock l1(shard);
@@ -127,9 +131,13 @@ TEST(LockOrder, FullCanonicalChainNests) {
     CheckedMutexLock l4(front);
     CheckedMutexLock l5(backing);
     CheckedMutexLock l6(verdict);
-    CheckedMutexLock l7(mont);
-    CheckedMutexLock l8(rng);
-    CheckedMutexLock l9(fp);
+    CheckedMutexLock l7(rng);
+    CheckedMutexLock l8(stop);
+    CheckedMutexLock l9(conns);
+    CheckedMutexLock l10(conn);
+    CheckedMutexLock l11(jobs);
+    CheckedMutexLock l12(replies);
+    CheckedMutexLock l13(fp);
     fp.assert_held();
     shard.assert_held();
   }

@@ -1,18 +1,20 @@
-// Tests for the ROAP hot-path caches: Montgomery context cache + power
-// tables (bigint layer), the certificate-chain verdict cache (pki layer),
-// and their wiring into the DRM Agent / Rights Issuer — including the
-// metered-op accounting that shows cache hits cost zero RSA operations.
+// Tests for the ROAP hot-path caches: per-key Montgomery contexts (rsa
+// layer), the certificate-chain verdict cache (pki layer), and their
+// wiring into the DRM Agent / Rights Issuer — including the metered-op
+// accounting that shows cache hits cost zero RSA operations.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "agent/content_session.h"
 #include "agent/drm_agent.h"
 #include "bigint/bigint.h"
 #include "ci/content_issuer.h"
 #include "dcf/dcf.h"
-#include "bigint/mont_cache.h"
 #include "bigint/montgomery.h"
 #include "common/error.h"
 #include "common/random.h"
@@ -43,8 +45,6 @@ TEST(MontgomeryEdge, EvenModulusRejected) {
   EXPECT_THROW(MontgomeryCtx(BigInt(std::uint64_t{100})), Error);
   EXPECT_THROW(MontgomeryCtx(BigInt{}), Error);
   EXPECT_THROW(MontgomeryCtx(BigInt(-7)), Error);
-  EXPECT_THROW(bigint::shared_montgomery_ctx(BigInt(std::uint64_t{64})),
-               Error);
 }
 
 TEST(MontgomeryEdge, ExponentZeroIsOne) {
@@ -99,34 +99,85 @@ TEST(MontgomeryEdge, ShortAndLongExponentPathsAgree) {
   }
 }
 
-TEST(MontCacheTest, HitsAndInvalidation) {
-  bigint::clear_montgomery_cache();
-  bigint::reset_montgomery_cache_stats();
+// ---------------------------------------------------------------------------
+// Per-key Montgomery contexts (rsa::CtxSlot)
+// ---------------------------------------------------------------------------
 
-  auto a = bigint::shared_montgomery_ctx(kOddModulus);
-  auto b = bigint::shared_montgomery_ctx(kOddModulus);
-  EXPECT_EQ(a.get(), b.get());  // identical shared context
-  bigint::MontCacheStats stats = bigint::montgomery_cache_stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
+std::uint64_t builds() { return bigint::montgomery_ctx_builds(); }
 
-  bigint::clear_montgomery_cache();
-  auto c = bigint::shared_montgomery_ctx(kOddModulus);
-  EXPECT_NE(a.get(), c.get());
-  EXPECT_EQ(bigint::montgomery_cache_stats().misses, 2u);
+const rsa::PrivateKey& slot_key() {
+  static const rsa::PrivateKey key = [] {
+    DeterministicRng rng(0x510);
+    return rsa::generate_key(512, rng);
+  }();
+  return key;
+}
 
-  // Disabled: every call builds a fresh context (all misses, no sharing).
-  bigint::set_montgomery_cache_enabled(false);
-  auto d = bigint::shared_montgomery_ctx(kOddModulus);
-  auto e = bigint::shared_montgomery_ctx(kOddModulus);
-  EXPECT_NE(d.get(), e.get());
-  stats = bigint::montgomery_cache_stats();
-  EXPECT_EQ(stats.hits, 1u);
-  bigint::set_montgomery_cache_enabled(true);
+TEST(CtxSlot, PublicKeyBuildsItsContextOnce) {
+  const rsa::PublicKey pub = slot_key().public_key();
+  const BigInt m(std::uint64_t{0x1234567});
+  const std::uint64_t b0 = builds();
+  const BigInt c = rsa::rsaep(pub, m);
+  EXPECT_EQ(rsa::rsavp1(pub, m), c);
+  EXPECT_EQ(builds() - b0, 1u);
+  EXPECT_EQ(rsa::rsadp(slot_key(), c), m);
+}
 
-  // Old handles stay valid regardless of cache churn.
-  EXPECT_EQ(a->mod_exp(BigInt(std::uint64_t{2}), BigInt(std::uint64_t{10})),
-            BigInt(std::uint64_t{1024}));
+TEST(CtxSlot, CopyRebuildsMoveKeeps) {
+  rsa::PublicKey pub = slot_key().public_key();
+  rsa::PrivateKey priv = slot_key();
+  const BigInt m(std::uint64_t{42});
+  const BigInt c = rsa::rsaep(pub, m);
+  ASSERT_EQ(rsa::rsadp(priv, c), m);  // both keys' slots now warm
+
+  std::uint64_t b0 = builds();
+  rsa::PublicKey pub_copy = pub;
+  rsa::PrivateKey priv_copy = priv;
+  EXPECT_EQ(rsa::rsaep(pub_copy, m), c);
+  EXPECT_EQ(rsa::rsadp(priv_copy, c), m);
+  EXPECT_EQ(builds() - b0, 3u);  // n, then p and q: copies start empty
+
+  b0 = builds();
+  rsa::PublicKey pub_moved = std::move(pub);
+  rsa::PrivateKey priv_moved = std::move(priv);
+  EXPECT_EQ(rsa::rsaep(pub_moved, m), c);
+  EXPECT_EQ(rsa::rsadp(priv_moved, c), m);
+  EXPECT_EQ(builds() - b0, 0u);  // a move carries the contexts along
+
+  b0 = builds();
+  pub_copy = pub_moved;  // copy-assignment empties the target's slot
+  EXPECT_EQ(rsa::rsaep(pub_copy, m), c);
+  EXPECT_EQ(builds() - b0, 1u);
+}
+
+TEST(CtxSlot, OverwrittenFieldsRebuildAndStayCorrect) {
+  DeterministicRng rng(0x0B1);
+  const rsa::PrivateKey other = rsa::generate_key(512, rng);
+  rsa::PublicKey pub = slot_key().public_key();
+  rsa::PrivateKey priv = slot_key();
+  const BigInt m(std::uint64_t{7});
+  ASSERT_EQ(rsa::rsadp(priv, rsa::rsaep(pub, m)), m);  // warm both
+
+  // Field-wise replacement: the slots still hold contexts for the old
+  // moduli.
+  pub.n = other.n;
+  priv.n = other.n;
+  priv.d = other.d;
+  priv.p = other.p;
+  priv.q = other.q;
+  priv.dp = other.dp;
+  priv.dq = other.dq;
+  priv.qinv = other.qinv;
+  const std::uint64_t b0 = builds();
+  const BigInt c = rsa::rsaep(pub, m);
+  EXPECT_EQ(rsa::rsadp(priv, c), m);
+  EXPECT_EQ(builds() - b0, 3u);
+  EXPECT_EQ(rsa::rsadp(other, c), m);  // c really is m^e mod other.n
+
+  // Healed: the rebuilt contexts stay.
+  const std::uint64_t b1 = builds();
+  EXPECT_EQ(rsa::rsadp(priv, rsa::rsaep(pub, m)), m);
+  EXPECT_EQ(builds() - b1, 0u);
 }
 
 TEST(RsaEdge, HostileEvenModulusFailsVerificationGracefully) {
@@ -497,6 +548,48 @@ TEST(CachedRoap, PersistedContextKeepsChain) {
   EXPECT_EQ(rebooted.acquire_ro(tx, "ri:p", "ro:p", kNow + 2),
             agent::AgentStatus::kOk);
   EXPECT_GE(rebooted.chain_verifier().stats().hits, 1u);
+}
+
+TEST(CachedRoap, SixtyFourDevicesAcquireWithoutBuildingContexts) {
+  // Each key lives in a long-lived object (the RI's device table, the
+  // agent's RiContext and trust root), so once the devices are registered
+  // no acquisition builds a context, however many devices there are.
+  DeterministicRng rng(0x64D);
+  pki::CertificationAuthority ca("Root", 512, kValidity, rng);
+  pki::SubordinateAuthority ica("Mid", 512, ca, kValidity, rng);
+  provider::PlainCryptoProvider& plain = provider::plain_provider();
+  ri::RightsIssuer ri("ri:f", "http://ri/roap", ca, kValidity, plain, rng,
+                      &ica, 512);
+  ri::LicenseOffer offer;
+  offer.ro_id = "ro:f";
+  offer.content_id = "cid:f";
+  offer.dcf_hash = Bytes(20, 4);
+  rel::Permission play;
+  play.type = rel::PermissionType::kPlay;
+  offer.permissions = {play};
+  offer.kcek = rng.bytes(16);
+  ri.add_offer(offer);
+  roap::InProcessTransport tx(ri, kNow);
+
+  std::vector<std::unique_ptr<agent::DrmAgent>> devices;
+  for (int i = 0; i < 64; ++i) {
+    const std::string id = "dev:f" + std::to_string(i);
+    auto dev = std::make_unique<agent::DrmAgent>(id, ca.root_certificate(),
+                                                 plain, rng, 512);
+    dev->provision(ca.issue(id, dev->public_key(), kValidity, rng));
+    ASSERT_EQ(dev->register_with(tx, kNow), agent::AgentStatus::kOk) << id;
+    devices.push_back(std::move(dev));
+  }
+
+  const std::uint64_t b0 = builds();
+  for (int round = 0; round < 2; ++round) {
+    for (auto& dev : devices) {
+      ASSERT_EQ(dev->acquire_ro(tx, "ri:f", "ro:f", kNow + 1 + round),
+                agent::AgentStatus::kOk)
+          << dev->device_id();
+    }
+  }
+  EXPECT_EQ(builds() - b0, 0u);
 }
 
 // ---------------------------------------------------------------------------
