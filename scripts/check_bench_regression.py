@@ -20,6 +20,9 @@ field:
                  multi_agent.ctx_builds is 0: every RSA key owns its
                  Montgomery context, so acquisitions by registered
                  agents build none, for 8 agents (--quick) as for 64.
+                 Likewise registration.warm_ctx_builds must be 0: a
+                 repeat registration reuses the certificates both ends
+                 already hold instead of decoding them again.
   dcf_stream     gates on streaming decrypt MB/s at the largest payload
                  size present in BOTH documents (quick CI runs omit the
                  16 MiB point the full baseline carries), and on SHA-1
@@ -109,20 +112,34 @@ def check_dcf_sha1(baseline: dict, current: dict, payload_bytes: int,
     return True
 
 
+# roap_session counts that must be 0: (section, key, what a non-zero means).
+ROAP_ZERO_CTX_BUILDS = (
+    ("multi_agent", "ctx_builds",
+     "multi_agent acquisitions built Montgomery contexts; every key must "
+     "reuse its own"),
+    ("registration", "warm_ctx_builds",
+     "the warm re-registration built Montgomery contexts; both ends must "
+     "reuse the certificates they already hold"),
+)
+
+
 def check_roap_ctx_builds(current: dict) -> bool:
-    """roap_session correctness gate: the multi_agent acquisitions built
-    no Montgomery context. A missing key fails too."""
-    builds = current["multi_agent"].get("ctx_builds")
-    if builds is None:
-        print("FAIL: current document has no multi_agent.ctx_builds",
-              file=sys.stderr)
-        return False
-    print(f"multi_agent Montgomery contexts built: {builds}")
-    if builds != 0:
-        print("FAIL: multi_agent acquisitions built Montgomery contexts; "
-              "every key must reuse its own", file=sys.stderr)
-        return False
-    return True
+    """roap_session correctness gate: the multi_agent acquisitions and the
+    warm re-registration built no Montgomery context. A missing key fails
+    too."""
+    ok = True
+    for section, key, meaning in ROAP_ZERO_CTX_BUILDS:
+        builds = current.get(section, {}).get(key)
+        if builds is None:
+            print(f"FAIL: current document has no {section}.{key}",
+                  file=sys.stderr)
+            ok = False
+            continue
+        print(f"{section}.{key} Montgomery contexts built: {builds}")
+        if builds != 0:
+            print(f"FAIL: {meaning}", file=sys.stderr)
+            ok = False
+    return ok
 
 
 def same_mont_backend(baseline: dict, current: dict) -> bool:

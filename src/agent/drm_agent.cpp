@@ -44,6 +44,21 @@ Bytes zero_enforcer_state() {
   return Bytes(std::size(kAllPermissions) * kStateSlot, 0);
 }
 
+/// True when `chain` holds, byte for byte, the certificates `response`
+/// carries: the leaf, then the intermediates in order.
+bool same_chain(const std::vector<pki::Certificate>& chain,
+                const roap::RegistrationResponse& response) {
+  const std::vector<Bytes>& intermediates = response.ri_certificate_chain_der;
+  if (chain.size() != 1 + intermediates.size() ||
+      chain.front().to_der() != response.ri_certificate_der) {
+    return false;
+  }
+  for (std::size_t i = 0; i < intermediates.size(); ++i) {
+    if (chain[i + 1].to_der() != intermediates[i]) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 DrmAgent::DrmAgent(std::string device_id, pki::Certificate trust_root,
@@ -72,9 +87,9 @@ void DrmAgent::provision(pki::Certificate device_certificate) {
     throw Error(ErrorKind::kProtocol,
                 "agent: certificate does not match device key");
   }
+  device_certificate.to_der();  // throws Error(kState) while unsigned
   pki::Certificate previous_cert =
       std::exchange(certificate_, std::move(device_certificate));
-  Bytes previous_der = std::exchange(certificate_der_, certificate_.to_der());
   if (store_ != nullptr) {
     store::Transaction tx;
     tx.put(kIdentityKey, encode_identity());
@@ -83,7 +98,6 @@ void DrmAgent::provision(pki::Certificate device_certificate) {
       // Same barrier as every other mutation: a provisioning the store
       // refused must not be acknowledged in RAM either.
       certificate_ = std::move(previous_cert);
-      certificate_der_ = std::move(previous_der);
       throw Error(ErrorKind::kState,
                   "agent: store refused identity commit: " +
                       committed.describe());
@@ -92,7 +106,7 @@ void DrmAgent::provision(pki::Certificate device_certificate) {
 }
 
 const pki::Certificate& DrmAgent::certificate() const {
-  if (certificate_der_.empty()) {
+  if (!is_provisioned()) {
     throw Error(ErrorKind::kState, "agent: not provisioned");
   }
   return certificate_;
@@ -185,7 +199,7 @@ roap::RegistrationRequest DrmAgent::make_registration_request(
   request.device_id = device_id_;
   request.device_nonce = pending.device_nonce;
   request.ri_nonce = ri_hello.ri_nonce;
-  request.certificate_der = certificate_der_;
+  request.certificate_der = certificate_.to_der();
   request.ocsp_nonce = rng_.bytes(roap::kNonceLen);
   request.signature = crypto_.pss_sign(key_, request.payload(), rng_);
   pending.session_id = request.session_id;
@@ -216,17 +230,28 @@ Result<> DrmAgent::accept_registration_response(
   }
 
   // Verify the RI certificate chain (leaf + any intermediates) against
-  // our trust root, through the verdict cache.
-  std::vector<pki::Certificate> ri_chain;
-  try {
-    ri_chain.push_back(pki::Certificate::from_der(response.ri_certificate_der));
-    for (const Bytes& der : response.ri_certificate_chain_der) {
-      ri_chain.push_back(pki::Certificate::from_der(der));
+  // our trust root, through the verdict cache. A chain byte-identical to
+  // the one our stored context holds is checked in place: no decode, and
+  // its keys keep their Montgomery contexts. The old context stays intact
+  // until the new one is durable.
+  auto held = ri_contexts_.find(response.ri_id);
+  const bool reuse = held != ri_contexts_.end() &&
+                     same_chain(held->second.ri_chain, response);
+  std::vector<pki::Certificate> decoded;
+  if (!reuse) {
+    try {
+      decoded.push_back(
+          pki::Certificate::from_der(response.ri_certificate_der));
+      for (const Bytes& der : response.ri_certificate_chain_der) {
+        decoded.push_back(pki::Certificate::from_der(der));
+      }
+    } catch (const Error& e) {
+      return Result<>(AgentStatus::kCertificateInvalid,
+                      std::string("RI certificate unparseable: ") + e.what());
     }
-  } catch (const Error& e) {
-    return Result<>(AgentStatus::kCertificateInvalid,
-                    std::string("RI certificate unparseable: ") + e.what());
   }
+  const std::vector<pki::Certificate>& ri_chain =
+      reuse ? held->second.ri_chain : decoded;
   std::shared_ptr<const pki::ChainVerdict> verdict =
       verify_chain_metered(ri_chain, now);
   if (verdict->status == pki::CertStatus::kRevoked) {
@@ -267,17 +292,19 @@ Result<> DrmAgent::accept_registration_response(
   RiContext ctx;
   ctx.ri_id = response.ri_id;
   ctx.ri_url = response.ri_url;
-  ctx.ri_chain = std::move(ri_chain);
   ctx.verified_chain = std::move(verdict);
   ctx.established_at = now;
   // Durability before acknowledgement: the RI Context the standard says
   // the device "saves" must actually survive a crash after this returns.
   if (store_ != nullptr) {
     store::Transaction tx;
-    tx.put(ri_record_key(ctx.ri_id), encode_ri_context(ctx));
+    tx.put(ri_record_key(ctx.ri_id), encode_ri_context(ctx, ri_chain));
     Result<> committed = store_->commit(tx);
     if (!committed.ok()) return committed;
   }
+  // `ri_chain` may alias the held context, which this assignment replaces:
+  // take the chain out first.
+  ctx.ri_chain = reuse ? std::move(held->second.ri_chain) : std::move(decoded);
   ri_contexts_[ctx.ri_id] = std::move(ctx);
   return Result<>();
 }
@@ -847,24 +874,25 @@ Bytes DrmAgent::encode_identity() const {
     w.attr("qinv", key_.qinv.to_hex());
   }
   w.close();
-  if (!certificate_der_.empty()) {
-    w.b64_element("certificate", certificate_der_);
+  if (is_provisioned()) {
+    w.b64_element("certificate", certificate_.to_der());
   }
   w.close();
   return to_bytes(out);
 }
 
-Bytes DrmAgent::encode_ri_context(const RiContext& ctx) {
+Bytes DrmAgent::encode_ri_context(
+    const RiContext& ctx, const std::vector<pki::Certificate>& ri_chain) {
   std::string out;
   xml::Writer w(out);
   w.open("ri-context");
   w.attr("id", ctx.ri_id);
   w.attr("url", ctx.ri_url);
   w.attr("established", std::to_string(ctx.established_at));
-  w.b64_element("certificate", ctx.ri_certificate().to_der());
+  w.b64_element("certificate", ri_chain.front().to_der());
   // Intermediates beyond the leaf (ri_chain[0] is the certificate above).
-  for (std::size_t i = 1; i < ctx.ri_chain.size(); ++i) {
-    w.b64_element("intermediate", ctx.ri_chain[i].to_der());
+  for (std::size_t i = 1; i < ri_chain.size(); ++i) {
+    w.b64_element("intermediate", ri_chain[i].to_der());
   }
   w.close();
   return to_bytes(out);
@@ -911,7 +939,8 @@ std::vector<store::Record> DrmAgent::render_records() const {
   std::vector<store::Record> out;
   out.push_back(store::Record{kIdentityKey, encode_identity()});
   for (const auto& [id, ctx] : ri_contexts_) {
-    out.push_back(store::Record{ri_record_key(id), encode_ri_context(ctx)});
+    out.push_back(store::Record{ri_record_key(id),
+                                encode_ri_context(ctx, ctx.ri_chain)});
   }
   for (const auto& [id, entry] : domain_keys_) {
     out.push_back(
@@ -932,7 +961,6 @@ std::vector<store::Record> DrmAgent::render_records() const {
 struct DrmAgent::ParsedState {
   std::string device_id;
   rsa::PrivateKey rsa_key;
-  Bytes certificate_der;
   pki::Certificate certificate;
   std::map<std::string, RiContext> ri_contexts;
   std::map<std::string, std::pair<Bytes, std::uint32_t>> domain_keys;
@@ -945,7 +973,6 @@ DrmAgent::ParsedState DrmAgent::parse_records(
   ParsedState out;
   std::string& device_id = out.device_id;
   rsa::PrivateKey& rsa_key = out.rsa_key;
-  Bytes& certificate_der = out.certificate_der;
   pki::Certificate& certificate = out.certificate;
   auto& ri_contexts = out.ri_contexts;
   auto& domain_keys = out.domain_keys;
@@ -981,8 +1008,7 @@ DrmAgent::ParsedState DrmAgent::parse_records(
         rsa_key.qinv = hex_attr("qinv");
       }
       if (const xml::Node* cert = root.child("certificate")) {
-        certificate_der = base64_decode(cert->text());
-        certificate = pki::Certificate::from_der(certificate_der);
+        certificate = pki::Certificate::from_der(base64_decode(cert->text()));
       }
       have_identity = true;
     } else if (key.starts_with("ri/")) {
@@ -1059,7 +1085,6 @@ DrmAgent::ParsedState DrmAgent::parse_records(
 void DrmAgent::adopt(ParsedState&& parsed) {
   device_id_ = std::move(parsed.device_id);
   key_ = std::move(parsed.rsa_key);
-  certificate_der_ = std::move(parsed.certificate_der);
   certificate_ = std::move(parsed.certificate);
   ri_contexts_ = std::move(parsed.ri_contexts);
   domain_keys_ = std::move(parsed.domain_keys);

@@ -112,7 +112,7 @@ class DrmAgent {
 
   /// Installs the certificate a CA issued over public_key().
   void provision(pki::Certificate device_certificate);
-  bool is_provisioned() const { return !certificate_der_.empty(); }
+  bool is_provisioned() const { return !certificate_.signature().empty(); }
   const pki::Certificate& certificate() const;
 
   // -- Phase 1: Registration ------------------------------------------------
@@ -324,7 +324,10 @@ class DrmAgent {
            provider::CryptoProvider& crypto, Rng& rng, Bytes kdev);
 
   Bytes encode_identity() const;
-  static Bytes encode_ri_context(const RiContext& ctx);
+  /// `ri_chain` is passed apart from `ctx` so a re-registration can
+  /// persist the new context while the chain still sits in the old one.
+  static Bytes encode_ri_context(const RiContext& ctx,
+                                 const std::vector<pki::Certificate>& ri_chain);
   static Bytes encode_domain_key(const std::string& domain_id,
                                  const std::pair<Bytes, std::uint32_t>& entry);
   static Bytes encode_installed_ro(const roap::ProtectedRo& ro,
@@ -363,7 +366,6 @@ class DrmAgent {
   Rng& rng_;
   rsa::PrivateKey key_;
   Bytes kdev_;  // device-generated key replacing PKI protection at install
-  Bytes certificate_der_;
   pki::Certificate certificate_;
   pki::ChainVerifier chain_verifier_;
 

@@ -28,26 +28,26 @@ Certificate CertificationAuthority::issue(const std::string& subject_cn,
 
 bigint::BigInt CertificationAuthority::allocate_serial() {
   bigint::BigInt serial(next_serial_++);
-  issued_.insert(serial.to_dec());
+  issued_.insert(serial);
   return serial;
 }
 
 void CertificationAuthority::revoke(const bigint::BigInt& serial) {
-  revoked_.insert(serial.to_dec());
+  revoked_.insert(serial);
 }
 
 bool CertificationAuthority::is_revoked(const bigint::BigInt& serial) const {
-  return revoked_.count(serial.to_dec()) > 0;
+  return revoked_.contains(serial);
 }
 
 OcspResponse CertificationAuthority::ocsp_respond(const OcspRequest& request,
                                                   std::uint64_t now,
                                                   Rng& rng) {
   OcspCertStatus status;
-  const std::string serial = request.serial.to_dec();
-  if (revoked_.count(serial)) {
+  const bigint::BigInt& serial = request.serial;
+  if (revoked_.contains(serial)) {
     status = OcspCertStatus::kRevoked;
-  } else if (issued_.count(serial) || serial == "1") {
+  } else if (issued_.contains(serial) || serial == root_cert_.serial()) {
     status = OcspCertStatus::kGood;
   } else {
     status = OcspCertStatus::kUnknown;

@@ -49,8 +49,8 @@ class CertificationAuthority {
   rsa::PrivateKey key_;
   Certificate root_cert_;
   std::uint64_t next_serial_ = 2;  // serial 1 is the root itself
-  std::set<std::string> issued_;   // serial decimal strings
-  std::set<std::string> revoked_;
+  std::set<bigint::BigInt> issued_;
+  std::set<bigint::BigInt> revoked_;
 };
 
 /// An intermediate CA: holds its own key pair, carries a certificate

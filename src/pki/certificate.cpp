@@ -120,15 +120,21 @@ Bytes Certificate::tbs_der() const {
   return tbs.take();
 }
 
-Bytes Certificate::to_der() const {
-  if (signature_.empty()) {
-    throw Error(ErrorKind::kState, "certificate: not signed yet");
-  }
+void Certificate::refresh_der() {
+  der_.clear();
+  if (signature_.empty()) return;
   Encoder sig;
   sig.write_bit_string(signature_);
   Encoder out;
   out.write_sequence(concat({tbs_der(), encode_sig_alg(), sig.bytes()}));
-  return out.take();
+  der_ = out.take();
+}
+
+const Bytes& Certificate::to_der() const {
+  if (der_.empty()) {
+    throw Error(ErrorKind::kState, "certificate: not signed yet");
+  }
+  return der_;
 }
 
 Certificate Certificate::from_der(ByteView der) {
@@ -169,6 +175,7 @@ Certificate Certificate::from_der(ByteView der) {
   if (!cert.at_end()) {
     throw Error(ErrorKind::kFormat, "certificate: trailing TLVs");
   }
+  out.refresh_der();
   return out;
 }
 

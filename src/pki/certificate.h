@@ -44,21 +44,37 @@ class Certificate {
   /// the signed TBS — set it before signing. Encoded as an optional
   /// trailing BOOLEAN, so end-entity certificates keep the legacy layout.
   bool is_ca() const { return is_ca_; }
-  void set_ca(bool ca) { is_ca_ = ca; }
+  void set_ca(bool ca) {
+    is_ca_ = ca;
+    refresh_der();
+  }
 
   bool is_self_signed() const { return issuer_cn_ == subject_cn_; }
 
   /// DER of the TBSCertificate — the exact bytes that get signed/verified.
   Bytes tbs_der() const;
 
-  /// Full certificate DER: SEQUENCE { tbs, sigAlg, signature }.
-  Bytes to_der() const;
+  /// Full certificate DER: SEQUENCE { tbs, sigAlg, signature }. Encoded
+  /// once, when the certificate is signed or decoded, and kept: chain
+  /// fingerprints, store records and the registration reuse checks read
+  /// these bytes instead of re-encoding the body. Always this profile's
+  /// canonical encoding, even when from_der() accepted a laxer input.
+  /// Throws Error(kState) while the certificate is unsigned.
+  const Bytes& to_der() const;
   static Certificate from_der(ByteView der);
 
   /// Attaches a signature produced by the issuer over tbs_der().
-  void set_signature(Bytes signature) { signature_ = std::move(signature); }
+  void set_signature(Bytes signature) {
+    signature_ = std::move(signature);
+    refresh_der();
+  }
 
  private:
+  /// Re-encodes der_ from the fields (empty while unsigned). Every
+  /// mutator calls it, so der_ never goes stale and to_der() stays a pure
+  /// read that threads sharing a certificate may call concurrently.
+  void refresh_der();
+
   bigint::BigInt serial_;
   std::string issuer_cn_;
   std::string subject_cn_;
@@ -66,6 +82,7 @@ class Certificate {
   rsa::PublicKey subject_key_;
   Bytes signature_;
   bool is_ca_ = false;
+  Bytes der_;
 };
 
 /// Outcome of a single-certificate verification.

@@ -28,13 +28,10 @@ ChainVerifier::ChainVerifier(Certificate trust_root, VerifyFn verify)
   root_self_ok_ = rsa::pss_verify(trust_root_.subject_key(),
                                   trust_root_.tbs_der(),
                                   trust_root_.signature());
-  trust_root_der_ = trust_root_.to_der();
 }
 
-namespace {
-
-std::string fingerprint_impl(const std::vector<Certificate>& chain,
-                             const Bytes& trust_root_der) {
+std::string ChainVerifier::fingerprint(const std::vector<Certificate>& chain,
+                                       const Certificate& trust_root) {
   crypto::Sha1 h;
   auto absorb = [&h](const Bytes& der) {
     std::uint8_t len[4];
@@ -43,15 +40,8 @@ std::string fingerprint_impl(const std::vector<Certificate>& chain,
     h.update(der);
   };
   for (const Certificate& cert : chain) absorb(cert.to_der());
-  absorb(trust_root_der);
+  absorb(trust_root.to_der());
   return to_hex(h.finish());
-}
-
-}  // namespace
-
-std::string ChainVerifier::fingerprint(const std::vector<Certificate>& chain,
-                                       const Certificate& trust_root) {
-  return fingerprint_impl(chain, trust_root.to_der());
 }
 
 ChainVerifier::VerifyFn ChainVerifier::metered_verify(
@@ -60,11 +50,6 @@ ChainVerifier::VerifyFn ChainVerifier::metered_verify(
                                 ByteView signature) {
     return provider->pss_verify(key, message, signature);
   };
-}
-
-std::string ChainVerifier::chain_fingerprint(
-    const std::vector<Certificate>& chain) const {
-  return fingerprint_impl(chain, trust_root_der_);
 }
 
 std::shared_ptr<ChainVerdict> ChainVerifier::verify_full(
@@ -96,7 +81,7 @@ std::shared_ptr<ChainVerdict> ChainVerifier::verify_full(
     const Certificate& cert = chain[i];
     const Certificate& issuer = i + 1 < chain.size() ? chain[i + 1]
                                                      : trust_root_;
-    verdict->serials.push_back(cert.serial().to_dec());
+    verdict->serials.push_back(cert.serial());
     verdict->valid_from =
         std::max(verdict->valid_from, cert.validity().not_before);
     verdict->valid_until =
@@ -136,11 +121,7 @@ std::shared_ptr<const ChainVerdict> ChainVerifier::verify(
     throw Error(ErrorKind::kProtocol, "chain verifier: empty chain");
   }
   State& st = *state_;
-  std::string fp = chain_fingerprint(chain);
-
-  std::vector<std::string> serials;
-  serials.reserve(chain.size());
-  for (const Certificate& cert : chain) serials.push_back(cert.serial().to_dec());
+  std::string fp = fingerprint(chain, trust_root_);
 
   // Reader-biased fast path: denylist check + cache hit take only the
   // shared lock, so concurrent hits (the steady state — every repeat
@@ -154,13 +135,15 @@ std::shared_ptr<const ChainVerdict> ChainVerifier::verify(
     // Durable revocation: a denylisted serial anywhere in the chain
     // short-circuits before any RSA work, and the verdict is never
     // cached (the denylist itself is the persistent record).
-    for (const std::string& serial : serials) {
-      if (st.revoked_serials.count(serial)) {
+    for (const Certificate& cert : chain) {
+      if (st.revoked_serials.contains(cert.serial())) {
         auto revoked = std::make_shared<ChainVerdict>();
         revoked->status = CertStatus::kRevoked;
         revoked->fingerprint = std::move(fp);
         revoked->leaf_subject_cn = chain.front().subject_cn();
-        revoked->serials = std::move(serials);
+        for (const Certificate& c : chain) {
+          revoked->serials.push_back(c.serial());
+        }
         // Not a miss: no verification runs (misses count full walks).
         return revoked;
       }
@@ -240,12 +223,11 @@ std::shared_ptr<const ChainVerdict> ChainVerifier::revalidate(
 
 void ChainVerifier::invalidate_serial(const bigint::BigInt& serial) {
   State& st = *state_;
-  const std::string needle = serial.to_dec();
   WriterLock lock(st.mu);
-  st.revoked_serials.insert(needle);
+  st.revoked_serials.insert(serial);
   for (auto it = st.cache.begin(); it != st.cache.end();) {
     const auto& serials = it->second->serials;
-    if (std::find(serials.begin(), serials.end(), needle) != serials.end()) {
+    if (std::find(serials.begin(), serials.end(), serial) != serials.end()) {
       std::erase(st.insertion_order, it->first);
       it = st.cache.erase(it);
       st.invalidations.fetch_add(1, std::memory_order_relaxed);

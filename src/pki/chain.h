@@ -54,8 +54,8 @@ struct ChainVerdict {
   std::uint64_t valid_from = 0;
   std::uint64_t valid_until = 0;
   std::string leaf_subject_cn;
-  std::vector<std::string> serials;  // decimal, leaf-first
-  std::string fingerprint;           // hex SHA-1 over chain DERs + anchor
+  std::vector<bigint::BigInt> serials;  // leaf-first
+  std::string fingerprint;              // hex SHA-1 over chain DERs + anchor
   /// Issuing verifier's invalidation epoch at creation time; lets
   /// revalidate() accept the handle without recomputing the fingerprint.
   /// Atomic because cache hits re-stamp it under the *shared* lock.
@@ -129,10 +129,6 @@ class ChainVerifier {
   static VerifyFn metered_verify(provider::CryptoProvider& provider);
 
  private:
-  /// fingerprint() against the pre-encoded trust-root DER (the anchor is
-  /// immutable for the verifier's lifetime; re-encoding it per call would
-  /// dominate the cache-hit cost).
-  std::string chain_fingerprint(const std::vector<Certificate>& chain) const;
   std::shared_ptr<ChainVerdict> verify_full(
       const std::vector<Certificate>& chain, std::uint64_t now,
       std::string fp) const;
@@ -156,11 +152,10 @@ class ChainVerifier {
     std::map<std::string, std::shared_ptr<ChainVerdict>> cache
         GUARDED_BY(mu);
     std::deque<std::string> insertion_order GUARDED_BY(mu);  // FIFO eviction
-    std::set<std::string> revoked_serials GUARDED_BY(mu);  // durable denylist
+    std::set<bigint::BigInt> revoked_serials GUARDED_BY(mu);  // denylist
   };
 
   Certificate trust_root_;
-  Bytes trust_root_der_;  // encoded once at construction
   VerifyFn verify_fn_;
   bool root_self_ok_ = false;
   mutable std::unique_ptr<State> state_ = std::make_unique<State>();

@@ -540,14 +540,23 @@ roap::RegistrationResponse RightsIssuer::on_registration_request(
   doomed.push_back(session->first);
 
   // Verify the device certificate chain and the message signature — all
-  // pure computation against the request; no state changes yet.
+  // pure computation against the request; no state changes yet. A device
+  // re-sending the certificate already on file is checked against the
+  // stored one: no decode, and its key keeps the Montgomery context it
+  // built before. Any other certificate is decoded afresh.
   Status verdict = Status::kSuccess;
-  pki::Certificate device_cert;
-  try {
-    device_cert = pki::Certificate::from_der(request.certificate_der);
-  } catch (const Error&) {
-    verdict = Status::kAbort;
+  auto known = sh.devices.find(request.device_id);
+  const bool reuse = known != sh.devices.end() &&
+                     known->second.to_der() == request.certificate_der;
+  pki::Certificate decoded;
+  if (!reuse) {
+    try {
+      decoded = pki::Certificate::from_der(request.certificate_der);
+    } catch (const Error&) {
+      verdict = Status::kAbort;
+    }
   }
+  const pki::Certificate& device_cert = reuse ? known->second : decoded;
   if (verdict == Status::kSuccess) {
     // Chain walk through the verdict cache: a device re-registering (or
     // retrying under load) costs zero RSA operations here.
@@ -592,7 +601,7 @@ roap::RegistrationResponse RightsIssuer::on_registration_request(
   }
   // Moved, not copied: the key keeps the Montgomery context the signature
   // check above built, for every later request from this device.
-  sh.devices[request.device_id] = std::move(device_cert);
+  if (!reuse) sh.devices[request.device_id] = std::move(decoded);
   counters_.registrations.fetch_add(1, std::memory_order_relaxed);
 
   // Staple a fresh OCSP response for our own certificate, bound to the

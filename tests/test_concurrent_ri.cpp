@@ -7,6 +7,9 @@
 //     waits on the shard lock, then hits the replay cache);
 //   - registrations / acquisitions for different devices proceed on
 //     their shards concurrently without tearing counters or sessions;
+//   - re-registrations, of distinct devices and of one device from two
+//     threads, reuse the certificates both ends hold and build no
+//     Montgomery context;
 //   - domain join/leave storms across devices in different shards
 //     converge to consistent membership, and the persisted image
 //     rebuilds an identical RI;
@@ -28,6 +31,7 @@
 
 #include "agent/drm_agent.h"
 #include "agent/sessions.h"
+#include "bigint/montgomery.h"
 #include "common/failpoint.h"
 #include "common/random.h"
 #include "pki/authority.h"
@@ -35,6 +39,7 @@
 #include "ri/rights_issuer.h"
 #include "roap/envelope.h"
 #include "roap/messages.h"
+#include "roap/retry.h"
 #include "roap/transport.h"
 #include "rsa/rsa.h"
 #include "store/group_commit_store.h"
@@ -225,6 +230,86 @@ TEST_F(ConcurrentRi, ConcurrentRegistrationsAcrossShardsStayDisjoint) {
   std::uint64_t exchanges = 0;
   for (const auto& sh : ri_->shard_stats()) exchanges += sh.exchanges;
   EXPECT_EQ(exchanges, static_cast<std::uint64_t>(kDevices * 3));
+}
+
+TEST_F(ConcurrentRi, ReRegistrationsReuseStoredCertificatesUnderContention) {
+  // Four threads re-register distinct devices spread over the shards while
+  // two threads re-register one device identity (two agents restored from
+  // one image, so both send the same certificate and race on one shard);
+  // every thread acquires after each registration. Once each agent has
+  // registered, neither end decodes a certificate again, so the whole run
+  // builds no Montgomery context.
+  constexpr int kSolo = 4;
+  constexpr int kRounds = 4;
+  std::vector<std::unique_ptr<Device>> solo;
+  std::set<std::size_t> shards_touched;
+  for (int i = 0; i < kSolo; ++i) {
+    const std::string id = "device-rereg-" + std::to_string(i);
+    solo.push_back(std::make_unique<Device>(id, *ca_, 0xE0 + i));
+    shards_touched.insert(ri::RightsIssuer::shard_of(id));
+  }
+  ASSERT_GE(shards_touched.size(), 2u);
+  Device twin("device-twin", *ca_, 0xF0);
+  DeterministicRng twin2_rng(0xF1);
+  DrmAgent twin2("device-twin", ca_->root_certificate(),
+                 provider::plain_provider(), twin2_rng);
+  twin2.import_state(twin.agent.export_state());
+  ASSERT_EQ(twin2.certificate().to_der(), twin.agent.certificate().to_der());
+
+  std::vector<DrmAgent*> agents;
+  for (auto& d : solo) agents.push_back(&d->agent);
+  agents.push_back(&twin.agent);
+  agents.push_back(&twin2);
+  const int kThreads = static_cast<int>(agents.size());
+
+  // A twin's handshake can be superseded by the other twin's newer
+  // DeviceHello; the RI answers kSessionExpired and the driver restarts.
+  roap::RetryPolicy policy = roap::kSingleShot;
+  policy.max_restarts = 1000;
+
+  // Warm-up: every agent registers and acquires once, serially.
+  {
+    roap::InProcessTransport loop(*ri_, kNow);
+    for (DrmAgent* a : agents) {
+      ASSERT_TRUE(a->register_with(loop, kNow).ok()) << a->device_id();
+      auto ro = a->acquire_ro(loop, "ri.example", "ro:conc", kNow);
+      ASSERT_TRUE(ro.ok()) << ro.describe();
+    }
+  }
+  const ri::RiCounters before = ri_->counters();
+  const std::uint64_t builds_before = bigint::montgomery_ctx_builds();
+
+  StartGate gate(kThreads);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      DrmAgent& a = *agents[i];
+      roap::InProcessTransport loop(*ri_, kNow);
+      gate.arrive_and_wait();
+      for (int round = 0; round < kRounds; ++round) {
+        if (!a.register_with(loop, kNow, policy).ok()) ++failures;
+        auto ro = a.acquire_ro(loop, "ri.example", "ro:conc", kNow);
+        if (!ro.ok() || a.install_ro(*ro, kNow) != agent::AgentStatus::kOk) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(bigint::montgomery_ctx_builds() - builds_before, 0u);
+  const ri::RiCounters after = ri_->counters();
+  EXPECT_EQ(after.registrations - before.registrations,
+            static_cast<std::uint64_t>(kThreads * kRounds));
+  EXPECT_EQ(after.ros_issued - before.ros_issued,
+            static_cast<std::uint64_t>(kThreads * kRounds));
+  EXPECT_EQ(ri_->pending_session_count(), 0u);
+  for (DrmAgent* a : agents) {
+    EXPECT_TRUE(ri_->is_registered(a->device_id()));
+    EXPECT_TRUE(a->has_ri_context("ri.example"));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 
 #include "agent/content_session.h"
 #include "agent/drm_agent.h"
+#include "agent/sessions.h"
 #include "bigint/bigint.h"
 #include "ci/content_issuer.h"
 #include "dcf/dcf.h"
@@ -25,9 +26,12 @@
 #include "pki/chain.h"
 #include "provider/provider.h"
 #include "ri/rights_issuer.h"
+#include "roap/envelope.h"
+#include "roap/messages.h"
 #include "roap/transport.h"
 #include "rsa/pss.h"
 #include "rsa/rsa.h"
+#include "store/memory_store.h"
 
 namespace omadrm {
 namespace {
@@ -590,6 +594,194 @@ TEST(CachedRoap, SixtyFourDevicesAcquireWithoutBuildingContexts) {
     }
   }
   EXPECT_EQ(builds() - b0, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Re-registration: both ends reuse the certificates they already hold
+// ---------------------------------------------------------------------------
+
+/// One RI (behind an intermediate, bound to a MemoryStore) and a catalog
+/// entry; devices are minted per test.
+class ReRegistration : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    rng_ = std::make_unique<DeterministicRng>(0x4E6);
+    ca_ = std::make_unique<pki::CertificationAuthority>("Root", 512,
+                                                        kValidity, *rng_);
+    ica_ = std::make_unique<pki::SubordinateAuthority>("Mid", 512, *ca_,
+                                                       kValidity, *rng_);
+    ri_ = std::make_unique<ri::RightsIssuer>(
+        "ri:rr", "http://ri/roap", *ca_, kValidity, provider::plain_provider(),
+        *rng_, ica_.get(), 512);
+    ASSERT_TRUE(ri_->bind_store(ri_store_).ok());
+    ri::LicenseOffer offer;
+    offer.ro_id = "ro:rr";
+    offer.content_id = "cid:rr";
+    offer.dcf_hash = Bytes(20, 5);
+    rel::Permission play;
+    play.type = rel::PermissionType::kPlay;
+    offer.permissions = {play};
+    offer.kcek = rng_->bytes(16);
+    ri_->add_offer(offer);
+    tx_ = std::make_unique<roap::InProcessTransport>(*ri_, kNow);
+  }
+
+  /// A fresh key pair and certificate under `id`; minting the same id
+  /// twice models a certificate renewal.
+  std::unique_ptr<agent::DrmAgent> make_device(const std::string& id) {
+    auto dev = std::make_unique<agent::DrmAgent>(
+        id, ca_->root_certificate(), provider::plain_provider(), *rng_, 512);
+    dev->provision(ca_->issue(id, dev->public_key(), kValidity, *rng_));
+    return dev;
+  }
+
+  /// The RI's durable "dev/<id>" record.
+  Bytes stored_device_der(const std::string& device_id) {
+    auto records = ri_store_.load();
+    for (const store::Record& rec : *records) {
+      if (rec.key == "dev/" + device_id) return rec.value;
+    }
+    return {};
+  }
+
+  store::MemoryStore ri_store_;
+  std::unique_ptr<DeterministicRng> rng_;
+  std::unique_ptr<pki::CertificationAuthority> ca_;
+  std::unique_ptr<pki::SubordinateAuthority> ica_;
+  std::unique_ptr<ri::RightsIssuer> ri_;
+  std::unique_ptr<roap::InProcessTransport> tx_;
+};
+
+TEST_F(ReRegistration, RepeatRegistrationsBuildNoContexts) {
+  // Each device's first registration decodes the peer certificates on both
+  // ends and builds their contexts; every later one reuses them.
+  constexpr int kDevices = 3;
+  constexpr int kRounds = 4;
+  std::vector<std::unique_ptr<agent::DrmAgent>> devices;
+  for (int i = 0; i < kDevices; ++i) {
+    devices.push_back(make_device("dev:rr" + std::to_string(i)));
+  }
+  std::uint64_t repeat_builds = 0;
+  for (int round = 0; round <= kRounds; ++round) {
+    for (auto& dev : devices) {
+      const std::uint64_t b0 = builds();
+      ASSERT_EQ(dev->register_with(*tx_, kNow), agent::AgentStatus::kOk)
+          << dev->device_id() << " round " << round;
+      if (round > 0) repeat_builds += builds() - b0;
+    }
+  }
+  EXPECT_EQ(repeat_builds, 0u);
+  EXPECT_EQ(ri_->counters().registrations,
+            static_cast<std::uint64_t>(kDevices * (kRounds + 1)));
+  for (auto& dev : devices) {
+    EXPECT_EQ(stored_device_der(dev->device_id()),
+              dev->certificate().to_der());
+    EXPECT_EQ(dev->acquire_ro(*tx_, "ri:rr", "ro:rr", kNow + 1),
+              agent::AgentStatus::kOk);
+  }
+}
+
+TEST_F(ReRegistration, RevokedDeviceResendingItsCertificateIsRefused) {
+  auto dev = make_device("dev:revoked");
+  ASSERT_EQ(dev->register_with(*tx_, kNow), agent::AgentStatus::kOk);
+  const std::uint64_t admitted = ri_->counters().registrations;
+
+  // The identical certificate is reused, and the revocation check still
+  // runs on it.
+  ca_->revoke(dev->certificate().serial());
+  EXPECT_EQ(dev->register_with(*tx_, kNow + 1),
+            agent::AgentStatus::kRiAborted);
+  EXPECT_EQ(dev->register_with(*tx_, kNow + 2),
+            agent::AgentStatus::kRiAborted);
+  EXPECT_EQ(ri_->counters().registrations, admitted);
+}
+
+TEST_F(ReRegistration, RenewedCertificateReplacesTheStoredOne) {
+  auto old_dev = make_device("dev:renew");
+  ASSERT_EQ(old_dev->register_with(*tx_, kNow), agent::AgentStatus::kOk);
+
+  // Same device id, new key pair, new certificate: decoded, not reused.
+  auto renewed = make_device("dev:renew");
+  ASSERT_NE(renewed->certificate().to_der(), old_dev->certificate().to_der());
+  ASSERT_EQ(renewed->register_with(*tx_, kNow + 1), agent::AgentStatus::kOk);
+  EXPECT_EQ(stored_device_der("dev:renew"), renewed->certificate().to_der());
+
+  // The next RO is wrapped to the new key: only the renewed agent can
+  // install it, and the old key no longer speaks for the device.
+  auto ro = renewed->acquire_ro(*tx_, "ri:rr", "ro:rr", kNow + 2);
+  ASSERT_EQ(ro, agent::AgentStatus::kOk);
+  EXPECT_EQ(renewed->install_ro(*ro, kNow + 2), agent::AgentStatus::kOk);
+  EXPECT_EQ(old_dev->acquire_ro(*tx_, "ri:rr", "ro:rr", kNow + 3),
+            agent::AgentStatus::kSignatureInvalid);
+}
+
+TEST_F(ReRegistration, BadSignatureUnderReusedCertificateChangesNothing) {
+  auto dev = make_device("dev:forged");
+  ASSERT_EQ(dev->register_with(*tx_, kNow), agent::AgentStatus::kOk);
+  const Bytes stored = stored_device_der("dev:forged");
+  const std::uint64_t admitted = ri_->counters().registrations;
+
+  // The device's own certificate, byte-identical to the stored one, under
+  // a request whose signature does not verify.
+  agent::RegistrationSession session(*dev, kNow + 1);
+  auto hello = session.hello();
+  ASSERT_TRUE(hello.ok());
+  auto request = session.request(ri_->handle(*hello, kNow + 1));
+  ASSERT_TRUE(request.ok());
+  auto forged = request->open<roap::RegistrationRequest>();
+  ASSERT_EQ(forged.certificate_der, stored);
+  forged.signature.back() ^= 0x01;
+  auto response = ri_->handle(roap::Envelope::wrap(forged), kNow + 1)
+                      .open<roap::RegistrationResponse>();
+  EXPECT_EQ(response.status, roap::Status::kSignatureInvalid);
+
+  EXPECT_EQ(ri_->counters().registrations, admitted);
+  EXPECT_EQ(stored_device_der("dev:forged"), stored);
+  EXPECT_TRUE(ri_->is_registered("dev:forged"));
+  // The stored certificate still serves the device.
+  EXPECT_EQ(dev->acquire_ro(*tx_, "ri:rr", "ro:rr", kNow + 2),
+            agent::AgentStatus::kOk);
+  EXPECT_EQ(dev->register_with(*tx_, kNow + 3), agent::AgentStatus::kOk);
+}
+
+TEST_F(ReRegistration, RejectedOcspLeavesTheHeldContextUsable) {
+  auto dev = make_device("dev:ocsp");
+  ASSERT_EQ(dev->register_with(*tx_, kNow), agent::AgentStatus::kOk);
+
+  // The RI staples an OCSP response produced at its clock (kNow); at an
+  // agent clock past kMaxOcspAge the staple is stale, after the matching
+  // chain was already checked in place.
+  EXPECT_EQ(dev->register_with(*tx_, kNow + agent::kMaxOcspAge + 60),
+            agent::AgentStatus::kOcspInvalid);
+
+  const agent::RiContext* ctx = dev->ri_context("ri:rr");
+  ASSERT_NE(ctx, nullptr);
+  ASSERT_EQ(ctx->ri_chain.size(), 2u);
+  EXPECT_EQ(ctx->established_at, kNow);
+  EXPECT_EQ(ctx->ri_certificate().to_der(), ri_->certificate().to_der());
+  EXPECT_EQ(dev->acquire_ro(*tx_, "ri:rr", "ro:rr", kNow + 1),
+            agent::AgentStatus::kOk);
+}
+
+TEST_F(ReRegistration, RefusedCommitLeavesTheHeldContextUsable) {
+  auto dev = make_device("dev:commit");
+  store::MemoryStore dev_store;
+  ASSERT_TRUE(dev->bind_store(dev_store).ok());
+  ASSERT_EQ(dev->register_with(*tx_, kNow), agent::AgentStatus::kOk);
+
+  dev_store.fail_next_commits(1);
+  EXPECT_EQ(dev->register_with(*tx_, kNow + 5),
+            agent::AgentStatus::kStoreFailure);
+
+  const agent::RiContext* ctx = dev->ri_context("ri:rr");
+  ASSERT_NE(ctx, nullptr);
+  ASSERT_EQ(ctx->ri_chain.size(), 2u);
+  EXPECT_EQ(ctx->established_at, kNow);
+  EXPECT_EQ(dev->acquire_ro(*tx_, "ri:rr", "ro:rr", kNow + 6),
+            agent::AgentStatus::kOk);
+  // And the next registration commits the refreshed context.
+  EXPECT_EQ(dev->register_with(*tx_, kNow + 7), agent::AgentStatus::kOk);
+  EXPECT_EQ(dev->ri_context("ri:rr")->established_at, kNow + 7);
 }
 
 // ---------------------------------------------------------------------------
