@@ -195,6 +195,50 @@ void BM_CrtHalfModExp512(benchmark::State& state) {
 }
 BENCHMARK(BM_CrtHalfModExp512);
 
+// Both halves of an RSA-1024 private-key op: two 512-bit primes, 512-bit
+// exponents, on cached contexts.
+struct CrtPair {
+  CrtPair() : rng(15), p(bigint::generate_prime(512, rng)),
+              q(bigint::generate_prime(512, rng)), cp(p), cq(q),
+              bp(bigint::BigInt::random_below(p, rng)),
+              bq(bigint::BigInt::random_below(q, rng)),
+              ep(bigint::BigInt::random_bits(512, rng)),
+              eq(bigint::BigInt::random_bits(512, rng)) {}
+  DeterministicRng rng;
+  bigint::BigInt p, q;
+  bigint::MontgomeryCtx cp, cq;
+  bigint::BigInt bp, bq, ep, eq;
+};
+
+// Through MontgomeryCtx::mod_exp_pair, the entry point rsa::rsadp uses:
+// one IFMA dual exponentiation where the host has it, two calls
+// otherwise.
+void BM_CrtPair512(benchmark::State& state) {
+  const CrtPair c;
+  for (auto _ : state) {
+    auto r = bigint::MontgomeryCtx::mod_exp_pair(c.cp, c.bp, c.ep, c.cq,
+                                                 c.bq, c.eq);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_CrtPair512);
+
+// The same two halves forced onto two mod_exp calls (the ADX kernels).
+void BM_CrtPair512TwoCallAdx(benchmark::State& state) {
+  if (!bigint::accel::mont_supported()) {
+    state.SkipWithError("host lacks BMI2+ADX");
+    return;
+  }
+  const CrtPair c;
+  for (auto _ : state) {
+    bigint::BigInt rp = c.cp.mod_exp(c.bp, c.ep);
+    bigint::BigInt rq = c.cq.mod_exp(c.bq, c.eq);
+    benchmark::DoNotOptimize(rp);
+    benchmark::DoNotOptimize(rq);
+  }
+}
+BENCHMARK(BM_CrtPair512TwoCallAdx);
+
 // One 8-word (512-bit) Montgomery multiply on packed words, chained as in
 // an exponentiation: the SW and HW rows of a host-calibrated Table 1.
 using MontMulFn = void (*)(std::uint64_t*, const std::uint64_t*,
@@ -238,6 +282,47 @@ void BM_MontMul8Accel(benchmark::State& state) {
   run_mont_mul8(state, &bigint::accel::mont_mul8);
 }
 BENCHMARK(BM_MontMul8Accel);
+
+// One dual product on the IFMA kernel: two 512-bit almost-Montgomery
+// multiplies (both CRT halves), chained as in an exponentiation — the
+// HW-x2 row next to the SW and HW rows above. Each call also stages its
+// operands (about 0.8 KB of copies).
+void BM_AmmX2Ifma(benchmark::State& state) {
+  if (!bigint::accel::ifma_supported()) {
+    state.SkipWithError("host lacks AVX-512 IFMA");
+    return;
+  }
+  DeterministicRng rng(16);
+  bigint::accel::IfmaModulus mod[2];
+  bigint::accel::Ifma52 x[2] = {}, y[2] = {};
+  for (int h = 0; h < 2; ++h) {
+    std::uint64_t m[8], r2[8];
+    for (int i = 0; i < 8; ++i) {
+      m[i] = rng.next_u64();
+      r2[i] = rng.next_u64() >> 1;
+    }
+    m[0] |= 1;
+    m[7] |= std::uint64_t{1} << 63;
+    std::uint64_t inv = 1;
+    for (int i = 0; i < 6; ++i) inv *= 2 - m[0] * inv;
+    bigint::accel::ifma_modulus(mod[h], m, 0 - inv, r2);
+    for (std::size_t j = 0; j < bigint::accel::kIfmaLimbs; ++j) {
+      x[h].w[8 + j] = rng.next_u64() >> 12;  // below 2^52
+      y[h].w[8 + j] = rng.next_u64() >> 12;
+    }
+    x[h].w[8 + 9] >>= 8;  // operands below m
+    y[h].w[8 + 9] >>= 8;
+  }
+  bigint::accel::Ifma52* const r[2] = {&x[0], &x[1]};
+  const bigint::accel::Ifma52* const a[2] = {&x[0], &x[1]};
+  const bigint::accel::Ifma52* const b[2] = {&y[0], &y[1]};
+  const bigint::accel::IfmaModulus* const m[2] = {&mod[0], &mod[1]};
+  for (auto _ : state) {
+    bigint::accel::amm52_x2(r, a, b, m);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_AmmX2Ifma);
 
 void BM_RsaKeygen1024(benchmark::State& state) {
   std::uint64_t seed = 100;

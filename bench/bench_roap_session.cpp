@@ -47,7 +47,9 @@
 // JSON records the host (nproc, CPU flags, build type) and whether the
 // BMI2/ADX Montgomery kernels ran (config.mont_accel);
 // scripts/check_bench_regression.py gates per_stage_us.pss_sign when the
-// baseline ran the same back end.
+// baseline ran the same back end. config.mont_backend names the path the
+// private-key ops took ("portable", "adx", or "ifma_x2" for the AVX-512
+// IFMA dual exponentiation); it is informational, not gated.
 //
 // Usage: bench_roap_session [--quick] [--json <path>]
 #include <algorithm>
@@ -505,10 +507,13 @@ int main(int argc, char** argv) {
   const std::size_t fleet_agents = quick ? 8 : 64;
   const std::size_t fleet_acqs = quick ? 2 : 4;
 
+  const char* mont_backend = bigint::accel::ifma_supported() ? "ifma_x2"
+                             : bigint::accel::mont_supported() ? "adx"
+                                                               : "portable";
   std::printf(
       "=== ROAP session benchmark (RSA-%zu, 3-cert chain, Montgomery "
-      "kernels %s) ===\n\n",
-      kRsaBits, bigint::accel::mont_supported() ? "BMI2/ADX" : "portable");
+      "back end %s) ===\n\n",
+      kRsaBits, mont_backend);
   Session s;
 
   // Registration, cold: chain-verdict cache empty, no Montgomery context
@@ -627,7 +632,7 @@ int main(int argc, char** argv) {
       "  \"bench\": \"roap_session\",\n"
       "  \"config\": {\"rsa_bits\": %zu, \"chain_len\": 3, "
       "\"iterations\": %zu, \"quick\": %s, \"transport\": "
-      "\"envelope_wire\", \"mont_accel\": %s},\n"
+      "\"envelope_wire\", \"mont_accel\": %s, \"mont_backend\": \"%s\"},\n"
       "  \"host\": %s,\n"
       "  \"registration_first_ms\": %.3f,\n"
       "  \"registration_repeat_ms\": %.3f,\n"
@@ -657,7 +662,7 @@ int main(int argc, char** argv) {
       "\"chain_misses\": %llu}\n"
       "}\n",
       kRsaBits, iterations, quick ? "true" : "false",
-      bigint::accel::mont_supported() ? "true" : "false",
+      bigint::accel::mont_supported() ? "true" : "false", mont_backend,
       bench::host_json().c_str(), registration_first_ms,
       registration_repeat_ms, static_cast<unsigned long long>(warm_ctx_builds),
       cached.full_ms_avg, cached.full_ms.p50, cached.full_ms.p95,

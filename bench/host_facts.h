@@ -27,7 +27,8 @@ inline std::string cpu_flags_json() {
   }
   std::string out = "[";
   for (const char* f :
-       {"aes", "sha_ni", "ssse3", "sse4_1", "avx2", "adx", "bmi2"}) {
+       {"aes", "sha_ni", "ssse3", "sse4_1", "avx2", "adx", "bmi2", "avx512f",
+        "avx512vl", "avx512ifma"}) {
     if (flags.find(std::string(" ") + f + " ") == std::string::npos) continue;
     if (out.size() > 1) out += ", ";
     out += std::string("\"") + f + "\"";

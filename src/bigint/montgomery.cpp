@@ -1,6 +1,7 @@
 #include "bigint/montgomery.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <utility>
@@ -199,6 +200,45 @@ BigInt MontgomeryCtx::from_mont(const BigInt& a) const {
   Words t(nw_);
   mul(t.data(), pack(a).data(), one_plain_.data());
   return unpack(t);
+}
+
+MontgomeryCtx::~MontgomeryCtx() = default;
+
+const accel::IfmaModulus& MontgomeryCtx::ifma_modulus() const {
+  std::call_once(ifma_once_, [this] {
+    // R^2 mod m for the kernel's R = 2^(52 * 10).
+    const BigInt r2 =
+        (BigInt(std::uint64_t{1}) << (2 * 52 * accel::kIfmaLimbs)).mod(m_);
+    auto mod = std::make_unique<accel::IfmaModulus>();
+    accel::ifma_modulus(*mod, mw_.data(), m_prime64_, pack(r2).data());
+    ifma_ = std::move(mod);
+  });
+  return *ifma_;
+}
+
+std::pair<BigInt, BigInt> MontgomeryCtx::mod_exp_pair(
+    const MontgomeryCtx& c1, const BigInt& b1, const BigInt& e1,
+    const MontgomeryCtx& c2, const BigInt& b2, const BigInt& e2) {
+  constexpr std::size_t kExpLimbs = 16;  // 512 bits of 32-bit limbs
+  if (c1.nw_ != 8 || c2.nw_ != 8 || e1.bit_length() > 32 * kExpLimbs ||
+      e2.bit_length() > 32 * kExpLimbs || !accel::ifma_supported()) {
+    return {c1.mod_exp(b1, e1), c2.mod_exp(b2, e2)};
+  }
+  auto fixed = [](const BigInt& e) {
+    std::array<std::uint32_t, kExpLimbs> out{};
+    std::copy(e.limbs().begin(), e.limbs().end(), out.begin());
+    return out;
+  };
+  const auto x1 = fixed(e1), x2 = fixed(e2);
+  const Words w1 = c1.pack(b1), w2 = c2.pack(b2);
+  Words r1(8), r2(8);
+  const std::size_t bits = std::max(e1.bit_length(), e2.bit_length());
+  const std::size_t windows =
+      std::max<std::size_t>(1, (bits + kWindowBits - 1) / kWindowBits);
+  accel::mod_exp_x2_ifma({&c1.ifma_modulus(), w1.data(), x1.data(), r1.data()},
+                         {&c2.ifma_modulus(), w2.data(), x2.data(), r2.data()},
+                         windows);
+  return {c1.unpack(r1), c2.unpack(r2)};
 }
 
 BigInt MontgomeryCtx::mod_exp(const BigInt& base, const BigInt& exp) const {

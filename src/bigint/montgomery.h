@@ -19,14 +19,24 @@
 // them — the repo's counterpart of the paper's RSA hardware macro. Every
 // other size (1024-bit public keys included), and every host without
 // ADX, runs mont_mul_portable. Both give identical results; contexts are
-// immutable after construction and safe to share.
+// safe to share.
+//
+// The two CRT halves of a private-key op go through mod_exp_pair. When
+// both contexts are 8 words and the host has AVX-512 IFMA
+// (accel::ifma_supported()), it runs them as one dual exponentiation in
+// radix 2^52 (accel::mod_exp_x2_ifma), each half hiding the other's
+// latency; otherwise it makes the two mod_exp calls. The kernel's form of
+// the modulus (its 52-bit views, k0 and R^2 for R = 2^520) is built once
+// per context, on its first dual exponentiation, so contexts that never
+// serve one (Miller-Rabin builds one per candidate) never pay for it.
+// Every path gives the same result.
 //
 // Squarings go through the square routine — on the kernel path a
 // dedicated square (about 36 instead of 64 word products), on the
 // portable path a multiply — so exponentiation costs roughly one
 // squaring per exponent bit plus one multiply per 4-bit window.
 //
-// The windowed exponentiation is constant-time in the exponent bits: every
+// The windowed exponentiations are constant-time in the exponent bits: every
 // window multiplies (entry 0 of the table is 1 in Montgomery form) and the
 // entry is read with a masked scan over the whole table, so neither a
 // branch nor a load address depends on the private CRT exponents. Only
@@ -41,11 +51,18 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "bigint/bigint.h"
 
 namespace omadrm::bigint {
+
+namespace accel {
+struct IfmaModulus;
+}
 
 /// Generic CIOS Montgomery product over n 64-bit words:
 /// r = a * b * R^-1 mod m with R = 2^(64 n), fully reduced, for an odd
@@ -74,9 +91,22 @@ class MontgomeryCtx {
 
   /// Prepares a context for the odd modulus `m` (throws kCrypto otherwise).
   explicit MontgomeryCtx(const BigInt& m);
+  ~MontgomeryCtx();
 
   /// base^exp mod m. `base` must already be reduced mod m.
   BigInt mod_exp(const BigInt& base, const BigInt& exp) const;
+
+  /// {b1^e1 mod c1.modulus(), b2^e2 mod c2.modulus()}: the two CRT
+  /// halves of an RSA private-key op, bases reduced. When both moduli are
+  /// 8 words, both exponents fit 512 bits and the host has AVX-512 IFMA,
+  /// the halves run together in accel::mod_exp_x2_ifma; otherwise this is
+  /// c1.mod_exp(b1, e1) and c2.mod_exp(b2, e2).
+  static std::pair<BigInt, BigInt> mod_exp_pair(const MontgomeryCtx& c1,
+                                                const BigInt& b1,
+                                                const BigInt& e1,
+                                                const MontgomeryCtx& c2,
+                                                const BigInt& b2,
+                                                const BigInt& e2);
 
   /// Montgomery product: a * b * R^-1 mod m, on reduced operands.
   BigInt mont_mul(const BigInt& a, const BigInt& b) const;
@@ -115,6 +145,9 @@ class MontgomeryCtx {
   Words pack(const BigInt& v) const;
   BigInt unpack(const Words& w) const;
 
+  // The modulus in the IFMA kernel's form, built on first use.
+  const accel::IfmaModulus& ifma_modulus() const;
+
   BigInt m_;
   std::size_t n_;             // 32-bit limb count of the modulus
   std::size_t nw_;            // 64-bit word count of the modulus
@@ -126,6 +159,8 @@ class MontgomeryCtx {
   Words onew_;                // R mod m (1 in Montgomery form)
   Words one_plain_;           // plain 1, the from-Montgomery multiplier
   BigInt one_mont_;           // R mod m as a BigInt, for mont_one()
+  mutable std::once_flag ifma_once_;
+  mutable std::unique_ptr<const accel::IfmaModulus> ifma_;
 };
 
 }  // namespace omadrm::bigint

@@ -30,7 +30,7 @@ ChainVerifier::ChainVerifier(Certificate trust_root, VerifyFn verify)
                                   trust_root_.signature());
 }
 
-std::string ChainVerifier::fingerprint(const std::vector<Certificate>& chain,
+std::string ChainVerifier::fingerprint(std::span<const Certificate> chain,
                                        const Certificate& trust_root) {
   crypto::Sha1 h;
   auto absorb = [&h](const Bytes& der) {
@@ -53,7 +53,7 @@ ChainVerifier::VerifyFn ChainVerifier::metered_verify(
 }
 
 std::shared_ptr<ChainVerdict> ChainVerifier::verify_full(
-    const std::vector<Certificate>& chain, std::uint64_t now,
+    std::span<const Certificate> chain, std::uint64_t now,
     std::string fp) const {
   auto verdict = std::make_shared<ChainVerdict>();
   verdict->fingerprint = std::move(fp);
@@ -116,7 +116,7 @@ std::shared_ptr<ChainVerdict> ChainVerifier::verify_full(
 }
 
 std::shared_ptr<const ChainVerdict> ChainVerifier::verify(
-    const std::vector<Certificate>& chain, std::uint64_t now) {
+    std::span<const Certificate> chain, std::uint64_t now) {
   if (chain.empty()) {
     throw Error(ErrorKind::kProtocol, "chain verifier: empty chain");
   }
@@ -206,7 +206,7 @@ std::shared_ptr<const ChainVerdict> ChainVerifier::verify(
 
 std::shared_ptr<const ChainVerdict> ChainVerifier::revalidate(
     const std::shared_ptr<const ChainVerdict>& handle,
-    const std::vector<Certificate>& chain, std::uint64_t now) {
+    std::span<const Certificate> chain, std::uint64_t now) {
   State& st = *state_;
   if (handle && handle->status == CertStatus::kValid &&
       now >= handle->valid_from && now <= handle->valid_until) {

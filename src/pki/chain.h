@@ -31,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,7 +88,7 @@ class ChainVerifier {
   /// a shared verdict; cache hits return the identical object. Throws
   /// Error(kProtocol) on an empty chain.
   std::shared_ptr<const ChainVerdict> verify(
-      const std::vector<Certificate>& chain, std::uint64_t now);
+      std::span<const Certificate> chain, std::uint64_t now);
 
   /// O(1) fast path for callers that kept the verdict handle (the agent's
   /// RI Context does): accepts `handle` without hashing or re-encoding the
@@ -96,7 +97,7 @@ class ChainVerifier {
   /// Falls back to verify(chain, now) otherwise.
   std::shared_ptr<const ChainVerdict> revalidate(
       const std::shared_ptr<const ChainVerdict>& handle,
-      const std::vector<Certificate>& chain, std::uint64_t now);
+      std::span<const Certificate> chain, std::uint64_t now);
 
   /// Drops every cached verdict whose chain contains `serial` (e.g. after
   /// an OCSP response reports it revoked) AND adds the serial to a
@@ -118,7 +119,7 @@ class ChainVerifier {
   const Certificate& trust_root() const { return trust_root_; }
 
   /// Hex SHA-1 binding a chain to its trust anchor (cache key).
-  static std::string fingerprint(const std::vector<Certificate>& chain,
+  static std::string fingerprint(std::span<const Certificate> chain,
                                  const Certificate& trust_root);
 
   /// Builds a VerifyFn routing RSASSA-PSS verification through `provider`
@@ -130,7 +131,7 @@ class ChainVerifier {
 
  private:
   std::shared_ptr<ChainVerdict> verify_full(
-      const std::vector<Certificate>& chain, std::uint64_t now,
+      std::span<const Certificate> chain, std::uint64_t now,
       std::string fp) const;
 
   /// Everything shared across threads, heap-held in one block so the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 
 #include "common/error.h"
 #include "crypto/sha1.h"
@@ -219,7 +220,7 @@ Result<> RightsIssuer::bind_store(store::StateStore& s) {
       shard_for(p.device_id).sessions[id] = std::move(p);
     }
     for (auto& [id, cert] : devices) {
-      shard_for(id).devices[id] = std::move(cert);
+      shard_for(id).devices[id] = KnownDevice{std::move(cert), nullptr};
     }
     for (auto& [id, d] : domains) {
       stripe_for(id).domains[id] = std::move(d);
@@ -251,8 +252,8 @@ Result<> RightsIssuer::bind_store(store::StateStore& s) {
       tx.put(sess_record_key(id),
              encode_pending(p.ri_nonce, p.device_id, p.created_at));
     }
-    for (const auto& [id, cert] : sh.devices) {
-      tx.put(dev_record_key(id), cert.to_der());
+    for (const auto& [id, known] : sh.devices) {
+      tx.put(dev_record_key(id), known.cert.to_der());
     }
   }
   for (const DomainStripe& ds : domain_stripes_) {
@@ -547,7 +548,7 @@ roap::RegistrationResponse RightsIssuer::on_registration_request(
   Status verdict = Status::kSuccess;
   auto known = sh.devices.find(request.device_id);
   const bool reuse = known != sh.devices.end() &&
-                     known->second.to_der() == request.certificate_der;
+                     known->second.cert.to_der() == request.certificate_der;
   pki::Certificate decoded;
   if (!reuse) {
     try {
@@ -556,12 +557,19 @@ roap::RegistrationResponse RightsIssuer::on_registration_request(
       verdict = Status::kAbort;
     }
   }
-  const pki::Certificate& device_cert = reuse ? known->second : decoded;
+  const pki::Certificate& device_cert = reuse ? known->second.cert : decoded;
+  std::shared_ptr<const pki::ChainVerdict> chain_verdict;
   if (verdict == Status::kSuccess) {
     // Chain walk through the verdict cache: a device re-registering (or
-    // retrying under load) costs zero RSA operations here.
-    if (device_chain_verifier_.verify({device_cert}, now)->status !=
-        pki::CertStatus::kValid) {
+    // retrying under load) costs zero RSA operations here, and one
+    // re-sending its stored certificate revalidates the verdict held
+    // beside it without hashing the chain.
+    const std::span<const pki::Certificate> chain(&device_cert, 1);
+    chain_verdict =
+        reuse ? device_chain_verifier_.revalidate(known->second.verdict,
+                                                  chain, now)
+              : device_chain_verifier_.verify(chain, now);
+    if (chain_verdict->status != pki::CertStatus::kValid) {
       verdict = Status::kAbort;
     } else if (ca_.is_revoked(device_cert.serial())) {
       device_chain_verifier_.invalidate_serial(device_cert.serial());
@@ -600,8 +608,14 @@ roap::RegistrationResponse RightsIssuer::on_registration_request(
     return out;
   }
   // Moved, not copied: the key keeps the Montgomery context the signature
-  // check above built, for every later request from this device.
-  if (!reuse) sh.devices[request.device_id] = std::move(decoded);
+  // check above built, for every later request from this device; the
+  // verdict rides along for the next re-registration.
+  if (reuse) {
+    known->second.verdict = std::move(chain_verdict);
+  } else {
+    sh.devices[request.device_id] =
+        KnownDevice{std::move(decoded), std::move(chain_verdict)};
+  }
   counters_.registrations.fetch_add(1, std::memory_order_relaxed);
 
   // Staple a fresh OCSP response for our own certificate, bound to the
@@ -674,7 +688,7 @@ roap::RoResponse RightsIssuer::on_ro_request(
     out.status = Status::kNotRegistered;
     return out;
   }
-  if (!crypto_.pss_verify(device->second.subject_key(), request.payload(),
+  if (!crypto_.pss_verify(device->second.cert.subject_key(), request.payload(),
                           request.signature)) {
     out.status = Status::kSignatureInvalid;
     return out;
@@ -703,7 +717,7 @@ roap::RoResponse RightsIssuer::on_ro_request(
 
   out.status = Status::kSuccess;
   out.ros.push_back(build_protected_ro(offer->second,
-                                       device->second.subject_key(),
+                                       device->second.cert.subject_key(),
                                        dsnap ? &*dsnap : nullptr));
   out.signature = crypto_.pss_sign(key_, out.payload(), rng_);
   counters_.ros_issued.fetch_add(1, std::memory_order_relaxed);
@@ -722,7 +736,7 @@ roap::JoinDomainResponse RightsIssuer::on_join_domain(
     out.status = Status::kNotRegistered;
     return out;
   }
-  if (!crypto_.pss_verify(device->second.subject_key(), request.payload(),
+  if (!crypto_.pss_verify(device->second.cert.subject_key(), request.payload(),
                           request.signature)) {
     out.status = Status::kSignatureInvalid;
     return out;
@@ -773,7 +787,7 @@ roap::JoinDomainResponse RightsIssuer::on_join_domain(
   // Transport K_D to the device with the same RSA-KEM chain as RO keys
   // (RSA work deliberately outside the stripe lock).
   rsa::KemEncapsulation enc =
-      crypto_.kem_encapsulate(device->second.subject_key(), rng_);
+      crypto_.kem_encapsulate(device->second.cert.subject_key(), rng_);
   Bytes c2 = crypto_.aes_wrap(enc.kek, joined_snapshot.key);
   out.wrapped_domain_key = concat({enc.c1, c2});
   out.signature = crypto_.pss_sign(key_, out.payload(), rng_);
@@ -792,7 +806,7 @@ roap::LeaveDomainResponse RightsIssuer::on_leave_domain(
     out.status = Status::kNotRegistered;
     return out;
   }
-  if (!crypto_.pss_verify(device->second.subject_key(), request.payload(),
+  if (!crypto_.pss_verify(device->second.cert.subject_key(), request.payload(),
                           request.signature)) {
     out.status = Status::kSignatureInvalid;
     return out;

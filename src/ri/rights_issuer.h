@@ -299,6 +299,15 @@ class RightsIssuer {
 
   static constexpr std::uint64_t kNoSessions = ~std::uint64_t{0};
 
+  /// A registered device: its certificate and the verdict of that
+  /// certificate's last chain walk (null until one runs in this process),
+  /// which lets a re-registration with the same certificate take
+  /// ChainVerifier::revalidate's O(1) path.
+  struct KnownDevice {
+    pki::Certificate cert;
+    std::shared_ptr<const pki::ChainVerdict> verdict;
+  };
+
   /// One device-hash shard: everything a single device's requests touch,
   /// guarded by one mutex the dispatcher holds across the whole
   /// replay-lookup → handler → replay-insert sequence.
@@ -310,7 +319,7 @@ class RightsIssuer {
     // enforces.
     mutable OrderedMutex mu{LockRank::kRiShard, "ri.shard"};
     std::map<std::string, PendingSession> sessions GUARDED_BY(mu);
-    std::map<std::string, pki::Certificate> devices GUARDED_BY(mu);
+    std::map<std::string, KnownDevice> devices GUARDED_BY(mu);
     std::map<std::string, ReplayEntry> replay GUARDED_BY(mu);
     std::list<std::string> replay_lru GUARDED_BY(mu);  // front = MRU
     ReplayCacheStats replay_stats GUARDED_BY(mu);

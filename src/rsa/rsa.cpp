@@ -100,10 +100,12 @@ BigInt rsadp(const PrivateKey& key, const BigInt& c) {
   if (!key.has_crt) {
     return BigInt::mod_exp(c, key.d, key.n);
   }
-  // CRT on the key's per-prime contexts: both half-size exponentiations
-  // reuse their R^2 mod p / mod q across private-key operations.
-  BigInt m1 = key.crt_ctx_p.get(key.p).mod_exp(c.mod(key.p), key.dp);
-  BigInt m2 = key.crt_ctx_q.get(key.q).mod_exp(c.mod(key.q), key.dq);
+  // CRT on the key's per-prime contexts, which keep their constants
+  // across private-key operations; both halves go through one call, so
+  // an IFMA host runs them as one dual exponentiation.
+  const auto [m1, m2] = bigint::MontgomeryCtx::mod_exp_pair(
+      key.crt_ctx_p.get(key.p), c.mod(key.p), key.dp,
+      key.crt_ctx_q.get(key.q), c.mod(key.q), key.dq);
   // Garner's recombination: m = m2 + q * (qinv * (m1 - m2) mod p).
   BigInt h = (key.qinv * (m1 - m2)).mod(key.p);
   return m2 + key.q * h;

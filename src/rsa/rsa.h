@@ -4,7 +4,12 @@
 //
 // Private-key operations use the CRT representation (p, q, dP, dQ, qInv)
 // when available, which is also what the cycle-cost model assumes for the
-// "RSA 1024 Private Key Op" row of Table 1.
+// "RSA 1024 Private Key Op" row of Table 1. Both CRT halves go through
+// one bigint::MontgomeryCtx::mod_exp_pair call: on hosts with AVX-512
+// IFMA that is a single dual exponentiation (the repo's dual-Montgomery
+// RSA macro), elsewhere two mod_exp calls on the BMI2/ADX or portable
+// kernels. Agent signing, KEM decapsulation and RI and OCSP signing all
+// take this path; the results are identical on every host.
 #pragma once
 
 #include <atomic>

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bigint/bigint.h"
@@ -520,6 +521,152 @@ TEST(MontAccel, ChainedSquaringsMatchPortable) {
     EXPECT_EQ(x, y);
     EXPECT_EQ(z, y);
   }
+}
+
+// --- The IFMA dual exponentiation ---------------------------------------
+
+// The first thing accel::ifma_supported() needs that this host lacks, or
+// "" when the dual kernel runs here.
+std::string missing_ifma() {
+  if (!__builtin_cpu_supports("avx512f")) return "flag avx512f";
+  if (!__builtin_cpu_supports("avx512vl")) return "flag avx512vl";
+  if (!__builtin_cpu_supports("avx512ifma")) return "flag avx512ifma";
+  if (!__builtin_cpu_supports("bmi2")) return "flag bmi2";
+  if (!accel::ifma_supported()) return "the x2 kernel (not compiled in)";
+  return "";
+}
+
+#define SKIP_WITHOUT_IFMA()                                 \
+  if (const std::string lack = missing_ifma(); !lack.empty()) \
+  GTEST_SKIP() << "host lacks " << lack
+
+// v (below 2^520) as a padded radix-2^52 multiplicand.
+accel::Ifma52 to_ifma52(const BigInt& v) {
+  accel::Ifma52 out{};
+  for (std::size_t j = 0; j < accel::kIfmaLimbs; ++j) {
+    const BigInt limb = (v >> (52 * j)) % (BigInt(1) << 52);
+    out.w[8 + j] = limb.is_zero() ? 0 : limb.to_u64();
+  }
+  return out;
+}
+
+BigInt from_ifma52(const accel::Ifma52& x) {
+  BigInt v;
+  for (std::size_t j = accel::kIfmaLimbs; j-- > 0;) {
+    v = (v << 52) + BigInt(x.w[8 + j]);
+  }
+  return v;
+}
+
+accel::IfmaModulus ifma_modulus_of(const BigInt& m) {
+  const PortableRef ref(m, 8);
+  const Words r2 = to_words((BigInt(1) << 1040).mod(m), 8);
+  accel::IfmaModulus mod;
+  accel::ifma_modulus(mod, ref.mw.data(), ref.k, r2.data());
+  return mod;
+}
+
+// One dual product is a * b * 2^-520 mod m and stays below 2m, for
+// inputs up to 2m - 1, on both halves at once.
+TEST(MontIfma, AmmIsAlmostMontgomeryProduct) {
+  SKIP_WITHOUT_IFMA();
+  DeterministicRng rng(0x1F3A);
+  const std::vector<BigInt> moduli = kernel_moduli(8, rng);
+  const BigInt r = BigInt(1) << 520;
+  for (std::size_t i = 0; i < moduli.size(); ++i) {
+    const BigInt& m0 = moduli[i];
+    const BigInt& m1 = moduli[(i + 1) % moduli.size()];
+    const accel::IfmaModulus mod[2] = {ifma_modulus_of(m0),
+                                       ifma_modulus_of(m1)};
+    auto operands = [&rng](const BigInt& m) {
+      std::vector<BigInt> ops = {BigInt{}, BigInt(1), m - BigInt(1),
+                                 m + m - BigInt(1)};
+      for (int k = 0; k < 4; ++k) {
+        ops.push_back(BigInt::random_below(m + m, rng));
+      }
+      return ops;
+    };
+    const std::vector<BigInt> ops0 = operands(m0), ops1 = operands(m1);
+    for (std::size_t x = 0; x < ops0.size(); ++x) {
+      for (std::size_t y = 0; y < ops0.size(); ++y) {
+        const BigInt a[2] = {ops0[x], ops1[y]};
+        const BigInt b[2] = {ops0[y], ops1[x]};
+        accel::Ifma52 ia[2] = {to_ifma52(a[0]), to_ifma52(a[1])};
+        const accel::Ifma52 ib[2] = {to_ifma52(b[0]), to_ifma52(b[1])};
+        accel::Ifma52* const out[2] = {&ia[0], &ia[1]};  // in place
+        const accel::Ifma52* const pa[2] = {&ia[0], &ia[1]};
+        const accel::Ifma52* const pb[2] = {&ib[0], &ib[1]};
+        const accel::IfmaModulus* const pm[2] = {&mod[0], &mod[1]};
+        accel::amm52_x2(out, pa, pb, pm);
+        const BigInt m[2] = {m0, m1};
+        for (int h = 0; h < 2; ++h) {
+          const BigInt got = from_ifma52(ia[h]);
+          EXPECT_LT(got, m[h] + m[h]);
+          EXPECT_EQ((got * r).mod(m[h]), (a[h] * b[h]).mod(m[h]))
+              << "half " << h;
+        }
+      }
+    }
+  }
+}
+
+// mod_exp_pair on the dual kernel against two mod_exp calls on the
+// per-modulus kernels: 12 prime pairs of 8-word primes (512 down to 449
+// bits) x 86 cases. Each pair runs the edge bases 0, 1 and p - 1 against
+// exponents whose windows are all zero (2^511) or all ones (2^512 - 1),
+// and 0 and 1; then random bases against random exponents of independent
+// random lengths, so the halves' exponents differ in bit length.
+TEST(MontIfma, PairMatchesTwoModExp) {
+  SKIP_WITHOUT_IFMA();
+  DeterministicRng rng(0x1F3B);
+  const BigInt one(1);
+  const std::vector<BigInt> edge_exps = {
+      BigInt{}, one, one << 511, (one << 512) - one};
+  const std::size_t bits[] = {512, 512, 511, 500, 480, 449};
+  std::size_t cases = 0;
+  for (std::size_t pair = 0; pair < 12; ++pair) {
+    const BigInt p = generate_prime(bits[pair % 6], rng);
+    const BigInt q = generate_prime(bits[(pair + 1 + pair / 6) % 6], rng);
+    const MontgomeryCtx cp(p), cq(q);
+    auto check = [&](const BigInt& b1, const BigInt& e1, const BigInt& b2,
+                     const BigInt& e2) {
+      const auto [r1, r2] = MontgomeryCtx::mod_exp_pair(cp, b1, e1, cq, b2, e2);
+      EXPECT_EQ(r1, cp.mod_exp(b1, e1))
+          << "pair " << pair << " e1 bits " << e1.bit_length();
+      EXPECT_EQ(r2, cq.mod_exp(b2, e2))
+          << "pair " << pair << " e2 bits " << e2.bit_length();
+      ++cases;
+    };
+    const BigInt edge_p[] = {BigInt{}, one, p - one};
+    const BigInt edge_q[] = {BigInt{}, one, q - one};
+    for (std::size_t i = 0; i < 3; ++i) {
+      for (std::size_t e = 0; e < edge_exps.size(); ++e) {
+        check(edge_p[i], edge_exps[e], edge_q[(i + e) % 3],
+              edge_exps[(e + 1) % edge_exps.size()]);
+      }
+    }
+    for (int k = 0; k < 74; ++k) {
+      const BigInt e1 = BigInt::random_bits(1 + rng.next_u64() % 512, rng);
+      const BigInt e2 = BigInt::random_bits(1 + rng.next_u64() % 512, rng);
+      check(BigInt::random_below(p, rng), e1, BigInt::random_below(q, rng),
+            e2);
+    }
+  }
+  EXPECT_GE(cases, 1000u);
+}
+
+// Exponents wider than the kernel's 512 bits take the two-call path.
+TEST(MontIfma, PairWithWideExponentMatchesTwoModExp) {
+  DeterministicRng rng(0x1F3C);
+  const BigInt p = generate_prime(512, rng), q = generate_prime(512, rng);
+  const MontgomeryCtx cp(p), cq(q);
+  const BigInt b1 = BigInt::random_below(p, rng);
+  const BigInt b2 = BigInt::random_below(q, rng);
+  const BigInt e1 = BigInt::random_bits(600, rng);
+  const BigInt e2 = BigInt::random_bits(512, rng);
+  const auto [r1, r2] = MontgomeryCtx::mod_exp_pair(cp, b1, e1, cq, b2, e2);
+  EXPECT_EQ(r1, BigInt::mod_exp(b1, e1, p));
+  EXPECT_EQ(r2, BigInt::mod_exp(b2, e2, q));
 }
 
 TEST(Prime, KnownPrimesAndComposites) {

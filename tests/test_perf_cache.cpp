@@ -38,6 +38,7 @@ namespace {
 
 using bigint::BigInt;
 using bigint::MontgomeryCtx;
+using Chain = std::vector<pki::Certificate>;
 
 // ---------------------------------------------------------------------------
 // Montgomery / RSA edge cases
@@ -305,8 +306,9 @@ TEST_F(ChainFixture, RevocationInvalidatesCachedVerdict) {
   rsa::PrivateKey k2 = rsa::generate_key(512, *rng_);
   pki::Certificate leaf2 = ica_->issue("leaf-ok", k2.public_key(), kValidity,
                                        *rng_);
-  EXPECT_EQ(verifier.verify({leaf2, ica_->certificate()}, kNow)->status,
-            pki::CertStatus::kValid);
+  EXPECT_EQ(
+      verifier.verify(Chain{leaf2, ica_->certificate()}, kNow)->status,
+      pki::CertStatus::kValid);
 }
 
 TEST_F(ChainFixture, TamperedAndMismatchedChains) {
@@ -316,11 +318,12 @@ TEST_F(ChainFixture, TamperedAndMismatchedChains) {
   Bytes bad_sig = tampered.signature();
   bad_sig[0] ^= 0x01;
   tampered.set_signature(bad_sig);
-  EXPECT_EQ(verifier.verify({tampered, ica_->certificate()}, kNow)->status,
-            pki::CertStatus::kBadSignature);
+  EXPECT_EQ(
+      verifier.verify(Chain{tampered, ica_->certificate()}, kNow)->status,
+      pki::CertStatus::kBadSignature);
 
   // Leaf presented without its intermediate: issuer CN doesn't match root.
-  EXPECT_EQ(verifier.verify({leaf_}, kNow)->status,
+  EXPECT_EQ(verifier.verify(Chain{leaf_}, kNow)->status,
             pki::CertStatus::kIssuerMismatch);
 
   EXPECT_THROW(verifier.verify({}, kNow), Error);
@@ -341,7 +344,7 @@ TEST_F(ChainFixture, NonCaIntermediateRejected) {
   fake_ri.set_signature(rsa::pss_sign(rogue_key, fake_ri.tbs_der(), *rng_));
 
   pki::ChainVerifier verifier(ca_->root_certificate());
-  EXPECT_EQ(verifier.verify({fake_ri, rogue_issuer}, kNow)->status,
+  EXPECT_EQ(verifier.verify(Chain{fake_ri, rogue_issuer}, kNow)->status,
             pki::CertStatus::kIssuerMismatch);
 }
 
@@ -354,11 +357,12 @@ TEST_F(ChainFixture, ExpiredRootRejectsOtherwiseValidChain) {
                                         rng2);
 
   pki::ChainVerifier verifier(shortca.root_certificate());
-  EXPECT_EQ(verifier.verify({leaf}, kNow)->status, pki::CertStatus::kValid);
+  EXPECT_EQ(verifier.verify(Chain{leaf}, kNow)->status,
+            pki::CertStatus::kValid);
   // The leaf is still inside its own window, but the anchor is not: a
   // dead root must not keep vouching (and the cached verdict's window is
   // the intersection, so this is a recompute, not a stale hit).
-  EXPECT_EQ(verifier.verify({leaf}, kNow + 200)->status,
+  EXPECT_EQ(verifier.verify(Chain{leaf}, kNow + 200)->status,
             pki::CertStatus::kExpired);
 }
 
@@ -371,7 +375,7 @@ TEST_F(ChainFixture, EpochRestampKeepsHandlesAlive) {
   rsa::PrivateKey k2 = rsa::generate_key(512, *rng_);
   pki::Certificate leaf2 = ica_->issue("leaf2", k2.public_key(), kValidity,
                                        *rng_);
-  verifier.verify({leaf2, ica_->certificate()}, kNow);
+  verifier.verify(Chain{leaf2, ica_->certificate()}, kNow);
   verifier.invalidate_serial(leaf2.serial());
 
   // Stale-epoch handle falls back to the map hit, which re-stamps the
@@ -692,6 +696,27 @@ TEST_F(ReRegistration, RevokedDeviceResendingItsCertificateIsRefused) {
   EXPECT_EQ(dev->register_with(*tx_, kNow + 1),
             agent::AgentStatus::kRiAborted);
   EXPECT_EQ(dev->register_with(*tx_, kNow + 2),
+            agent::AgentStatus::kRiAborted);
+  EXPECT_EQ(ri_->counters().registrations, admitted);
+}
+
+TEST_F(ReRegistration, DeviceRevokedAfterItsCertificateWasReusedIsRefused) {
+  auto dev = make_device("dev:revoked-late");
+  ASSERT_EQ(dev->register_with(*tx_, kNow), agent::AgentStatus::kOk);
+  // The repeat registrations reuse the stored certificate and revalidate
+  // the chain verdict held beside it: no chain walk.
+  const pki::ChainCacheStats before = ri_->device_chain_verifier().stats();
+  ASSERT_EQ(dev->register_with(*tx_, kNow + 1), agent::AgentStatus::kOk);
+  ASSERT_EQ(dev->register_with(*tx_, kNow + 2), agent::AgentStatus::kOk);
+  EXPECT_EQ(ri_->device_chain_verifier().stats().misses, before.misses);
+  const std::uint64_t admitted = ri_->counters().registrations;
+
+  // Revoked at the CA after the reuse: the held verdict is still current
+  // as far as the verifier knows, and the revocation check refuses anyway.
+  ca_->revoke(dev->certificate().serial());
+  EXPECT_EQ(dev->register_with(*tx_, kNow + 3),
+            agent::AgentStatus::kRiAborted);
+  EXPECT_EQ(dev->register_with(*tx_, kNow + 4),
             agent::AgentStatus::kRiAborted);
   EXPECT_EQ(ri_->counters().registrations, admitted);
 }

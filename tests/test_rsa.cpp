@@ -5,6 +5,9 @@
 // real-size keys.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "bigint/mont_accel.h"
 #include "common/error.h"
 #include "common/hex.h"
 #include "common/random.h"
@@ -68,6 +71,25 @@ TEST_F(RsaFixture, CrtMatchesPlainExponentiation) {
   PrivateKey plain = key();
   plain.has_crt = false;
   EXPECT_EQ(rsadp(key(), c), rsadp(plain, c));
+}
+
+// On an IFMA host rsadp runs both CRT halves as one dual exponentiation;
+// its result must equal the plain c^d mod n for every key and ciphertext,
+// the edges 0, 1 and n - 1 included.
+TEST(RsaDualCrt, X2PathMatchesNonCrt) {
+  if (!bigint::accel::ifma_supported()) {
+    GTEST_SKIP() << "host lacks avx512f, avx512vl, avx512ifma or bmi2 "
+                    "(or the x2 kernel is not compiled in)";
+  }
+  DeterministicRng rng(0x1F3D);
+  for (int k = 0; k < 3; ++k) {
+    const PrivateKey key = generate_key(1024, rng);
+    std::vector<BigInt> cs = {BigInt{}, BigInt(1), key.n - BigInt(1)};
+    for (int i = 0; i < 5; ++i) cs.push_back(BigInt::random_below(key.n, rng));
+    for (const BigInt& c : cs) {
+      EXPECT_EQ(rsadp(key, c), BigInt::mod_exp(c, key.d, key.n)) << k;
+    }
+  }
 }
 
 TEST_F(RsaFixture, PrimitivesRejectOutOfRange) {
