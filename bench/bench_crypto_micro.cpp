@@ -6,7 +6,9 @@
 
 #include <cstdint>
 #include <utility>
+#include <vector>
 
+#include "bigint/limbs.h"
 #include "bigint/mont_accel.h"
 #include "bigint/montgomery.h"
 #include "bigint/prime.h"
@@ -18,6 +20,7 @@
 #include "crypto/sha1.h"
 #include "rsa/kem.h"
 #include "rsa/pss.h"
+#include "rsa/rsa.h"
 
 namespace {
 
@@ -153,16 +156,25 @@ void BM_KemUnwrapKeys(benchmark::State& state) {
 }
 BENCHMARK(BM_KemUnwrapKeys);
 
+// n words of a BigInt, for the fixed-width Montgomery API.
+std::vector<bigint::Word> words(const bigint::BigInt& v, std::size_t n) {
+  std::vector<bigint::Word> w(n);
+  bigint::from_bigint(w.data(), n, v);
+  return w;
+}
+
 void BM_MontgomeryMul1024(benchmark::State& state) {
   DeterministicRng rng(12);
   bigint::BigInt m = bigint::BigInt::random_bits(1024, rng);
   if (m.is_even()) m = m + bigint::BigInt(1);
-  bigint::MontgomeryCtx ctx(m);
-  bigint::BigInt a = ctx.to_mont(bigint::BigInt::random_below(m, rng));
-  bigint::BigInt b = ctx.to_mont(bigint::BigInt::random_below(m, rng));
+  const bigint::MontgomeryCtx ctx(m);
+  const auto a = words(bigint::BigInt::random_below(m, rng), 16);
+  const auto b = words(bigint::BigInt::random_below(m, rng), 16);
+  bigint::Word c[16];
   for (auto _ : state) {
-    bigint::BigInt c = ctx.mont_mul(a, b);
+    ctx.mul(c, a.data(), b.data());
     benchmark::DoNotOptimize(c);
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_MontgomeryMul1024);
@@ -186,11 +198,13 @@ void BM_CrtHalfModExp512(benchmark::State& state) {
   DeterministicRng rng(13);
   const bigint::BigInt p = bigint::generate_prime(512, rng);
   const bigint::MontgomeryCtx ctx(p);
-  const bigint::BigInt base = bigint::BigInt::random_below(p, rng);
-  const bigint::BigInt exp = bigint::BigInt::random_bits(512, rng);
+  const auto base = words(bigint::BigInt::random_below(p, rng), 8);
+  const auto exp = words(bigint::BigInt::random_bits(512, rng), 8);
+  bigint::Word r[8];
   for (auto _ : state) {
-    bigint::BigInt c = ctx.mod_exp(base, exp);
-    benchmark::DoNotOptimize(c);
+    ctx.mod_exp(r, base.data(), exp);
+    benchmark::DoNotOptimize(r);
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_CrtHalfModExp512);
@@ -200,14 +214,14 @@ BENCHMARK(BM_CrtHalfModExp512);
 struct CrtPair {
   CrtPair() : rng(15), p(bigint::generate_prime(512, rng)),
               q(bigint::generate_prime(512, rng)), cp(p), cq(q),
-              bp(bigint::BigInt::random_below(p, rng)),
-              bq(bigint::BigInt::random_below(q, rng)),
-              ep(bigint::BigInt::random_bits(512, rng)),
-              eq(bigint::BigInt::random_bits(512, rng)) {}
+              bp(words(bigint::BigInt::random_below(p, rng), 8)),
+              bq(words(bigint::BigInt::random_below(q, rng), 8)),
+              ep(words(bigint::BigInt::random_bits(512, rng), 8)),
+              eq(words(bigint::BigInt::random_bits(512, rng), 8)) {}
   DeterministicRng rng;
   bigint::BigInt p, q;
   bigint::MontgomeryCtx cp, cq;
-  bigint::BigInt bp, bq, ep, eq;
+  std::vector<bigint::Word> bp, bq, ep, eq;
 };
 
 // Through MontgomeryCtx::mod_exp_pair, the entry point rsa::rsadp uses:
@@ -215,13 +229,32 @@ struct CrtPair {
 // otherwise.
 void BM_CrtPair512(benchmark::State& state) {
   const CrtPair c;
+  bigint::Word rp[8], rq[8];
   for (auto _ : state) {
-    auto r = bigint::MontgomeryCtx::mod_exp_pair(c.cp, c.bp, c.ep, c.cq,
-                                                 c.bq, c.eq);
-    benchmark::DoNotOptimize(r);
+    bigint::MontgomeryCtx::mod_exp_pair(c.cp, rp, c.bp.data(), c.ep, c.cq,
+                                        rq, c.bq.data(), c.eq);
+    benchmark::DoNotOptimize(rp);
+    benchmark::DoNotOptimize(rq);
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_CrtPair512);
+
+// A whole RSA-1024 private-key op from bytes to bytes: BM_CrtPair512 plus
+// the glue around it (the CRT reductions, Garner's recombination and the
+// byte conversions), which is this row minus that one.
+void BM_Rsadp1024(benchmark::State& state) {
+  DeterministicRng rng(17);
+  const rsa::PrivateKey key = rsa::generate_key(1024, rng);
+  const Bytes c = rsa::i2osp(bigint::BigInt::random_below(key.n, rng), 128);
+  Bytes m(128);
+  for (auto _ : state) {
+    rsa::rsadp(key, c, m);
+    benchmark::DoNotOptimize(m.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Rsadp1024);
 
 // The same two halves forced onto two mod_exp calls (the ADX kernels).
 void BM_CrtPair512TwoCallAdx(benchmark::State& state) {
@@ -230,58 +263,77 @@ void BM_CrtPair512TwoCallAdx(benchmark::State& state) {
     return;
   }
   const CrtPair c;
+  bigint::Word rp[8], rq[8];
   for (auto _ : state) {
-    bigint::BigInt rp = c.cp.mod_exp(c.bp, c.ep);
-    bigint::BigInt rq = c.cq.mod_exp(c.bq, c.eq);
+    c.cp.mod_exp(rp, c.bp.data(), c.ep);
+    c.cq.mod_exp(rq, c.bq.data(), c.eq);
     benchmark::DoNotOptimize(rp);
     benchmark::DoNotOptimize(rq);
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_CrtPair512TwoCallAdx);
 
-// One 8-word (512-bit) Montgomery multiply on packed words, chained as in
-// an exponentiation: the SW and HW rows of a host-calibrated Table 1.
+// One n-word Montgomery multiply on packed words, chained as in an
+// exponentiation: the SW and HW rows of a host-calibrated Table 1, for
+// the 512-bit CRT halves (8 words) and the 1024-bit public-key ops (16).
 using MontMulFn = void (*)(std::uint64_t*, const std::uint64_t*,
                            const std::uint64_t*, const std::uint64_t*,
                            std::uint64_t, std::size_t);
 
-void run_mont_mul8(benchmark::State& state, MontMulFn mul) {
+template <std::size_t N>
+void run_mont_mul(benchmark::State& state, MontMulFn mul) {
   DeterministicRng rng(14);
-  std::uint64_t m[8], a[8], b[8], r[8];
-  for (int i = 0; i < 8; ++i) {
+  std::uint64_t m[N], a[N], b[N], r[N];
+  for (std::size_t i = 0; i < N; ++i) {
     m[i] = rng.next_u64();
     a[i] = rng.next_u64();
     b[i] = rng.next_u64();
   }
   m[0] |= 1;
-  m[7] |= std::uint64_t{1} << 63;  // operands below m
-  a[7] >>= 1;
-  b[7] >>= 1;
+  m[N - 1] |= std::uint64_t{1} << 63;  // operands below m
+  a[N - 1] >>= 1;
+  b[N - 1] >>= 1;
   std::uint64_t inv = 1;
   for (int i = 0; i < 6; ++i) inv *= 2 - m[0] * inv;
   const std::uint64_t k = 0 - inv;
   std::uint64_t* x = a;
   std::uint64_t* y = r;
   for (auto _ : state) {
-    mul(y, x, b, m, k, 8);
+    mul(y, x, b, m, k, N);
     std::swap(x, y);
     benchmark::ClobberMemory();
   }
 }
 
-void BM_MontMul8Portable(benchmark::State& state) {
-  run_mont_mul8(state, &bigint::mont_mul_portable);
-}
-BENCHMARK(BM_MontMul8Portable);
-
-void BM_MontMul8Accel(benchmark::State& state) {
+template <std::size_t N>
+void run_mont_mul_accel(benchmark::State& state, MontMulFn mul) {
   if (!bigint::accel::mont_supported()) {
     state.SkipWithError("host lacks BMI2+ADX");
     return;
   }
-  run_mont_mul8(state, &bigint::accel::mont_mul8);
+  run_mont_mul<N>(state, mul);
+}
+
+void BM_MontMul8Portable(benchmark::State& state) {
+  run_mont_mul<8>(state, &bigint::mont_mul_portable);
+}
+BENCHMARK(BM_MontMul8Portable);
+
+void BM_MontMul8Accel(benchmark::State& state) {
+  run_mont_mul_accel<8>(state, &bigint::accel::mont_mul8);
 }
 BENCHMARK(BM_MontMul8Accel);
+
+void BM_MontMul16Portable(benchmark::State& state) {
+  run_mont_mul<16>(state, &bigint::mont_mul_portable);
+}
+BENCHMARK(BM_MontMul16Portable);
+
+void BM_MontMul16Accel(benchmark::State& state) {
+  run_mont_mul_accel<16>(state, &bigint::accel::mont_mul16);
+}
+BENCHMARK(BM_MontMul16Accel);
 
 // One dual product on the IFMA kernel: two 512-bit almost-Montgomery
 // multiplies (both CRT halves), chained as in an exponentiation — the

@@ -29,10 +29,12 @@
 //   allocations  a global operator-new counter. The wire path
 //                (streaming serialize into reused buffers, zero-copy
 //                arena parse, pooled envelopes) must perform ZERO heap
-//                allocations per operation at steady state — the bench
-//                asserts this and exits nonzero on regression. The full
-//                exchange count (message structs, RSA, sessions) is
-//                reported for tracking.
+//                allocations per operation at steady state, and the RSA
+//                legs at most one (pss_sign's returned signature) — the
+//                bench asserts both and exits nonzero on regression. The
+//                full exchange count (message structs, sessions) is
+//                reported, and scripts/check_bench_regression.py caps it
+//                at the baseline's.
 //   multi_agent  64 agents x 1 RI, driven round-robin from ONE thread
 //                through the in-process envelope dispatch: the RI's
 //                serial exchange rate over many device keys (the fastest
@@ -49,7 +51,9 @@
 // scripts/check_bench_regression.py gates per_stage_us.pss_sign when the
 // baseline ran the same back end. config.mont_backend names the path the
 // private-key ops took ("portable", "adx", or "ifma_x2" for the AVX-512
-// IFMA dual exponentiation); it is informational, not gated.
+// IFMA dual exponentiation) and config.mont_public_backend the one the
+// 1024-bit public-key ops took ("portable" or "adx"); both are
+// informational, not gated.
 //
 // Usage: bench_roap_session [--quick] [--json <path>]
 #include <algorithm>
@@ -286,6 +290,10 @@ Stage run_stage(const char* name, std::size_t iters, Fn&& fn) {
 // therefore taken as the best of kBlocks blocks spaced kBlockGap apart:
 // a spell moves some blocks, a code regression moves all of them.
 constexpr int kBlocks = 5;
+
+// Most heap allocations a pss_sign or pss_verify call may make: the
+// signature buffer it returns.
+constexpr double kRsaStageAllocs = 1.0;
 constexpr auto kBlockGap = std::chrono::milliseconds(100);
 
 // The RSA legs: each call is tens of microseconds, long enough to time
@@ -510,10 +518,12 @@ int main(int argc, char** argv) {
   const char* mont_backend = bigint::accel::ifma_supported() ? "ifma_x2"
                              : bigint::accel::mont_supported() ? "adx"
                                                                : "portable";
+  const char* mont_public_backend =
+      bigint::accel::mont_supported() ? "adx" : "portable";
   std::printf(
       "=== ROAP session benchmark (RSA-%zu, 3-cert chain, Montgomery "
-      "back end %s) ===\n\n",
-      kRsaBits, mont_backend);
+      "back end %s, public-key back end %s) ===\n\n",
+      kRsaBits, mont_backend, mont_public_backend);
   Session s;
 
   // Registration, cold: chain-verdict cache empty, no Montgomery context
@@ -632,7 +642,8 @@ int main(int argc, char** argv) {
       "  \"bench\": \"roap_session\",\n"
       "  \"config\": {\"rsa_bits\": %zu, \"chain_len\": 3, "
       "\"iterations\": %zu, \"quick\": %s, \"transport\": "
-      "\"envelope_wire\", \"mont_accel\": %s, \"mont_backend\": \"%s\"},\n"
+      "\"envelope_wire\", \"mont_accel\": %s, \"mont_backend\": \"%s\", "
+      "\"mont_public_backend\": \"%s\"},\n"
       "  \"host\": %s,\n"
       "  \"registration_first_ms\": %.3f,\n"
       "  \"registration_repeat_ms\": %.3f,\n"
@@ -663,6 +674,7 @@ int main(int argc, char** argv) {
       "}\n",
       kRsaBits, iterations, quick ? "true" : "false",
       bigint::accel::mont_supported() ? "true" : "false", mont_backend,
+      mont_public_backend,
       bench::host_json().c_str(), registration_first_ms,
       registration_repeat_ms, static_cast<unsigned long long>(warm_ctx_builds),
       cached.full_ms_avg, cached.full_ms.p50, cached.full_ms.p95,
@@ -700,6 +712,19 @@ int main(int argc, char** argv) {
     }
   }
   if (!wire_clean) return 1;
+
+  // Hard invariant: the RSA legs run on fixed-width limbs. pss_sign
+  // allocates only the signature it returns, pss_verify at most one
+  // buffer.
+  for (const Stage* st : {&stages.sign, &stages.verify}) {
+    if (st->allocs_per_op > kRsaStageAllocs) {
+      std::fprintf(stderr,
+                   "FAIL: RSA stage '%s' allocates %.2f allocs/op; at most "
+                   "%.0f (the returned buffer) is allowed\n",
+                   st->name, st->allocs_per_op, kRsaStageAllocs);
+      return 1;
+    }
+  }
 
   // Acceptance target: the cacheable part of the RO-acquisition path (the
   // signing legs are irreducible device work in both modes, per the

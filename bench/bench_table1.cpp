@@ -114,23 +114,32 @@ BENCHMARK(BM_HmacSha1)->Arg(64)->Arg(4096);
 void BM_Rsa1024PublicOp(benchmark::State& state) {
   DeterministicRng rng(6);
   rsa::PrivateKey key = rsa::generate_key(1024, rng);
-  bigint::BigInt m = bigint::BigInt::random_below(key.n, rng);
+  const Bytes m = rsa::i2osp(bigint::BigInt::random_below(key.n, rng), 128);
   const rsa::PublicKey pub = key.public_key();  // one key, one context
+  Bytes c(128);
   for (auto _ : state) {
-    bigint::BigInt c = rsa::rsaep(pub, m);
-    benchmark::DoNotOptimize(c);
+    rsa::rsaep(pub, m, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_Rsa1024PublicOp);
 
+void run_private_op(benchmark::State& state, const rsa::PrivateKey& key,
+                    Rng& rng) {
+  const Bytes c = rsa::i2osp(bigint::BigInt::random_below(key.n, rng), 128);
+  Bytes m(128);
+  for (auto _ : state) {
+    rsa::rsadp(key, c, m);
+    benchmark::DoNotOptimize(m.data());
+    benchmark::ClobberMemory();
+  }
+}
+
 void BM_Rsa1024PrivateOp(benchmark::State& state) {
   DeterministicRng rng(7);
   rsa::PrivateKey key = rsa::generate_key(1024, rng);
-  bigint::BigInt c = bigint::BigInt::random_below(key.n, rng);
-  for (auto _ : state) {
-    bigint::BigInt m = rsa::rsadp(key, c);
-    benchmark::DoNotOptimize(m);
-  }
+  run_private_op(state, key, rng);
 }
 BENCHMARK(BM_Rsa1024PrivateOp);
 
@@ -138,11 +147,7 @@ void BM_Rsa1024PrivateOpNoCrt(benchmark::State& state) {
   DeterministicRng rng(8);
   rsa::PrivateKey key = rsa::generate_key(1024, rng);
   key.has_crt = false;
-  bigint::BigInt c = bigint::BigInt::random_below(key.n, rng);
-  for (auto _ : state) {
-    bigint::BigInt m = rsa::rsadp(key, c);
-    benchmark::DoNotOptimize(m);
-  }
+  run_private_op(state, key, rng);
 }
 BENCHMARK(BM_Rsa1024PrivateOpNoCrt);
 

@@ -22,7 +22,10 @@ field:
                  agents build none, for 8 agents (--quick) as for 64.
                  Likewise registration.warm_ctx_builds must be 0: a
                  repeat registration reuses the certificates both ends
-                 already hold instead of decoding them again.
+                 already hold instead of decoding them again. Also
+                 before the back-end check, allocs_per_exchange of the
+                 cached acquisitions and of the multi_agent block may not
+                 exceed the baseline's (a count, the same on every host).
   dcf_stream     gates on streaming decrypt MB/s at the largest payload
                  size present in BOTH documents (quick CI runs omit the
                  16 MiB point the full baseline carries), and on SHA-1
@@ -138,6 +141,45 @@ def check_roap_ctx_builds(current: dict) -> bool:
         print(f"{section}.{key} Montgomery contexts built: {builds}")
         if builds != 0:
             print(f"FAIL: {meaning}", file=sys.stderr)
+            ok = False
+    return ok
+
+
+# roap_session allocation counts capped at the baseline's:
+# (section path, label).
+ROAP_ALLOC_CEILINGS = (
+    (("ro_acquisition", "cached"), "cached acquisition"),
+    (("multi_agent",), "multi_agent acquisition"),
+)
+
+
+def check_roap_allocs(baseline: dict, current: dict) -> bool:
+    """roap_session gate: allocs_per_exchange may not exceed the
+    baseline's. Heap allocations per exchange do not depend on the host
+    or the Montgomery back end, so this runs whatever the back end; a
+    current document without the key fails."""
+    ok = True
+    for path, label in ROAP_ALLOC_CEILINGS:
+        base, cur = baseline, current
+        for key in path:
+            base = base.get(key, {})
+            cur = cur.get(key, {})
+        base_allocs = base.get("allocs_per_exchange")
+        cur_allocs = cur.get("allocs_per_exchange")
+        if cur_allocs is None:
+            print(f"FAIL: current document has no "
+                  f"{'.'.join(path)}.allocs_per_exchange", file=sys.stderr)
+            ok = False
+            continue
+        if base_allocs is None:
+            print(f"{label}: baseline has no allocs_per_exchange; "
+                  f"ceiling skipped")
+            continue
+        print(f"{label} allocs/exchange: {float(cur_allocs):.1f} "
+              f"(ceiling {float(base_allocs):.1f})")
+        if float(cur_allocs) > float(base_allocs):
+            print(f"FAIL: {label} allocates more per exchange than the "
+                  f"checked-in baseline", file=sys.stderr)
             ok = False
     return ok
 
@@ -318,6 +360,8 @@ def main() -> int:
         cur, cur_label, _ = net_throughput(current, max(shared))
     else:
         if not check_roap_ctx_builds(current):
+            return 1
+        if not check_roap_allocs(baseline, current):
             return 1
         if not same_mont_backend(baseline, current):
             print("OK")

@@ -576,12 +576,20 @@ BigInt BigInt::mod_exp(const BigInt& base, const BigInt& exp,
     throw Error(ErrorKind::kRange, "mod_exp with negative exponent");
   }
   if (m == BigInt(std::uint64_t{1})) return BigInt{};
-  if (m.is_odd()) {
+  if (m.is_odd() && words_for_bits(m.bit_length()) <= kMaxWords) {
     // A one-off context: callers exponentiating against one modulus
     // repeatedly keep their own (rsa::CtxSlot).
-    return MontgomeryCtx(m).mod_exp(base.mod(m), exp);
+    const MontgomeryCtx ctx(m);
+    const std::size_t nw = ctx.words();
+    std::vector<Word> e(words_for_bits(exp.bit_length()));
+    from_bigint(e.data(), e.size(), exp);
+    Word b[kMaxWords], r[kMaxWords];
+    from_bigint(b, nw, base.mod(m));
+    ctx.mod_exp(r, b, e);
+    return to_bigint(r, nw);
   }
-  // Generic square-and-multiply for even moduli (rare in practice).
+  // Generic square-and-multiply for even moduli (rare in practice) and
+  // moduli wider than the fixed-width path.
   BigInt result(std::uint64_t{1});
   BigInt b = base.mod(m);
   std::size_t bits = exp.bit_length();

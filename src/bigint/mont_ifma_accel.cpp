@@ -402,7 +402,7 @@ void mod_exp_x2_ifma(const IfmaExpHalf& h0, const IfmaExpHalf& h1,
   }
 
   auto window = [&h](int x, std::size_t i) -> u64 {
-    return (h[x]->exp[i / 8] >> (4 * (i % 8))) & (kTableSize - 1);
+    return (h[x]->exp[i / 16] >> (4 * (i % 16))) & (kTableSize - 1);
   };
   for (int x = 0; x < 2; ++x) {
     select_entry(limbs(w.a[x]), table[x], window(x, windows - 1));

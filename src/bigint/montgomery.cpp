@@ -1,7 +1,6 @@
 #include "bigint/montgomery.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstring>
 #include <utility>
@@ -44,13 +43,12 @@ void sqr_portable(std::uint64_t* r, const std::uint64_t* a,
 // about a third of the cost of a word-at-a-time scan through memory.
 using u64x2 = std::uint64_t __attribute__((vector_size(16)));
 
-void select_entry(std::uint64_t* out, const std::vector<std::uint64_t>& table,
+void select_entry(std::uint64_t* out, const std::uint64_t* t,
                   std::uint64_t idx, std::size_t nw) {
   auto mask_of = [idx](std::uint64_t e) {
     const std::uint64_t d = e ^ idx;
     return ((d | (0 - d)) >> 63) - 1;  // ~0 iff e == idx
   };
-  const std::uint64_t* t = table.data();
   std::size_t j = 0;
   for (; j + 2 <= nw; j += 2) {
     u64x2 acc = {0, 0};
@@ -130,179 +128,165 @@ void mont_mul_portable(std::uint64_t* r, const std::uint64_t* a,
   }
 }
 
-MontgomeryCtx::MontgomeryCtx(const BigInt& m) : m_(m) {
+MontgomeryCtx::MontgomeryCtx(const BigInt& m) {
   if (m.is_zero() || m.is_negative() || m.is_even()) {
     throw Error(ErrorKind::kCrypto, "Montgomery modulus must be odd positive");
   }
-  n_ = m.limbs().size();
-  nw_ = (n_ + 1) / 2;
-  mw_ = pack(m_);
-  m_prime64_ = neg_inverse_u64(mw_[0]);
+  nw_ = words_for_bits(m.bit_length());
+  if (nw_ > kMaxWords) {
+    throw Error(ErrorKind::kCrypto, "Montgomery modulus too wide");
+  }
+  from_bigint(m_.data(), nw_, m);
+  m_prime_ = neg_inverse_u64(m_[0]);
   mul_ = &mont_mul_portable;
   sqr_ = &sqr_portable;
-  if (nw_ == 8 && accel::mont_supported()) {
-    mul_ = &accel::mont_mul8;
-    sqr_ = &accel::mont_sqr8;
+  if (accel::mont_supported()) {
+    if (nw_ == 8) {
+      mul_ = &accel::mont_mul8;
+      sqr_ = &accel::mont_sqr8;
+    } else if (nw_ == 16) {
+      mul_ = &accel::mont_mul16;
+      sqr_ = &accel::mont_sqr16;
+    }
   }
   // R^2 mod m where R = 2^(64 nw).
-  BigInt r = BigInt(std::uint64_t{1}) << (64 * nw_);
-  r2w_ = pack((r * r).mod(m_));
-  one_plain_.assign(nw_, 0);
+  from_bigint(r2_.data(), nw_,
+              (BigInt(std::uint64_t{1}) << (128 * nw_)).mod(m));
   one_plain_[0] = 1;
   // 1 in Montgomery form: 1 * R^2 * R^-1 = R mod m.
-  onew_.resize(nw_);
-  mul(onew_.data(), one_plain_.data(), r2w_.data());
-  one_mont_ = unpack(onew_);
+  mul(one_.data(), one_plain_.data(), r2_.data());
   g_ctx_builds.fetch_add(1, std::memory_order_relaxed);
 }
+
+MontgomeryCtx::~MontgomeryCtx() = default;
 
 std::uint64_t montgomery_ctx_builds() {
   return g_ctx_builds.load(std::memory_order_relaxed);
 }
 
-MontgomeryCtx::Words MontgomeryCtx::pack(const BigInt& v) const {
-  const auto& limbs = v.limbs();
-  Words out(nw_, 0);
-  for (std::size_t i = 0; i < limbs.size() && i / 2 < nw_; ++i) {
-    out[i / 2] |= static_cast<std::uint64_t>(limbs[i]) << (32 * (i % 2));
+void MontgomeryCtx::reduce(Word* r, const Word* x, std::size_t xw) const {
+  // x = sum of its n-word chunks x_i R^i. Horner from the top chunk, in
+  // Montgomery form: acc <- acc R + x_i R, both terms products by R^2
+  // mod m (a chunk is below R, the only bound on a left operand), joined
+  // by a masked modular addition; then one product leaves the form.
+  const std::size_t chunks = std::max<std::size_t>(1, (xw + nw_ - 1) / nw_);
+  Word acc[kMaxWords] = {}, chunk[kMaxWords], t[kMaxWords];
+  for (std::size_t i = chunks; i-- > 0;) {
+    std::fill(chunk, chunk + nw_, 0);
+    const std::size_t lo = i * nw_;
+    std::copy(x + lo, x + std::min(xw, lo + nw_), chunk);
+    mul(t, acc, r2_.data());
+    to_mont(acc, chunk);
+    // acc + t is below 2m: subtract m unless that borrows past the carry.
+    const Word carry = add_n(acc, acc, t, nw_);
+    const Word borrow = sub_n(t, acc, m_.data(), nw_);
+    select_n(acc, 0 - (carry | (borrow ^ 1)), t, acc, nw_);
   }
-  return out;
+  from_mont(r, acc);
 }
-
-BigInt MontgomeryCtx::unpack(const Words& w) const {
-  std::vector<std::uint32_t> limbs(nw_ * 2, 0);
-  for (std::size_t i = 0; i < nw_; ++i) {
-    limbs[2 * i] = static_cast<std::uint32_t>(w[i]);
-    limbs[2 * i + 1] = static_cast<std::uint32_t>(w[i] >> 32);
-  }
-  return BigInt::from_limbs(std::move(limbs));
-}
-
-BigInt MontgomeryCtx::mont_mul(const BigInt& a, const BigInt& b) const {
-  Words t(nw_);
-  mul(t.data(), pack(a).data(), pack(b).data());
-  return unpack(t);
-}
-
-BigInt MontgomeryCtx::mont_sqr(const BigInt& a) const {
-  Words t(nw_);
-  sqr(t.data(), pack(a).data());
-  return unpack(t);
-}
-
-BigInt MontgomeryCtx::to_mont(const BigInt& a) const {
-  Words t(nw_);
-  mul(t.data(), pack(a).data(), r2w_.data());
-  return unpack(t);
-}
-
-BigInt MontgomeryCtx::from_mont(const BigInt& a) const {
-  Words t(nw_);
-  mul(t.data(), pack(a).data(), one_plain_.data());
-  return unpack(t);
-}
-
-MontgomeryCtx::~MontgomeryCtx() = default;
 
 const accel::IfmaModulus& MontgomeryCtx::ifma_modulus() const {
   std::call_once(ifma_once_, [this] {
     // R^2 mod m for the kernel's R = 2^(52 * 10).
-    const BigInt r2 =
-        (BigInt(std::uint64_t{1}) << (2 * 52 * accel::kIfmaLimbs)).mod(m_);
+    Word r2[kMaxWords];
+    from_bigint(r2, nw_,
+                (BigInt(std::uint64_t{1}) << (2 * 52 * accel::kIfmaLimbs))
+                    .mod(to_bigint(m_.data(), nw_)));
     auto mod = std::make_unique<accel::IfmaModulus>();
-    accel::ifma_modulus(*mod, mw_.data(), m_prime64_, pack(r2).data());
+    accel::ifma_modulus(*mod, m_.data(), m_prime_, r2);
     ifma_ = std::move(mod);
   });
   return *ifma_;
 }
 
-std::pair<BigInt, BigInt> MontgomeryCtx::mod_exp_pair(
-    const MontgomeryCtx& c1, const BigInt& b1, const BigInt& e1,
-    const MontgomeryCtx& c2, const BigInt& b2, const BigInt& e2) {
-  constexpr std::size_t kExpLimbs = 16;  // 512 bits of 32-bit limbs
-  if (c1.nw_ != 8 || c2.nw_ != 8 || e1.bit_length() > 32 * kExpLimbs ||
-      e2.bit_length() > 32 * kExpLimbs || !accel::ifma_supported()) {
-    return {c1.mod_exp(b1, e1), c2.mod_exp(b2, e2)};
+void MontgomeryCtx::mod_exp_pair(const MontgomeryCtx& c1, Word* r1,
+                                 const Word* b1, std::span<const Word> e1,
+                                 const MontgomeryCtx& c2, Word* r2,
+                                 const Word* b2, std::span<const Word> e2) {
+  constexpr std::size_t kExpWords = 8;  // the kernel's 512-bit exponents
+  const std::size_t bits = std::max(bit_length_n(e1.data(), e1.size()),
+                                    bit_length_n(e2.data(), e2.size()));
+  if (c1.nw_ != 8 || c2.nw_ != 8 || bits > 64 * kExpWords ||
+      !accel::ifma_supported()) {
+    c1.mod_exp(r1, b1, e1);
+    c2.mod_exp(r2, b2, e2);
+    return;
   }
-  auto fixed = [](const BigInt& e) {
-    std::array<std::uint32_t, kExpLimbs> out{};
-    std::copy(e.limbs().begin(), e.limbs().end(), out.begin());
-    return out;
-  };
-  const auto x1 = fixed(e1), x2 = fixed(e2);
-  const Words w1 = c1.pack(b1), w2 = c2.pack(b2);
-  Words r1(8), r2(8);
-  const std::size_t bits = std::max(e1.bit_length(), e2.bit_length());
+  Word x1[kExpWords] = {}, x2[kExpWords] = {};
+  std::copy_n(e1.begin(), std::min(e1.size(), kExpWords), x1);
+  std::copy_n(e2.begin(), std::min(e2.size(), kExpWords), x2);
   const std::size_t windows =
       std::max<std::size_t>(1, (bits + kWindowBits - 1) / kWindowBits);
-  accel::mod_exp_x2_ifma({&c1.ifma_modulus(), w1.data(), x1.data(), r1.data()},
-                         {&c2.ifma_modulus(), w2.data(), x2.data(), r2.data()},
-                         windows);
-  return {c1.unpack(r1), c2.unpack(r2)};
+  accel::mod_exp_x2_ifma({&c1.ifma_modulus(), b1, x1, r1},
+                         {&c2.ifma_modulus(), b2, x2, r2}, windows);
 }
 
-BigInt MontgomeryCtx::mod_exp(const BigInt& base, const BigInt& exp) const {
-  if (exp.is_zero()) return BigInt(std::uint64_t{1}).mod(m_);
+void MontgomeryCtx::mod_exp(Word* r, const Word* base,
+                            std::span<const Word> exp) const {
+  const std::size_t bits = bit_length_n(exp.data(), exp.size());
+  if (bits == 0) {
+    from_mont(r, one_.data());  // 1 mod m
+    return;
+  }
 
-  const std::size_t bits = exp.bit_length();
+  Word acc[kMaxWords], tmp[kMaxWords];
   if (bits <= kPlainExpBits) {
     // Short exponent (RSA public exponents live here): left-to-right
     // square-and-multiply beats building the window table. Two scratch
     // buffers ping-pong through the whole run.
-    Words mont_base(nw_);
-    mul(mont_base.data(), pack(base).data(), r2w_.data());
-    Words acc = mont_base;
-    Words tmp(nw_);
+    Word mont_base[kMaxWords];
+    to_mont(mont_base, base);
+    Word* a = acc;
+    Word* t = tmp;
+    std::copy_n(mont_base, nw_, a);
     for (std::size_t i = bits - 1; i-- > 0;) {
-      sqr(tmp.data(), acc.data());
-      acc.swap(tmp);
-      if (exp.bit(i)) {
-        mul(tmp.data(), acc.data(), mont_base.data());
-        acc.swap(tmp);
+      sqr(t, a);
+      std::swap(a, t);
+      if ((exp[i / 64] >> (i % 64)) & 1) {
+        mul(t, a, mont_base);
+        std::swap(a, t);
       }
     }
-    mul(tmp.data(), acc.data(), one_plain_.data());
-    return unpack(tmp);
+    from_mont(r, a);
+    return;
   }
 
-  // Fixed window: base^0 .. base^(2^w - 1) in Montgomery form, packed
-  // entry after entry.
-  Words table(kTableSize * nw_);
-  std::uint64_t* t = table.data();
-  std::copy(onew_.begin(), onew_.end(), t);
-  mul(t + nw_, pack(base).data(), r2w_.data());
+  // Fixed window: base^0 .. base^(2^w - 1) in Montgomery form, entry
+  // after entry.
+  Word table[kTableSize * kMaxWords];
+  std::copy_n(one_.data(), nw_, table);
+  to_mont(table + nw_, base);
   for (std::size_t i = 2; i < kTableSize; ++i) {
     if (i % 2 == 0) {
-      sqr(t + i * nw_, t + i / 2 * nw_);
+      sqr(table + i * nw_, table + i / 2 * nw_);
     } else {
-      mul(t + i * nw_, t + (i - 1) * nw_, t + nw_);
+      mul(table + i * nw_, table + (i - 1) * nw_, table + nw_);
     }
   }
 
-  // A window never straddles a 32-bit limb, so each one is a shift and a
-  // mask of a single limb.
-  static_assert(32 % kWindowBits == 0);
-  constexpr std::size_t kPerLimb = 32 / kWindowBits;
-  const auto& limbs = exp.limbs();
-  auto window = [&limbs](std::size_t w) -> std::uint64_t {
-    return (limbs[w / kPerLimb] >> (kWindowBits * (w % kPerLimb))) &
+  // A window never straddles a word, so each one is a shift and a mask.
+  static_assert(64 % kWindowBits == 0);
+  constexpr std::size_t kPerWord = 64 / kWindowBits;
+  auto window = [&exp](std::size_t w) -> std::uint64_t {
+    return (exp[w / kPerWord] >> (kWindowBits * (w % kPerWord))) &
            (kTableSize - 1);
   };
 
   const std::size_t windows = (bits + kWindowBits - 1) / kWindowBits;
-  Words acc(nw_), tmp(nw_), entry(nw_);
-  select_entry(acc.data(), table, window(windows - 1), nw_);
+  Word* a = acc;
+  Word* t = tmp;
+  Word entry[kMaxWords];
+  select_entry(a, table, window(windows - 1), nw_);
   for (std::size_t w = windows - 1; w-- > 0;) {
     for (std::size_t s = 0; s < kWindowBits; ++s) {
-      sqr(tmp.data(), acc.data());
-      acc.swap(tmp);
+      sqr(t, a);
+      std::swap(a, t);
     }
-    select_entry(entry.data(), table, window(w), nw_);
-    mul(tmp.data(), acc.data(), entry.data());
-    acc.swap(tmp);
+    select_entry(entry, table, window(w), nw_);
+    mul(t, a, entry);
+    std::swap(a, t);
   }
-  mul(tmp.data(), acc.data(), one_plain_.data());
-  return unpack(tmp);
+  from_mont(r, a);
 }
 
 }  // namespace omadrm::bigint

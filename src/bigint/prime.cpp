@@ -1,6 +1,8 @@
 #include "bigint/prime.h"
 
+#include <algorithm>
 #include <array>
+#include <span>
 
 #include "bigint/montgomery.h"
 #include "common/error.h"
@@ -18,16 +20,25 @@ constexpr std::array<std::uint32_t, 54> kSmallPrimes = {
 
 // One witness round against the candidate behind `ctx`. Squarings run in
 // the Montgomery domain (one square each) instead of multiply + divide;
-// `mont_one` / `mont_n_minus_1` are the comparison targets in that domain.
-bool miller_rabin_witness(const bigint::MontgomeryCtx& ctx,
-                          const BigInt& mont_one,
-                          const BigInt& mont_n_minus_1, const BigInt& d,
-                          std::size_t r, const BigInt& a) {
-  BigInt x = ctx.to_mont(ctx.mod_exp(a, d));
-  if (x == mont_one || x == mont_n_minus_1) return true;
+// ctx.one() and `mont_n_minus_1` are the comparison targets in that
+// domain.
+bool miller_rabin_witness(const MontgomeryCtx& ctx,
+                          const Word* mont_n_minus_1,
+                          std::span<const Word> d, std::size_t r,
+                          const BigInt& a) {
+  const std::size_t nw = ctx.words();
+  auto equal = [nw](const Word* u, const Word* v) {
+    return std::equal(u, u + nw, v);
+  };
+  Word x[kMaxWords], t[kMaxWords];
+  from_bigint(t, nw, a);
+  ctx.mod_exp(x, t, d);
+  ctx.to_mont(t, x);
+  if (equal(t, ctx.one()) || equal(t, mont_n_minus_1)) return true;
   for (std::size_t i = 1; i < r; ++i) {
-    x = ctx.mont_sqr(x);
-    if (x == mont_n_minus_1) return true;
+    ctx.sqr(x, t);
+    std::copy_n(x, nw, t);
+    if (equal(t, mont_n_minus_1)) return true;
   }
   return false;  // composite witness found
 }
@@ -54,19 +65,22 @@ bool is_probable_prime(const BigInt& n, Rng& rng, std::size_t rounds) {
     ++r;
   }
 
-  // One context per candidate, built directly: candidate moduli are
-  // throwaway, so going through the shared cache would only churn its LRU.
-  MontgomeryCtx ctx(n);
-  const BigInt& mont_one = ctx.mont_one();
-  BigInt mont_n_minus_1 = ctx.to_mont(n_minus_1);
+  // One context per candidate: candidate moduli are throwaway.
+  const MontgomeryCtx ctx(n);
+  const std::size_t nw = ctx.words();
+  Word dw[kMaxWords], t[kMaxWords], mont_n_minus_1[kMaxWords];
+  from_bigint(dw, nw, d);
+  from_bigint(t, nw, n_minus_1);
+  ctx.to_mont(mont_n_minus_1, t);
+  const std::span<const Word> dspan(dw, nw);
 
   // Base 2 first (cheap and catches most composites), then random bases.
-  if (!miller_rabin_witness(ctx, mont_one, mont_n_minus_1, d, r, two)) {
+  if (!miller_rabin_witness(ctx, mont_n_minus_1, dspan, r, two)) {
     return false;
   }
   for (std::size_t i = 0; i < rounds; ++i) {
     BigInt a = BigInt::random_below(n - BigInt(std::uint64_t{3}), rng) + two;
-    if (!miller_rabin_witness(ctx, mont_one, mont_n_minus_1, d, r, a)) {
+    if (!miller_rabin_witness(ctx, mont_n_minus_1, dspan, r, a)) {
       return false;
     }
   }

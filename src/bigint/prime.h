@@ -11,7 +11,9 @@
 namespace omadrm::bigint {
 
 /// Miller–Rabin with `rounds` random witnesses (plus base-2 always).
-/// Error probability <= 4^-rounds for composite n.
+/// Error probability <= 4^-rounds for composite n. The witnesses run on
+/// the fixed-width Montgomery path, so n may have at most kMaxWords words
+/// (bigint/limbs.h); a wider odd n throws kCrypto.
 bool is_probable_prime(const BigInt& n, Rng& rng, std::size_t rounds = 20);
 
 /// Generates a random prime with exactly `bits` bits (top two bits set so

@@ -21,10 +21,10 @@ Bytes kdf2_sha1(ByteView z, std::size_t out_len, ByteView other_info) {
     store_be32(counter++, ctr);
     h.update(ByteView(ctr, 4));
     h.update(other_info);
-    Bytes t = h.finish();
-    std::size_t take = std::min(t.size(), out_len - out.size());
-    out.insert(out.end(), t.begin(),
-               t.begin() + static_cast<std::ptrdiff_t>(take));
+    std::uint8_t t[Sha1::kDigestSize];
+    h.finish_into(t);
+    std::size_t take = std::min(sizeof t, out_len - out.size());
+    out.insert(out.end(), t, t + take);
   }
   return out;
 }

@@ -1,5 +1,6 @@
 #include "pki/authority.h"
 
+#include "provider/provider.h"
 #include "rsa/pss.h"
 
 namespace omadrm::pki {
@@ -40,9 +41,9 @@ bool CertificationAuthority::is_revoked(const bigint::BigInt& serial) const {
   return revoked_.contains(serial);
 }
 
-OcspResponse CertificationAuthority::ocsp_respond(const OcspRequest& request,
-                                                  std::uint64_t now,
-                                                  Rng& rng) {
+OcspResponse CertificationAuthority::ocsp_respond(
+    const OcspRequest& request, std::uint64_t now, Rng& rng,
+    provider::CryptoProvider& crypto) {
   OcspCertStatus status;
   const bigint::BigInt& serial = request.serial;
   if (revoked_.contains(serial)) {
@@ -53,7 +54,7 @@ OcspResponse CertificationAuthority::ocsp_respond(const OcspRequest& request,
     status = OcspCertStatus::kUnknown;
   }
   OcspResponse resp(request.serial, status, now, request.nonce, cn_);
-  resp.set_signature(rsa::pss_sign(key_, resp.tbs_der(), rng));
+  resp.set_signature(crypto.pss_sign(key_, resp.tbs_der(), rng));
   return resp;
 }
 

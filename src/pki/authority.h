@@ -11,6 +11,10 @@
 #include "pki/certificate.h"
 #include "pki/ocsp.h"
 
+namespace omadrm::provider {
+class CryptoProvider;
+}
+
 namespace omadrm::pki {
 
 class CertificationAuthority {
@@ -40,9 +44,11 @@ class CertificationAuthority {
   bool is_revoked(const bigint::BigInt& serial) const;
 
   /// Responds to an OCSP request at time `now`. Serials this CA never
-  /// issued report kUnknown.
+  /// issued report kUnknown. The response is signed through `crypto`, so
+  /// a Rights Issuer stapling it to its registration response charges
+  /// the signature to its own provider.
   OcspResponse ocsp_respond(const OcspRequest& request, std::uint64_t now,
-                            Rng& rng);
+                            Rng& rng, provider::CryptoProvider& crypto);
 
  private:
   std::string cn_;

@@ -621,7 +621,7 @@ roap::RegistrationResponse RightsIssuer::on_registration_request(
   // Staple a fresh OCSP response for our own certificate, bound to the
   // nonce the device supplied.
   pki::OcspRequest ocsp_req{cert_.serial(), request.ocsp_nonce};
-  pki::OcspResponse ocsp = ca_.ocsp_respond(ocsp_req, now, rng_);
+  pki::OcspResponse ocsp = ca_.ocsp_respond(ocsp_req, now, rng_, crypto_);
 
   out.status = Status::kSuccess;
   out.ri_certificate_der = cert_.to_der();

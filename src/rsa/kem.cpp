@@ -1,20 +1,37 @@
 #include "rsa/kem.h"
 
+#include <array>
+
 #include "common/error.h"
 #include "crypto/aes_wrap.h"
 #include "crypto/kdf2.h"
+#include "rsa/key_ctx.h"
 
 namespace omadrm::rsa {
 
+using bigint::kMaxBytes;
 using omadrm::Error;
 using omadrm::ErrorKind;
 
 KemEncapsulation kem_encapsulate(const PublicKey& key, Rng& rng) {
+  const PublicCtx& ctx = key.ctx.get(key);
   const std::size_t k = key.byte_length();
-  BigInt z = BigInt::random_below(key.n, rng);
+  const std::size_t nw = ctx.n.words();
+  // Z uniform below n by rejection sampling: k random bytes with the
+  // bits above n's length cleared, the draws BigInt::random_below makes.
+  std::array<std::uint8_t, kMaxBytes> buf;
+  const std::span<std::uint8_t> z = std::span(buf).first(k);
+  const std::size_t excess_bits = 8 * k - key.n.bit_length();
+  Word zw[kMaxWords];
+  do {
+    rng.fill(z.data(), k);
+    z[0] &= static_cast<std::uint8_t>(0xff >> excess_bits);
+  } while (!bigint::from_be(zw, nw, z) ||
+           !bigint::less_n(zw, ctx.n.modulus(), nw));
   KemEncapsulation out;
-  out.c1 = i2osp(rsaep(key, z), k);
-  out.kek = crypto::kdf2_sha1(i2osp(z, k), kKekLen);
+  out.c1.resize(k);
+  ctx.exp(z, out.c1, "kem: Z out of range");
+  out.kek = crypto::kdf2_sha1(z, kKekLen);
   return out;
 }
 
@@ -23,12 +40,11 @@ Bytes kem_decapsulate(const PrivateKey& key, ByteView c1) {
   if (c1.size() != k) {
     throw Error(ErrorKind::kCrypto, "kem: C1 length != key length");
   }
-  BigInt c = os2ip(c1);
-  if (!(c < key.n)) {
-    throw Error(ErrorKind::kCrypto, "kem: C1 out of range");
-  }
-  BigInt z = rsadp(key, c);
-  return crypto::kdf2_sha1(i2osp(z, k), kKekLen);
+  if (k > kMaxBytes) throw Error(ErrorKind::kCrypto, "kem: key too wide");
+  std::array<std::uint8_t, kMaxBytes> buf;
+  const std::span<std::uint8_t> z = std::span(buf).first(k);
+  rsadp(key, c1, z);  // kCrypto when C1 >= n
+  return crypto::kdf2_sha1(z, kKekLen);
 }
 
 Bytes kem_wrap_keys(const PublicKey& key, ByteView key_material, Rng& rng) {

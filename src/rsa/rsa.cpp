@@ -2,9 +2,9 @@
 
 #include <memory>
 
-#include "bigint/montgomery.h"
 #include "bigint/prime.h"
 #include "common/error.h"
+#include "rsa/key_ctx.h"
 
 namespace omadrm::rsa {
 
@@ -54,14 +54,77 @@ Bytes i2osp(const BigInt& x, std::size_t len) {
 
 BigInt os2ip(ByteView data) { return BigInt::from_bytes_be(data); }
 
-// A replaced context stays alive until the slot is reset or destroyed:
-// a racing reader may still be comparing its modulus.
-struct CtxSlot::Node {
-  bigint::MontgomeryCtx ctx;
+Limbs::Limbs(const BigInt& v) : n(bigint::words_for_bits(v.bit_length())) {
+  if (n > kMaxWords) throw Error(ErrorKind::kCrypto, "rsa: key too wide");
+  bigint::from_bigint(w.data(), n, v);
+}
+
+namespace {
+
+// `in` as nw words below the modulus m, or kCrypto naming `what`.
+void load_below(Word* out, const Word* m, std::size_t nw, ByteView in,
+                const char* what) {
+  if (!bigint::from_be(out, nw, in) || !bigint::less_n(out, m, nw)) {
+    throw Error(ErrorKind::kCrypto, what);
+  }
+}
+
+void store(const Word* w, std::size_t nw, std::span<std::uint8_t> out) {
+  if (!bigint::to_be(w, nw, out)) {
+    throw Error(ErrorKind::kRange, "rsa: result does not fit the output");
+  }
+}
+
+bool same_modulus(const bigint::MontgomeryCtx& ctx, const BigInt& m) {
+  return bigint::equals_bigint(ctx.modulus(), ctx.words(), m);
+}
+
+}  // namespace
+
+bool PublicCtx::matches(const BigInt& modulus, const BigInt& exponent) const {
+  return same_modulus(n, modulus) && e == exponent;
+}
+
+void PublicCtx::exp(ByteView in, std::span<std::uint8_t> out,
+                    const char* what) const {
+  Word x[kMaxWords], r[kMaxWords];
+  load_below(x, n.modulus(), n.words(), in, what);
+  n.mod_exp(r, x, e.span());
+  store(r, n.words(), out);
+}
+
+PrivateCtx::PrivateCtx(const PrivateKey& key) : n(key.n) {
+  if (!key.has_crt) {
+    plain.emplace(key.n, key.d);
+    return;
+  }
+  p.emplace(key.p);
+  q.emplace(key.q);
+  dp = Limbs(key.dp);
+  dq = Limbs(key.dq);
+  qinv = Limbs(key.qinv);
+  if (qinv.n > p->words() || p->words() + q->words() < n.n) {
+    throw Error(ErrorKind::kCrypto, "rsa: inconsistent CRT key");
+  }
+}
+
+bool PrivateCtx::matches(const PrivateKey& key) const {
+  if (!(n == key.n) || key.has_crt != p.has_value()) return false;
+  if (plain) return plain->matches(key.n, key.d);
+  return same_modulus(*p, key.p) && same_modulus(*q, key.q) &&
+         dp == key.dp && dq == key.dq && qinv == key.qinv;
+}
+
+// A replaced form stays alive until the slot is reset or destroyed: a
+// racing reader may still be comparing it with its key.
+template <class Ctx>
+struct CtxSlot<Ctx>::Node {
+  Ctx ctx;
   const Node* replaced;
 };
 
-void CtxSlot::reset(const Node* head) noexcept {
+template <class Ctx>
+void CtxSlot<Ctx>::reset(const Node* head) noexcept {
   const Node* node = head_.exchange(head);
   while (node != nullptr) {
     const Node* next = node->replaced;
@@ -70,11 +133,12 @@ void CtxSlot::reset(const Node* head) noexcept {
   }
 }
 
-const bigint::MontgomeryCtx& CtxSlot::get(const BigInt& m) const {
+template <class Ctx>
+template <class Key>
+const Ctx& CtxSlot<Ctx>::get(const Key& key) const {
   const Node* seen = head_.load();
-  while (seen == nullptr || !(seen->ctx.modulus() == m)) {
-    std::unique_ptr<const Node> fresh(
-        new Node{bigint::MontgomeryCtx(m), seen});
+  while (seen == nullptr || !seen->ctx.matches(key)) {
+    std::unique_ptr<const Node> fresh(new Node{Ctx(key), seen});
     if (head_.compare_exchange_strong(seen, fresh.get())) {
       return fresh.release()->ctx;
     }
@@ -83,46 +147,51 @@ const bigint::MontgomeryCtx& CtxSlot::get(const BigInt& m) const {
   return seen->ctx;
 }
 
-BigInt rsaep(const PublicKey& key, const BigInt& m) {
-  if (m.is_negative() || !(m < key.n)) {
-    throw Error(ErrorKind::kCrypto, "rsaep: message out of range");
-  }
-  // A hostile even modulus has no Montgomery form; mod_exp takes it down
-  // the generic path.
-  if (!key.n.is_odd()) return BigInt::mod_exp(m, key.e, key.n);
-  return key.ctx_n.get(key.n).mod_exp(m, key.e);
+template class CtxSlot<PublicCtx>;
+template class CtxSlot<PrivateCtx>;
+template const PublicCtx& CtxSlot<PublicCtx>::get(const PublicKey&) const;
+template const PrivateCtx& CtxSlot<PrivateCtx>::get(const PrivateKey&) const;
+
+void rsaep(const PublicKey& key, ByteView m, std::span<std::uint8_t> out) {
+  key.ctx.get(key).exp(m, out, "rsaep: message out of range");
 }
 
-BigInt rsadp(const PrivateKey& key, const BigInt& c) {
-  if (c.is_negative() || !(c < key.n)) {
-    throw Error(ErrorKind::kCrypto, "rsadp: ciphertext out of range");
-  }
-  if (!key.has_crt) {
-    return BigInt::mod_exp(c, key.d, key.n);
-  }
-  // CRT on the key's per-prime contexts, which keep their constants
-  // across private-key operations; both halves go through one call, so
-  // an IFMA host runs them as one dual exponentiation.
-  const auto [m1, m2] = bigint::MontgomeryCtx::mod_exp_pair(
-      key.crt_ctx_p.get(key.p), c.mod(key.p), key.dp,
-      key.crt_ctx_q.get(key.q), c.mod(key.q), key.dq);
-  // Garner's recombination: m = m2 + q * (qinv * (m1 - m2) mod p).
-  BigInt h = (key.qinv * (m1 - m2)).mod(key.p);
-  return m2 + key.q * h;
-}
+void rsadp(const PrivateKey& key, ByteView c, std::span<std::uint8_t> out) {
+  const PrivateCtx& k = key.ctx.get(key);
+  constexpr const char* kRangeError = "rsadp: ciphertext out of range";
+  if (k.plain) return k.plain->exp(c, out, kRangeError);
 
-BigInt rsasp1(const PrivateKey& key, const BigInt& m) {
-  if (m.is_negative() || !(m < key.n)) {
-    throw Error(ErrorKind::kCrypto, "rsasp1: message out of range");
-  }
-  return rsadp(key, m);
-}
+  const bigint::MontgomeryCtx& p = *k.p;
+  const bigint::MontgomeryCtx& q = *k.q;
+  const std::size_t nn = k.n.n, np = p.words(), nq = q.words();
+  Word cw[kMaxWords];
+  load_below(cw, k.n.w.data(), nn, c, kRangeError);
 
-BigInt rsavp1(const PublicKey& key, const BigInt& s) {
-  if (s.is_negative() || !(s < key.n)) {
-    throw Error(ErrorKind::kCrypto, "rsavp1: signature out of range");
+  // Both halves on the key's contexts, through one call, so an IFMA host
+  // runs them as one dual exponentiation.
+  Word cp[kMaxWords], cq[kMaxWords], m1[kMaxWords], m2[kMaxWords];
+  p.reduce(cp, cw, nn);
+  q.reduce(cq, cw, nn);
+  bigint::MontgomeryCtx::mod_exp_pair(p, m1, cp, k.dp.span(), q, m2, cq,
+                                      k.dq.span());
+
+  // Garner's recombination, m = m2 + q h with h = qInv (m1 - m2) mod p:
+  // the difference wraps into [0, p) by a masked addition of p, and
+  // (qInv t R^-1) R is h.
+  Word t[kMaxWords], u[kMaxWords];
+  p.reduce(t, m2, nq);
+  const Word borrow = bigint::sub_n(t, m1, t, np);
+  bigint::add_masked_n(t, t, p.modulus(), 0 - borrow, np);
+  p.mul(u, k.qinv.w.data(), t);
+  p.to_mont(t, u);
+  Word m[2 * kMaxWords];
+  bigint::mul_n(m, q.modulus(), nq, t, np);
+  Word carry = bigint::add_n(m, m, m2, nq);
+  for (std::size_t j = nq; j < nq + np; ++j) {
+    m[j] += carry;
+    carry = m[j] < carry;
   }
-  return rsaep(key, s);
+  store(m, nq + np, out);
 }
 
 }  // namespace omadrm::rsa

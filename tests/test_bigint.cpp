@@ -12,12 +12,14 @@
 #include "common/error.h"
 #include "common/hex.h"
 #include "common/random.h"
+#include "mont_bigint.h"
 
 namespace omadrm::bigint {
 namespace {
 
 using omadrm::DeterministicRng;
 using omadrm::Error;
+using namespace mont_test;  // NOLINT(google-build-using-namespace)
 
 TEST(BigIntBasics, ZeroProperties) {
   BigInt z;
@@ -288,7 +290,7 @@ TEST(Montgomery, MatchesPlainModMul) {
     MontgomeryCtx ctx(m);
     BigInt a = BigInt::random_below(m, rng);
     BigInt b = BigInt::random_below(m, rng);
-    EXPECT_EQ(ctx.from_mont(ctx.mont_mul(ctx.to_mont(a), ctx.to_mont(b))),
+    EXPECT_EQ(from_mont(ctx, mont_mul(ctx, to_mont(ctx, a), to_mont(ctx, b))),
               (a * b).mod(m));
   }
 }
@@ -300,7 +302,7 @@ TEST(Montgomery, ToFromMontRoundTrip) {
   MontgomeryCtx ctx(m);
   for (int i = 0; i < 20; ++i) {
     BigInt a = BigInt::random_below(m, rng);
-    EXPECT_EQ(ctx.from_mont(ctx.to_mont(a)), a);
+    EXPECT_EQ(from_mont(ctx, to_mont(ctx, a)), a);
   }
 }
 
@@ -323,7 +325,7 @@ TEST(Montgomery, ModExpMatchesGeneric) {
       ref = (ref * ref).mod(m);
       if (exp.bit(b)) ref = (ref * base).mod(m);
     }
-    EXPECT_EQ(ctx.mod_exp(base, exp), ref);
+    EXPECT_EQ(mod_exp(ctx, base, exp), ref);
   }
 }
 
@@ -357,7 +359,7 @@ TEST(Montgomery, ModExpZeroWindowsMatchGeneric) {
     exps.push_back((one << 300) + (one << 40) + BigInt(0xF0F));
     for (const BigInt& e : exps) {
       const BigInt want = generic_mod_exp(base, e, m);
-      EXPECT_EQ(ctx.mod_exp(base, e), want) << bits << " bits, e=" << e.to_hex();
+      EXPECT_EQ(mod_exp(ctx, base, e), want) << bits << " bits, e=" << e.to_hex();
       EXPECT_EQ(BigInt::mod_exp(base, e, m), want) << bits << " bits";
     }
   }
@@ -420,9 +422,9 @@ std::vector<BigInt> kernel_moduli(std::size_t n, Rng& rng) {
 
 // 0, 1, m - 1, R mod m, and random residues.
 std::vector<BigInt> kernel_operands(const MontgomeryCtx& ctx, Rng& rng) {
-  const BigInt& m = ctx.modulus();
+  const BigInt& m = modulus(ctx);
   std::vector<BigInt> ops = {BigInt{}, BigInt(1), m - BigInt(1),
-                             ctx.mont_one()};
+                             mont_one(ctx)};
   for (int i = 0; i < 6; ++i) ops.push_back(BigInt::random_below(m, rng));
   return ops;
 }
@@ -452,9 +454,9 @@ TEST(MontKernel, DispatchedMatchesPortableEverySize) {
       const PortableRef ref(m, n);
       const std::vector<BigInt> ops = kernel_operands(ctx, rng);
       for (const BigInt& a : ops) {
-        EXPECT_EQ(ctx.mont_sqr(a), ref.mul(a, a)) << n << " words";
+        EXPECT_EQ(mont_sqr(ctx, a), ref.mul(a, a)) << n << " words";
         for (const BigInt& b : ops) {
-          EXPECT_EQ(ctx.mont_mul(a, b), ref.mul(a, b)) << n << " words";
+          EXPECT_EQ(mont_mul(ctx, a, b), ref.mul(a, b)) << n << " words";
         }
       }
     }
@@ -470,7 +472,7 @@ TEST(MontKernel, ChainedSquaringsMatchPortable) {
       BigInt x = BigInt::random_below(m, rng);
       Words y = to_words(x, n);
       for (int step = 0; step < 1000; ++step) {
-        x = ctx.mont_sqr(x);
+        x = mont_sqr(ctx, x);
         y = ref.mul(y, y);
       }
       EXPECT_EQ(x, from_words(y)) << n << " words";
@@ -478,28 +480,48 @@ TEST(MontKernel, ChainedSquaringsMatchPortable) {
   }
 }
 
-// The hardware kernels called directly, including in place (r == a).
+// The ADX kernels of one size: 8 words (the CRT halves of RSA-1024) and
+// 16 words (its public-key ops).
+struct AdxKernel {
+  std::size_t n;
+  void (*mul)(std::uint64_t*, const std::uint64_t*, const std::uint64_t*,
+              const std::uint64_t*, std::uint64_t, std::size_t);
+  void (*sqr)(std::uint64_t*, const std::uint64_t*, const std::uint64_t*,
+              std::uint64_t, std::size_t);
+};
+
+const AdxKernel kAdxKernels[] = {{8, &accel::mont_mul8, &accel::mont_sqr8},
+                                 {16, &accel::mont_mul16, &accel::mont_sqr16}};
+
+// The hardware kernels called directly on 0, 1, m - 1, R mod m and random
+// residues, including in place (r == a).
 TEST(MontAccel, KernelsMatchPortable) {
   if (!accel::mont_supported()) GTEST_SKIP() << "host lacks BMI2+ADX";
   DeterministicRng rng(0xADC5);
-  for (const BigInt& m : kernel_moduli(8, rng)) {
-    const MontgomeryCtx ctx(m);
-    const PortableRef ref(m, 8);
-    const std::vector<BigInt> ops = kernel_operands(ctx, rng);
-    for (const BigInt& a : ops) {
-      const Words aw = to_words(a, 8);
-      Words r(8);
-      accel::mont_sqr8(r.data(), aw.data(), ref.mw.data(), ref.k, 8);
-      EXPECT_EQ(r, ref.mul(aw, aw));
-      for (const BigInt& b : ops) {
-        const Words bw = to_words(b, 8);
-        accel::mont_mul8(r.data(), aw.data(), bw.data(), ref.mw.data(), ref.k,
-                         8);
-        EXPECT_EQ(r, ref.mul(aw, bw));
-        Words in_place = aw;
-        accel::mont_mul8(in_place.data(), in_place.data(), bw.data(),
-                         ref.mw.data(), ref.k, 8);
-        EXPECT_EQ(in_place, r);
+  for (const AdxKernel& kernel : kAdxKernels) {
+    const std::size_t n = kernel.n;
+    for (const BigInt& m : kernel_moduli(n, rng)) {
+      const MontgomeryCtx ctx(m);
+      const PortableRef ref(m, n);
+      const std::vector<BigInt> ops = kernel_operands(ctx, rng);
+      for (const BigInt& a : ops) {
+        const Words aw = to_words(a, n);
+        Words r(n);
+        kernel.sqr(r.data(), aw.data(), ref.mw.data(), ref.k, n);
+        EXPECT_EQ(r, ref.mul(aw, aw)) << n << " words";
+        Words sq_in_place = aw;
+        kernel.sqr(sq_in_place.data(), sq_in_place.data(), ref.mw.data(),
+                   ref.k, n);
+        EXPECT_EQ(sq_in_place, r) << n << " words";
+        for (const BigInt& b : ops) {
+          const Words bw = to_words(b, n);
+          kernel.mul(r.data(), aw.data(), bw.data(), ref.mw.data(), ref.k, n);
+          EXPECT_EQ(r, ref.mul(aw, bw)) << n << " words";
+          Words in_place = aw;
+          kernel.mul(in_place.data(), in_place.data(), bw.data(),
+                     ref.mw.data(), ref.k, n);
+          EXPECT_EQ(in_place, r) << n << " words";
+        }
       }
     }
   }
@@ -508,18 +530,49 @@ TEST(MontAccel, KernelsMatchPortable) {
 TEST(MontAccel, ChainedSquaringsMatchPortable) {
   if (!accel::mont_supported()) GTEST_SKIP() << "host lacks BMI2+ADX";
   DeterministicRng rng(0xADC6);
-  for (const BigInt& m : kernel_moduli(8, rng)) {
-    const PortableRef ref(m, 8);
-    Words x = to_words(BigInt::random_below(m, rng), 8);
-    Words y = x;
-    Words z = x;
-    for (int step = 0; step < 1000; ++step) {
-      accel::mont_sqr8(x.data(), x.data(), ref.mw.data(), ref.k, 8);
-      accel::mont_mul8(z.data(), z.data(), z.data(), ref.mw.data(), ref.k, 8);
-      y = ref.mul(y, y);
+  for (const AdxKernel& kernel : kAdxKernels) {
+    const std::size_t n = kernel.n;
+    for (const BigInt& m : kernel_moduli(n, rng)) {
+      const PortableRef ref(m, n);
+      Words x = to_words(BigInt::random_below(m, rng), n);
+      Words y = x;
+      Words z = x;
+      for (int step = 0; step < 1000; ++step) {
+        kernel.sqr(x.data(), x.data(), ref.mw.data(), ref.k, n);
+        kernel.mul(z.data(), z.data(), z.data(), ref.mw.data(), ref.k, n);
+        y = ref.mul(y, y);
+      }
+      EXPECT_EQ(x, y) << n << " words";
+      EXPECT_EQ(z, y) << n << " words";
     }
-    EXPECT_EQ(x, y);
-    EXPECT_EQ(z, y);
+  }
+}
+
+// reduce() against BigInt's mod for inputs of every width up to three
+// times the modulus's, at the edges (0, m - 1, m, multiples of m, all
+// ones) and at random.
+TEST(Montgomery, ReduceMatchesBigIntMod) {
+  DeterministicRng rng(0x5ED0);
+  const BigInt one(1);
+  for (std::size_t n : {1u, 4u, 7u, 8u, 16u}) {
+    for (const BigInt& m : kernel_moduli(n, rng)) {
+      const MontgomeryCtx ctx(m);
+      for (std::size_t xw = 1; xw <= 3 * n; ++xw) {
+        const BigInt top = one << (64 * xw);
+        std::vector<BigInt> xs = {BigInt{}, top - one};
+        if (m < top) xs.push_back(m - one), xs.push_back(m);
+        if (m * BigInt(3) < top) xs.push_back(m * BigInt(3));
+        for (int i = 0; i < 4; ++i) {
+          xs.push_back(BigInt::random_below(top, rng));
+        }
+        for (const BigInt& x : xs) {
+          const Words xw_words = to_words(x, xw);
+          Words r(n);
+          ctx.reduce(r.data(), xw_words.data(), xw);
+          EXPECT_EQ(from_words(r), x.mod(m)) << n << " words, x of " << xw;
+        }
+      }
+    }
   }
 }
 
@@ -630,10 +683,10 @@ TEST(MontIfma, PairMatchesTwoModExp) {
     const MontgomeryCtx cp(p), cq(q);
     auto check = [&](const BigInt& b1, const BigInt& e1, const BigInt& b2,
                      const BigInt& e2) {
-      const auto [r1, r2] = MontgomeryCtx::mod_exp_pair(cp, b1, e1, cq, b2, e2);
-      EXPECT_EQ(r1, cp.mod_exp(b1, e1))
+      const auto [r1, r2] = mod_exp_pair(cp, b1, e1, cq, b2, e2);
+      EXPECT_EQ(r1, mod_exp(cp, b1, e1))
           << "pair " << pair << " e1 bits " << e1.bit_length();
-      EXPECT_EQ(r2, cq.mod_exp(b2, e2))
+      EXPECT_EQ(r2, mod_exp(cq, b2, e2))
           << "pair " << pair << " e2 bits " << e2.bit_length();
       ++cases;
     };
@@ -664,7 +717,7 @@ TEST(MontIfma, PairWithWideExponentMatchesTwoModExp) {
   const BigInt b2 = BigInt::random_below(q, rng);
   const BigInt e1 = BigInt::random_bits(600, rng);
   const BigInt e2 = BigInt::random_bits(512, rng);
-  const auto [r1, r2] = MontgomeryCtx::mod_exp_pair(cp, b1, e1, cq, b2, e2);
+  const auto [r1, r2] = mod_exp_pair(cp, b1, e1, cq, b2, e2);
   EXPECT_EQ(r1, BigInt::mod_exp(b1, e1, p));
   EXPECT_EQ(r2, BigInt::mod_exp(b2, e2, q));
 }

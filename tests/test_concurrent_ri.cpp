@@ -42,6 +42,7 @@
 #include "roap/retry.h"
 #include "roap/transport.h"
 #include "rsa/rsa.h"
+#include "rsa_bigint.h"
 #include "store/group_commit_store.h"
 #include "store/memory_store.h"
 

@@ -6,6 +6,7 @@
 #include "pki/authority.h"
 #include "pki/certificate.h"
 #include "pki/ocsp.h"
+#include "provider/provider.h"
 #include "rsa/pss.h"
 
 namespace omadrm::pki {
@@ -32,6 +33,10 @@ class PkiFixture : public ::testing::Test {
   static CertificationAuthority& ca() { return *ca_; }
   static const rsa::PrivateKey& subject_key() { return *subject_key_; }
   static Rng& rng() { return *rng_; }
+  static provider::CryptoProvider& plain_crypto() {
+    static provider::PlainCryptoProvider plain;
+    return plain;
+  }
 
  private:
   static DeterministicRng* rng_;
@@ -163,23 +168,23 @@ TEST_F(PkiFixture, OcspGoodRevokedUnknown) {
   DeterministicRng local(7);
 
   OcspRequest req{leaf.serial(), local.bytes(14)};
-  OcspResponse resp = ca().ocsp_respond(req, kNow, rng());
+  OcspResponse resp = ca().ocsp_respond(req, kNow, rng(), plain_crypto());
   EXPECT_EQ(resp.status(), OcspCertStatus::kGood);
   EXPECT_TRUE(resp.verify(ca().public_key(), req, kNow, 3600));
 
   ca().revoke(leaf.serial());
-  OcspResponse resp2 = ca().ocsp_respond(req, kNow, rng());
+  OcspResponse resp2 = ca().ocsp_respond(req, kNow, rng(), plain_crypto());
   EXPECT_EQ(resp2.status(), OcspCertStatus::kRevoked);
 
   OcspRequest unknown{bigint::BigInt(99999), local.bytes(14)};
-  OcspResponse resp3 = ca().ocsp_respond(unknown, kNow, rng());
+  OcspResponse resp3 = ca().ocsp_respond(unknown, kNow, rng(), plain_crypto());
   EXPECT_EQ(resp3.status(), OcspCertStatus::kUnknown);
 }
 
 TEST_F(PkiFixture, OcspDerRoundTrip) {
   DeterministicRng local(8);
   OcspRequest req{bigint::BigInt(2), local.bytes(14)};
-  OcspResponse resp = ca().ocsp_respond(req, kNow, rng());
+  OcspResponse resp = ca().ocsp_respond(req, kNow, rng(), plain_crypto());
   OcspResponse parsed = OcspResponse::from_der(resp.to_der());
   EXPECT_EQ(parsed.serial(), resp.serial());
   EXPECT_EQ(parsed.status(), resp.status());
@@ -195,7 +200,7 @@ TEST_F(PkiFixture, OcspDerRoundTrip) {
 TEST_F(PkiFixture, OcspBindingChecks) {
   DeterministicRng local(9);
   OcspRequest req{bigint::BigInt(2), local.bytes(14)};
-  OcspResponse resp = ca().ocsp_respond(req, kNow, rng());
+  OcspResponse resp = ca().ocsp_respond(req, kNow, rng(), plain_crypto());
 
   // Wrong nonce.
   OcspRequest other{bigint::BigInt(2), local.bytes(14)};

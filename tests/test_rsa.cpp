@@ -5,9 +5,11 @@
 // real-size keys.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "bigint/mont_accel.h"
+#include "bigint/prime.h"
 #include "common/error.h"
 #include "common/hex.h"
 #include "common/random.h"
@@ -15,6 +17,7 @@
 #include "rsa/kem.h"
 #include "rsa/pss.h"
 #include "rsa/rsa.h"
+#include "rsa_bigint.h"
 
 namespace omadrm::rsa {
 namespace {
@@ -61,8 +64,8 @@ TEST_F(RsaFixture, EncryptDecryptRoundTrip) {
 TEST_F(RsaFixture, SignVerifyPrimitivesRoundTrip) {
   DeterministicRng rng(2);
   BigInt m = BigInt::random_below(key().n, rng);
-  BigInt s = rsasp1(key(), m);
-  EXPECT_EQ(rsavp1(key().public_key(), s), m);
+  BigInt s = rsadp(key(), m);
+  EXPECT_EQ(rsaep(key().public_key(), s), m);
 }
 
 TEST_F(RsaFixture, CrtMatchesPlainExponentiation) {
@@ -90,6 +93,89 @@ TEST(RsaDualCrt, X2PathMatchesNonCrt) {
       EXPECT_EQ(rsadp(key, c), BigInt::mod_exp(c, key.d, key.n)) << k;
     }
   }
+}
+
+// A CRT key on chosen primes (p, q in either order).
+PrivateKey key_from_primes(const BigInt& p, const BigInt& q) {
+  const BigInt one(1);
+  PrivateKey key;
+  key.n = p * q;
+  key.e = BigInt(65537);
+  const BigInt phi = (p - one) * (q - one);
+  key.d = BigInt::mod_inverse(key.e, phi);
+  key.p = p;
+  key.q = q;
+  key.dp = key.d.mod(p - one);
+  key.dq = key.d.mod(q - one);
+  key.qinv = BigInt::mod_inverse(q, p);
+  key.has_crt = true;
+  return key;
+}
+
+// A prime of `bits` bits with p - 1 coprime to 65537.
+BigInt rsa_prime(std::size_t bits, Rng& rng) {
+  for (;;) {
+    const BigInt p = bigint::generate_prime(bits, rng);
+    if (!(p - BigInt(1)).mod(BigInt(65537)).is_zero()) return p;
+  }
+}
+
+// rsadp and rsaep on the fixed-width path against BigInt::mod_exp, for
+// key shapes that between them take every Montgomery back end the host
+// has:
+//   512/512  CRT halves of 8 words: the IFMA x2 dual exponentiation (or
+//            two ADX or portable calls); the 16-word public op on ADX
+//   256/256  4-word halves on the portable kernel; public op on ADX8
+//   512/448  an 8-word and a 7-word half: two mod_exp calls, ADX and
+//            portable; a 15-word public op on the portable kernel
+//   448/512  the same with q > p, so Garner's m2 can exceed p
+// Inputs: 0, 1, n - 1, p, q, small and the largest multiples of p and q
+// below n, and random ones, which between them give both signs of
+// m1 - m2 in Garner's step.
+TEST(RsaFixedWidth, MatchesBigIntModExpOnEveryShape) {
+  DeterministicRng rng(0xF1D);
+  const BigInt one(1);
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {512, 512}, {256, 256}, {512, 448}, {448, 512}};
+  for (const auto& [pbits, qbits] : shapes) {
+    const BigInt p = rsa_prime(pbits, rng);
+    const BigInt q = rsa_prime(qbits, rng);
+    const PrivateKey key = key_from_primes(p, q);
+    const PublicKey pub = key.public_key();
+    std::vector<BigInt> cs = {BigInt{},        one,     key.n - one, p,
+                              q,               p + p,   q * BigInt(3),
+                              p * (q - one),   q * (p - one)};
+    for (int i = 0; i < 12; ++i) cs.push_back(BigInt::random_below(key.n, rng));
+    int negative = 0, positive = 0;
+    for (const BigInt& c : cs) {
+      const BigInt want = BigInt::mod_exp(c, key.d, key.n);
+      EXPECT_EQ(rsadp(key, c), want) << pbits << "/" << qbits;
+      EXPECT_EQ(rsaep(pub, c), BigInt::mod_exp(c, key.e, key.n))
+          << pbits << "/" << qbits;
+      EXPECT_EQ(rsaep(pub, want), c) << pbits << "/" << qbits;
+      const BigInt m1 = BigInt::mod_exp(c, key.dp, p);
+      const BigInt m2 = BigInt::mod_exp(c, key.dq, q).mod(p);
+      (m1 < m2 ? negative : positive)++;
+    }
+    EXPECT_GT(negative, 0) << pbits << "/" << qbits;
+    EXPECT_GT(positive, 0) << pbits << "/" << qbits;
+  }
+}
+
+// The octet-string surface: inputs of any length (leading zeros
+// included), exactly out.size() output bytes.
+TEST_F(RsaFixture, PrimitivesTakeAndFillOctetStrings) {
+  Bytes c(128), m(128);
+  rsaep(key().public_key(), Bytes{0, 0, 3}, c);
+  Bytes padded(2, 0);
+  padded.insert(padded.end(), c.begin(), c.end());
+  rsadp(key(), padded, m);
+  EXPECT_EQ(os2ip(m), BigInt(3));
+  Bytes long_out(130);
+  rsadp(key(), c, long_out);
+  EXPECT_EQ(os2ip(long_out), BigInt(3));
+  Bytes small(4);
+  EXPECT_THROW(rsaep(key().public_key(), padded, small), Error);
 }
 
 TEST_F(RsaFixture, PrimitivesRejectOutOfRange) {
@@ -120,6 +206,13 @@ TEST(I2osp, PadsAndRejects) {
   EXPECT_THROW(i2osp(BigInt(0x123456), 2), Error);
   EXPECT_THROW(i2osp(BigInt(-5), 4), Error);
   EXPECT_EQ(os2ip(from_hex("00001234")).to_hex(), "1234");
+}
+
+// The MGF1 mask of `seed`: XORed into zeros.
+Bytes mgf1_sha1(ByteView seed, std::size_t len) {
+  Bytes mask(len, 0);
+  mgf1_sha1_xor(seed, mask);
+  return mask;
 }
 
 TEST(Mgf1, ExpandsDeterministically) {
@@ -184,7 +277,8 @@ TEST_F(RsaFixture, PssWrongKeyRejects) {
 TEST(EmsaPss, EncodeVerifyDirect) {
   DeterministicRng rng(12);
   Bytes msg = to_bytes("direct encoding test");
-  Bytes em = emsa_pss_encode(msg, 1023, rng);
+  Bytes em(128);
+  emsa_pss_encode(msg, 1023, rng, em);
   EXPECT_EQ(em.size(), 128u);
   EXPECT_EQ(em.back(), 0xbc);
   EXPECT_TRUE(emsa_pss_verify(msg, em, 1023));
@@ -196,7 +290,8 @@ TEST(EmsaPss, EncodeVerifyDirect) {
 
 TEST(EmsaPss, KeyTooSmallThrows) {
   DeterministicRng rng(13);
-  EXPECT_THROW(emsa_pss_encode(to_bytes("m"), 128, rng), Error);
+  Bytes em(16);
+  EXPECT_THROW(emsa_pss_encode(to_bytes("m"), 128, rng, em), Error);
 }
 
 TEST_F(RsaFixture, KemEncapsulateDecapsulate) {
