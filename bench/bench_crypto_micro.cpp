@@ -1,7 +1,7 @@
 // E8 — microbenchmarks of the real software substrate on the host:
 // the full primitive set OMA DRM 2 mandates (§2.4.5), protocol-level
-// composites (KEM wrap/unwrap, full consumption path), and the BigInt
-// kernels under RSA.
+// composites (KEM wrap/unwrap, full consumption path), and the
+// fixed-width Montgomery kernels under RSA.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -156,20 +156,36 @@ void BM_KemUnwrapKeys(benchmark::State& state) {
 }
 BENCHMARK(BM_KemUnwrapKeys);
 
-// n words of a BigInt, for the fixed-width Montgomery API.
-std::vector<bigint::Word> words(const bigint::BigInt& v, std::size_t n) {
-  std::vector<bigint::Word> w(n);
-  bigint::from_bigint(w.data(), n, v);
+// A random number of exactly `bits` bits (a multiple of 8), made odd
+// when `odd` is set: a modulus, or an exponent.
+bigint::Limbs random_number(std::size_t bits, Rng& rng, bool odd) {
+  Bytes raw = rng.bytes(bits / 8);
+  raw.front() |= 0x80;
+  if (odd) raw.back() |= 1;
+  return bigint::Limbs(raw);
+}
+
+// A uniform draw below `bound`, in bound.n words.
+std::vector<bigint::Word> below(const bigint::Limbs& bound, Rng& rng) {
+  std::vector<bigint::Word> w(bound.n);
+  bigint::random_below(w.data(), bound.w.data(), bound.n, rng);
   return w;
+}
+
+// A ciphertext below the key's modulus, as key-length bytes.
+Bytes below(const rsa::PublicKey& key, Rng& rng) {
+  const std::vector<bigint::Word> w = below(bigint::Limbs(key.n()), rng);
+  Bytes out(key.byte_length());
+  bigint::to_be(w.data(), w.size(), out);
+  return out;
 }
 
 void BM_MontgomeryMul1024(benchmark::State& state) {
   DeterministicRng rng(12);
-  bigint::BigInt m = bigint::BigInt::random_bits(1024, rng);
-  if (m.is_even()) m = m + bigint::BigInt(1);
-  const bigint::MontgomeryCtx ctx(m);
-  const auto a = words(bigint::BigInt::random_below(m, rng), 16);
-  const auto b = words(bigint::BigInt::random_below(m, rng), 16);
+  const bigint::Limbs m = random_number(1024, rng, true);
+  const bigint::MontgomeryCtx ctx(m.span());
+  const auto a = below(m, rng);
+  const auto b = below(m, rng);
   bigint::Word c[16];
   for (auto _ : state) {
     ctx.mul(c, a.data(), b.data());
@@ -179,14 +195,13 @@ void BM_MontgomeryMul1024(benchmark::State& state) {
 }
 BENCHMARK(BM_MontgomeryMul1024);
 
-// What a certificate freshly decoded from the wire pays once, on its
-// key's first RSA operation.
+// What a key freshly decoded from the wire pays once, when it is
+// constructed.
 void BM_MontgomeryCtxBuild1024(benchmark::State& state) {
   DeterministicRng rng(14);
-  bigint::BigInt m = bigint::BigInt::random_bits(1024, rng);
-  if (m.is_even()) m = m + bigint::BigInt(1);
+  const bigint::Limbs m = random_number(1024, rng, true);
   for (auto _ : state) {
-    bigint::MontgomeryCtx ctx(m);
+    bigint::MontgomeryCtx ctx(m.span());
     benchmark::DoNotOptimize(ctx);
   }
 }
@@ -196,13 +211,13 @@ BENCHMARK(BM_MontgomeryCtxBuild1024);
 // 512-bit exponent under a 512-bit prime on the cached context.
 void BM_CrtHalfModExp512(benchmark::State& state) {
   DeterministicRng rng(13);
-  const bigint::BigInt p = bigint::generate_prime(512, rng);
-  const bigint::MontgomeryCtx ctx(p);
-  const auto base = words(bigint::BigInt::random_below(p, rng), 8);
-  const auto exp = words(bigint::BigInt::random_bits(512, rng), 8);
+  const bigint::Limbs p = bigint::generate_prime(512, rng);
+  const bigint::MontgomeryCtx ctx(p.span());
+  const auto base = below(p, rng);
+  const auto exp = random_number(512, rng, false);
   bigint::Word r[8];
   for (auto _ : state) {
-    ctx.mod_exp(r, base.data(), exp);
+    ctx.mod_exp(r, base.data(), exp.span());
     benchmark::DoNotOptimize(r);
     benchmark::ClobberMemory();
   }
@@ -213,15 +228,15 @@ BENCHMARK(BM_CrtHalfModExp512);
 // exponents, on cached contexts.
 struct CrtPair {
   CrtPair() : rng(15), p(bigint::generate_prime(512, rng)),
-              q(bigint::generate_prime(512, rng)), cp(p), cq(q),
-              bp(words(bigint::BigInt::random_below(p, rng), 8)),
-              bq(words(bigint::BigInt::random_below(q, rng), 8)),
-              ep(words(bigint::BigInt::random_bits(512, rng), 8)),
-              eq(words(bigint::BigInt::random_bits(512, rng), 8)) {}
+              q(bigint::generate_prime(512, rng)), cp(p.span()),
+              cq(q.span()), bp(below(p, rng)), bq(below(q, rng)),
+              ep(random_number(512, rng, false)),
+              eq(random_number(512, rng, false)) {}
   DeterministicRng rng;
-  bigint::BigInt p, q;
+  bigint::Limbs p, q;
   bigint::MontgomeryCtx cp, cq;
-  std::vector<bigint::Word> bp, bq, ep, eq;
+  std::vector<bigint::Word> bp, bq;
+  bigint::Limbs ep, eq;
 };
 
 // Through MontgomeryCtx::mod_exp_pair, the entry point rsa::rsadp uses:
@@ -231,8 +246,8 @@ void BM_CrtPair512(benchmark::State& state) {
   const CrtPair c;
   bigint::Word rp[8], rq[8];
   for (auto _ : state) {
-    bigint::MontgomeryCtx::mod_exp_pair(c.cp, rp, c.bp.data(), c.ep, c.cq,
-                                        rq, c.bq.data(), c.eq);
+    bigint::MontgomeryCtx::mod_exp_pair(c.cp, rp, c.bp.data(), c.ep.span(),
+                                        c.cq, rq, c.bq.data(), c.eq.span());
     benchmark::DoNotOptimize(rp);
     benchmark::DoNotOptimize(rq);
     benchmark::ClobberMemory();
@@ -246,7 +261,7 @@ BENCHMARK(BM_CrtPair512);
 void BM_Rsadp1024(benchmark::State& state) {
   DeterministicRng rng(17);
   const rsa::PrivateKey key = rsa::generate_key(1024, rng);
-  const Bytes c = rsa::i2osp(bigint::BigInt::random_below(key.n, rng), 128);
+  const Bytes c = below(key.public_key(), rng);
   Bytes m(128);
   for (auto _ : state) {
     rsa::rsadp(key, c, m);
@@ -265,8 +280,8 @@ void BM_CrtPair512TwoCallAdx(benchmark::State& state) {
   const CrtPair c;
   bigint::Word rp[8], rq[8];
   for (auto _ : state) {
-    c.cp.mod_exp(rp, c.bp.data(), c.ep);
-    c.cq.mod_exp(rq, c.bq.data(), c.eq);
+    c.cp.mod_exp(rp, c.bp.data(), c.ep.span());
+    c.cq.mod_exp(rq, c.bq.data(), c.eq.span());
     benchmark::DoNotOptimize(rp);
     benchmark::DoNotOptimize(rq);
     benchmark::ClobberMemory();

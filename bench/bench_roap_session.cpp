@@ -526,8 +526,9 @@ int main(int argc, char** argv) {
       kRsaBits, mont_backend, mont_public_backend);
   Session s;
 
-  // Registration, cold: chain-verdict cache empty, no Montgomery context
-  // built yet for the freshly decoded certificates' keys.
+  // Registration, cold: chain-verdict cache empty, and the freshly
+  // decoded certificates' keys build their Montgomery contexts as they
+  // are decoded.
   auto reg_start = Clock::now();
   Result<> reg = s.device.register_with(s.transport, kNow);
   const double registration_first_ms = ms_since(reg_start);

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 
+#include "bigint/limbs.h"
 #include "common/random.h"
 #include "crypto/aes.h"
 #include "crypto/hmac.h"
@@ -111,10 +112,20 @@ void BM_HmacSha1(benchmark::State& state) {
 }
 BENCHMARK(BM_HmacSha1)->Arg(64)->Arg(4096);
 
+// A uniform input below the key's modulus, as key-length bytes.
+Bytes below_n(const rsa::PublicKey& key, Rng& rng) {
+  const bigint::Limbs n(key.n());
+  bigint::Word w[bigint::kMaxWords];
+  bigint::random_below(w, n.w.data(), n.n, rng);
+  Bytes out(key.byte_length());
+  bigint::to_be(w, n.n, out);
+  return out;
+}
+
 void BM_Rsa1024PublicOp(benchmark::State& state) {
   DeterministicRng rng(6);
   rsa::PrivateKey key = rsa::generate_key(1024, rng);
-  const Bytes m = rsa::i2osp(bigint::BigInt::random_below(key.n, rng), 128);
+  const Bytes m = below_n(key.public_key(), rng);
   const rsa::PublicKey pub = key.public_key();  // one key, one context
   Bytes c(128);
   for (auto _ : state) {
@@ -127,7 +138,7 @@ BENCHMARK(BM_Rsa1024PublicOp);
 
 void run_private_op(benchmark::State& state, const rsa::PrivateKey& key,
                     Rng& rng) {
-  const Bytes c = rsa::i2osp(bigint::BigInt::random_below(key.n, rng), 128);
+  const Bytes c = below_n(key.public_key(), rng);
   Bytes m(128);
   for (auto _ : state) {
     rsa::rsadp(key, c, m);
@@ -145,8 +156,8 @@ BENCHMARK(BM_Rsa1024PrivateOp);
 
 void BM_Rsa1024PrivateOpNoCrt(benchmark::State& state) {
   DeterministicRng rng(8);
-  rsa::PrivateKey key = rsa::generate_key(1024, rng);
-  key.has_crt = false;
+  const rsa::PrivateKey crt = rsa::generate_key(1024, rng);
+  const rsa::PrivateKey key(crt.public_key(), crt.d());
   run_private_op(state, key, rng);
 }
 BENCHMARK(BM_Rsa1024PrivateOpNoCrt);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant linter for the OMA DRM 2 reproduction.
 
-Six rule classes, each encoding an invariant the test suite cannot see
+Seven rule classes, each encoding an invariant the test suite cannot see
 (tests exercise behavior; these are structural properties of the source):
 
   failpoint-adjacency  Every raw durability syscall in src/store/ sits
@@ -54,6 +54,14 @@ Six rule classes, each encoding an invariant the test suite cannot see
                        units that get the ISA flags and sit behind a
                        cpuid check, so the rest of the library stays
                        portable baseline code.
+
+  one-integer          No file under src/ or bench/ names BigInt or
+                       includes bigint/bigint.h, comments included. The
+                       library has one integer type, the fixed-width
+                       limbs of bigint/limbs.h; the sign-magnitude BigInt
+                       lives in tests/oracle/ as the reference the tests
+                       compare against, and only the test executables
+                       link it.
 
 Exit status: 0 clean, 1 violations (one `path:line: [rule] message` per
 finding), 2 usage/internal error. `--self-test` first proves every rule
@@ -425,6 +433,18 @@ def check_accel_compile_options(accel_paths: list[str],
             if not any(path in b and "COMPILE_OPTIONS" in b for b in blocks)]
 
 
+ONE_INTEGER_RE = re.compile(r"BigInt|bigint/bigint\.h")
+ONE_INTEGER_ROOTS = ("src/", "bench/")
+
+
+def check_one_integer(path: str, lines: list[str]) -> list[Finding]:
+    return [Finding(path, i + 1, "one-integer",
+                    "BigInt outside tests/ — the library and the benches "
+                    "compute on bigint/limbs.h; BigInt is the tests' "
+                    "oracle (tests/oracle/)")
+            for i, raw in enumerate(lines) if ONE_INTEGER_RE.search(raw)]
+
+
 # --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
@@ -458,6 +478,8 @@ def run_lint(repo: pathlib.Path) -> list[Finding]:
         if path.startswith("src/") and path.endswith(".h") \
                 and path not in MUTEX_HEADER_ALLOWLIST:
             findings += check_mutex_header(path, lines)
+        if path.startswith(ONE_INTEGER_ROOTS):
+            findings += check_one_integer(path, lines)
 
     findings += check_wire_scope(files, WIRE_FILES)
 
@@ -657,6 +679,23 @@ def self_test() -> list[str]:
     expect("isa-confinement",
            check_accel_compile_options(["src/bigint/z_accel.cpp"], props),
            True, "bigint accel unit with no COMPILE_OPTIONS")
+
+    # one-integer ---------------------------------------------------------
+    expect("one-integer",
+           check_one_integer("src/rsa/x.cpp", ['#include "bigint/bigint.h"']),
+           True, "the BigInt header included")
+    expect("one-integer",
+           check_one_integer("bench/b.cpp",
+                             ["  bigint::BigInt m = draw(rng);"]),
+           True, "a BigInt in a bench")
+    expect("one-integer",
+           check_one_integer("src/rsa/x.cpp", ["// no BigInt here"]), True,
+           "BigInt named in a comment")
+    expect("one-integer",
+           check_one_integer("src/rsa/x.cpp",
+                             ['#include "bigint/limbs.h"',
+                              "  bigint::Limbs m(bytes);"]),
+           False, "limbs only")
     return errors
 
 
@@ -697,7 +736,7 @@ def main() -> int:
         return 1
     print("lint_invariants: OK "
           "(failpoint-adjacency, classify-coverage, wire-alloc, "
-          "mutex-header, catalog-drift, isa-confinement)")
+          "mutex-header, catalog-drift, isa-confinement, one-integer)")
     return 0
 
 

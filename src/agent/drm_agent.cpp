@@ -1,10 +1,12 @@
 #include "agent/drm_agent.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "agent/sessions.h"
 #include "common/base64.h"
 #include "common/error.h"
+#include "common/hex.h"
 #include "xml/node.h"
 #include "xml/writer.h"
 
@@ -83,7 +85,8 @@ DrmAgent::DrmAgent(FromStoreTag, pki::Certificate trust_root,
                       pki::ChainVerifier::metered_verify(crypto)) {}
 
 void DrmAgent::provision(pki::Certificate device_certificate) {
-  if (!(device_certificate.subject_key().n == key_.n)) {
+  if (!std::ranges::equal(device_certificate.subject_key().n(),
+                          key_.public_key().n())) {
     throw Error(ErrorKind::kProtocol,
                 "agent: certificate does not match device key");
   }
@@ -127,7 +130,7 @@ std::shared_ptr<const pki::ChainVerdict> DrmAgent::verify_chain_metered(
 }
 
 AgentStatus DrmAgent::verify_ocsp_metered(const pki::OcspResponse& ocsp,
-                                          const bigint::BigInt& expected_serial,
+                                          const pki::Serial& expected_serial,
                                           ByteView expected_nonce,
                                           std::uint64_t now) {
   if (!(ocsp.serial() == expected_serial)) return AgentStatus::kOcspInvalid;
@@ -863,15 +866,15 @@ Bytes DrmAgent::encode_identity() const {
   w.open("identity");
   w.attr("device-id", device_id_);
   w.open("device-key");
-  w.attr("n", key_.n.to_hex());
-  w.attr("e", key_.e.to_hex());
-  w.attr("d", key_.d.to_hex());
-  if (key_.has_crt) {
-    w.attr("p", key_.p.to_hex());
-    w.attr("q", key_.q.to_hex());
-    w.attr("dp", key_.dp.to_hex());
-    w.attr("dq", key_.dq.to_hex());
-    w.attr("qinv", key_.qinv.to_hex());
+  w.attr("n", to_hex_number(key_.public_key().n()));
+  w.attr("e", to_hex_number(key_.public_key().e()));
+  w.attr("d", to_hex_number(key_.d()));
+  if (key_.has_crt()) {
+    w.attr("p", to_hex_number(key_.p()));
+    w.attr("q", to_hex_number(key_.q()));
+    w.attr("dp", to_hex_number(key_.dp()));
+    w.attr("dq", to_hex_number(key_.dq()));
+    w.attr("qinv", to_hex_number(key_.qinv()));
   }
   w.close();
   if (is_provisioned()) {
@@ -994,18 +997,15 @@ DrmAgent::ParsedState DrmAgent::parse_records(
       device_id = root.require_attr("device-id");
       const xml::Node& k = root.require_child("device-key");
       auto hex_attr = [&k](std::string_view name) {
-        return bigint::BigInt("0x" + std::string(k.require_attr(name)));
+        return from_hex_number(k.require_attr(name));
       };
-      rsa_key.n = hex_attr("n");
-      rsa_key.e = hex_attr("e");
-      rsa_key.d = hex_attr("d");
-      rsa_key.has_crt = k.attr("p") != nullptr;
-      if (rsa_key.has_crt) {
-        rsa_key.p = hex_attr("p");
-        rsa_key.q = hex_attr("q");
-        rsa_key.dp = hex_attr("dp");
-        rsa_key.dq = hex_attr("dq");
-        rsa_key.qinv = hex_attr("qinv");
+      const Bytes n = hex_attr("n"), e = hex_attr("e"), d = hex_attr("d");
+      if (k.attr("p") != nullptr) {
+        const Bytes p = hex_attr("p"), q = hex_attr("q"), dp = hex_attr("dp"),
+                    dq = hex_attr("dq"), qinv = hex_attr("qinv");
+        rsa_key = rsa::PrivateKey(rsa::PublicKey(n, e), d, p, q, dp, dq, qinv);
+      } else {
+        rsa_key = rsa::PrivateKey(rsa::PublicKey(n, e), d);
       }
       if (const xml::Node* cert = root.child("certificate")) {
         certificate = pki::Certificate::from_der(base64_decode(cert->text()));

@@ -357,7 +357,7 @@ class DrmAgent {
   std::shared_ptr<const pki::ChainVerdict> verify_chain_metered(
       const std::vector<pki::Certificate>& chain, std::uint64_t now);
   AgentStatus verify_ocsp_metered(const pki::OcspResponse& ocsp,
-                                  const bigint::BigInt& expected_serial,
+                                  const pki::Serial& expected_serial,
                                   ByteView expected_nonce, std::uint64_t now);
 
   std::string device_id_;

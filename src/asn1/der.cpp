@@ -66,14 +66,15 @@ void Encoder::write_integer(std::int64_t v) {
             ByteView(content).subspan(start));
 }
 
-void Encoder::write_integer(const bigint::BigInt& v) {
-  if (v.is_negative()) {
-    throw Error(ErrorKind::kRange, "DER bignum: negative unsupported");
-  }
-  Bytes mag = v.to_bytes_be();
-  // Prepend 0x00 if the top bit is set (value is positive).
-  if (mag[0] & 0x80) mag.insert(mag.begin(), 0x00);
-  write_tlv(static_cast<std::uint8_t>(Tag::kInteger), mag);
+void Encoder::write_integer(ByteView magnitude) {
+  const ByteView v = strip_leading_zeros(magnitude);
+  // Zero is one 0x00 octet; a set top bit needs a 0x00 pad to stay
+  // positive.
+  Bytes content;
+  content.reserve(v.size() + 1);
+  if (v.empty() || (v[0] & 0x80)) content.push_back(0x00);
+  content.insert(content.end(), v.begin(), v.end());
+  write_tlv(static_cast<std::uint8_t>(Tag::kInteger), content);
 }
 
 void Encoder::write_bit_string(ByteView bits) {
@@ -256,13 +257,14 @@ std::int64_t Decoder::read_small_integer() {
   return v;
 }
 
-bigint::BigInt Decoder::read_integer() {
+Bytes Decoder::read_integer() {
   ByteView c = read_tlv(static_cast<std::uint8_t>(Tag::kInteger));
   if (c.empty()) throw Error(ErrorKind::kFormat, "DER: empty integer");
   if (c[0] & 0x80) {
     throw Error(ErrorKind::kFormat, "DER: negative bignum unsupported");
   }
-  return bigint::BigInt::from_bytes_be(c);
+  const ByteView v = strip_leading_zeros(c);
+  return Bytes(v.begin(), v.end());
 }
 
 Bytes Decoder::read_bit_string() {

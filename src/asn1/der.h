@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "bigint/bigint.h"
 #include "common/bytes.h"
 
 namespace omadrm::asn1 {
@@ -44,7 +43,9 @@ class Encoder {
 
   void write_boolean(bool v);
   void write_integer(std::int64_t v);
-  void write_integer(const bigint::BigInt& v);
+  /// A non-negative INTEGER from its big-endian magnitude (leading zeros
+  /// allowed): written minimal, with a 0x00 pad when the top bit is set.
+  void write_integer(ByteView magnitude);
   void write_bit_string(ByteView bits);   // always 0 unused bits
   void write_octet_string(ByteView data);
   void write_null();
@@ -85,7 +86,10 @@ class Decoder {
 
   bool read_boolean();
   std::int64_t read_small_integer();
-  bigint::BigInt read_integer();
+  /// A non-negative INTEGER as its minimal big-endian magnitude (empty
+  /// for zero); redundant leading zero octets are accepted and dropped.
+  /// Negative and empty INTEGERs throw kFormat.
+  Bytes read_integer();
   Bytes read_bit_string();
   Bytes read_octet_string();
   void read_null();

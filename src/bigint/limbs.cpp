@@ -1,7 +1,6 @@
 #include "bigint/limbs.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/error.h"
 
@@ -71,6 +70,25 @@ std::size_t bit_length_n(const Word* w, std::size_t n) {
   return 64 * n - static_cast<std::size_t>(__builtin_clzll(w[n - 1]));
 }
 
+Word div_word(Word* q, const Word* a, std::size_t n, Word d) {
+  Word r = 0;
+  for (std::size_t i = n; i-- > 0;) {
+    const Word hi = (r << 32) | (a[i] >> 32);
+    const Word lo = ((hi % d) << 32) | (a[i] & 0xffffffff);
+    q[i] = (hi / d) << 32 | lo / d;
+    r = lo % d;
+  }
+  return r;
+}
+
+Word mod_word(const Word* a, std::size_t n, Word d) {
+  Word r = 0;
+  for (std::size_t i = n; i-- > 0;) {
+    r = ((((r << 32) | (a[i] >> 32)) % d) << 32 | (a[i] & 0xffffffff)) % d;
+  }
+  return r;
+}
+
 bool from_be(Word* out, std::size_t n, ByteView in) {
   std::fill(out, out + n, 0);
   std::uint8_t excess = 0;
@@ -100,36 +118,37 @@ bool to_be(const Word* w, std::size_t n, std::span<std::uint8_t> out) {
   return excess == 0;
 }
 
-void from_bigint(Word* out, std::size_t n, const BigInt& v) {
-  const auto& limbs = v.limbs();
-  if (v.is_negative() || limbs.size() > 2 * n) {
-    throw Error(ErrorKind::kRange, "from_bigint: value does not fit");
+void random_below(Word* out, const Word* bound, std::size_t n, Rng& rng) {
+  const std::size_t bits = bit_length_n(bound, n);
+  if (bits == 0) {
+    throw Error(ErrorKind::kRange, "random_below: bound must be positive");
   }
-  std::fill(out, out + n, 0);
-  for (std::size_t i = 0; i < limbs.size(); ++i) {
-    out[i / 2] |= static_cast<Word>(limbs[i]) << (32 * (i % 2));
-  }
+  const std::size_t len = (bits + 7) / 8;
+  std::array<std::uint8_t, kMaxBytes> buf;
+  do {
+    rng.fill(buf.data(), len);
+    buf[0] &= static_cast<std::uint8_t>(0xff >> (8 * len - bits));
+    from_be(out, n, ByteView(buf.data(), len));
+  } while (!less_n(out, bound, n));
 }
 
-BigInt to_bigint(const Word* w, std::size_t n) {
-  std::vector<std::uint32_t> limbs(2 * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    limbs[2 * i] = static_cast<std::uint32_t>(w[i]);
-    limbs[2 * i + 1] = static_cast<std::uint32_t>(w[i] >> 32);
+Limbs::Limbs(ByteView be) {
+  be = strip_leading_zeros(be);
+  if (be.size() > kMaxBytes) {
+    throw Error(ErrorKind::kCrypto, "limbs: number wider than 4096 bits");
   }
-  return BigInt::from_limbs(std::move(limbs));
+  from_be(w.data(), kMaxWords, be);
+  trim();
 }
 
-bool equals_bigint(const Word* w, std::size_t n, const BigInt& v) {
-  const auto& limbs = v.limbs();
-  if (v.is_negative() || limbs.size() > 2 * n) return false;
-  for (std::size_t i = 0; i < 2 * n; ++i) {
-    const std::uint32_t want = i < limbs.size() ? limbs[i] : 0;
-    if (static_cast<std::uint32_t>(w[i / 2] >> (32 * (i % 2))) != want) {
-      return false;
-    }
-  }
-  return true;
+Bytes Limbs::to_be() const {
+  Bytes out((bit_length() + 7) / 8);
+  bigint::to_be(w.data(), n, out);
+  return out;
+}
+
+void Limbs::trim() {
+  n = words_for_bits(bit_length_n(w.data(), kMaxWords));
 }
 
 }  // namespace omadrm::bigint

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <utility>
 
@@ -128,15 +129,15 @@ void mont_mul_portable(std::uint64_t* r, const std::uint64_t* a,
   }
 }
 
-MontgomeryCtx::MontgomeryCtx(const BigInt& m) {
-  if (m.is_zero() || m.is_negative() || m.is_even()) {
+MontgomeryCtx::MontgomeryCtx(std::span<const Word> m) {
+  nw_ = words_for_bits(bit_length_n(m.data(), m.size()));
+  if (nw_ == 0 || (m[0] & 1) == 0) {
     throw Error(ErrorKind::kCrypto, "Montgomery modulus must be odd positive");
   }
-  nw_ = words_for_bits(m.bit_length());
   if (nw_ > kMaxWords) {
     throw Error(ErrorKind::kCrypto, "Montgomery modulus too wide");
   }
-  from_bigint(m_.data(), nw_, m);
+  std::copy_n(m.begin(), nw_, m_.begin());
   m_prime_ = neg_inverse_u64(m_[0]);
   mul_ = &mont_mul_portable;
   sqr_ = &sqr_portable;
@@ -149,12 +150,41 @@ MontgomeryCtx::MontgomeryCtx(const BigInt& m) {
       sqr_ = &accel::mont_sqr16;
     }
   }
-  // R^2 mod m where R = 2^(64 nw).
-  from_bigint(r2_.data(), nw_,
-              (BigInt(std::uint64_t{1}) << (128 * nw_)).mod(m));
   one_plain_[0] = 1;
-  // 1 in Montgomery form: 1 * R^2 * R^-1 = R mod m.
-  mul(one_.data(), one_plain_.data(), r2_.data());
+
+  // R mod m, R = 2^(64 n), with no division: for the modulus's bit
+  // length L, 2^L - m is below m (it is the n-word negation of m with
+  // the bits from L up cleared), and doubling it 64 n - L < 64 times
+  // modulo m gives R mod m, 1 in Montgomery form.
+  const std::size_t bits = bit_length_n(m_.data(), nw_);
+  Word* const one = one_.data();
+  sub_n(one, r2_.data(), m_.data(), nw_);  // r2_ is zero here
+  if (bits % 64 != 0) one[nw_ - 1] &= (Word{1} << (bits % 64)) - 1;
+  Words t{};
+  // x <- x + carry R, for a sum below 2m, minus m unless that borrows.
+  const auto reduce_once = [&](Word* x, Word carry) {
+    const Word borrow = sub_n(t.data(), x, m_.data(), nw_);
+    select_n(x, 0 - (carry | (borrow ^ 1)), t.data(), x, nw_);
+  };
+  reduce_once(one, 0);  // only m = 1 gets here with 2^L - m = m
+  for (std::size_t i = bits; i < 64 * nw_; ++i) {
+    reduce_once(one, add_n(one, one, one, nw_));
+  }
+  // R^2 mod m is 2^(64 n) in Montgomery form, from 2R mod m (2 in that
+  // form) by square-and-multiply over the exponent 64 n: about a dozen
+  // Montgomery products.
+  Words two{};
+  reduce_once(two.data(), add_n(two.data(), one, one, nw_));
+  const std::size_t e = 64 * nw_;
+  std::copy_n(two.begin(), nw_, r2_.begin());
+  for (std::size_t i = std::bit_width(e) - 1; i-- > 0;) {
+    sqr(t.data(), r2_.data());
+    if ((e >> i) & 1) {
+      mul(r2_.data(), t.data(), two.data());
+    } else {
+      std::copy_n(t.begin(), nw_, r2_.begin());
+    }
+  }
   g_ctx_builds.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -187,11 +217,11 @@ void MontgomeryCtx::reduce(Word* r, const Word* x, std::size_t xw) const {
 
 const accel::IfmaModulus& MontgomeryCtx::ifma_modulus() const {
   std::call_once(ifma_once_, [this] {
-    // R^2 mod m for the kernel's R = 2^(52 * 10).
+    // R^2 mod m for the kernel's R = 2^(52 * 10): 2 to a short power.
+    const Word two[kMaxWords] = {2};
+    const Word exp = 2 * 52 * accel::kIfmaLimbs;
     Word r2[kMaxWords];
-    from_bigint(r2, nw_,
-                (BigInt(std::uint64_t{1}) << (2 * 52 * accel::kIfmaLimbs))
-                    .mod(to_bigint(m_.data(), nw_)));
+    mod_exp(r2, two, {&exp, 1});
     auto mod = std::make_unique<accel::IfmaModulus>();
     accel::ifma_modulus(*mod, m_.data(), m_prime_, r2);
     ifma_ = std::move(mod);

@@ -10,8 +10,9 @@
 // The context works on the fixed-width limbs of limbs.h: it takes and
 // returns caller-owned arrays of words() 64-bit words, keeps its own
 // constants in fixed arrays, and runs every operation on stack scratch,
-// so no call touches the heap. Only construction uses BigInt (R^2 mod m
-// needs one division), once per modulus.
+// so no call touches the heap. Construction needs no division either:
+// R mod m comes from a subtraction and fewer than 64 modular doublings,
+// and R^2 mod m from about a dozen Montgomery products on it.
 //
 // Dispatch: the constructor picks the multiply and square routines once,
 // from the word count and the host. On a CPU with BMI2 and ADX, 8-word
@@ -44,9 +45,8 @@
 // public exponents, branches on the bits. reduce() is a fixed sequence of
 // products and masked additions for a given input width.
 //
-// Contexts are expensive to build (R^2 mod m needs a full division) and
-// cheap to reuse, so each RSA key keeps its own in an rsa::CtxSlot
-// (rsa/rsa.h) and builds it once. montgomery_ctx_builds() counts the
+// Each RSA key builds its contexts once, when it is constructed, and its
+// copies share them (rsa/rsa.h). montgomery_ctx_builds() counts the
 // constructions, so tests and benchmarks can see a workload's setup cost.
 #pragma once
 
@@ -57,7 +57,6 @@
 #include <mutex>
 #include <span>
 
-#include "bigint/bigint.h"
 #include "bigint/limbs.h"
 
 namespace omadrm::bigint {
@@ -91,9 +90,10 @@ class MontgomeryCtx {
   /// instead of 14 table multiplies + 20 squarings.
   static constexpr std::size_t kPlainExpBits = 24;
 
-  /// Prepares a context for the odd modulus `m` of at most kMaxWords
-  /// words (throws kCrypto otherwise).
-  explicit MontgomeryCtx(const BigInt& m);
+  /// Prepares a context for the odd modulus `m`, given as words least
+  /// significant first; zero words on top are ignored. Throws kCrypto
+  /// unless m is odd with at most kMaxWords significant words.
+  explicit MontgomeryCtx(std::span<const Word> m);
   ~MontgomeryCtx();
 
   /// Word count n of the modulus; every operand and result has n words.
@@ -138,7 +138,7 @@ class MontgomeryCtx {
                            std::span<const Word> e2);
 
  private:
-  using Limbs = std::array<Word, kMaxWords>;
+  using Words = std::array<Word, kMaxWords>;
   using MulFn = void (*)(std::uint64_t*, const std::uint64_t*,
                          const std::uint64_t*, const std::uint64_t*,
                          std::uint64_t, std::size_t);
@@ -149,13 +149,13 @@ class MontgomeryCtx {
   const accel::IfmaModulus& ifma_modulus() const;
 
   std::size_t nw_;            // 64-bit word count of the modulus
-  Limbs m_{};                 // modulus
+  Words m_{};                 // modulus
   std::uint64_t m_prime_;     // -m^-1 mod 2^64
   MulFn mul_;                 // accel kernel or mont_mul_portable
   SqrFn sqr_;
-  Limbs r2_{};                // R^2 mod m, for to_mont
-  Limbs one_{};               // R mod m (1 in Montgomery form)
-  Limbs one_plain_{};         // plain 1, the from-Montgomery multiplier
+  Words r2_{};                // R^2 mod m, for to_mont
+  Words one_{};               // R mod m (1 in Montgomery form)
+  Words one_plain_{};         // plain 1, the from-Montgomery multiplier
   mutable std::once_flag ifma_once_;
   mutable std::unique_ptr<const accel::IfmaModulus> ifma_;
 };

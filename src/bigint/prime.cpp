@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <span>
+#include <utility>
 
 #include "bigint/montgomery.h"
 #include "common/error.h"
@@ -25,14 +25,13 @@ constexpr std::array<std::uint32_t, 54> kSmallPrimes = {
 bool miller_rabin_witness(const MontgomeryCtx& ctx,
                           const Word* mont_n_minus_1,
                           std::span<const Word> d, std::size_t r,
-                          const BigInt& a) {
+                          const Word* a) {
   const std::size_t nw = ctx.words();
   auto equal = [nw](const Word* u, const Word* v) {
     return std::equal(u, u + nw, v);
   };
   Word x[kMaxWords], t[kMaxWords];
-  from_bigint(t, nw, a);
-  ctx.mod_exp(x, t, d);
+  ctx.mod_exp(x, a, d);
   ctx.to_mont(t, x);
   if (equal(t, ctx.one()) || equal(t, mont_n_minus_1)) return true;
   for (std::size_t i = 1; i < r; ++i) {
@@ -45,41 +44,63 @@ bool miller_rabin_witness(const MontgomeryCtx& ctx,
 
 }  // namespace
 
-bool is_probable_prime(const BigInt& n, Rng& rng, std::size_t rounds) {
-  const BigInt one(std::uint64_t{1});
-  const BigInt two(std::uint64_t{2});
-  if (n.is_negative() || n.is_zero() || n == one) return false;
+bool is_probable_prime(std::span<const Word> n_in, Rng& rng,
+                       std::size_t rounds) {
+  const Word* n = n_in.data();
+  const std::size_t nw = words_for_bits(bit_length_n(n, n_in.size()));
+  if (nw == 0 || (nw == 1 && n[0] == 1)) return false;
 
-  for (std::uint32_t p : kSmallPrimes) {
-    BigInt bp(static_cast<std::uint64_t>(p));
-    if (n == bp) return true;
-    if ((n % bp).is_zero()) return false;
+  // Trial division: one single-word remainder per run of small primes
+  // whose product stays below 2^32, then each prime divides that.
+  for (std::size_t i = 0; i < kSmallPrimes.size();) {
+    Word product = 1;
+    std::size_t end = i;
+    while (end < kSmallPrimes.size() &&
+           product * kSmallPrimes[end] < (Word{1} << 32)) {
+      product *= kSmallPrimes[end++];
+    }
+    const Word rem = mod_word(n, nw, product);
+    for (; i < end; ++i) {
+      if (nw == 1 && n[0] == kSmallPrimes[i]) return true;
+      if (rem % kSmallPrimes[i] == 0) return false;
+    }
   }
 
-  // Write n-1 = d * 2^r with d odd.
-  BigInt n_minus_1 = n - one;
-  BigInt d = n_minus_1;
+  // Write n-1 = d * 2^r with d odd. n is odd here, so n-1 only clears
+  // bit 0.
+  Word n_minus_1[kMaxWords], d[kMaxWords];
+  if (nw > kMaxWords) {
+    throw Error(ErrorKind::kCrypto, "is_probable_prime: modulus too wide");
+  }
+  std::copy_n(n, nw, n_minus_1);
+  n_minus_1[0] ^= 1;
   std::size_t r = 0;
-  while (d.is_even()) {
-    d = d >> 1;
-    ++r;
+  while (((n_minus_1[r / 64] >> (r % 64)) & 1) == 0) ++r;
+  std::fill_n(d, nw, 0);
+  for (std::size_t j = r / 64; j < nw; ++j) {
+    const std::size_t s = r % 64;
+    d[j - r / 64] = n_minus_1[j] >> s;
+    if (s != 0 && j + 1 < nw) d[j - r / 64] |= n_minus_1[j + 1] << (64 - s);
   }
 
   // One context per candidate: candidate moduli are throwaway.
-  const MontgomeryCtx ctx(n);
-  const std::size_t nw = ctx.words();
-  Word dw[kMaxWords], t[kMaxWords], mont_n_minus_1[kMaxWords];
-  from_bigint(dw, nw, d);
-  from_bigint(t, nw, n_minus_1);
-  ctx.to_mont(mont_n_minus_1, t);
-  const std::span<const Word> dspan(dw, nw);
+  const MontgomeryCtx ctx(std::span<const Word>(n, nw));
+  Word mont_n_minus_1[kMaxWords];
+  ctx.to_mont(mont_n_minus_1, n_minus_1);
+  const std::span<const Word> dspan(d, nw);
 
-  // Base 2 first (cheap and catches most composites), then random bases.
-  if (!miller_rabin_witness(ctx, mont_n_minus_1, dspan, r, two)) {
+  // Base 2 first (cheap and catches most composites), then random bases
+  // in [2, n-2].
+  Word a[kMaxWords] = {2};
+  if (!miller_rabin_witness(ctx, mont_n_minus_1, dspan, r, a)) {
     return false;
   }
+  const Word three[kMaxWords] = {3}, two[kMaxWords] = {2};
+  Word n_minus_3[kMaxWords];
+  sub_n(n_minus_3, n, three, nw);
   for (std::size_t i = 0; i < rounds; ++i) {
-    BigInt a = BigInt::random_below(n - BigInt(std::uint64_t{3}), rng) + two;
+    random_below(a, n_minus_3, nw, rng);
+    add_n(a, a, two, nw);
     if (!miller_rabin_witness(ctx, mont_n_minus_1, dspan, r, a)) {
       return false;
     }
@@ -87,23 +108,59 @@ bool is_probable_prime(const BigInt& n, Rng& rng, std::size_t rounds) {
   return true;
 }
 
-BigInt generate_prime(std::size_t bits, Rng& rng) {
-  if (bits < 8) {
+Limbs generate_prime(std::size_t bits, Rng& rng) {
+  if (bits < 8 || bits > 64 * kMaxWords) {
     throw omadrm::Error(omadrm::ErrorKind::kRange,
-                        "generate_prime: need at least 8 bits");
+                        "generate_prime: need 8 to 4096 bits");
   }
+  const std::size_t len = (bits + 7) / 8, excess = 8 * len - bits;
+  const std::size_t nw = words_for_bits(bits);
+  std::array<std::uint8_t, kMaxBytes> raw;
+  Limbs c;
+  c.n = nw;
   for (;;) {
-    BigInt candidate = BigInt::random_bits(bits, rng);
-    // Force the second-highest bit so p*q has exactly 2*bits bits, and make
-    // the candidate odd.
-    candidate = candidate + (BigInt(std::uint64_t{1}) << (bits - 2));
-    if (candidate.bit_length() > bits) {
-      continue;  // carry overflowed the width; redraw
+    rng.fill(raw.data(), len);
+    raw[0] &= static_cast<std::uint8_t>(0xff >> excess);
+    raw[0] |= static_cast<std::uint8_t>(0x80 >> excess);  // top bit
+    from_be(c.w.data(), nw, ByteView(raw.data(), len));
+    // Add 2^(bits-2) so p*q has exactly 2*bits bits; a carry past the
+    // width redraws.
+    Word carry = Word{1} << ((bits - 2) % 64);
+    for (std::size_t j = (bits - 2) / 64; j < nw; ++j) {
+      c.w[j] += carry;
+      carry = c.w[j] < carry;
     }
-    if (candidate.is_even()) candidate = candidate + BigInt(std::uint64_t{1});
-    if (candidate.bit_length() != bits) continue;
-    if (is_probable_prime(candidate, rng)) return candidate;
+    if (carry != 0 || bit_length_n(c.w.data(), nw) > bits) continue;
+    c.w[0] |= 1;
+    if (is_probable_prime(c.span(), rng)) return c;
   }
+}
+
+bool inverse_of_small(Word* out, const Word* m, std::size_t n, Word e) {
+  // k = -m^-1 mod e by the extended Euclidean algorithm on words.
+  const auto e_signed = static_cast<std::int64_t>(e);
+  std::int64_t r0 = e_signed;
+  std::int64_t r1 = static_cast<std::int64_t>(mod_word(m, n, e));
+  std::int64_t s0 = 0, s1 = 1;  // r_i = s_i * (m mod e) mod e
+  while (r1 != 0) {
+    const std::int64_t q = r0 / r1;
+    r0 = std::exchange(r1, r0 - q * r1);
+    s0 = std::exchange(s1, s0 - q * s1);
+  }
+  if (r0 != 1) return false;
+  const Word k = e - static_cast<Word>(s0 < 0 ? s0 + e_signed : s0);
+
+  // 1 + k m is a multiple of e by the choice of k; the quotient is below
+  // m, so it fits n words.
+  Word t[kMaxWords + 1];
+  mul_n(t, m, n, &k, 1);
+  const Word one[kMaxWords + 1] = {1};
+  add_n(t, t, one, n + 1);
+  if (div_word(t, t, n + 1, e) != 0) {
+    throw Error(ErrorKind::kCrypto, "inverse_of_small: inexact division");
+  }
+  std::copy_n(t, n, out);
+  return true;
 }
 
 }  // namespace omadrm::bigint

@@ -45,6 +45,12 @@ bool ct_equal(ByteView a, ByteView b) {
   return acc == 0;
 }
 
+ByteView strip_leading_zeros(ByteView v) {
+  std::size_t i = 0;
+  while (i < v.size() && v[i] == 0) ++i;
+  return v.subspan(i);
+}
+
 void store_be32(std::uint32_t v, std::uint8_t* out) {
   out[0] = static_cast<std::uint8_t>(v >> 24);
   out[1] = static_cast<std::uint8_t>(v >> 16);

@@ -39,6 +39,11 @@ std::string to_string(ByteView v);
 /// contents. Use for MAC / hash / key comparisons.
 bool ct_equal(ByteView a, ByteView b);
 
+/// `v` without its leading zero bytes: the minimal big-endian magnitude
+/// of the unsigned number `v` holds (empty for zero). ASN.1 INTEGERs,
+/// certificate serials and RSA key components travel in this form.
+ByteView strip_leading_zeros(ByteView v);
+
 /// Big-endian store of a 32/64-bit integer into 4/8 bytes.
 void store_be32(std::uint32_t v, std::uint8_t* out);
 void store_be64(std::uint64_t v, std::uint8_t* out);

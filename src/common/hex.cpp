@@ -43,4 +43,18 @@ Bytes from_hex(std::string_view hex) {
   return out;
 }
 
+std::string to_hex_number(ByteView magnitude) {
+  std::string out = to_hex(strip_leading_zeros(magnitude));
+  const std::size_t zeros = out.find_first_not_of('0');
+  return zeros == std::string::npos ? "0" : out.substr(zeros);
+}
+
+Bytes from_hex_number(std::string_view hex) {
+  if (hex.empty()) throw Error(ErrorKind::kFormat, "empty hex number");
+  // An odd digit count gets the leading zero from_hex needs.
+  const Bytes out = from_hex(std::string(hex.size() % 2, '0').append(hex));
+  const ByteView minimal = strip_leading_zeros(out);
+  return Bytes(minimal.begin(), minimal.end());
+}
+
 }  // namespace omadrm

@@ -10,7 +10,7 @@ CertificationAuthority::CertificationAuthority(std::string cn,
                                                const Validity& validity,
                                                Rng& rng)
     : cn_(std::move(cn)), key_(rsa::generate_key(key_bits, rng)) {
-  root_cert_ = Certificate(bigint::BigInt(std::uint64_t{1}), cn_, cn_,
+  root_cert_ = Certificate(serial_number(1), cn_, cn_,
                            validity, key_.public_key());
   root_cert_.set_ca(true);
   root_cert_.set_signature(rsa::pss_sign(key_, root_cert_.tbs_der(), rng));
@@ -20,24 +20,24 @@ Certificate CertificationAuthority::issue(const std::string& subject_cn,
                                           const rsa::PublicKey& subject_key,
                                           const Validity& validity, Rng& rng,
                                           bool ca) {
-  bigint::BigInt serial = allocate_serial();
+  Serial serial = allocate_serial();
   Certificate cert(serial, cn_, subject_cn, validity, subject_key);
   cert.set_ca(ca);
   cert.set_signature(rsa::pss_sign(key_, cert.tbs_der(), rng));
   return cert;
 }
 
-bigint::BigInt CertificationAuthority::allocate_serial() {
-  bigint::BigInt serial(next_serial_++);
+Serial CertificationAuthority::allocate_serial() {
+  Serial serial = serial_number(next_serial_++);
   issued_.insert(serial);
   return serial;
 }
 
-void CertificationAuthority::revoke(const bigint::BigInt& serial) {
+void CertificationAuthority::revoke(const Serial& serial) {
   revoked_.insert(serial);
 }
 
-bool CertificationAuthority::is_revoked(const bigint::BigInt& serial) const {
+bool CertificationAuthority::is_revoked(const Serial& serial) const {
   return revoked_.contains(serial);
 }
 
@@ -45,7 +45,7 @@ OcspResponse CertificationAuthority::ocsp_respond(
     const OcspRequest& request, std::uint64_t now, Rng& rng,
     provider::CryptoProvider& crypto) {
   OcspCertStatus status;
-  const bigint::BigInt& serial = request.serial;
+  const Serial& serial = request.serial;
   if (revoked_.contains(serial)) {
     status = OcspCertStatus::kRevoked;
   } else if (issued_.contains(serial) || serial == root_cert_.serial()) {

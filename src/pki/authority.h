@@ -4,7 +4,6 @@
 // the OCSP responder.
 #pragma once
 
-#include <set>
 #include <string>
 
 #include "common/random.h"
@@ -37,11 +36,11 @@ class CertificationAuthority {
   /// Reserves a fresh serial in this CA's issued set without minting a
   /// certificate — used by subordinate authorities so the certificates
   /// they sign stay covered by this CA's OCSP responder.
-  bigint::BigInt allocate_serial();
+  Serial allocate_serial();
 
   /// Marks a serial as revoked; subsequent OCSP responses report it.
-  void revoke(const bigint::BigInt& serial);
-  bool is_revoked(const bigint::BigInt& serial) const;
+  void revoke(const Serial& serial);
+  bool is_revoked(const Serial& serial) const;
 
   /// Responds to an OCSP request at time `now`. Serials this CA never
   /// issued report kUnknown. The response is signed through `crypto`, so
@@ -55,8 +54,8 @@ class CertificationAuthority {
   rsa::PrivateKey key_;
   Certificate root_cert_;
   std::uint64_t next_serial_ = 2;  // serial 1 is the root itself
-  std::set<bigint::BigInt> issued_;
-  std::set<bigint::BigInt> revoked_;
+  SerialSet issued_;
+  SerialSet revoked_;
 };
 
 /// An intermediate CA: holds its own key pair, carries a certificate

@@ -41,8 +41,8 @@ std::string decode_name(Decoder& d) {
 
 Bytes encode_spki(const rsa::PublicKey& key) {
   Encoder rsa_key;
-  rsa_key.write_integer(key.n);
-  rsa_key.write_integer(key.e);
+  rsa_key.write_integer(key.n());
+  rsa_key.write_integer(key.e());
   Encoder rsa_key_seq;
   rsa_key_seq.write_sequence(rsa_key.bytes());
 
@@ -70,10 +70,9 @@ rsa::PublicKey decode_spki(Decoder& d) {
   Bytes key_der = spki.read_bit_string();
   Decoder key_outer(key_der);
   Decoder key_seq = key_outer.read_sequence();
-  rsa::PublicKey key;
-  key.n = key_seq.read_integer();
-  key.e = key_seq.read_integer();
-  return key;
+  const Bytes n = key_seq.read_integer();
+  const Bytes e = key_seq.read_integer();
+  return rsa::PublicKey(n, e);
 }
 
 Bytes encode_sig_alg() {
@@ -84,12 +83,23 @@ Bytes encode_sig_alg() {
   return out.take();
 }
 
+Serial minimal_serial(ByteView be) {
+  const ByteView v = strip_leading_zeros(be);
+  return Serial(v.begin(), v.end());
+}
+
 }  // namespace
 
-Certificate::Certificate(bigint::BigInt serial, std::string issuer_cn,
+Serial serial_number(std::uint64_t v) {
+  std::uint8_t be[8];
+  store_be64(v, be);
+  return minimal_serial(be);
+}
+
+Certificate::Certificate(ByteView serial, std::string issuer_cn,
                          std::string subject_cn, Validity validity,
                          rsa::PublicKey subject_key)
-    : serial_(std::move(serial)),
+    : serial_(minimal_serial(serial)),
       issuer_cn_(std::move(issuer_cn)),
       subject_cn_(std::move(subject_cn)),
       validity_(validity),

@@ -10,14 +10,33 @@
 // model charges for certificate verification.
 #pragma once
 
+#include <cstring>
+#include <set>
 #include <string>
 
-#include "bigint/bigint.h"
 #include "common/bytes.h"
 #include "common/random.h"
 #include "rsa/rsa.h"
 
 namespace omadrm::pki {
+
+/// A certificate serial number as its minimal big-endian magnitude, the
+/// form asn1::Decoder::read_integer returns: equal numbers are equal
+/// bytes, however the DER spelled them.
+using Serial = Bytes;
+
+/// The serial number `v`.
+Serial serial_number(std::uint64_t v);
+
+/// Numeric order on serials: of two minimal magnitudes the shorter is the
+/// smaller number, and equal lengths compare bytewise.
+struct SerialLess {
+  bool operator()(const Serial& a, const Serial& b) const {
+    if (a.size() != b.size()) return a.size() < b.size();
+    return a.size() != 0 && std::memcmp(a.data(), b.data(), a.size()) < 0;
+  }
+};
+using SerialSet = std::set<Serial, SerialLess>;
 
 /// Validity window in Unix seconds (inclusive bounds).
 struct Validity {
@@ -28,11 +47,13 @@ struct Validity {
 class Certificate {
  public:
   Certificate() = default;
-  Certificate(bigint::BigInt serial, std::string issuer_cn,
+  /// `serial` may carry leading zero octets; the certificate keeps its
+  /// minimal form.
+  Certificate(ByteView serial, std::string issuer_cn,
               std::string subject_cn, Validity validity,
               rsa::PublicKey subject_key);
 
-  const bigint::BigInt& serial() const { return serial_; }
+  const Serial& serial() const { return serial_; }
   const std::string& issuer_cn() const { return issuer_cn_; }
   const std::string& subject_cn() const { return subject_cn_; }
   const Validity& validity() const { return validity_; }
@@ -75,7 +96,7 @@ class Certificate {
   /// read that threads sharing a certificate may call concurrently.
   void refresh_der();
 
-  bigint::BigInt serial_;
+  Serial serial_;
   std::string issuer_cn_;
   std::string subject_cn_;
   Validity validity_;

@@ -221,7 +221,7 @@ std::shared_ptr<const ChainVerdict> ChainVerifier::revalidate(
   return verify(chain, now);
 }
 
-void ChainVerifier::invalidate_serial(const bigint::BigInt& serial) {
+void ChainVerifier::invalidate_serial(const Serial& serial) {
   State& st = *state_;
   WriterLock lock(st.mu);
   st.revoked_serials.insert(serial);

@@ -30,7 +30,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -55,7 +54,7 @@ struct ChainVerdict {
   std::uint64_t valid_from = 0;
   std::uint64_t valid_until = 0;
   std::string leaf_subject_cn;
-  std::vector<bigint::BigInt> serials;  // leaf-first
+  std::vector<Serial> serials;  // leaf-first
   std::string fingerprint;              // hex SHA-1 over chain DERs + anchor
   /// Issuing verifier's invalidation epoch at creation time; lets
   /// revalidate() accept the handle without recomputing the fingerprint.
@@ -103,7 +102,7 @@ class ChainVerifier {
   /// an OCSP response reports it revoked) AND adds the serial to a
   /// durable denylist: later walks of any chain containing it short-
   /// circuit to kRevoked instead of re-admitting the chain.
-  void invalidate_serial(const bigint::BigInt& serial);
+  void invalidate_serial(const Serial& serial);
 
   /// Drops all cached verdicts.
   void clear();
@@ -153,7 +152,7 @@ class ChainVerifier {
     std::map<std::string, std::shared_ptr<ChainVerdict>> cache
         GUARDED_BY(mu);
     std::deque<std::string> insertion_order GUARDED_BY(mu);  // FIFO eviction
-    std::set<bigint::BigInt> revoked_serials GUARDED_BY(mu);  // denylist
+    SerialSet revoked_serials GUARDED_BY(mu);  // denylist
   };
 
   Certificate trust_root_;

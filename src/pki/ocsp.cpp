@@ -42,7 +42,7 @@ OcspRequest OcspRequest::from_der(ByteView der) {
   return out;
 }
 
-OcspResponse::OcspResponse(bigint::BigInt serial, OcspCertStatus status,
+OcspResponse::OcspResponse(Serial serial, OcspCertStatus status,
                            std::uint64_t produced_at, Bytes nonce,
                            std::string responder_cn)
     : serial_(std::move(serial)),

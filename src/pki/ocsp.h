@@ -7,9 +7,9 @@
 
 #include <cstdint>
 
-#include "bigint/bigint.h"
 #include "common/bytes.h"
 #include "common/random.h"
+#include "pki/certificate.h"
 #include "rsa/rsa.h"
 
 namespace omadrm::pki {
@@ -25,7 +25,7 @@ const char* to_string(OcspCertStatus s);
 /// Client-built request identifying the certificate by serial, with a
 /// nonce to bind the response to this request.
 struct OcspRequest {
-  bigint::BigInt serial;
+  Serial serial;
   Bytes nonce;
 
   Bytes to_der() const;
@@ -36,11 +36,11 @@ struct OcspRequest {
 class OcspResponse {
  public:
   OcspResponse() = default;
-  OcspResponse(bigint::BigInt serial, OcspCertStatus status,
+  OcspResponse(Serial serial, OcspCertStatus status,
                std::uint64_t produced_at, Bytes nonce,
                std::string responder_cn);
 
-  const bigint::BigInt& serial() const { return serial_; }
+  const Serial& serial() const { return serial_; }
   OcspCertStatus status() const { return status_; }
   std::uint64_t produced_at() const { return produced_at_; }
   const Bytes& nonce() const { return nonce_; }
@@ -60,7 +60,7 @@ class OcspResponse {
               std::uint64_t now, std::uint64_t max_age) const;
 
  private:
-  bigint::BigInt serial_;
+  Serial serial_;
   OcspCertStatus status_ = OcspCertStatus::kUnknown;
   std::uint64_t produced_at_ = 0;
   Bytes nonce_;

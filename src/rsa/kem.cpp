@@ -14,23 +14,18 @@ using omadrm::Error;
 using omadrm::ErrorKind;
 
 KemEncapsulation kem_encapsulate(const PublicKey& key, Rng& rng) {
-  const PublicCtx& ctx = key.ctx.get(key);
+  const PublicForm& f = key.form();
   const std::size_t k = key.byte_length();
-  const std::size_t nw = ctx.n.words();
-  // Z uniform below n by rejection sampling: k random bytes with the
-  // bits above n's length cleared, the draws BigInt::random_below makes.
+  const std::size_t nw = f.mont->words();
+  // Z uniform below n.
+  Word zw[kMaxWords];
+  bigint::random_below(zw, f.mont->modulus(), nw, rng);
   std::array<std::uint8_t, kMaxBytes> buf;
   const std::span<std::uint8_t> z = std::span(buf).first(k);
-  const std::size_t excess_bits = 8 * k - key.n.bit_length();
-  Word zw[kMaxWords];
-  do {
-    rng.fill(z.data(), k);
-    z[0] &= static_cast<std::uint8_t>(0xff >> excess_bits);
-  } while (!bigint::from_be(zw, nw, z) ||
-           !bigint::less_n(zw, ctx.n.modulus(), nw));
+  bigint::to_be(zw, nw, z);
   KemEncapsulation out;
   out.c1.resize(k);
-  ctx.exp(z, out.c1, "kem: Z out of range");
+  f.exp(f.e_limbs.span(), z, out.c1, "kem: Z out of range");
   out.kek = crypto::kdf2_sha1(z, kKekLen);
   return out;
 }

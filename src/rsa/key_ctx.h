@@ -1,9 +1,9 @@
-// The fixed-width forms of RSA keys, held in each key's rsa::CtxSlot:
-// Montgomery contexts and the key's numbers as limbs (bigint/limbs.h),
-// built once from the key's BigInt fields. Internal to the rsa layer.
+// The fixed-width forms behind rsa::PublicKey and rsa::PrivateKey: the
+// keys' numbers as limbs (bigint/limbs.h) and their Montgomery contexts,
+// built once when a key is constructed and shared by its copies.
+// Internal to the rsa layer.
 #pragma once
 
-#include <array>
 #include <optional>
 #include <span>
 
@@ -14,48 +14,28 @@
 namespace omadrm::rsa {
 
 using bigint::kMaxWords;
+using bigint::Limbs;
 using bigint::Word;
 
-/// A non-negative number held by value as limbs, with its word count.
-/// Words above the count are zero. Throws kCrypto beyond kMaxWords.
-struct Limbs {
-  Limbs() = default;
-  explicit Limbs(const BigInt& v);
+/// A public key's numbers as given, and, when the RSA path can use them,
+/// the modulus's context and the exponent as limbs.
+struct PublicForm {
+  PublicForm(ByteView n, ByteView e);
 
-  bool operator==(const BigInt& v) const {
-    return bigint::equals_bigint(w.data(), n, v);
-  }
-  std::span<const Word> span() const { return {w.data(), n}; }
+  /// out = in^exponent mod n; `what` names an out-of-range input.
+  void exp(std::span<const Word> exponent, ByteView in,
+           std::span<std::uint8_t> out, const char* what) const;
 
-  std::array<Word, kMaxWords> w{};
-  std::size_t n = 0;
+  Bytes n, e;  // minimal big-endian magnitudes
+  std::optional<bigint::MontgomeryCtx> mont;  // absent: key unusable
+  Limbs e_limbs;
 };
 
-/// A modulus with its exponent: a public key's (n, e), or a private
-/// key's (n, d) when it has no CRT form.
-struct PublicCtx {
-  PublicCtx(const BigInt& n, const BigInt& e) : n(n), e(e) {}
-  explicit PublicCtx(const PublicKey& key) : PublicCtx(key.n, key.e) {}
-
-  bool matches(const BigInt& modulus, const BigInt& exponent) const;
-  bool matches(const PublicKey& key) const { return matches(key.n, key.e); }
-
-  /// out = in^e mod n; `what` names an out-of-range input.
-  void exp(ByteView in, std::span<std::uint8_t> out, const char* what) const;
-
-  bigint::MontgomeryCtx n;
-  Limbs e;
-};
-
-/// A private key: with CRT, the contexts of p and q, dP, dQ and qInv;
-/// without, (n, d) in `plain`.
-struct PrivateCtx {
-  explicit PrivateCtx(const PrivateKey& key);
-  bool matches(const PrivateKey& key) const;
-
-  Limbs n;
-  std::optional<PublicCtx> plain;
-  std::optional<bigint::MontgomeryCtx> p, q;
+/// A private key: d, and with CRT the contexts of p and q, dP, dQ and
+/// qInv. The modulus's context is the public key's.
+struct PrivateForm {
+  Limbs d;
+  std::optional<bigint::MontgomeryCtx> p, q;  // both or neither
   Limbs dp, dq, qinv;
 };
 

@@ -112,7 +112,7 @@ bool emsa_pss_verify(ByteView message, ByteView em, std::size_t em_bits) {
 }
 
 Bytes pss_sign(const PrivateKey& key, ByteView message, Rng& rng) {
-  const std::size_t mod_bits = key.n.bit_length();
+  const std::size_t mod_bits = key.bit_length();
   const std::size_t em_len = (mod_bits - 1 + 7) / 8;
   if (em_len > kMaxBytes) throw Error(ErrorKind::kCrypto, "pss: key too wide");
   std::array<std::uint8_t, kMaxBytes> em;
@@ -132,7 +132,7 @@ bool pss_verify(const PublicKey& key, ByteView message, ByteView signature) {
   } catch (const Error&) {
     return false;  // s >= n, or a modulus the RSA path cannot use
   }
-  const std::size_t mod_bits = key.n.bit_length();
+  const std::size_t mod_bits = key.bit_length();
   const std::size_t em_len = (mod_bits - 1 + 7) / 8;
   // EM is the low em_len bytes of m; a set byte above them fails.
   for (std::size_t i = 0; i + em_len < k; ++i) {

@@ -1,9 +1,8 @@
-#include "bigint/bigint.h"
+#include "oracle/bigint.h"
 
 #include <algorithm>
 #include <cstdlib>
 
-#include "bigint/montgomery.h"
 #include "common/error.h"
 #include "common/random.h"
 
@@ -576,20 +575,6 @@ BigInt BigInt::mod_exp(const BigInt& base, const BigInt& exp,
     throw Error(ErrorKind::kRange, "mod_exp with negative exponent");
   }
   if (m == BigInt(std::uint64_t{1})) return BigInt{};
-  if (m.is_odd() && words_for_bits(m.bit_length()) <= kMaxWords) {
-    // A one-off context: callers exponentiating against one modulus
-    // repeatedly keep their own (rsa::CtxSlot).
-    const MontgomeryCtx ctx(m);
-    const std::size_t nw = ctx.words();
-    std::vector<Word> e(words_for_bits(exp.bit_length()));
-    from_bigint(e.data(), e.size(), exp);
-    Word b[kMaxWords], r[kMaxWords];
-    from_bigint(b, nw, base.mod(m));
-    ctx.mod_exp(r, b, e);
-    return to_bigint(r, nw);
-  }
-  // Generic square-and-multiply for even moduli (rare in practice) and
-  // moduli wider than the fixed-width path.
   BigInt result(std::uint64_t{1});
   BigInt b = base.mod(m);
   std::size_t bits = exp.bit_length();
@@ -626,5 +611,37 @@ BigInt BigInt::random_bits(std::size_t bits, Rng& rng) {
   raw[0] |= static_cast<std::uint8_t>(0x80 >> excess);  // force top bit
   return from_bytes_be(raw);
 }
+
+void from_bigint(Word* out, std::size_t n, const BigInt& v) {
+  const auto& limbs = v.limbs();
+  if (v.is_negative() || limbs.size() > 2 * n) {
+    throw Error(ErrorKind::kRange, "from_bigint: value does not fit");
+  }
+  std::fill(out, out + n, 0);
+  for (std::size_t i = 0; i < limbs.size(); ++i) {
+    out[i / 2] |= static_cast<Word>(limbs[i]) << (32 * (i % 2));
+  }
+}
+
+BigInt to_bigint(const Word* w, std::size_t n) {
+  std::vector<std::uint32_t> limbs(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    limbs[2 * i] = static_cast<std::uint32_t>(w[i]);
+    limbs[2 * i + 1] = static_cast<std::uint32_t>(w[i] >> 32);
+  }
+  return BigInt::from_limbs(std::move(limbs));
+}
+
+Bytes i2osp(const BigInt& x, std::size_t len) {
+  if (x.is_negative()) {
+    throw Error(ErrorKind::kRange, "i2osp: negative integer");
+  }
+  if (x.bit_length() > len * 8) {
+    throw Error(ErrorKind::kRange, "i2osp: integer too large for length");
+  }
+  return x.to_bytes_be(len);
+}
+
+BigInt os2ip(ByteView data) { return BigInt::from_bytes_be(data); }
 
 }  // namespace omadrm::bigint

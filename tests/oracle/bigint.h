@@ -1,15 +1,19 @@
-// Arbitrary-precision integers for the RSA substrate.
+// Arbitrary-precision integers: the test oracle.
+//
+// The library computes on the fixed-width limbs of bigint/limbs.h; this
+// independent sign-magnitude type is what the tests check it against.
+// It is built into the test executables only, never into the library.
 //
 // Sign-magnitude representation over 32-bit limbs (little-endian limb
 // order). The class is value-semantic and keeps the invariant that the
 // magnitude has no leading zero limbs; zero is the empty limb vector with
 // non-negative sign.
 //
-// Feature set is exactly what PKCS#1 v2.1 needs: comparison, ring
-// arithmetic, Knuth Algorithm-D division, shifts and bit access, gcd /
-// extended gcd / modular inverse, and modular exponentiation (Montgomery
-// ladder for odd moduli — see montgomery.h — with a generic
-// square-and-multiply fallback).
+// Feature set: comparison, ring arithmetic (Karatsuba above a size
+// threshold), Knuth Algorithm-D division, shifts and bit access, gcd /
+// extended gcd / modular inverse, and modular exponentiation by plain
+// square-and-multiply with a division per step, so no result depends on
+// the Montgomery code it is compared with.
 #pragma once
 
 #include <compare>
@@ -18,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "bigint/limbs.h"
 #include "common/bytes.h"
 #include "common/random.h"
 
@@ -102,7 +107,7 @@ class BigInt {
   /// Modular inverse; throws omadrm::Error(kCrypto) if gcd(a, m) != 1.
   static BigInt mod_inverse(const BigInt& a, const BigInt& m);
 
-  /// base^exp mod m. Uses Montgomery exponentiation when m is odd.
+  /// base^exp mod m, square-and-multiply with a division per step.
   static BigInt mod_exp(const BigInt& base, const BigInt& exp,
                         const BigInt& m);
 
@@ -112,7 +117,7 @@ class BigInt {
   /// Random integer with exactly `bits` bits (top bit set).
   static BigInt random_bits(std::size_t bits, Rng& rng);
 
-  // Internal access for Montgomery machinery.
+  // Limb access, for the word conversions below.
   const std::vector<std::uint32_t>& limbs() const { return limbs_; }
   static BigInt from_limbs(std::vector<std::uint32_t> limbs);
 
@@ -155,5 +160,18 @@ struct ExtGcd {
   BigInt x;
   BigInt y;
 };
+
+/// A non-negative BigInt into n words; it must fit (throws kRange).
+void from_bigint(Word* out, std::size_t n, const BigInt& v);
+
+/// The n-word number as a BigInt.
+BigInt to_bigint(const Word* w, std::size_t n);
+
+/// I2OSP: integer to big-endian octet string of exactly `len` bytes.
+/// Throws kRange if the integer is negative or does not fit.
+Bytes i2osp(const BigInt& x, std::size_t len);
+
+/// OS2IP: octet string to integer.
+BigInt os2ip(ByteView data);
 
 }  // namespace omadrm::bigint

@@ -1,15 +1,16 @@
-// BigInt adapters over the fixed-width MontgomeryCtx API, so tests can
-// state Montgomery identities in BigInt arithmetic. Each call converts
-// its operands to the context's word count and back.
+// BigInt adapters over the fixed-width MontgomeryCtx API and the prime
+// routines of prime.h, so tests can state their identities in BigInt
+// arithmetic. Each call converts its operands to words and back.
 #pragma once
 
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "bigint/bigint.h"
 #include "bigint/limbs.h"
 #include "bigint/montgomery.h"
+#include "bigint/prime.h"
+#include "oracle/bigint.h"
 
 namespace omadrm::bigint::mont_test {
 
@@ -19,9 +20,11 @@ inline std::vector<Word> words(const MontgomeryCtx& ctx, const BigInt& v) {
   return w;
 }
 
-inline std::vector<Word> exponent(const BigInt& e) {
-  std::vector<Word> w(words_for_bits(e.bit_length()));
-  from_bigint(w.data(), w.size(), e);
+/// The significant words of v: a modulus for the MontgomeryCtx
+/// constructor, or an exponent. A negative v throws kRange.
+inline std::vector<Word> words_of(const BigInt& v) {
+  std::vector<Word> w(words_for_bits(v.bit_length()));
+  from_bigint(w.data(), w.size(), v);
   return w;
 }
 
@@ -61,7 +64,7 @@ inline BigInt from_mont(const MontgomeryCtx& ctx, const BigInt& a) {
 inline BigInt mod_exp(const MontgomeryCtx& ctx, const BigInt& base,
                       const BigInt& exp) {
   std::vector<Word> r(ctx.words());
-  ctx.mod_exp(r.data(), words(ctx, base).data(), exponent(exp));
+  ctx.mod_exp(r.data(), words(ctx, base).data(), words_of(exp));
   return to_bigint(r.data(), r.size());
 }
 
@@ -73,9 +76,20 @@ inline std::pair<BigInt, BigInt> mod_exp_pair(const MontgomeryCtx& c1,
                                               const BigInt& e2) {
   std::vector<Word> r1(c1.words()), r2(c2.words());
   MontgomeryCtx::mod_exp_pair(c1, r1.data(), words(c1, b1).data(),
-                              exponent(e1), c2, r2.data(),
-                              words(c2, b2).data(), exponent(e2));
+                              words_of(e1), c2, r2.data(),
+                              words(c2, b2).data(), words_of(e2));
   return {to_bigint(r1.data(), r1.size()), to_bigint(r2.data(), r2.size())};
+}
+
+/// generate_prime's prime as a BigInt.
+inline BigInt random_prime(std::size_t bits, Rng& rng) {
+  const Limbs p = generate_prime(bits, rng);
+  return to_bigint(p.w.data(), p.n);
+}
+
+inline bool is_probable_prime(const BigInt& n, Rng& rng,
+                              std::size_t rounds = 20) {
+  return bigint::is_probable_prime(words_of(n), rng, rounds);
 }
 
 }  // namespace omadrm::bigint::mont_test

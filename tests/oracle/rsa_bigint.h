@@ -4,11 +4,15 @@
 // throws, as i2osp does), the result comes back as an integer.
 #pragma once
 
-#include "bigint/bigint.h"
 #include "common/bytes.h"
+#include "oracle/bigint.h"
 #include "rsa/rsa.h"
 
 namespace omadrm::rsa {
+
+using bigint::BigInt;
+using bigint::i2osp;
+using bigint::os2ip;
 
 inline BigInt rsaep(const PublicKey& key, const BigInt& m) {
   Bytes out(key.byte_length());
@@ -21,5 +25,14 @@ inline BigInt rsadp(const PrivateKey& key, const BigInt& c) {
   rsadp(key, i2osp(c, (c.bit_length() + 7) / 8), out);
   return os2ip(out);
 }
+
+/// A key's numbers as integers.
+struct KeyInts {
+  explicit KeyInts(const PrivateKey& k)
+      : n(os2ip(k.public_key().n())), e(os2ip(k.public_key().e())),
+        d(os2ip(k.d())), p(os2ip(k.p())), q(os2ip(k.q())),
+        dp(os2ip(k.dp())), dq(os2ip(k.dq())), qinv(os2ip(k.qinv())) {}
+  BigInt n, e, d, p, q, dp, dq, qinv;
+};
 
 }  // namespace omadrm::rsa

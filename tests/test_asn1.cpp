@@ -5,12 +5,15 @@
 #include "asn1/oid.h"
 #include "common/error.h"
 #include "common/hex.h"
+#include "common/random.h"
+#include "oracle/bigint.h"
 
 namespace omadrm::asn1 {
 namespace {
 
 using bigint::BigInt;
 using omadrm::Error;
+using omadrm::ErrorKind;
 
 TEST(DerEncode, ShortAndLongLengths) {
   Encoder e;
@@ -52,21 +55,72 @@ TEST(DerInteger, RoundTripSmall) {
   }
 }
 
-TEST(DerInteger, BignumRoundTrip) {
-  BigInt v(std::string_view("0x00f1e2d3c4b5a6978812345678"));
+// The oracle's DER INTEGER for v >= 0: its magnitude (one 0x00 octet for
+// zero), with a 0x00 pad when the top bit is set.
+Bytes oracle_der(const BigInt& v) {
+  Bytes mag = v.to_bytes_be();
+  if (mag[0] & 0x80) mag.insert(mag.begin(), 0x00);
   Encoder e;
-  e.write_integer(v);
-  Decoder d(e.bytes());
-  EXPECT_EQ(d.read_integer(), v);
+  e.write_tlv(static_cast<std::uint8_t>(Tag::kInteger), mag);
+  return e.take();
+}
+
+// The kind of Error `fn` throws.
+template <typename Fn>
+ErrorKind thrown_kind(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.kind();
+  }
+  ADD_FAILURE() << "no Error thrown";
+  return ErrorKind::kState;
+}
+
+TEST(DerInteger, BignumRoundTripsMatchOracle) {
+  DeterministicRng rng(0xDE2);
+  std::vector<BigInt> values = {
+      BigInt{}, BigInt(5), BigInt(0x7f), BigInt(0x80), BigInt(0xff),
+      BigInt(std::string_view("0x00f1e2d3c4b5a6978812345678")),
+      BigInt::random_bits(513 * 8, rng),      // 513 bytes, top bit set
+      BigInt::random_bits(513 * 8 - 1, rng),  // 513 bytes, top bit clear
+      BigInt::random_bits(4160, rng)};
+  for (const BigInt& v : values) {
+    const Bytes mag = v.is_zero() ? Bytes{} : v.to_bytes_be();
+    Encoder e;
+    e.write_integer(mag);
+    EXPECT_EQ(e.bytes(), oracle_der(v)) << v.to_hex();
+    Encoder padded;  // leading zero octets in the input change nothing
+    padded.write_integer(concat({Bytes{0, 0}, mag}));
+    EXPECT_EQ(padded.bytes(), e.bytes()) << v.to_hex();
+    Decoder d(e.bytes());
+    EXPECT_EQ(d.read_integer(), mag) << v.to_hex();
+    EXPECT_TRUE(d.at_end());
+  }
+}
+
+TEST(DerInteger, NonMinimalContentDecodesToTheMinimalMagnitude) {
+  EXPECT_EQ(Decoder(from_hex("0203000005")).read_integer(), Bytes{5});
+  EXPECT_EQ(Decoder(from_hex("020100")).read_integer(), Bytes{});
+  EXPECT_EQ(Decoder(from_hex("02020000")).read_integer(), Bytes{});
+  EXPECT_EQ(Decoder(from_hex("02020080")).read_integer(), Bytes{0x80});
+}
+
+TEST(DerInteger, NegativeAndEmptyBignumsThrowFormat) {
+  EXPECT_EQ(thrown_kind([] { Decoder(from_hex("020180")).read_integer(); }),
+            ErrorKind::kFormat);
+  EXPECT_EQ(thrown_kind([] { Decoder(from_hex("0202ff05")).read_integer(); }),
+            ErrorKind::kFormat);
+  EXPECT_EQ(thrown_kind([] { Decoder(from_hex("0200")).read_integer(); }),
+            ErrorKind::kFormat);
 }
 
 TEST(DerInteger, BignumHighBitGetsZeroPrefix) {
-  BigInt v(std::string_view("0xff"));
   Encoder e;
-  e.write_integer(v);
+  e.write_integer(Bytes{0xff});
   EXPECT_EQ(to_hex(e.bytes()), "020200ff");
   Decoder d(e.bytes());
-  EXPECT_EQ(d.read_integer(), v);
+  EXPECT_EQ(d.read_integer(), Bytes{0xff});
 }
 
 TEST(DerBoolean, CanonicalOnly) {

@@ -5,14 +5,14 @@
 #include <string>
 #include <vector>
 
-#include "bigint/bigint.h"
 #include "bigint/mont_accel.h"
 #include "bigint/montgomery.h"
 #include "bigint/prime.h"
 #include "common/error.h"
 #include "common/hex.h"
 #include "common/random.h"
-#include "mont_bigint.h"
+#include "oracle/bigint.h"
+#include "oracle/mont_bigint.h"
 
 namespace omadrm::bigint {
 namespace {
@@ -287,7 +287,7 @@ TEST(Montgomery, MatchesPlainModMul) {
   for (int i = 0; i < 30; ++i) {
     BigInt m = BigInt::random_bits(256, rng);
     if (m.is_even()) m = m + BigInt(1);
-    MontgomeryCtx ctx(m);
+    MontgomeryCtx ctx(words_of(m));
     BigInt a = BigInt::random_below(m, rng);
     BigInt b = BigInt::random_below(m, rng);
     EXPECT_EQ(from_mont(ctx, mont_mul(ctx, to_mont(ctx, a), to_mont(ctx, b))),
@@ -299,7 +299,7 @@ TEST(Montgomery, ToFromMontRoundTrip) {
   DeterministicRng rng(11);
   BigInt m = BigInt::random_bits(512, rng);
   if (m.is_even()) m = m + BigInt(1);
-  MontgomeryCtx ctx(m);
+  MontgomeryCtx ctx(words_of(m));
   for (int i = 0; i < 20; ++i) {
     BigInt a = BigInt::random_below(m, rng);
     EXPECT_EQ(from_mont(ctx, to_mont(ctx, a)), a);
@@ -307,15 +307,15 @@ TEST(Montgomery, ToFromMontRoundTrip) {
 }
 
 TEST(Montgomery, RejectsEvenModulus) {
-  EXPECT_THROW(MontgomeryCtx(BigInt(100)), Error);
-  EXPECT_THROW(MontgomeryCtx(BigInt{}), Error);
+  EXPECT_THROW(MontgomeryCtx(words_of(BigInt(100))), Error);
+  EXPECT_THROW(MontgomeryCtx(words_of(BigInt{})), Error);
 }
 
 TEST(Montgomery, ModExpMatchesGeneric) {
   DeterministicRng rng(314);
   BigInt m = BigInt::random_bits(192, rng);
   if (m.is_even()) m = m + BigInt(1);
-  MontgomeryCtx ctx(m);
+  MontgomeryCtx ctx(words_of(m));
   for (int i = 0; i < 10; ++i) {
     BigInt base = BigInt::random_below(m, rng);
     BigInt exp = BigInt::random_bits(1 + rng.uniform(192), rng);
@@ -350,7 +350,7 @@ TEST(Montgomery, ModExpZeroWindowsMatchGeneric) {
   for (std::size_t bits : {512u, 1024u}) {
     BigInt m = BigInt::random_bits(bits, rng);
     if (m.is_even()) m = m + one;
-    MontgomeryCtx ctx(m);
+    MontgomeryCtx ctx(words_of(m));
     const BigInt base = BigInt::random_below(m, rng);
     std::vector<BigInt> exps;
     for (std::size_t k : {25u, 64u, 255u, 256u, 511u}) exps.push_back(one << k);
@@ -450,7 +450,7 @@ TEST(MontKernel, DispatchedMatchesPortableEverySize) {
   DeterministicRng rng(0x4D4B);
   for (std::size_t n = 1; n <= 17; ++n) {
     for (const BigInt& m : kernel_moduli(n, rng)) {
-      const MontgomeryCtx ctx(m);
+      const MontgomeryCtx ctx(words_of(m));
       const PortableRef ref(m, n);
       const std::vector<BigInt> ops = kernel_operands(ctx, rng);
       for (const BigInt& a : ops) {
@@ -467,7 +467,7 @@ TEST(MontKernel, ChainedSquaringsMatchPortable) {
   DeterministicRng rng(0xC4A1);
   for (std::size_t n = 1; n <= 17; ++n) {
     for (const BigInt& m : kernel_moduli(n, rng)) {
-      const MontgomeryCtx ctx(m);
+      const MontgomeryCtx ctx(words_of(m));
       const PortableRef ref(m, n);
       BigInt x = BigInt::random_below(m, rng);
       Words y = to_words(x, n);
@@ -501,7 +501,7 @@ TEST(MontAccel, KernelsMatchPortable) {
   for (const AdxKernel& kernel : kAdxKernels) {
     const std::size_t n = kernel.n;
     for (const BigInt& m : kernel_moduli(n, rng)) {
-      const MontgomeryCtx ctx(m);
+      const MontgomeryCtx ctx(words_of(m));
       const PortableRef ref(m, n);
       const std::vector<BigInt> ops = kernel_operands(ctx, rng);
       for (const BigInt& a : ops) {
@@ -556,7 +556,7 @@ TEST(Montgomery, ReduceMatchesBigIntMod) {
   const BigInt one(1);
   for (std::size_t n : {1u, 4u, 7u, 8u, 16u}) {
     for (const BigInt& m : kernel_moduli(n, rng)) {
-      const MontgomeryCtx ctx(m);
+      const MontgomeryCtx ctx(words_of(m));
       for (std::size_t xw = 1; xw <= 3 * n; ++xw) {
         const BigInt top = one << (64 * xw);
         std::vector<BigInt> xs = {BigInt{}, top - one};
@@ -678,9 +678,9 @@ TEST(MontIfma, PairMatchesTwoModExp) {
   const std::size_t bits[] = {512, 512, 511, 500, 480, 449};
   std::size_t cases = 0;
   for (std::size_t pair = 0; pair < 12; ++pair) {
-    const BigInt p = generate_prime(bits[pair % 6], rng);
-    const BigInt q = generate_prime(bits[(pair + 1 + pair / 6) % 6], rng);
-    const MontgomeryCtx cp(p), cq(q);
+    const BigInt p = random_prime(bits[pair % 6], rng);
+    const BigInt q = random_prime(bits[(pair + 1 + pair / 6) % 6], rng);
+    const MontgomeryCtx cp(words_of(p)), cq(words_of(q));
     auto check = [&](const BigInt& b1, const BigInt& e1, const BigInt& b2,
                      const BigInt& e2) {
       const auto [r1, r2] = mod_exp_pair(cp, b1, e1, cq, b2, e2);
@@ -711,8 +711,8 @@ TEST(MontIfma, PairMatchesTwoModExp) {
 // Exponents wider than the kernel's 512 bits take the two-call path.
 TEST(MontIfma, PairWithWideExponentMatchesTwoModExp) {
   DeterministicRng rng(0x1F3C);
-  const BigInt p = generate_prime(512, rng), q = generate_prime(512, rng);
-  const MontgomeryCtx cp(p), cq(q);
+  const BigInt p = random_prime(512, rng), q = random_prime(512, rng);
+  const MontgomeryCtx cp(words_of(p)), cq(words_of(q));
   const BigInt b1 = BigInt::random_below(p, rng);
   const BigInt b2 = BigInt::random_below(q, rng);
   const BigInt e1 = BigInt::random_bits(600, rng);
@@ -720,6 +720,125 @@ TEST(MontIfma, PairWithWideExponentMatchesTwoModExp) {
   const auto [r1, r2] = mod_exp_pair(cp, b1, e1, cq, b2, e2);
   EXPECT_EQ(r1, BigInt::mod_exp(b1, e1, p));
   EXPECT_EQ(r2, BigInt::mod_exp(b2, e2, q));
+}
+
+// --- Key-generation steps on limbs against the oracle -------------------
+
+TEST(LimbSteps, SingleWordRemaindersMatchOracle) {
+  DeterministicRng rng(0x5EED);
+  for (std::size_t words : {1u, 2u, 8u, 17u, 64u}) {
+    for (std::uint64_t d : {1ull, 2ull, 3ull, 251ull, 65537ull, 111546435ull,
+                            4294967291ull, 4294967295ull}) {
+      const BigInt a = BigInt::random_bits(64 * words - rng.uniform(63), rng);
+      std::vector<Word> w(words), q(words);
+      from_bigint(w.data(), words, a);
+      EXPECT_EQ(BigInt(mod_word(w.data(), words, d)), a % BigInt(d))
+          << words << " words mod " << d;
+      const Word r = div_word(q.data(), w.data(), words, d);
+      EXPECT_EQ(BigInt(r), a % BigInt(d));
+      EXPECT_EQ(to_bigint(q.data(), words), a / BigInt(d));
+      div_word(w.data(), w.data(), words, d);  // in place
+      EXPECT_EQ(w, q);
+    }
+  }
+}
+
+TEST(LimbSteps, SmallInverseMatchesModInverse) {
+  DeterministicRng rng(0x1F5);
+  const BigInt one(1);
+  for (std::size_t bits : {40u, 256u, 511u, 1024u, 2048u, 4096u}) {
+    for (std::uint64_t e : {3ull, 17ull, 65537ull, 4294967291ull}) {
+      // Even moduli, as p - 1 and (p - 1)(q - 1) are, and odd ones.
+      const BigInt m = BigInt::random_bits(bits, rng) + BigInt(rng.uniform(2));
+      const std::size_t n = words_for_bits(m.bit_length());
+      std::vector<Word> mw(n), out(n, 0);
+      from_bigint(mw.data(), n, m);
+      if (BigInt::gcd(m, BigInt(e)) == one) {
+        ASSERT_TRUE(inverse_of_small(out.data(), mw.data(), n, e)) << bits;
+        EXPECT_EQ(to_bigint(out.data(), n), BigInt::mod_inverse(BigInt(e), m))
+            << bits << " bits, e = " << e;
+      } else {
+        EXPECT_FALSE(inverse_of_small(out.data(), mw.data(), n, e));
+      }
+    }
+  }
+  // A modulus divisible by e has no inverse of e: refused, out untouched.
+  const BigInt m = BigInt::random_bits(1024, rng) * BigInt(65537);
+  const std::size_t n = words_for_bits(m.bit_length());
+  std::vector<Word> mw(n), out(n, 7);
+  from_bigint(mw.data(), n, m);
+  EXPECT_FALSE(inverse_of_small(out.data(), mw.data(), n, 65537));
+  EXPECT_EQ(out, std::vector<Word>(n, 7));
+  EXPECT_THROW(BigInt::mod_inverse(BigInt(65537), m), Error);
+}
+
+TEST(LimbSteps, RandomBelowDrawsAsTheOracleDoes) {
+  for (const char* hex : {"0x10000000000000000000001", "0xff", "0x100",
+                          "0x1ffffffffffffffffffffffffffffffff"}) {
+    const BigInt bound{std::string_view(hex)};
+    const std::size_t n = words_for_bits(bound.bit_length());
+    std::vector<Word> bw(n), w(n);
+    from_bigint(bw.data(), n, bound);
+    DeterministicRng limb_rng(77), oracle_rng(77);
+    for (int i = 0; i < 50; ++i) {
+      random_below(w.data(), bw.data(), n, limb_rng);
+      EXPECT_EQ(to_bigint(w.data(), n),
+                BigInt::random_below(bound, oracle_rng)) << hex;
+    }
+    EXPECT_EQ(limb_rng.next_u64(), oracle_rng.next_u64()) << hex;
+  }
+  const Word zero = 0;
+  Word out;
+  DeterministicRng rng(1);
+  EXPECT_THROW(random_below(&out, &zero, 1, rng), Error);
+}
+
+// The constructor's R mod m and R^2 mod m, built by doublings and
+// Montgomery squarings, at every word count: for each n, moduli with the
+// top bit set (no doubling), with only the lowest bit of the top word
+// set (63 doublings) and at random lengths.
+TEST(LimbSteps, MontgomeryR2MatchesOracleAtEveryWidth) {
+  DeterministicRng rng(0x22);
+  const BigInt one(1);
+  for (std::size_t n = 1; n <= kMaxWords; ++n) {
+    const BigInt r = one << (64 * n);
+    for (std::size_t bits : {64 * n, 64 * n - 63,
+                             64 * n - 1 - rng.uniform(63)}) {
+      BigInt m = BigInt::random_bits(bits, rng);
+      if (m.is_even()) m = m + one;
+      const MontgomeryCtx ctx(words_of(m));
+      ASSERT_EQ(ctx.words(), n);
+      EXPECT_EQ(mont_one(ctx), r.mod(m)) << n << " words, " << bits;
+      const BigInt a = BigInt::random_below(m, rng);
+      EXPECT_EQ(to_mont(ctx, a), (a * r).mod(m)) << n << " words, " << bits;
+    }
+  }
+  // The smallest moduli.
+  for (std::uint64_t m : {1ull, 3ull, 5ull, 0xffffffffffffffffull}) {
+    const MontgomeryCtx ctx(words_of(BigInt(m)));
+    EXPECT_EQ(mont_one(ctx), (one << 64).mod(BigInt(m))) << m;
+  }
+}
+
+// The IFMA kernel's own R^2 (R = 2^520) comes from one short
+// exponentiation on the context; a wrong one shows in every dual result.
+TEST(MontIfma, KernelR2AtEveryEightWordLength) {
+  if (!accel::ifma_supported()) GTEST_SKIP() << "host lacks AVX-512 IFMA";
+  DeterministicRng rng(0x1FA);
+  for (std::size_t bits : {449u, 450u, 463u, 480u, 500u, 511u, 512u}) {
+    BigInt p = BigInt::random_bits(bits, rng);
+    BigInt q = BigInt::random_bits(bits, rng);
+    if (p.is_even()) p = p + BigInt(1);
+    if (q.is_even()) q = q + BigInt(1);
+    const MontgomeryCtx cp(words_of(p)), cq(words_of(q));
+    const BigInt b1 = BigInt::random_below(p, rng);
+    const BigInt b2 = BigInt::random_below(q, rng);
+    const BigInt e1 = BigInt::random_bits(bits, rng);
+    const BigInt e2 = BigInt::random_bits(bits - 1, rng);
+    const auto [r1, r2] = mod_exp_pair(cp, b1, e1, cq, b2, e2);
+    EXPECT_EQ(r1, BigInt::mod_exp(b1, e1, p)) << bits;
+    EXPECT_EQ(r2, BigInt::mod_exp(b2, e2, q)) << bits;
+  }
 }
 
 TEST(Prime, KnownPrimesAndComposites) {
@@ -752,7 +871,7 @@ class PrimeGeneration : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(PrimeGeneration, GeneratesExactWidthOddPrimes) {
   std::size_t bits = GetParam();
   DeterministicRng rng(bits);
-  BigInt p = generate_prime(bits, rng);
+  BigInt p = random_prime(bits, rng);
   EXPECT_EQ(p.bit_length(), bits);
   EXPECT_TRUE(p.is_odd());
   EXPECT_TRUE(p.bit(bits - 2)) << "second-highest bit must be set for RSA";

@@ -6,6 +6,7 @@
 #include "common/error.h"
 #include "common/hex.h"
 #include "common/random.h"
+#include "oracle/bigint.h"
 
 namespace omadrm {
 namespace {
@@ -72,6 +73,32 @@ TEST(Hex, EncodeDecode) {
 TEST(Hex, RejectsBadInput) {
   EXPECT_THROW(from_hex("abc"), Error);
   EXPECT_THROW(from_hex("zz"), Error);
+}
+
+TEST(Bytes, StripLeadingZeros) {
+  const Bytes padded{0, 0, 5, 0};
+  const ByteView v = strip_leading_zeros(padded);
+  EXPECT_EQ(Bytes(v.begin(), v.end()), (Bytes{5, 0}));
+  EXPECT_TRUE(strip_leading_zeros(Bytes{0, 0}).empty());
+  EXPECT_TRUE(strip_leading_zeros(Bytes{}).empty());
+}
+
+// The identity record's number syntax: lowercase hex with no leading
+// zeros out, and in whatever the oracle's BigInt("0x" + s) accepts.
+TEST(Hex, NumbersMatchTheOracle) {
+  for (const char* s : {"0", "00", "1", "0001", "f", "abc", "ABC", "10001",
+                        "00ff00", "8000000000000000000000000000000000001"}) {
+    const bigint::BigInt want{"0x" + std::string(s)};
+    const Bytes got = from_hex_number(s);
+    EXPECT_EQ(got, want.is_zero() ? Bytes{} : want.to_bytes_be()) << s;
+    EXPECT_EQ(to_hex_number(got), want.to_hex()) << s;
+  }
+  EXPECT_EQ(to_hex_number(Bytes{0, 0, 0x0a, 0xbc}), "abc");
+  EXPECT_EQ(to_hex_number(Bytes{}), "0");
+  for (const char* s : {"", "x", "-1", "+1", "0x1", "g", " 1", "1 "}) {
+    EXPECT_THROW(bigint::BigInt("0x" + std::string(s)), Error) << s;
+    EXPECT_THROW(from_hex_number(s), Error) << s;
+  }
 }
 
 TEST(Base64, KnownVectors) {

@@ -42,7 +42,7 @@
 #include "roap/retry.h"
 #include "roap/transport.h"
 #include "rsa/rsa.h"
-#include "rsa_bigint.h"
+#include "oracle/rsa_bigint.h"
 #include "store/group_commit_store.h"
 #include "store/memory_store.h"
 
@@ -552,18 +552,20 @@ TEST_F(ConcurrentRi, ConcurrentHellosReserveUniqueSessions) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-key Montgomery contexts under concurrent first use
+// One key's shared form under concurrent use
 // ---------------------------------------------------------------------------
 
-TEST(CtxSlot, ConcurrentFirstUseOfOneKeyAgrees) {
-  // Every RI worker signs with the one RI key, so its context slots see
-  // racing first uses; so does a device key verified from two shards'
-  // workers. Fresh copies start with empty slots.
+TEST(KeyForm, ConcurrentUseOfOneKeyAgrees) {
+  // Every RI worker signs with the one RI key, and a device key is
+  // verified from two shards' workers: copies of one key share its
+  // contexts, and on an IFMA host their first dual exponentiation builds
+  // the kernel's form of p and q under racing callers.
   DeterministicRng rng(0xC75);
   const rsa::PrivateKey source = rsa::generate_key(512, rng);
   const rsa::PrivateKey priv = source;
   const rsa::PublicKey pub = source.public_key();
-  const bigint::BigInt m = bigint::BigInt::random_below(source.n, rng);
+  const bigint::BigInt m =
+      bigint::BigInt::random_below(rsa::os2ip(pub.n()), rng);
   const bigint::BigInt c = rsa::rsaep(source.public_key(), m);
 
   constexpr int kThreads = 4;

@@ -13,7 +13,6 @@
 #include "agent/content_session.h"
 #include "agent/drm_agent.h"
 #include "agent/sessions.h"
-#include "bigint/bigint.h"
 #include "ci/content_issuer.h"
 #include "dcf/dcf.h"
 #include "bigint/montgomery.h"
@@ -31,9 +30,10 @@
 #include "roap/transport.h"
 #include "rsa/pss.h"
 #include "rsa/rsa.h"
-#include "rsa_bigint.h"
+#include "oracle/bigint.h"
+#include "oracle/mont_bigint.h"
+#include "oracle/rsa_bigint.h"
 #include "store/memory_store.h"
-#include "mont_bigint.h"
 
 namespace omadrm {
 namespace {
@@ -41,7 +41,11 @@ namespace {
 using bigint::BigInt;
 using bigint::MontgomeryCtx;
 using bigint::mont_test::mod_exp;
+using bigint::mont_test::words_of;
 using Chain = std::vector<pki::Certificate>;
+
+constexpr std::uint64_t kNow = 1100000000;
+const pki::Validity kValidity{kNow - 86400, kNow + 365 * 86400};
 
 // ---------------------------------------------------------------------------
 // Montgomery / RSA edge cases
@@ -50,31 +54,31 @@ using Chain = std::vector<pki::Certificate>;
 const BigInt kOddModulus("0xb4c1f68f9a3d2e155f0e3a4d8b92c671");
 
 TEST(MontgomeryEdge, EvenModulusRejected) {
-  EXPECT_THROW(MontgomeryCtx(BigInt(std::uint64_t{100})), Error);
-  EXPECT_THROW(MontgomeryCtx(BigInt{}), Error);
-  EXPECT_THROW(MontgomeryCtx(BigInt(-7)), Error);
+  EXPECT_THROW(MontgomeryCtx(words_of(BigInt(std::uint64_t{100}))), Error);
+  EXPECT_THROW(MontgomeryCtx(words_of(BigInt{})), Error);
+  EXPECT_THROW(MontgomeryCtx(words_of(BigInt(-7))), Error);
 }
 
 TEST(MontgomeryEdge, ExponentZeroIsOne) {
-  MontgomeryCtx ctx(kOddModulus);
+  MontgomeryCtx ctx(words_of(kOddModulus));
   EXPECT_EQ(mod_exp(ctx, BigInt(std::uint64_t{12345}), BigInt{}),
             BigInt(std::uint64_t{1}));
   // 0^0 == 1 by the PKCS#1 convention the generic path follows too.
   EXPECT_EQ(mod_exp(ctx, BigInt{}, BigInt{}), BigInt(std::uint64_t{1}));
   // Degenerate modulus 1: everything is congruent to 0.
-  MontgomeryCtx one(BigInt(std::uint64_t{1}));
+  MontgomeryCtx one(words_of(BigInt(std::uint64_t{1})));
   EXPECT_TRUE(mod_exp(one, BigInt{}, BigInt{}).is_zero());
 }
 
 TEST(MontgomeryEdge, BaseZero) {
-  MontgomeryCtx ctx(kOddModulus);
+  MontgomeryCtx ctx(words_of(kOddModulus));
   EXPECT_TRUE(mod_exp(ctx, BigInt{}, BigInt(std::uint64_t{17})).is_zero());
   EXPECT_TRUE(
       mod_exp(ctx, BigInt{}, BigInt("0x10001000100010001")).is_zero());
 }
 
 TEST(MontgomeryEdge, BaseMinusOne) {
-  MontgomeryCtx ctx(kOddModulus);
+  MontgomeryCtx ctx(words_of(kOddModulus));
   const BigInt minus_one = kOddModulus - BigInt(std::uint64_t{1});
   // (m-1)^even == 1, (m-1)^odd == m-1 (mod m).
   EXPECT_EQ(mod_exp(ctx, minus_one, BigInt(std::uint64_t{2})),
@@ -88,7 +92,7 @@ TEST(MontgomeryEdge, ShortAndLongExponentPathsAgree) {
   // 65537 rides the plain square-and-multiply path, big exponents the
   // 4-bit window; both must agree with the naive reference.
   DeterministicRng rng(0x5EED);
-  MontgomeryCtx ctx(kOddModulus);
+  MontgomeryCtx ctx(words_of(kOddModulus));
   for (int i = 0; i < 10; ++i) {
     BigInt base = BigInt::random_below(kOddModulus, rng);
     BigInt short_exp(std::uint64_t{65537});
@@ -108,7 +112,8 @@ TEST(MontgomeryEdge, ShortAndLongExponentPathsAgree) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-key Montgomery contexts (rsa::CtxSlot)
+// Per-key Montgomery contexts: built when a key is constructed, shared by
+// its copies
 // ---------------------------------------------------------------------------
 
 std::uint64_t builds() { return bigint::montgomery_ctx_builds(); }
@@ -121,93 +126,119 @@ const rsa::PrivateKey& slot_key() {
   return key;
 }
 
-TEST(CtxSlot, PublicKeyBuildsItsContextOnce) {
-  const rsa::PublicKey pub = slot_key().public_key();
+TEST(KeyForm, ConstructionBuildsEachContextOnce) {
+  const rsa::PublicKey& source = slot_key().public_key();
+  std::uint64_t b0 = builds();
+  const rsa::PublicKey pub(source.n(), source.e());
+  EXPECT_EQ(builds() - b0, 1u);  // n
+  const rsa::PrivateKey priv(pub, slot_key().d(), slot_key().p(),
+                             slot_key().q(), slot_key().dp(), slot_key().dq(),
+                             slot_key().qinv());
+  EXPECT_EQ(builds() - b0, 3u);  // p and q; n is the public key's
+
+  b0 = builds();
   const BigInt m(std::uint64_t{0x1234567});
-  const std::uint64_t b0 = builds();
   const BigInt c = rsa::rsaep(pub, m);
   EXPECT_EQ(rsa::rsaep(pub, m), c);
-  EXPECT_EQ(builds() - b0, 1u);
+  EXPECT_EQ(rsa::rsadp(priv, c), m);
   EXPECT_EQ(rsa::rsadp(slot_key(), c), m);
+  EXPECT_EQ(builds() - b0, 0u);
 }
 
-TEST(CtxSlot, CopyRebuildsMoveKeeps) {
+TEST(KeyForm, CopyBuildsNoContext) {
   rsa::PublicKey pub = slot_key().public_key();
   rsa::PrivateKey priv = slot_key();
   const BigInt m(std::uint64_t{42});
   const BigInt c = rsa::rsaep(pub, m);
-  ASSERT_EQ(rsa::rsadp(priv, c), m);  // both keys' slots now warm
+  ASSERT_EQ(rsa::rsadp(priv, c), m);
 
-  std::uint64_t b0 = builds();
+  const std::uint64_t b0 = builds();
   rsa::PublicKey pub_copy = pub;
   rsa::PrivateKey priv_copy = priv;
   EXPECT_EQ(rsa::rsaep(pub_copy, m), c);
   EXPECT_EQ(rsa::rsadp(priv_copy, c), m);
-  EXPECT_EQ(builds() - b0, 3u);  // n, then p and q: copies start empty
-
-  b0 = builds();
   rsa::PublicKey pub_moved = std::move(pub);
   rsa::PrivateKey priv_moved = std::move(priv);
   EXPECT_EQ(rsa::rsaep(pub_moved, m), c);
   EXPECT_EQ(rsa::rsadp(priv_moved, c), m);
-  EXPECT_EQ(builds() - b0, 0u);  // a move carries the contexts along
-
-  b0 = builds();
-  pub_copy = pub_moved;  // copy-assignment empties the target's slot
+  pub_copy = pub_moved;
+  priv_copy = priv_moved;
   EXPECT_EQ(rsa::rsaep(pub_copy, m), c);
-  EXPECT_EQ(builds() - b0, 1u);
+  EXPECT_EQ(rsa::rsadp(priv_copy, c), m);
+  EXPECT_EQ(rsa::rsaep(priv_copy.public_key(), m), c);
+  EXPECT_EQ(builds() - b0, 0u);
 }
 
-TEST(CtxSlot, OverwrittenFieldsRebuildAndStayCorrect) {
-  DeterministicRng rng(0x0B1);
-  const rsa::PrivateKey other = rsa::generate_key(512, rng);
-  rsa::PublicKey pub = slot_key().public_key();
-  rsa::PrivateKey priv = slot_key();
-  const BigInt m(std::uint64_t{7});
-  ASSERT_EQ(rsa::rsadp(priv, rsa::rsaep(pub, m)), m);  // warm both
-
-  // Field-wise replacement: the slots still hold contexts for the old
-  // moduli.
-  pub.n = other.n;
-  priv.n = other.n;
-  priv.d = other.d;
-  priv.p = other.p;
-  priv.q = other.q;
-  priv.dp = other.dp;
-  priv.dq = other.dq;
-  priv.qinv = other.qinv;
-  const std::uint64_t b0 = builds();
-  const BigInt c = rsa::rsaep(pub, m);
-  EXPECT_EQ(rsa::rsadp(priv, c), m);
-  EXPECT_EQ(builds() - b0, 3u);
-  EXPECT_EQ(rsa::rsadp(other, c), m);  // c really is m^e mod other.n
-
-  // Healed: the rebuilt contexts stay.
-  const std::uint64_t b1 = builds();
-  EXPECT_EQ(rsa::rsadp(priv, rsa::rsaep(pub, m)), m);
-  EXPECT_EQ(builds() - b1, 0u);
+// A certificate in the profile whose subject key is (n, 65537), issued
+// by `ca`: the CA signs whatever key it is handed, so the certificate's
+// own signature verifies.
+pki::Certificate hostile_cert(pki::CertificationAuthority& ca,
+                              const BigInt& n, Rng& rng) {
+  const rsa::PublicKey key(n.to_bytes_be(), Bytes{1, 0, 1});
+  return ca.issue("dev:hostile", key, kValidity, rng);
 }
 
 TEST(RsaEdge, HostileEvenModulusFailsVerificationGracefully) {
-  // A crafted certificate can carry an even RSA modulus; that must come
-  // back as a failed verification, not as a thrown Montgomery error that
-  // unwinds through the ROAP handlers.
-  rsa::PublicKey evil;
-  evil.n = BigInt(std::uint64_t{1}) << 512;  // even
-  evil.e = BigInt(std::uint64_t{65537});
+  // A crafted certificate can carry an even RSA modulus, or one wider
+  // than the 4096-bit RSA path; that must come back as a failed
+  // verification, not as a thrown Montgomery error that unwinds through
+  // the ROAP handlers.
+  const BigInt one(1);
+  const BigInt even = one << 512;
+  const BigInt wide = (one << 4159) + one;  // 4160 bits, odd
+  const rsa::PublicKey evil(even.to_bytes_be(), Bytes{1, 0, 1});
   Bytes message{1, 2, 3};
   Bytes signature(evil.byte_length(), 0x42);
   EXPECT_FALSE(rsa::pss_verify(evil, message, signature));
+  EXPECT_THROW(rsa::rsaep(evil, BigInt(3)), Error);
+  EXPECT_THROW(rsa::PrivateKey(evil, Bytes{1}), Error);
+
+  // The same keys in CA-signed certificates: each decodes, keeps its
+  // numbers for re-encoding, verifies no signature, and a RightsIssuer
+  // handed one in a RegistrationRequest answers kSignatureInvalid (its
+  // answer before keys held limbs), without throwing.
+  DeterministicRng rng(0xE0E);
+  pki::CertificationAuthority ca("Root", 512, kValidity, rng);
+  ri::RightsIssuer ri("ri:e", "http://ri/roap", ca, kValidity,
+                      provider::plain_provider(), rng, nullptr, 512);
+  agent::DrmAgent dev("dev:e", ca.root_certificate(),
+                      provider::plain_provider(), rng, 512);
+  dev.provision(ca.issue("dev:e", dev.public_key(), kValidity, rng));
+  for (const BigInt& n : {even, wide}) {
+    const pki::Certificate cert = hostile_cert(ca, n, rng);
+    const pki::Certificate decoded = pki::Certificate::from_der(cert.to_der());
+    EXPECT_EQ(decoded.to_der(), cert.to_der());
+    EXPECT_EQ(rsa::os2ip(decoded.subject_key().n()), n);
+    EXPECT_EQ(decoded.subject_key().bit_length(), n.bit_length());
+    EXPECT_EQ(pki::validate_against_root(decoded, ca.root_certificate(), kNow),
+              pki::CertStatus::kValid);
+    EXPECT_FALSE(rsa::pss_verify(
+        decoded.subject_key(), message,
+        Bytes(decoded.subject_key().byte_length(), 0x42)));
+
+    agent::RegistrationSession session(dev, kNow);
+    auto hello = session.hello();
+    ASSERT_TRUE(hello.ok());
+    auto request = session.request(ri.handle(*hello, kNow));
+    ASSERT_TRUE(request.ok());
+    auto forged = request->open<roap::RegistrationRequest>();
+    forged.certificate_der = cert.to_der();
+    auto response = ri.handle(roap::Envelope::wrap(forged), kNow)
+                        .open<roap::RegistrationResponse>();
+    EXPECT_EQ(response.status, roap::Status::kSignatureInvalid)
+        << n.bit_length();
+  }
 }
 
 TEST(RsaCrt, CrtAndPlainPathsAgree) {
   DeterministicRng rng(0xC47);
   rsa::PrivateKey key = rsa::generate_key(512, rng);
-  ASSERT_TRUE(key.has_crt);
-  rsa::PrivateKey plain = key;
-  plain.has_crt = false;
+  ASSERT_TRUE(key.has_crt());
+  const rsa::PrivateKey plain(key.public_key(), key.d());
+  ASSERT_FALSE(plain.has_crt());
+  EXPECT_TRUE(plain.p().empty());
 
-  BigInt c = BigInt::random_below(key.n, rng);
+  BigInt c = BigInt::random_below(rsa::os2ip(key.public_key().n()), rng);
   EXPECT_EQ(rsa::rsadp(key, c), rsa::rsadp(plain, c));
   EXPECT_EQ(rsa::rsadp(key, c), rsa::rsadp(plain, c));
   // Round trip through the public primitive.
@@ -218,8 +249,6 @@ TEST(RsaCrt, CrtAndPlainPathsAgree) {
 // Chain verifier
 // ---------------------------------------------------------------------------
 
-constexpr std::uint64_t kNow = 1100000000;
-const pki::Validity kValidity{kNow - 86400, kNow + 365 * 86400};
 
 class ChainFixture : public ::testing::Test {
  protected:
@@ -342,7 +371,7 @@ TEST_F(ChainFixture, NonCaIntermediateRejected) {
   EXPECT_FALSE(rogue_issuer.is_ca());
 
   rsa::PrivateKey fake_ri_key = rsa::generate_key(512, *rng_);
-  pki::Certificate fake_ri(BigInt(std::uint64_t{999999}), "rogue-device",
+  pki::Certificate fake_ri(pki::serial_number(999999), "rogue-device",
                            "fake-ri", kValidity, fake_ri_key.public_key());
   fake_ri.set_signature(rsa::pss_sign(rogue_key, fake_ri.tbs_der(), *rng_));
 

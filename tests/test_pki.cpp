@@ -1,10 +1,15 @@
 // Tests for certificates, the CA, chain validation, and OCSP.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "asn1/der.h"
 #include "common/error.h"
 #include "common/random.h"
+#include "oracle/rsa_bigint.h"
 #include "pki/authority.h"
 #include "pki/certificate.h"
+#include "pki/chain.h"
 #include "pki/ocsp.h"
 #include "provider/provider.h"
 #include "rsa/pss.h"
@@ -51,7 +56,8 @@ rsa::PrivateKey* PkiFixture::subject_key_ = nullptr;
 TEST_F(PkiFixture, RootIsSelfSignedAndValid) {
   const Certificate& root = ca().root_certificate();
   EXPECT_TRUE(root.is_self_signed());
-  EXPECT_EQ(root.serial().to_dec(), "1");
+  EXPECT_EQ(root.serial(), serial_number(1));
+  EXPECT_EQ(root.serial(), Bytes{1});
   EXPECT_EQ(verify_certificate(root, root.subject_key(), root.subject_cn(),
                                kNow),
             CertStatus::kValid);
@@ -74,7 +80,7 @@ TEST_F(PkiFixture, SerialsIncrement) {
                              rng());
   Certificate b = ca().issue("b", subject_key().public_key(), kValidity,
                              rng());
-  EXPECT_LT(a.serial(), b.serial());
+  EXPECT_LT(rsa::os2ip(a.serial()), rsa::os2ip(b.serial()));
 }
 
 TEST_F(PkiFixture, DerRoundTrip) {
@@ -87,7 +93,8 @@ TEST_F(PkiFixture, DerRoundTrip) {
   EXPECT_EQ(parsed.serial(), leaf.serial());
   EXPECT_EQ(parsed.validity().not_before, leaf.validity().not_before);
   EXPECT_EQ(parsed.validity().not_after, leaf.validity().not_after);
-  EXPECT_EQ(parsed.subject_key().n, leaf.subject_key().n);
+  EXPECT_TRUE(std::ranges::equal(parsed.subject_key().n(),
+                                 leaf.subject_key().n()));
   EXPECT_EQ(parsed.signature(), leaf.signature());
   // The parsed certificate still verifies.
   EXPECT_EQ(verify_certificate(parsed, ca().public_key(), "Test Root CA",
@@ -148,8 +155,59 @@ TEST_F(PkiFixture, WrongIssuerKeyRejected) {
             CertStatus::kBadSignature);
 }
 
+// `cert` re-encoded with its serial INTEGER spelled with two redundant
+// leading zero octets; the rest of the DER is unchanged.
+Bytes with_padded_serial(const Certificate& cert) {
+  asn1::Decoder outer(cert.to_der());
+  asn1::Decoder body = outer.read_sequence();
+  const Bytes tbs_der = body.read_raw_tlv();
+  const Bytes sig_alg = body.read_raw_tlv();
+  const Bytes sig = body.read_raw_tlv();
+  asn1::Decoder tbs_outer(tbs_der);
+  asn1::Decoder tbs = tbs_outer.read_sequence();
+  const ByteView serial =
+      tbs.read_tlv(static_cast<std::uint8_t>(asn1::Tag::kInteger));
+  asn1::Encoder padded;
+  padded.write_tlv(static_cast<std::uint8_t>(asn1::Tag::kInteger),
+                   concat({Bytes{0, 0}, serial}));
+  Bytes fields = padded.take();
+  while (!tbs.at_end()) {
+    const Bytes tlv = tbs.read_raw_tlv();
+    fields.insert(fields.end(), tlv.begin(), tlv.end());
+  }
+  asn1::Encoder new_tbs;
+  new_tbs.write_sequence(fields);
+  asn1::Encoder out;
+  out.write_sequence(concat({new_tbs.bytes(), sig_alg, sig}));
+  return out.take();
+}
+
+TEST_F(PkiFixture, NonMinimalSerialIsTheMinimalSerial) {
+  Certificate leaf =
+      ca().issue("padded", subject_key().public_key(), kValidity, rng());
+  const Bytes der = with_padded_serial(leaf);
+  ASSERT_NE(der, leaf.to_der());
+  const Certificate odd = Certificate::from_der(der);
+  EXPECT_EQ(odd.serial(), leaf.serial());
+  // The signed bytes are the canonical TBS, so the signature holds.
+  EXPECT_EQ(odd.tbs_der(), leaf.tbs_der());
+  EXPECT_EQ(odd.to_der(), leaf.to_der());
+  EXPECT_EQ(validate_against_root(odd, ca().root_certificate(), kNow),
+            CertStatus::kValid);
+
+  // Revoking the minimal serial catches the padded spelling, at the CA
+  // and in a chain verifier's denylist.
+  ChainVerifier verifier(ca().root_certificate());
+  const std::span<const Certificate> chain(&odd, 1);
+  ASSERT_EQ(verifier.verify(chain, kNow)->status, CertStatus::kValid);
+  verifier.invalidate_serial(leaf.serial());
+  EXPECT_EQ(verifier.verify(chain, kNow)->status, CertStatus::kRevoked);
+  ca().revoke(leaf.serial());
+  EXPECT_TRUE(ca().is_revoked(odd.serial()));
+}
+
 TEST_F(PkiFixture, UnsignedCertificateCannotSerialize) {
-  Certificate cert(bigint::BigInt(9), "i", "s", kValidity,
+  Certificate cert(serial_number(9), "i", "s", kValidity,
                    subject_key().public_key());
   EXPECT_THROW(cert.to_der(), Error);
 }
@@ -176,14 +234,14 @@ TEST_F(PkiFixture, OcspGoodRevokedUnknown) {
   OcspResponse resp2 = ca().ocsp_respond(req, kNow, rng(), plain_crypto());
   EXPECT_EQ(resp2.status(), OcspCertStatus::kRevoked);
 
-  OcspRequest unknown{bigint::BigInt(99999), local.bytes(14)};
+  OcspRequest unknown{serial_number(99999), local.bytes(14)};
   OcspResponse resp3 = ca().ocsp_respond(unknown, kNow, rng(), plain_crypto());
   EXPECT_EQ(resp3.status(), OcspCertStatus::kUnknown);
 }
 
 TEST_F(PkiFixture, OcspDerRoundTrip) {
   DeterministicRng local(8);
-  OcspRequest req{bigint::BigInt(2), local.bytes(14)};
+  OcspRequest req{serial_number(2), local.bytes(14)};
   OcspResponse resp = ca().ocsp_respond(req, kNow, rng(), plain_crypto());
   OcspResponse parsed = OcspResponse::from_der(resp.to_der());
   EXPECT_EQ(parsed.serial(), resp.serial());
@@ -199,14 +257,14 @@ TEST_F(PkiFixture, OcspDerRoundTrip) {
 
 TEST_F(PkiFixture, OcspBindingChecks) {
   DeterministicRng local(9);
-  OcspRequest req{bigint::BigInt(2), local.bytes(14)};
+  OcspRequest req{serial_number(2), local.bytes(14)};
   OcspResponse resp = ca().ocsp_respond(req, kNow, rng(), plain_crypto());
 
   // Wrong nonce.
-  OcspRequest other{bigint::BigInt(2), local.bytes(14)};
+  OcspRequest other{serial_number(2), local.bytes(14)};
   EXPECT_FALSE(resp.verify(ca().public_key(), other, kNow, 3600));
   // Wrong serial.
-  OcspRequest wrong_serial{bigint::BigInt(3), req.nonce};
+  OcspRequest wrong_serial{serial_number(3), req.nonce};
   EXPECT_FALSE(resp.verify(ca().public_key(), wrong_serial, kNow, 3600));
   // Stale.
   EXPECT_FALSE(resp.verify(ca().public_key(), req, kNow + 7200, 3600));

@@ -17,13 +17,15 @@
 #include "rsa/kem.h"
 #include "rsa/pss.h"
 #include "rsa/rsa.h"
-#include "rsa_bigint.h"
+#include "oracle/mont_bigint.h"
+#include "oracle/rsa_bigint.h"
 
 namespace omadrm::rsa {
 namespace {
 
 using omadrm::DeterministicRng;
 using omadrm::Error;
+using omadrm::ErrorKind;
 
 class RsaFixture : public ::testing::Test {
  protected:
@@ -44,18 +46,20 @@ class RsaFixture : public ::testing::Test {
 PrivateKey* RsaFixture::key_ = nullptr;
 
 TEST_F(RsaFixture, GeneratedKeyShape) {
-  EXPECT_EQ(key().n.bit_length(), 1024u);
+  const KeyInts k(key());
+  EXPECT_EQ(k.n.bit_length(), 1024u);
+  EXPECT_EQ(key().bit_length(), 1024u);
   EXPECT_EQ(key().byte_length(), 128u);
-  EXPECT_EQ(key().e.to_dec(), "65537");
-  EXPECT_TRUE(key().has_crt);
-  EXPECT_EQ(key().p * key().q, key().n);
-  EXPECT_GT(key().p, key().q);
+  EXPECT_EQ(k.e.to_dec(), "65537");
+  EXPECT_TRUE(key().has_crt());
+  EXPECT_EQ(k.p * k.q, k.n);
+  EXPECT_GT(k.p, k.q);
 }
 
 TEST_F(RsaFixture, EncryptDecryptRoundTrip) {
   DeterministicRng rng(1);
   for (int i = 0; i < 5; ++i) {
-    BigInt m = BigInt::random_below(key().n, rng);
+    BigInt m = BigInt::random_below(KeyInts(key()).n, rng);
     BigInt c = rsaep(key().public_key(), m);
     EXPECT_EQ(rsadp(key(), c), m);
   }
@@ -63,16 +67,16 @@ TEST_F(RsaFixture, EncryptDecryptRoundTrip) {
 
 TEST_F(RsaFixture, SignVerifyPrimitivesRoundTrip) {
   DeterministicRng rng(2);
-  BigInt m = BigInt::random_below(key().n, rng);
+  BigInt m = BigInt::random_below(KeyInts(key()).n, rng);
   BigInt s = rsadp(key(), m);
   EXPECT_EQ(rsaep(key().public_key(), s), m);
 }
 
 TEST_F(RsaFixture, CrtMatchesPlainExponentiation) {
   DeterministicRng rng(3);
-  BigInt c = BigInt::random_below(key().n, rng);
-  PrivateKey plain = key();
-  plain.has_crt = false;
+  BigInt c = BigInt::random_below(KeyInts(key()).n, rng);
+  const PrivateKey plain(key().public_key(), key().d());
+  EXPECT_FALSE(plain.has_crt());
   EXPECT_EQ(rsadp(key(), c), rsadp(plain, c));
 }
 
@@ -87,35 +91,29 @@ TEST(RsaDualCrt, X2PathMatchesNonCrt) {
   DeterministicRng rng(0x1F3D);
   for (int k = 0; k < 3; ++k) {
     const PrivateKey key = generate_key(1024, rng);
-    std::vector<BigInt> cs = {BigInt{}, BigInt(1), key.n - BigInt(1)};
-    for (int i = 0; i < 5; ++i) cs.push_back(BigInt::random_below(key.n, rng));
+    const KeyInts ki(key);
+    std::vector<BigInt> cs = {BigInt{}, BigInt(1), ki.n - BigInt(1)};
+    for (int i = 0; i < 5; ++i) cs.push_back(BigInt::random_below(ki.n, rng));
     for (const BigInt& c : cs) {
-      EXPECT_EQ(rsadp(key, c), BigInt::mod_exp(c, key.d, key.n)) << k;
+      EXPECT_EQ(rsadp(key, c), BigInt::mod_exp(c, ki.d, ki.n)) << k;
     }
   }
 }
 
 // A CRT key on chosen primes (p, q in either order).
 PrivateKey key_from_primes(const BigInt& p, const BigInt& q) {
-  const BigInt one(1);
-  PrivateKey key;
-  key.n = p * q;
-  key.e = BigInt(65537);
-  const BigInt phi = (p - one) * (q - one);
-  key.d = BigInt::mod_inverse(key.e, phi);
-  key.p = p;
-  key.q = q;
-  key.dp = key.d.mod(p - one);
-  key.dq = key.d.mod(q - one);
-  key.qinv = BigInt::mod_inverse(q, p);
-  key.has_crt = true;
-  return key;
+  const BigInt one(1), e(65537);
+  const BigInt d = BigInt::mod_inverse(e, (p - one) * (q - one));
+  return PrivateKey(PublicKey((p * q).to_bytes_be(), e.to_bytes_be()),
+                    d.to_bytes_be(), p.to_bytes_be(), q.to_bytes_be(),
+                    d.mod(p - one).to_bytes_be(), d.mod(q - one).to_bytes_be(),
+                    BigInt::mod_inverse(q, p).to_bytes_be());
 }
 
 // A prime of `bits` bits with p - 1 coprime to 65537.
 BigInt rsa_prime(std::size_t bits, Rng& rng) {
   for (;;) {
-    const BigInt p = bigint::generate_prime(bits, rng);
+    const BigInt p = bigint::mont_test::random_prime(bits, rng);
     if (!(p - BigInt(1)).mod(BigInt(65537)).is_zero()) return p;
   }
 }
@@ -142,19 +140,20 @@ TEST(RsaFixedWidth, MatchesBigIntModExpOnEveryShape) {
     const BigInt q = rsa_prime(qbits, rng);
     const PrivateKey key = key_from_primes(p, q);
     const PublicKey pub = key.public_key();
-    std::vector<BigInt> cs = {BigInt{},        one,     key.n - one, p,
+    const KeyInts ki(key);
+    std::vector<BigInt> cs = {BigInt{},        one,     ki.n - one, p,
                               q,               p + p,   q * BigInt(3),
                               p * (q - one),   q * (p - one)};
-    for (int i = 0; i < 12; ++i) cs.push_back(BigInt::random_below(key.n, rng));
+    for (int i = 0; i < 12; ++i) cs.push_back(BigInt::random_below(ki.n, rng));
     int negative = 0, positive = 0;
     for (const BigInt& c : cs) {
-      const BigInt want = BigInt::mod_exp(c, key.d, key.n);
+      const BigInt want = BigInt::mod_exp(c, ki.d, ki.n);
       EXPECT_EQ(rsadp(key, c), want) << pbits << "/" << qbits;
-      EXPECT_EQ(rsaep(pub, c), BigInt::mod_exp(c, key.e, key.n))
+      EXPECT_EQ(rsaep(pub, c), BigInt::mod_exp(c, ki.e, ki.n))
           << pbits << "/" << qbits;
       EXPECT_EQ(rsaep(pub, want), c) << pbits << "/" << qbits;
-      const BigInt m1 = BigInt::mod_exp(c, key.dp, p);
-      const BigInt m2 = BigInt::mod_exp(c, key.dq, q).mod(p);
+      const BigInt m1 = BigInt::mod_exp(c, ki.dp, p);
+      const BigInt m2 = BigInt::mod_exp(c, ki.dq, q).mod(p);
       (m1 < m2 ? negative : positive)++;
     }
     EXPECT_GT(negative, 0) << pbits << "/" << qbits;
@@ -179,8 +178,9 @@ TEST_F(RsaFixture, PrimitivesTakeAndFillOctetStrings) {
 }
 
 TEST_F(RsaFixture, PrimitivesRejectOutOfRange) {
-  EXPECT_THROW(rsaep(key().public_key(), key().n), Error);
-  EXPECT_THROW(rsadp(key(), key().n + BigInt(1)), Error);
+  const BigInt n = KeyInts(key()).n;
+  EXPECT_THROW(rsaep(key().public_key(), n), Error);
+  EXPECT_THROW(rsadp(key(), n + BigInt(1)), Error);
   EXPECT_THROW(rsaep(key().public_key(), BigInt(-1)), Error);
 }
 
@@ -188,7 +188,7 @@ TEST(RsaSmallKeys, DifferentSizesWork) {
   for (std::size_t bits : {256u, 512u}) {
     DeterministicRng rng(bits);
     PrivateKey k = generate_key(bits, rng);
-    EXPECT_EQ(k.n.bit_length(), bits);
+    EXPECT_EQ(k.bit_length(), bits);
     BigInt m(std::uint64_t{0x1234567});
     EXPECT_EQ(rsadp(k, rsaep(k.public_key(), m)), m);
   }
@@ -198,6 +198,66 @@ TEST(RsaKeyGen, RejectsBadSizes) {
   DeterministicRng rng(1);
   EXPECT_THROW(generate_key(32, rng), Error);
   EXPECT_THROW(generate_key(127, rng), Error);
+  // Wider than the fixed-width path: refused before any draw.
+  DeterministicRng fresh(1);
+  try {
+    generate_key(4098, rng);
+    ADD_FAILURE() << "4098-bit key generated";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kRange);
+  }
+  EXPECT_EQ(rng.next_u64(), fresh.next_u64());
+}
+
+// Key generation pinned bit for bit. Each entry hashes (SHA-1) the
+// identity-record hex of n, e, d, p, q, dP, dQ and qInv, one per line,
+// and records the four RNG bytes that follow the key, so one moved draw
+// or one changed derived value fails. The answers were captured from the
+// earlier BigInt key generator; the oracle then re-derives d, dP, dQ and
+// qInv from p, q and e.
+TEST(RsaKeyGen, KnownAnswers) {
+  struct Kat {
+    std::uint64_t seed;
+    std::size_t bits;
+    const char* sha1;
+    const char* next;
+  };
+  const Kat kats[] = {
+      {0x1, 512, "3f092c364049ea2cd67ddf8a913ee975377c5a0c", "4b179884"},
+      {0x1, 768, "eab021faf1e11197e7960417902f51a27a679972", "c1fe7408"},
+      {0x1, 1024, "29bb4a74e73472836b37f811dc53ef59943681c6", "c50302aa"},
+      {0x1, 2048, "e55e66539cb1f6b9fb7db322f593dd6264906d05", "0dbffd21"},
+      {0x7, 512, "4e83eb3dd2f68a5ce683140be3a2f0a8048a8759", "9c7a61a9"},
+      {0x7, 768, "d9a4d125530c485d558ccf33fce6b555d3f92ef9", "7f5907c1"},
+      {0x7, 1024, "f9fc4b47d5b4768bcb0d11e3948b02e8ab163aa8", "4b701b32"},
+      {0x7, 2048, "a5894d893ad4d6cf1a150796e3f4ba8a8da5120f", "1de6cd66"},
+      {0xc47, 512, "d030d7f00b5759a12212223cf95b393075e7abe4", "67f3be62"},
+      {0xc47, 768, "d5752d7345ec7c57725dbaf8698a5c59b66d24a4", "feabbc00"},
+      {0xc47, 1024, "d9d5d864f4f9b4a798994cbadcda431daa0d0344", "1f940f4e"},
+      {0xc47, 2048, "08bff3dd651d730f0bd693d5614db1f2069adafe", "159f4467"},
+  };
+  const BigInt one(1);
+  for (const Kat& kat : kats) {
+    DeterministicRng rng(kat.seed);
+    const PrivateKey key = generate_key(kat.bits, rng);
+    const ByteView n = key.public_key().n(), e = key.public_key().e();
+    std::string record;
+    for (const Bytes& v : {Bytes(n.begin(), n.end()), Bytes(e.begin(), e.end()),
+                           key.d(), key.p(), key.q(), key.dp(), key.dq(),
+                           key.qinv()}) {
+      record += to_hex_number(v) + "\n";
+    }
+    EXPECT_EQ(to_hex(crypto::Sha1::hash(to_bytes(record))), kat.sha1)
+        << kat.seed << "/" << kat.bits;
+    EXPECT_EQ(to_hex(rng.bytes(4)), kat.next) << kat.seed << "/" << kat.bits;
+
+    const KeyInts k(key);
+    EXPECT_EQ(k.n.bit_length(), kat.bits);
+    EXPECT_EQ(k.d, BigInt::mod_inverse(k.e, (k.p - one) * (k.q - one)));
+    EXPECT_EQ(k.dp, k.d.mod(k.p - one));
+    EXPECT_EQ(k.dq, k.d.mod(k.q - one));
+    EXPECT_EQ(k.qinv, BigInt::mod_inverse(k.q, k.p));  // Fermat's qInv
+  }
 }
 
 TEST(I2osp, PadsAndRejects) {
