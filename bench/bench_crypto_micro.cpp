@@ -13,6 +13,8 @@
 #include "bigint/montgomery.h"
 #include "bigint/prime.h"
 #include "common/random.h"
+#include "crypto/aes.h"
+#include "crypto/aes_accel.h"
 #include "crypto/aes_wrap.h"
 #include "crypto/hmac.h"
 #include "crypto/kdf2.h"
@@ -52,6 +54,60 @@ void BM_AesCbcDecrypt(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_AesCbcDecrypt)->Arg(1 << 10)->Arg(30 << 10)->Arg(1 << 20);
+
+// The CBC decryption path ladder on whole blocks and one prebuilt
+// schedule, each path forced whatever the host would pick: the T-table
+// rounds, AES-NI 4 blocks per iteration and VAES 16.
+using CbcKernel = void (*)(const std::uint8_t*, int, std::uint8_t*,
+                           const std::uint8_t*, std::uint8_t*, std::size_t);
+
+void run_cbc_decrypt(benchmark::State& state, CbcKernel kernel) {
+  DeterministicRng rng(2);
+  const Bytes key = rng.bytes(16);
+  const Bytes ct = rng.bytes(static_cast<std::size_t>(state.range(0)));
+  Bytes pt(ct.size());
+  std::uint8_t chain[16] = {};
+  if (kernel == nullptr) {
+    const crypto::Aes aes = crypto::Aes::portable(key);
+    for (auto _ : state) {
+      crypto::cbc_decrypt_blocks(aes, chain, ct.data(), pt.data(),
+                                 ct.size() / 16);
+      benchmark::ClobberMemory();
+    }
+  } else {
+    const crypto::Aes aes(key);
+    for (auto _ : state) {
+      kernel(aes.accel_dec_keys(), aes.rounds(), chain, ct.data(), pt.data(),
+             ct.size() / 16);
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
+void BM_AesCbcDecryptTable(benchmark::State& state) {
+  run_cbc_decrypt(state, nullptr);
+}
+BENCHMARK(BM_AesCbcDecryptTable)->Arg(30 << 10)->Arg(1 << 20);
+
+void BM_AesCbcDecryptNiX4(benchmark::State& state) {
+  if (!crypto::accel::cpu_supported()) {
+    state.SkipWithError("host lacks AES-NI");
+    return;
+  }
+  run_cbc_decrypt(state, &crypto::accel::cbc_decrypt_blocks);
+}
+BENCHMARK(BM_AesCbcDecryptNiX4)->Arg(30 << 10)->Arg(1 << 20);
+
+void BM_AesCbcDecryptVaesX16(benchmark::State& state) {
+  if (!crypto::accel::vaes_supported()) {
+    state.SkipWithError("host lacks VAES or AVX-512F");
+    return;
+  }
+  run_cbc_decrypt(state, &crypto::accel::cbc_decrypt_blocks_vaes);
+}
+BENCHMARK(BM_AesCbcDecryptVaesX16)->Arg(30 << 10)->Arg(1 << 20);
 
 void BM_AesKeyWrap(benchmark::State& state) {
   DeterministicRng rng(3);

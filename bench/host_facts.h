@@ -28,7 +28,7 @@ inline std::string cpu_flags_json() {
   std::string out = "[";
   for (const char* f :
        {"aes", "sha_ni", "ssse3", "sse4_1", "avx2", "adx", "bmi2", "avx512f",
-        "avx512vl", "avx512ifma"}) {
+        "avx512vl", "avx512ifma", "vaes"}) {
     if (flags.find(std::string(" ") + f + " ") == std::string::npos) continue;
     if (out.size() > 1) out += ", ";
     out += std::string("\"") + f + "\"";

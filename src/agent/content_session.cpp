@@ -2,49 +2,6 @@
 
 namespace omadrm::agent {
 
-std::shared_ptr<const crypto::Aes> AesContextCache::get(
-    ByteView cek, std::string_view ro_id) {
-  std::array<std::uint8_t, crypto::Sha1::kDigestSize> fp;
-  crypto::Sha1 h;
-  h.update(cek);
-  h.finish_into(fp.data());
-
-  // Linear scan: the cache is a handful of entries, and the fingerprint
-  // compare is 20 bytes — cheaper than maintaining a side index.
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    if (it->fingerprint == fp) {
-      ++stats_.hits;
-      lru_.splice(lru_.begin(), lru_, it);
-      return lru_.front().aes;
-    }
-  }
-
-  ++stats_.misses;
-  auto aes = std::make_shared<const crypto::Aes>(cek);
-  lru_.push_front(Entry{fp, std::string(ro_id), aes});
-  if (lru_.size() > capacity_) {
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-  return aes;
-}
-
-void AesContextCache::invalidate_ro(std::string_view ro_id) {
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->ro_id == ro_id) {
-      it = lru_.erase(it);
-      ++stats_.invalidations;
-    } else {
-      ++it;
-    }
-  }
-}
-
-void AesContextCache::clear() {
-  stats_.invalidations += lru_.size();
-  lru_.clear();
-}
-
 std::size_t ContentSession::read(std::span<std::uint8_t> out) {
   if (status_ != StatusCode::kOk) return 0;
   const std::size_t n = stream_.read(out);

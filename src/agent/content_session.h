@@ -10,8 +10,8 @@
 //   DrmAgent::open_content   the per-access trust decisions (C2dev
 //                            unwrap, RO MAC, DCF-hash binding, REL
 //                            check_and_consume, CEK unwrap) plus the AES
-//                            key-schedule lookup in the agent's context
-//                            cache — returns a ContentSession.
+//                            key schedule, which the session owns —
+//                            returns a ContentSession.
 //   ContentSession::read     decrypts the next plaintext chunk into a
 //                            caller-owned buffer through the fused CBC
 //                            core: zero allocations, any chunk size,
@@ -22,76 +22,30 @@
 // same playback — but a new access requires a new open_content.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 
 #include "common/bytes.h"
 #include "common/status.h"
 #include "crypto/aes.h"
 #include "crypto/modes.h"
-#include "crypto/sha1.h"
 #include "rel/rights.h"
 
 namespace omadrm::agent {
 
 class DrmAgent;
 
-struct AesCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t invalidations = 0;
-};
-
-/// LRU cache of AES key schedules keyed by a CEK fingerprint, the
-/// symmetric sibling of PR 1's Montgomery-context and chain-verdict
-/// caches: the CEK of an installed RO does not change between accesses,
-/// so neither should the expanded key schedule (nor, on AES-NI hosts, the
-/// derived hardware schedules). Entries are tagged with the owning RO id
-/// and dropped when that RO is replaced or uninstalled; the key is
-/// SHA-1(CEK), so the cache never stores raw key material in its index.
-class AesContextCache {
- public:
-  /// Capacity 0 caches nothing: every get() builds a fresh schedule.
-  explicit AesContextCache(std::size_t capacity = 16) : capacity_(capacity) {}
-
-  /// Returns the cached schedule for `cek`, building and inserting it on
-  /// a miss. The shared_ptr keeps a session's schedule alive across
-  /// eviction and invalidation.
-  std::shared_ptr<const crypto::Aes> get(ByteView cek, std::string_view ro_id);
-
-  /// Drops every entry tagged with `ro_id` (RO replaced or uninstalled).
-  void invalidate_ro(std::string_view ro_id);
-  void clear();
-
-  const AesCacheStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = AesCacheStats{}; }
-  std::size_t size() const { return lru_.size(); }
-
- private:
-  struct Entry {
-    std::array<std::uint8_t, crypto::Sha1::kDigestSize> fingerprint;
-    std::string ro_id;
-    std::shared_ptr<const crypto::Aes> aes;
-  };
-
-  std::list<Entry> lru_;  // front = most recently used
-  std::size_t capacity_;
-  AesCacheStats stats_;
-};
-
 /// One granted content access, created by DrmAgent::open_content.
 ///
-/// The session borrows the DCF's encrypted payload (and pins its cached
-/// AES schedule): the container object or wire buffer it was opened over
-/// must outlive it. When open_content denies, the session is returned
-/// with ok() == false and the same status/decision consume() would have
-/// reported; read() then produces nothing.
+/// The session borrows the DCF's encrypted payload and owns its AES key
+/// schedule, built at open from the unwrapped CEK (on AES-NI hosts one
+/// AESKEYGENASSIST expansion, cheaper than any cache lookup): the
+/// container object or wire buffer it was opened over must outlive it.
+/// When open_content denies, the session is returned with ok() == false
+/// and the same status/decision consume() would have reported; read()
+/// then produces nothing.
 class ContentSession {
  public:
   ContentSession() = default;  // not ok(); kNotInstalled
@@ -142,7 +96,8 @@ class ContentSession {
   StatusCode status_ = StatusCode::kNotInstalled;
   rel::Decision decision_ = rel::Decision::kNoSuchPermission;
   std::string ro_id_;
-  std::shared_ptr<const crypto::Aes> aes_;  // pins the cached schedule
+  // Heap-held so the stream's borrow survives moves of the session.
+  std::unique_ptr<const crypto::Aes> aes_;
   crypto::CbcDecryptStream stream_;
   std::uint64_t plaintext_size_ = 0;
   std::uint64_t produced_ = 0;

@@ -445,11 +445,7 @@ AgentStatus DrmAgent::install_ro(const roap::ProtectedRo& ro,
     tx.put(state_record_key(ro_id), zero_enforcer_state());
     if (!store_->commit(tx).ok()) return AgentStatus::kStoreFailure;
   }
-  if (installed_.erase(ro_id) > 0) {
-    // A replaced RO may carry a re-keyed CEK; its cached schedule dies
-    // with it.
-    aes_cache_.invalidate_ro(ro_id);
-  }
+  installed_.erase(ro_id);
   installed_.emplace(ro_id, InstalledRo(ro, std::move(c2dev)));
   auto& index = by_content_[ro.rights.content_id];
   bool known = false;
@@ -601,10 +597,10 @@ ContentSession DrmAgent::open_content_impl(
       }
     }
 
-    // One-time bulk-decrypt setup: cached key schedule (the per-access
-    // AES-CBC cost is charged here; the chunked reads execute it through
-    // the fused core) and the borrowed-ciphertext stream.
-    session.aes_ = aes_cache_.get(*kcek, ro_id);
+    // One-time bulk-decrypt setup: the session's own key schedule (the
+    // per-access AES-CBC cost is charged here; the chunked reads execute
+    // it through the fused core) and the borrowed-ciphertext stream.
+    session.aes_ = std::make_unique<const crypto::Aes>(*kcek);
     crypto_.charge_aes_cbc_decrypt(payload.size());
     session.stream_ = crypto::CbcDecryptStream(*session.aes_, iv, payload);
     session.plaintext_size_ = plaintext_size;
@@ -736,7 +732,6 @@ Result<> DrmAgent::accept_leave_domain_response(
     if (it->second.ro.is_domain_ro && it->second.ro.domain_id == domain_id) {
       auto& index = by_content_[it->second.ro.rights.content_id];
       std::erase(index, it->first);
-      aes_cache_.invalidate_ro(it->first);
       tx.erase(ro_record_key(it->first));
       tx.erase(state_record_key(it->first));
       it = installed_.erase(it);
@@ -1092,9 +1087,7 @@ void DrmAgent::adopt(ParsedState&& parsed) {
   by_content_ = std::move(parsed.by_content);
   // Verification verdicts belong to the pre-load identity; the loaded
   // contexts re-verify (and re-populate the cache) on first interaction.
-  // Likewise the AES schedules: they derive from the replaced ROs' CEKs.
   chain_verifier_.clear();
-  aes_cache_.clear();
 }
 
 void DrmAgent::load_from_records(

@@ -146,8 +146,8 @@ class DrmAgent {
 
   /// Streaming access (§2.4.4 split into one-time and per-chunk halves):
   /// performs the per-access trust decisions — C2dev unwrap, RO MAC, DCF
-  /// hash binding, REL check_and_consume, CEK unwrap, AES key-schedule
-  /// lookup in the context cache — and returns a session whose read()
+  /// hash binding, REL check_and_consume, CEK unwrap, the session's AES
+  /// key schedule — and returns a session whose read()
   /// decrypts chunks into caller-owned buffers with zero allocations.
   /// On denial the session carries the status/decision consume() would
   /// have reported. The session borrows the container's payload bytes.
@@ -250,11 +250,6 @@ class DrmAgent {
   /// metered via this agent's CryptoProvider; cache hits charge nothing.
   /// Exposed for benchmarks/tests (stats, enable/disable, invalidation).
   pki::ChainVerifier& chain_verifier() { return chain_verifier_; }
-
-  /// The CEK → AES-key-schedule cache used by open_content. Entries die
-  /// with their RO (replacement, uninstall, state import). Exposed for
-  /// benchmarks/tests (stats, enable/disable).
-  AesContextCache& aes_context_cache() { return aes_cache_; }
 
  private:
   // The session state machines drive the build/process halves below and
@@ -368,8 +363,6 @@ class DrmAgent {
   Bytes kdev_;  // device-generated key replacing PKI protection at install
   pki::Certificate certificate_;
   pki::ChainVerifier chain_verifier_;
-
-  AesContextCache aes_cache_;
 
   /// Durable secure storage; mutations commit through it before they are
   /// acknowledged. Null when unbound (RAM-only agent, the historical

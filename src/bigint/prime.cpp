@@ -118,7 +118,10 @@ Limbs generate_prime(std::size_t bits, Rng& rng) {
   std::array<std::uint8_t, kMaxBytes> raw;
   Limbs c;
   c.n = nw;
-  for (;;) {
+  // About 0.35 * bits odd candidates are expected before a prime, so an
+  // honest search exhausts 64 * bits with probability about e^-185; a
+  // search that does is a broken Rng or primality test, not bad luck.
+  for (std::size_t tries = 64 * bits; tries > 0; --tries) {
     rng.fill(raw.data(), len);
     raw[0] &= static_cast<std::uint8_t>(0xff >> excess);
     raw[0] |= static_cast<std::uint8_t>(0x80 >> excess);  // top bit
@@ -134,6 +137,8 @@ Limbs generate_prime(std::size_t bits, Rng& rng) {
     c.w[0] |= 1;
     if (is_probable_prime(c.span(), rng)) return c;
   }
+  throw omadrm::Error(omadrm::ErrorKind::kCrypto,
+                      "generate_prime: no prime in 64 * bits candidates");
 }
 
 bool inverse_of_small(Word* out, const Word* m, std::size_t n, Word e) {

@@ -5,7 +5,7 @@
 //
 // None of this is constant time. Trial division and the witness loop
 // stop at the first proof of compositeness, and prime generation redraws
-// until a candidate passes, so the running time tracks the candidates
+// until a candidate passes (up to a bound), so the running time tracks the candidates
 // tried. Only the exponentiations inside a witness round are the
 // Montgomery path's fixed sequences.
 #pragma once
@@ -30,7 +30,10 @@ bool is_probable_prime(std::span<const Word> n, Rng& rng,
 /// (kRange otherwise). Each candidate is `bits` random bits with the top
 /// one set, plus 2^(bits-2) (redrawn when that carries past the width,
 /// so products of two such primes have exactly 2*bits bits, as RSA key
-/// generation requires), made odd.
+/// generation requires), made odd. Throws kCrypto after 64 * bits
+/// candidates without a prime, which an honest search reaches with
+/// probability about e^-185: a broken Rng or Miller–Rabin fails there
+/// instead of searching forever.
 Limbs generate_prime(std::size_t bits, Rng& rng);
 
 /// out = e^-1 mod m, for the n-word modulus m > 1 and a word 1 < e < 2^32:

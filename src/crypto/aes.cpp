@@ -126,15 +126,25 @@ std::uint32_t inv_mix_word(std::uint32_t w) {
 
 }  // namespace
 
-Aes::Aes(ByteView key) {
+Aes::Aes(ByteView key) : Aes(key, accel::cpu_supported()) {}
+
+Aes Aes::portable(ByteView key) { return Aes(key, false); }
+
+Aes::Aes(ByteView key, bool accel) : has_accel_(accel) {
   if (key.size() != 16 && key.size() != 24 && key.size() != 32) {
     throw Error(ErrorKind::kCrypto, "AES key must be 16/24/32 bytes");
   }
-  const Tables& t = tables();
   const std::size_t nk = key.size() / 4;
   rounds_ = static_cast<int>(nk + 6);
-  const std::size_t nw = 4 * (static_cast<std::size_t>(rounds_) + 1);
+  auto* enc = reinterpret_cast<std::uint8_t*>(ek_.data());
+  auto* dec = reinterpret_cast<std::uint8_t*>(dk_.data());
+  if (has_accel_ && nk == 4) {
+    accel::expand_key_128(key.data(), enc, dec);
+    return;
+  }
 
+  const Tables& t = tables();
+  const std::size_t nw = 4 * (static_cast<std::size_t>(rounds_) + 1);
   for (std::size_t i = 0; i < nk; ++i) {
     ek_[i] = load_be32(key.data() + 4 * i);
   }
@@ -149,6 +159,15 @@ Aes::Aes(ByteView key) {
     ek_[i] = ek_[i - nk] ^ temp;
   }
 
+  if (has_accel_) {
+    // AES-192/256 on AES-NI: the standard byte-order round keys are the
+    // big-endian stores of the schedule words; AESIMC derives the
+    // inverse-cipher keys.
+    for (std::size_t i = 0; i < nw; ++i) store_be32(ek_[i], enc + 4 * i);
+    accel::build_decrypt_schedule(enc, rounds_, dec);
+    return;
+  }
+
   // Equivalent-inverse-cipher decryption keys: reversed round order, with
   // InvMixColumns applied to all but the first and last round keys.
   const std::size_t nr = static_cast<std::size_t>(rounds_);
@@ -161,21 +180,14 @@ Aes::Aes(ByteView key) {
       dk_[4 * r + c] = inv_mix_word(ek_[4 * (nr - r) + c]);
     }
   }
-
-  if (accel::cpu_supported()) {
-    // The standard byte-order round keys are the big-endian stores of the
-    // schedule words; the inverse-cipher keys come from AESIMC.
-    for (std::size_t i = 0; i < nw; ++i) {
-      store_be32(ek_[i], accel_ek_.data() + 4 * i);
-    }
-    accel::build_decrypt_schedule(accel_ek_.data(), rounds_,
-                                  accel_dk_.data());
-    has_accel_ = true;
-  }
 }
 
 void Aes::encrypt_block(const std::uint8_t in[kBlockSize],
                         std::uint8_t out[kBlockSize]) const {
+  if (has_accel_) {
+    accel::encrypt_block(accel_enc_keys(), rounds_, in, out);
+    return;
+  }
   const Tables& t = tables();
   std::uint32_t s0 = load_be32(in) ^ ek_[0];
   std::uint32_t s1 = load_be32(in + 4) ^ ek_[1];
@@ -218,6 +230,10 @@ void Aes::encrypt_block(const std::uint8_t in[kBlockSize],
 
 void Aes::decrypt_block(const std::uint8_t in[kBlockSize],
                         std::uint8_t out[kBlockSize]) const {
+  if (has_accel_) {
+    accel::decrypt_block(accel_dec_keys(), rounds_, in, out);
+    return;
+  }
   const Tables& t = tables();
   std::uint32_t s0 = load_be32(in) ^ dk_[0];
   std::uint32_t s1 = load_be32(in + 4) ^ dk_[1];

@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "common/bytes.h"
+#include "crypto/aes.h"
 
 namespace omadrm::crypto {
 
@@ -18,5 +19,11 @@ Bytes aes_wrap(ByteView kek, ByteView key_data);
 /// match (wrong KEK or corrupted wrap) — an expected runtime outcome,
 /// not an exception.
 std::optional<Bytes> aes_unwrap(ByteView kek, ByteView wrapped);
+
+/// The same on a prebuilt KEK schedule. With has_accel() the 6·n steps
+/// run in one AES-NI routine (crypto/aes_accel.h); an Aes::portable
+/// schedule takes the T-table path.
+Bytes aes_wrap(const Aes& kek, ByteView key_data);
+std::optional<Bytes> aes_unwrap(const Aes& kek, ByteView wrapped);
 
 }  // namespace omadrm::crypto

@@ -81,8 +81,10 @@ void cbc_decrypt_blocks(const Aes& aes, std::uint8_t chain[Aes::kBlockSize],
                         std::size_t n_blocks) {
   if (n_blocks == 0) return;
   if (aes.has_accel()) {
-    accel::cbc_decrypt_blocks(aes.accel_dec_keys(), aes.rounds(), chain, in,
-                              out, n_blocks);
+    // 16 blocks per iteration on VAES hosts, 4 on plain AES-NI.
+    const auto run = accel::vaes_supported() ? accel::cbc_decrypt_blocks_vaes
+                                             : accel::cbc_decrypt_blocks;
+    run(aes.accel_dec_keys(), aes.rounds(), chain, in, out, n_blocks);
     return;
   }
   // Block 0 chains off the caller's chain value; every later block chains

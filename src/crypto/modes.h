@@ -8,9 +8,10 @@
 //     the right tool for small, infrequent payloads (ROAP, tests).
 //   * The bulk tier — the fused block-run cores, the `_into` variants on
 //     caller-owned buffers, and CbcDecryptStream — is the steady-state
-//     content path: a prebuilt (usually cached) Aes context, zero
-//     allocations per operation, and whole-block runs that dispatch to
-//     AES-NI when the host supports it.
+//     content path: a prebuilt Aes context (a ContentSession owns its
+//     own), zero allocations per operation, and whole-block runs that
+//     dispatch to VAES (16 blocks per iteration) or AES-NI (4) when the
+//     host supports it.
 #pragma once
 
 #include <span>
@@ -34,8 +35,7 @@ Bytes aes_cbc_decrypt(ByteView key, ByteView iv, ByteView ciphertext);
 
 /// Buffer-reusing variants on a prebuilt key schedule: `out` is resized to
 /// the result (its capacity persists across calls, so the steady state is
-/// allocation-free) and the key schedule is built once by the caller —
-/// typically served from the agent's AES context cache.
+/// allocation-free) and the key schedule is built once by the caller.
 void aes_cbc_encrypt_into(const Aes& aes, ByteView iv, ByteView plaintext,
                           Bytes& out);
 void aes_cbc_decrypt_into(const Aes& aes, ByteView iv, ByteView ciphertext,
@@ -46,7 +46,10 @@ void aes_cbc_decrypt_into(const Aes& aes, ByteView iv, ByteView ciphertext,
 /// after each call — so a multi-megabyte payload can be processed as any
 /// sequence of block runs. XORs are word-at-a-time (or AES-NI vector ops
 /// when available); no per-block temporaries. `in` and `out` must not
-/// alias. Padding is the caller's concern.
+/// alias. Padding is the caller's concern. On AES-NI hosts decryption
+/// runs 16 blocks per iteration on VAES where the host has it (the
+/// remainder, and hosts without VAES, 4 per iteration on AES-NI);
+/// encryption is serial AES-NI.
 void cbc_encrypt_blocks(const Aes& aes, std::uint8_t chain[Aes::kBlockSize],
                         const std::uint8_t* in, std::uint8_t* out,
                         std::size_t n_blocks);

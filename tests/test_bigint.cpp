@@ -1,6 +1,7 @@
 // Unit + property tests for the multiprecision integer substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -881,6 +882,29 @@ TEST_P(PrimeGeneration, GeneratesExactWidthOddPrimes) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, PrimeGeneration,
                          ::testing::Values(16, 32, 64, 128, 256));
+
+// An Rng that draws only zeros: generate_prime's only candidate is then
+// 3 * 2^(bits-2) + 1, composite at each width below. The search must
+// give up with kCrypto after 64 * bits candidates, not loop forever.
+class ZeroRng final : public Rng {
+ public:
+  void fill(std::uint8_t* out, std::size_t len) override {
+    std::fill_n(out, len, std::uint8_t{0});
+  }
+  std::uint64_t next_u64() override { return 0; }
+};
+
+TEST(PrimeGenerationBound, AllZeroRngThrowsInsteadOfSearchingForever) {
+  for (std::size_t bits : {16u, 64u, 256u, 512u, 1024u}) {
+    ZeroRng zero;
+    try {
+      (void)generate_prime(bits, zero);
+      ADD_FAILURE() << bits << " bits: a composite passed";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), omadrm::ErrorKind::kCrypto) << bits << " bits";
+    }
+  }
+}
 
 TEST(RandomBelow, StaysInRangeAndVaries) {
   DeterministicRng rng(123);

@@ -85,6 +85,35 @@ TEST(CbcStream, MatchesOneShotAcrossSizesAndChunks) {
   }
 }
 
+// Fixed read sizes that split the 16-block groups of the VAES kernel
+// (and the 4-block groups of AES-NI) at every phase: each read must carry
+// the chain into the next, on the host schedule and the T-table one.
+TEST(CbcStream, FixedReadSizesSplitBlockGroupsAndCarryTheChain) {
+  DeterministicRng rng(0x5717);
+  const Bytes key = rng.bytes(16);
+  const Bytes iv = rng.bytes(16);
+  const Bytes plaintext = rng.bytes(200003);
+  const Bytes ciphertext = crypto::aes_cbc_encrypt(key, iv, plaintext);
+  const Aes host(key);
+  const Aes table = Aes::portable(key);
+  for (const Aes* aes : {&host, &table}) {
+    for (std::size_t size : {1u, 15u, 17u, 255u, 4096u, 65536u}) {
+      CbcDecryptStream stream(*aes, iv, ciphertext);
+      Bytes out;
+      Bytes buf(size);
+      for (;;) {
+        const std::size_t n = stream.read(std::span(buf.data(), size));
+        if (n == 0) break;
+        out.insert(out.end(), buf.begin(),
+                   buf.begin() + static_cast<std::ptrdiff_t>(n));
+      }
+      EXPECT_TRUE(stream.done());
+      EXPECT_EQ(out, plaintext)
+          << size << "-byte reads, accel " << aes->has_accel();
+    }
+  }
+}
+
 TEST(CbcStream, SingleByteReads) {
   DeterministicRng rng(0x1B17);
   const Bytes key = rng.bytes(16);
@@ -386,14 +415,14 @@ TEST_F(ContentSessionTest, TamperedContainerFailsBinding) {
   EXPECT_EQ(s.status(), agent::AgentStatus::kDcfHashMismatch);
 }
 
-TEST_F(ContentSessionTest, SessionSurvivesCacheChurn) {
+TEST_F(ContentSessionTest, SessionKeepsItsScheduleAcrossMoves) {
   dcf::Dcf dcf = install_content("g", 8192);
   agent::ContentSession s =
       device_->open_content(dcf, rel::PermissionType::kPlay, kNow);
   ASSERT_TRUE(s.ok());
-  // The session pins its schedule; dropping the cache must not break it.
-  device_->aes_context_cache().clear();
-  EXPECT_EQ(s.read_all(), content_);
+  // The session owns its schedule: moving it keeps the stream's borrow.
+  agent::ContentSession moved = std::move(s);
+  EXPECT_EQ(moved.read_all(), content_);
 }
 
 TEST_F(ContentSessionTest, NotInstalledContent) {

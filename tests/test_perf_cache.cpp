@@ -842,73 +842,9 @@ TEST_F(ReRegistration, RefusedCommitLeavesTheHeldContextUsable) {
 }
 
 // ---------------------------------------------------------------------------
-// AES context cache (content path)
-// ---------------------------------------------------------------------------
-
-TEST(AesContextCache, HitsMissesAndLru) {
-  DeterministicRng rng(0xAE5);
-  agent::AesContextCache cache(2);
-
-  const Bytes k1 = rng.bytes(16);
-  const Bytes k2 = rng.bytes(16);
-  const Bytes k3 = rng.bytes(16);
-
-  auto a = cache.get(k1, "ro:1");
-  auto b = cache.get(k1, "ro:1");
-  EXPECT_EQ(a.get(), b.get());  // same shared schedule
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  // Fill to capacity, then evict the least recently used (k2: k1 was
-  // refreshed by the hit above, then k3 lands on top).
-  (void)cache.get(k2, "ro:2");
-  (void)cache.get(k1, "ro:1");
-  (void)cache.get(k3, "ro:3");
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.size(), 2u);
-  auto c = cache.get(k2, "ro:2");  // k2 must rebuild
-  EXPECT_EQ(cache.stats().misses, 4u);
-
-  // Evicted handles keep working — sessions pin their schedules.
-  std::uint8_t pt[16] = {1, 2, 3};
-  std::uint8_t ct[16];
-  a->encrypt_block(pt, ct);
-  std::uint8_t back[16];
-  a->decrypt_block(ct, back);
-  EXPECT_EQ(std::memcmp(pt, back, 16), 0);
-  (void)c;
-}
-
-TEST(AesContextCache, InvalidationAndDisable) {
-  DeterministicRng rng(0xAE6);
-  agent::AesContextCache cache(8);
-  const Bytes k1 = rng.bytes(16);
-  const Bytes k2 = rng.bytes(16);
-
-  (void)cache.get(k1, "ro:x");
-  (void)cache.get(k2, "ro:y");
-  cache.invalidate_ro("ro:x");
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-  EXPECT_EQ(cache.size(), 1u);
-  (void)cache.get(k1, "ro:x");  // rebuilt after invalidation
-  EXPECT_EQ(cache.stats().misses, 3u);
-  (void)cache.get(k2, "ro:y");  // untouched entry still hits
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-
-  agent::AesContextCache off(0);
-  auto a = off.get(k1, "ro:x");
-  auto b = off.get(k1, "ro:x");
-  EXPECT_NE(a.get(), b.get());  // every get builds fresh
-  EXPECT_EQ(off.size(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Agent wiring: cache across consume calls, invalidation on RO replace,
-// and metered content-path parity (the streaming rewrite must charge the
-// paper's per-access costs identically to the historical one-shot path).
+// Agent wiring: key schedules across RO replacement, and metered
+// content-path parity (the streaming rewrite must charge the paper's
+// per-access costs identically to the historical one-shot path).
 // ---------------------------------------------------------------------------
 
 struct ContentFixture {
@@ -933,7 +869,7 @@ struct ContentFixture {
   }
 };
 
-TEST(AesContextCache, AgentConsumeHitsAndReinstallInvalidates) {
+TEST(ContentKeys, ReinstallWithNewCekDecryptsWithTheNewKey) {
   ContentFixture fx;
   agent::DrmAgent device("dev:cc", fx.ca.root_certificate(),
                          provider::plain_provider(), fx.rng, 512);
@@ -942,35 +878,56 @@ TEST(AesContextCache, AgentConsumeHitsAndReinstallInvalidates) {
   roap::InProcessTransport tx(fx.ri, kNow);
   ASSERT_TRUE(device.register_with(tx, kNow).ok());
 
-  Bytes content = fx.rng.bytes(5000);
   dcf::Headers h;
   h.content_type = "audio/mpeg";
   h.content_id = "cid:cc";
   h.rights_issuer_url = fx.ri.url();
+  const Bytes content = fx.rng.bytes(5000);
   dcf::Dcf dcf = fx.ci.package(h, content);
   fx.ri.add_offer(
       fx.make_offer(dcf, "ro:cc", "cid:cc", *fx.ci.kcek_for("cid:cc")));
-
   auto acq = device.acquire_ro(tx, "ri:cc", "ro:cc", kNow);
   ASSERT_TRUE(acq.ok());
   ASSERT_EQ(device.install_ro(*acq, kNow), agent::AgentStatus::kOk);
-
-  // First access builds the schedule, later accesses ride the cache.
-  device.aes_context_cache().reset_stats();
   for (int i = 0; i < 3; ++i) {
-    ASSERT_EQ(
-        device.consume(dcf, rel::PermissionType::kPlay, kNow + i).status,
-        agent::AgentStatus::kOk);
+    const agent::ConsumeResult r =
+        device.consume(dcf, rel::PermissionType::kPlay, kNow + i);
+    ASSERT_EQ(r.status, agent::AgentStatus::kOk);
+    EXPECT_EQ(r.content, content);
   }
-  EXPECT_EQ(device.aes_context_cache().stats().misses, 1u);
-  EXPECT_EQ(device.aes_context_cache().stats().hits, 2u);
 
-  // Reinstalling the RO (same id) drops its cached schedule.
-  ASSERT_EQ(device.install_ro(*acq, kNow), agent::AgentStatus::kOk);
-  EXPECT_GE(device.aes_context_cache().stats().invalidations, 1u);
-  ASSERT_EQ(device.consume(dcf, rel::PermissionType::kPlay, kNow + 9).status,
-            agent::AgentStatus::kOk);
-  EXPECT_EQ(device.aes_context_cache().stats().misses, 2u);
+  // A session opened under the first CEK, still unread when its RO is
+  // replaced.
+  agent::ContentSession before =
+      device.open_content(dcf, rel::PermissionType::kPlay, kNow + 5);
+  ASSERT_TRUE(before.ok());
+
+  // The same content id re-packaged under a new CEK, licensed by a second
+  // RI under the same RO id: installing it replaces "ro:cc".
+  ci::ContentIssuer ci2{"ci2", provider::plain_provider(), fx.rng};
+  const Bytes content2 = fx.rng.bytes(5000);
+  dcf::Dcf dcf2 = ci2.package(h, content2);
+  ASSERT_NE(*ci2.kcek_for("cid:cc"), *fx.ci.kcek_for("cid:cc"));
+  ri::RightsIssuer ri2{"ri:cc2", "http://ri2/roap", fx.ca, kValidity,
+                       provider::plain_provider(), fx.rng, nullptr, 512};
+  ri2.add_offer(
+      fx.make_offer(dcf2, "ro:cc", "cid:cc", *ci2.kcek_for("cid:cc")));
+  roap::InProcessTransport tx2(ri2, kNow);
+  ASSERT_TRUE(device.register_with(tx2, kNow).ok());
+  auto acq2 = device.acquire_ro(tx2, "ri:cc2", "ro:cc", kNow);
+  ASSERT_TRUE(acq2.ok());
+  ASSERT_EQ(device.install_ro(*acq2, kNow), agent::AgentStatus::kOk);
+
+  const agent::ConsumeResult r2 =
+      device.consume(dcf2, rel::PermissionType::kPlay, kNow + 9);
+  ASSERT_EQ(r2.status, agent::AgentStatus::kOk);
+  EXPECT_EQ(r2.content, content2);
+  // The replaced RO no longer opens the first container.
+  EXPECT_EQ(device.consume(dcf, rel::PermissionType::kPlay, kNow + 10).status,
+            agent::AgentStatus::kDcfHashMismatch);
+  // The earlier session keeps its own schedule.
+  EXPECT_EQ(before.read_all(), content);
+  EXPECT_TRUE(before.ok());
 }
 
 TEST(MeteredContentPath, ConsumeChargesThePapersPerAccessCosts) {
