@@ -62,13 +62,25 @@ field:
                  scheduling, which jitters with runner load.
 
 Latency-style fields are printed for context but only throughput gates.
+Both documents' "host" blocks are printed beside the throughput lines,
+so a floor failure shows which machines are being compared (printed
+only; nothing gates on them).
 
 Usage: check_bench_regression.py BASELINE.json CURRENT.json [--tolerance 0.25]
+       check_bench_regression.py --self-test
+
+`--self-test` runs the roap_session gates on seeded documents and exits
+0 when each passes or fails as it must, 1 otherwise.
 """
 
 import argparse
+import contextlib
+import copy
+import io
 import json
+import os
 import sys
+import tempfile
 
 
 def roap_throughput(doc: dict) -> tuple[float, str, str]:
@@ -305,17 +317,11 @@ def check_net_overload(baseline: dict, current: dict) -> bool:
     return ok
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("baseline")
-    ap.add_argument("current")
-    ap.add_argument("--tolerance", type=float, default=0.25,
-                    help="allowed fractional regression (default 0.25)")
-    args = ap.parse_args()
-
-    with open(args.baseline) as f:
+def check(baseline_path: str, current_path: str, tolerance: float) -> int:
+    """Gates CURRENT against BASELINE; returns the exit status."""
+    with open(baseline_path) as f:
         baseline = json.load(f)
-    with open(args.current) as f:
+    with open(current_path) as f:
         current = json.load(f)
 
     kind = current.get("bench", "roap_session")
@@ -369,10 +375,13 @@ def main() -> int:
         base, base_label, unit = roap_throughput(baseline)
         cur, cur_label, _ = roap_throughput(current)
 
-    floor = base * (1.0 - args.tolerance)
+    floor = base * (1.0 - tolerance)
     print(f"baseline {base_label}: {base:10.1f} {unit}")
     print(f"current  {cur_label}: {cur:10.1f} {unit}")
-    print(f"floor (-{args.tolerance:.0%}): {floor:10.1f} {unit}")
+    print(f"floor (-{tolerance:.0%}): {floor:10.1f} {unit}")
+    for name, doc in (("baseline", baseline), ("current ", current)):
+        if "host" in doc:
+            print(f"{name} host: {json.dumps(doc['host'], sort_keys=True)}")
 
     if kind == "dcf_stream":
         largest = max(current["sizes"], key=lambda s: s["payload_bytes"])
@@ -404,22 +413,113 @@ def main() -> int:
 
     if cur < floor:
         print(f"FAIL: throughput regressed more than "
-              f"{args.tolerance:.0%} vs the checked-in baseline",
+              f"{tolerance:.0%} vs the checked-in baseline",
               file=sys.stderr)
         return 1
     if kind == "roap_session" and not check_roap_pss_sign(
-            baseline, current, args.tolerance):
+            baseline, current, tolerance):
         return 1
     if kind == "dcf_stream" and not check_dcf_sha1(
-            baseline, current, dcf_payload, args.tolerance):
+            baseline, current, dcf_payload, tolerance):
         return 1
     if kind == "net_fleet" and not check_net_worker_sweep(
-            baseline, current, args.tolerance):
+            baseline, current, tolerance):
         return 1
     if kind == "net_fleet" and not check_net_overload(baseline, current):
         return 1
     print("OK")
     return 0
+
+
+# A roap_session baseline in the shape of the checked-in BENCH_roap.json,
+# including keys the bench no longer writes (uncached_crypto,
+# chain_hits/chain_misses): the gates must not depend on them.
+SELF_TEST_BASELINE = {
+    "bench": "roap_session",
+    "config": {"mont_accel": True},
+    "host": {"nproc": 4},
+    "registration": {"warm_ctx_builds": 0},
+    "ro_acquisition": {
+        "cached": {"full_ms_avg": 0.25, "allocs_per_exchange": 56.0},
+        "uncached_crypto": {"full_ms_avg": 0.32, "verify_path_ms_avg": 0.05},
+        "speedup_crypto_caches": 1.3,
+        "speedup_verify_path": 3.6,
+    },
+    "per_stage_us": {"pss_sign": 53.0},
+    "multi_agent": {"agents": 64, "exchanges_per_s": 5000.0,
+                    "allocs_per_exchange": 56.0, "ctx_builds": 0},
+    "cache_stats": {"ctx_builds": 0, "chain_hits": 10, "chain_misses": 1},
+}
+
+
+def self_test_current() -> dict:
+    """A passing current document as the bench writes it now."""
+    doc = copy.deepcopy(SELF_TEST_BASELINE)
+    del doc["ro_acquisition"]["uncached_crypto"]
+    del doc["ro_acquisition"]["speedup_crypto_caches"]
+    del doc["ro_acquisition"]["speedup_verify_path"]
+    doc["cache_stats"] = {"ctx_builds": 0}
+    doc["per_stage_us"]["chain_walk"] = 33.0
+    doc["ro_acquisition"]["cached"]["allocs_per_exchange"] = 54.0
+    doc["multi_agent"]["allocs_per_exchange"] = 54.0
+    return doc
+
+
+def self_test() -> list[str]:
+    """Runs check() on seeded documents; returns the cases that did not
+    end as they must."""
+    no_ctx_builds = self_test_current()
+    del no_ctx_builds["multi_agent"]["ctx_builds"]
+    over_ceiling = self_test_current()
+    over_ceiling["multi_agent"]["allocs_per_exchange"] = 57.0
+    cases = (
+        ("a current document without multi_agent.ctx_builds",
+         no_ctx_builds, 1),
+        ("multi_agent.allocs_per_exchange over the baseline's",
+         over_ceiling, 1),
+        ("a current document without the deleted uncached_crypto and "
+         "chain_* keys", self_test_current(), 0),
+    )
+    errors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        baseline_path = os.path.join(tmp, "baseline.json")
+        with open(baseline_path, "w") as f:
+            json.dump(SELF_TEST_BASELINE, f)
+        for what, doc, want in cases:
+            current_path = os.path.join(tmp, "current.json")
+            with open(current_path, "w") as f:
+                json.dump(doc, f)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(out):
+                got = check(baseline_path, current_path, 0.25)
+            if got != want:
+                errors.append(f"{what}: exit {got}, expected {want}\n"
+                              f"{out.getvalue()}")
+    return errors
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("baseline", nargs="?")
+    ap.add_argument("current", nargs="?")
+    ap.add_argument("--tolerance", type=float, default=0.25,
+                    help="allowed fractional regression (default 0.25)")
+    ap.add_argument("--self-test", action="store_true",
+                    help="check the roap_session gates on seeded documents")
+    args = ap.parse_args()
+
+    if args.self_test:
+        errors = self_test()
+        for e in errors:
+            print(f"self-test FAILED: {e}", file=sys.stderr)
+        if errors:
+            return 1
+        print("check_bench_regression self-test: OK")
+        return 0
+    if args.baseline is None or args.current is None:
+        ap.error("BASELINE and CURRENT are required without --self-test")
+    return check(args.baseline, args.current, args.tolerance)
 
 
 if __name__ == "__main__":

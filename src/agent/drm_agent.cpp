@@ -72,8 +72,7 @@ DrmAgent::DrmAgent(std::string device_id, pki::Certificate trust_root,
       rng_(rng),
       key_(rsa::generate_key(key_bits, rng)),
       kdev_(rng.bytes(16)),
-      chain_verifier_(trust_root_,
-                      pki::ChainVerifier::metered_verify(crypto)) {}
+      chain_verifier_(trust_root_, crypto) {}
 
 DrmAgent::DrmAgent(FromStoreTag, pki::Certificate trust_root,
                    provider::CryptoProvider& crypto, Rng& rng, Bytes kdev)
@@ -81,12 +80,13 @@ DrmAgent::DrmAgent(FromStoreTag, pki::Certificate trust_root,
       crypto_(crypto),
       rng_(rng),
       kdev_(std::move(kdev)),
-      chain_verifier_(trust_root_,
-                      pki::ChainVerifier::metered_verify(crypto)) {}
+      chain_verifier_(trust_root_, crypto) {}
 
 void DrmAgent::provision(pki::Certificate device_certificate) {
-  if (!std::ranges::equal(device_certificate.subject_key().n(),
-                          key_.public_key().n())) {
+  const rsa::PublicKey& certified = device_certificate.subject_key();
+  const rsa::PublicKey own = key_.public_key();
+  if (!std::ranges::equal(certified.n(), own.n()) ||
+      !std::ranges::equal(certified.e(), own.e())) {
     throw Error(ErrorKind::kProtocol,
                 "agent: certificate does not match device key");
   }
@@ -124,11 +124,6 @@ const RiContext* DrmAgent::ri_context(const std::string& ri_id) const {
   return it == ri_contexts_.end() ? nullptr : &it->second;
 }
 
-std::shared_ptr<const pki::ChainVerdict> DrmAgent::verify_chain_metered(
-    const std::vector<pki::Certificate>& chain, std::uint64_t now) {
-  return chain_verifier_.verify(chain, now);
-}
-
 AgentStatus DrmAgent::verify_ocsp_metered(const pki::OcspResponse& ocsp,
                                           const pki::Serial& expected_serial,
                                           ByteView expected_nonce,
@@ -155,10 +150,10 @@ AgentStatus DrmAgent::verify_ocsp_metered(const pki::OcspResponse& ocsp,
 }
 
 Result<> DrmAgent::revalidate_context(RiContext& ctx, std::uint64_t now) {
-  std::shared_ptr<const pki::ChainVerdict> verdict =
+  const pki::CertStatus status =
       chain_verifier_.revalidate(ctx.verified_chain, ctx.ri_chain, now);
-  if (verdict->status != pki::CertStatus::kValid) {
-    switch (verdict->status) {
+  if (status != pki::CertStatus::kValid) {
+    switch (status) {
       case pki::CertStatus::kExpired:
       case pki::CertStatus::kNotYetValid:
         return Result<>(AgentStatus::kRiContextExpired,
@@ -172,7 +167,6 @@ Result<> DrmAgent::revalidate_context(RiContext& ctx, std::uint64_t now) {
                         "RI certificate chain invalid for " + ctx.ri_id);
     }
   }
-  ctx.verified_chain = std::move(verdict);
   return Result<>();
 }
 
@@ -233,10 +227,11 @@ Result<> DrmAgent::accept_registration_response(
   }
 
   // Verify the RI certificate chain (leaf + any intermediates) against
-  // our trust root, through the verdict cache. A chain byte-identical to
-  // the one our stored context holds is checked in place: no decode, and
-  // its keys keep their Montgomery contexts. The old context stays intact
-  // until the new one is durable.
+  // our trust root. A chain byte-identical to the one our stored context
+  // holds is checked in place: its held verdict is revalidated (no RSA
+  // work while it holds), nothing is decoded, and its keys keep their
+  // Montgomery contexts. Any other chain is decoded and walked. The old
+  // context stays intact until the new one is durable.
   auto held = ri_contexts_.find(response.ri_id);
   const bool reuse = held != ri_contexts_.end() &&
                      same_chain(held->second.ri_chain, response);
@@ -255,13 +250,15 @@ Result<> DrmAgent::accept_registration_response(
   }
   const std::vector<pki::Certificate>& ri_chain =
       reuse ? held->second.ri_chain : decoded;
-  std::shared_ptr<const pki::ChainVerdict> verdict =
-      verify_chain_metered(ri_chain, now);
-  if (verdict->status == pki::CertStatus::kRevoked) {
+  pki::ChainVerdict walked;
+  pki::ChainVerdict& verdict = reuse ? held->second.verified_chain : walked;
+  const pki::CertStatus chain_status =
+      chain_verifier_.revalidate(verdict, ri_chain, now);
+  if (chain_status == pki::CertStatus::kRevoked) {
     return Result<>(AgentStatus::kCertificateRevoked,
                     "RI certificate chain revoked");
   }
-  if (verdict->status != pki::CertStatus::kValid) {
+  if (chain_status != pki::CertStatus::kValid) {
     return Result<>(AgentStatus::kCertificateInvalid,
                     "RI certificate chain failed validation");
   }
@@ -279,7 +276,7 @@ Result<> DrmAgent::accept_registration_response(
       verify_ocsp_metered(ocsp, ri_cert.serial(), pending.ocsp_nonce, now);
   if (ocsp_status != AgentStatus::kOk) {
     if (ocsp_status == AgentStatus::kCertificateRevoked) {
-      // A revoked chain must not keep serving cache hits.
+      // A held verdict naming the revoked serial must stop vouching.
       chain_verifier_.invalidate_serial(ri_cert.serial());
     }
     return Result<>(ocsp_status, "stapled OCSP response rejected");
@@ -295,7 +292,6 @@ Result<> DrmAgent::accept_registration_response(
   RiContext ctx;
   ctx.ri_id = response.ri_id;
   ctx.ri_url = response.ri_url;
-  ctx.verified_chain = std::move(verdict);
   ctx.established_at = now;
   // Durability before acknowledgement: the RI Context the standard says
   // the device "saves" must actually survive a crash after this returns.
@@ -305,9 +301,10 @@ Result<> DrmAgent::accept_registration_response(
     Result<> committed = store_->commit(tx);
     if (!committed.ok()) return committed;
   }
-  // `ri_chain` may alias the held context, which this assignment replaces:
-  // take the chain out first.
+  // `ri_chain` and `verdict` may alias the held context, which this
+  // assignment replaces: take them out first.
   ctx.ri_chain = reuse ? std::move(held->second.ri_chain) : std::move(decoded);
+  ctx.verified_chain = std::move(verdict);
   ri_contexts_[ctx.ri_id] = std::move(ctx);
   return Result<>();
 }
@@ -346,8 +343,8 @@ Result<roap::ProtectedRo> DrmAgent::accept_ro_response(
     return Result<roap::ProtectedRo>(AgentStatus::kNoRiContext,
                                      "no RI context for " + ri_id);
   }
-  // Verify the context again at the moment of use — O(1) on the cached
-  // verdict, a full chain walk when the caches are cold/disabled.
+  // Verify the context again at the moment of use — no RSA work while
+  // the held verdict holds, a full chain walk when it does not.
   Result<> valid = revalidate_context(ctx->second, now);
   if (!valid.ok()) return propagate<roap::ProtectedRo>(valid);
 
@@ -445,7 +442,15 @@ AgentStatus DrmAgent::install_ro(const roap::ProtectedRo& ro,
     tx.put(state_record_key(ro_id), zero_enforcer_state());
     if (!store_->commit(tx).ok()) return AgentStatus::kStoreFailure;
   }
-  installed_.erase(ro_id);
+  if (auto replaced = installed_.find(ro_id); replaced != installed_.end()) {
+    // The id may now bind other content: the previous content's index
+    // must stop naming it.
+    const std::string& old_cid = replaced->second.ro.rights.content_id;
+    if (old_cid != ro.rights.content_id) {
+      std::erase(by_content_[old_cid], ro_id);
+    }
+    installed_.erase(replaced);
+  }
   installed_.emplace(ro_id, InstalledRo(ro, std::move(c2dev)));
   auto& index = by_content_[ro.rights.content_id];
   bool known = false;
@@ -1085,9 +1090,6 @@ void DrmAgent::adopt(ParsedState&& parsed) {
   domain_keys_ = std::move(parsed.domain_keys);
   installed_ = std::move(parsed.installed);
   by_content_ = std::move(parsed.by_content);
-  // Verification verdicts belong to the pre-load identity; the loaded
-  // contexts re-verify (and re-populate the cache) on first interaction.
-  chain_verifier_.clear();
 }
 
 void DrmAgent::load_from_records(

@@ -67,10 +67,11 @@ struct RiContext {
 
   /// The RI's own (leaf) certificate — the signer of ROAP responses.
   const pki::Certificate& ri_certificate() const { return ri_chain.front(); }
-  /// Handle to the cached chain verification — the paper's "the Device is
-  /// not required to verify that Rights Issuer's certificate chain again".
-  /// Refreshed on every RI interaction via the agent's ChainVerifier.
-  std::shared_ptr<const pki::ChainVerdict> verified_chain;
+  /// The verdict of the chain's last walk — the paper's "the Device is
+  /// not required to verify that Rights Issuer's certificate chain
+  /// again". Not persisted: a loaded context starts unwalked. Every RI
+  /// interaction revalidates it through the agent's ChainVerifier.
+  pki::ChainVerdict verified_chain;
   std::uint64_t established_at = 0;
 };
 
@@ -246,11 +247,6 @@ class DrmAgent {
   std::optional<std::uint32_t> remaining_count(
       const std::string& ro_id, rel::PermissionType permission) const;
 
-  /// The RI-chain verification cache. RSA work routed through it is
-  /// metered via this agent's CryptoProvider; cache hits charge nothing.
-  /// Exposed for benchmarks/tests (stats, enable/disable, invalidation).
-  pki::ChainVerifier& chain_verifier() { return chain_verifier_; }
-
  private:
   // The session state machines drive the build/process halves below and
   // own all pending-handshake state (nonces, session ids). Destroying an
@@ -308,8 +304,8 @@ class DrmAgent {
                                    std::uint64_t now,
                                    std::uint64_t duration_secs);
 
-  /// Re-checks an established RI context through the verdict cache — the
-  /// "verify prior to any interaction" rule at O(1) amortized cost.
+  /// Re-checks an established RI context's held verdict — the "verify
+  /// prior to any interaction" rule, with no RSA work while it holds.
   Result<> revalidate_context(RiContext& ctx, std::uint64_t now);
 
   // -- Durable-state record units (shared by store commits and the
@@ -338,19 +334,13 @@ class DrmAgent {
   /// Throws omadrm::Error(kFormat) on any malformed record.
   static ParsedState parse_records(const std::vector<store::Record>& records);
   /// Replaces the live state (identity included, K_DEV excluded) in one
-  /// step and drops the caches that belonged to the previous identity.
+  /// step.
   void adopt(ParsedState&& parsed);
   /// parse_records + adopt. Throws omadrm::Error(kFormat) on malformed
   /// records, leaving the live state untouched.
   void load_from_records(const std::vector<store::Record>& records);
   Result<> bind_store_impl(store::StateStore& s, bool require_identity);
 
-  /// Full chain validation (field checks + one metered RSAVP1 per chain
-  /// link) through the verdict cache, so the cost model sees exactly the
-  /// RSA public-key operations the paper charges for certificate
-  /// verification — and sees none of them on a cache hit.
-  std::shared_ptr<const pki::ChainVerdict> verify_chain_metered(
-      const std::vector<pki::Certificate>& chain, std::uint64_t now);
   AgentStatus verify_ocsp_metered(const pki::OcspResponse& ocsp,
                                   const pki::Serial& expected_serial,
                                   ByteView expected_nonce, std::uint64_t now);
@@ -362,6 +352,9 @@ class DrmAgent {
   rsa::PrivateKey key_;
   Bytes kdev_;  // device-generated key replacing PKI protection at install
   pki::Certificate certificate_;
+  /// Walks RI chains (one metered RSAVP1 per link, so the cost model sees
+  /// exactly the certificate verification the paper charges) and keeps
+  /// the revocation denylist; the verdicts live in the RI contexts.
   pki::ChainVerifier chain_verifier_;
 
   /// Durable secure storage; mutations commit through it before they are

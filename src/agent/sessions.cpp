@@ -247,9 +247,9 @@ Result<Envelope> AcquisitionSession::request() {
   }
   // "Existence, integrity and validity [of the RI Context] must be
   // verified prior to any future interaction with the RI" (§2.4.1). The
-  // full chain walk runs through the verdict cache, so right after
-  // registration this is an O(1) lookup with zero RSA operations — the
-  // amortization the paper's RI-context caching argument calls for.
+  // context holds the verdict of its chain's last walk, so right after
+  // registration this costs zero RSA operations — the amortization the
+  // paper's RI-context caching argument calls for.
   auto ctx = agent_.ri_contexts_.find(ri_id_);
   if (ctx == agent_.ri_contexts_.end()) {
     state_ = State::kFailed;

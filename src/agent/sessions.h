@@ -116,7 +116,7 @@ class AcquisitionSession {
 
   State state() const { return state_; }
 
-  /// Revalidates the RI context (cached chain verdict) and returns the
+  /// Revalidates the RI context (its held chain verdict) and returns the
   /// signed RORequest.
   Result<roap::Envelope> request();
   /// Verifies the ROResponse (context revalidation, nonce binding,

@@ -24,7 +24,8 @@
 //    30   ri.meta              RightsIssuer::meta_mu_ (session-id lease)
 //    40   store.front          GroupCommitStore::mu_ (batch queue)
 //    50   store.backing        MemoryStore::mu_ (terminal store mutex)
-//    60   pki.chain_verdict    ChainVerifier::State::mu (shared)
+//    60   pki.chain_verdict    ChainVerifier::State::mu (shared; the
+//                              revocation denylist)
 //    80   common.rng           LockedRng::mu_
 //   110   net.stop             RiServer::stop_mu_
 //   120   net.conns            RiServer::conns_mu_

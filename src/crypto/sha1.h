@@ -41,8 +41,7 @@ class Sha1 {
   Bytes finish();
 
   /// Finalizes into a caller-owned 20-byte buffer — the allocation-free
-  /// variant the streaming content path (DcfReader, AES context
-  /// fingerprints) uses.
+  /// variant the per-op paths (DcfReader, PSS, HMAC, KDF2) use.
   void finish_into(std::uint8_t out[kDigestSize]);
 
   /// Returns the object to its initial state.

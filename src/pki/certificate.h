@@ -76,9 +76,9 @@ class Certificate {
   Bytes tbs_der() const;
 
   /// Full certificate DER: SEQUENCE { tbs, sigAlg, signature }. Encoded
-  /// once, when the certificate is signed or decoded, and kept: chain
-  /// fingerprints, store records and the registration reuse checks read
-  /// these bytes instead of re-encoding the body. Always this profile's
+  /// once, when the certificate is signed or decoded, and kept: store
+  /// records and the registration reuse checks read these bytes instead
+  /// of re-encoding the body. Always this profile's
   /// canonical encoding, even when from_der() accepted a laxer input.
   /// Throws Error(kState) while the certificate is unsigned.
   const Bytes& to_der() const;

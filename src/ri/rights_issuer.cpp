@@ -98,8 +98,7 @@ RightsIssuer::RightsIssuer(std::string ri_id, std::string url,
       crypto_(crypto),
       rng_(rng),
       key_(rsa::generate_key(key_bits, rng)),
-      device_chain_verifier_(ca.root_certificate(),
-                             pki::ChainVerifier::metered_verify(crypto)) {
+      device_chain_verifier_(ca.root_certificate(), crypto) {
   if (issuing_ca != nullptr) {
     cert_ = issuing_ca->issue(ri_id_, key_.public_key(), validity, rng_);
     intermediates_.push_back(issuing_ca->certificate());
@@ -220,7 +219,7 @@ Result<> RightsIssuer::bind_store(store::StateStore& s) {
       shard_for(p.device_id).sessions[id] = std::move(p);
     }
     for (auto& [id, cert] : devices) {
-      shard_for(id).devices[id] = KnownDevice{std::move(cert), nullptr};
+      shard_for(id).devices[id] = KnownDevice{std::move(cert), {}};
     }
     for (auto& [id, d] : domains) {
       stripe_for(id).domains[id] = std::move(d);
@@ -558,18 +557,15 @@ roap::RegistrationResponse RightsIssuer::on_registration_request(
     }
   }
   const pki::Certificate& device_cert = reuse ? known->second.cert : decoded;
-  std::shared_ptr<const pki::ChainVerdict> chain_verdict;
+  pki::ChainVerdict walked;
+  pki::ChainVerdict& chain_verdict = reuse ? known->second.verdict : walked;
   if (verdict == Status::kSuccess) {
-    // Chain walk through the verdict cache: a device re-registering (or
-    // retrying under load) costs zero RSA operations here, and one
-    // re-sending its stored certificate revalidates the verdict held
-    // beside it without hashing the chain.
+    // A device re-sending its stored certificate revalidates the verdict
+    // held beside it: zero RSA operations here while it holds. Any other
+    // certificate is walked.
     const std::span<const pki::Certificate> chain(&device_cert, 1);
-    chain_verdict =
-        reuse ? device_chain_verifier_.revalidate(known->second.verdict,
-                                                  chain, now)
-              : device_chain_verifier_.verify(chain, now);
-    if (chain_verdict->status != pki::CertStatus::kValid) {
+    if (device_chain_verifier_.revalidate(chain_verdict, chain, now) !=
+        pki::CertStatus::kValid) {
       verdict = Status::kAbort;
     } else if (ca_.is_revoked(device_cert.serial())) {
       device_chain_verifier_.invalidate_serial(device_cert.serial());
@@ -609,12 +605,11 @@ roap::RegistrationResponse RightsIssuer::on_registration_request(
   }
   // Moved, not copied: the key keeps the Montgomery context the signature
   // check above built, for every later request from this device; the
-  // verdict rides along for the next re-registration.
-  if (reuse) {
-    known->second.verdict = std::move(chain_verdict);
-  } else {
+  // verdict rides along for the next re-registration. A reused
+  // certificate's verdict was revalidated in place.
+  if (!reuse) {
     sh.devices[request.device_id] =
-        KnownDevice{std::move(decoded), std::move(chain_verdict)};
+        KnownDevice{std::move(decoded), std::move(walked)};
   }
   counters_.registrations.fetch_add(1, std::memory_order_relaxed);
 

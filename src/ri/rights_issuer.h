@@ -34,7 +34,10 @@
 //                         shards, never two stripes (ranks in
 //                         common/ordered_mutex.h; the debug validator
 //                         aborts on any inversion);
-//   chain-verdict cache   ChainVerifier is internally reader-biased;
+//   chain verdicts        each registered device's verdict lives in its
+//                         shard's KnownDevice, under the shard lock;
+//                         ChainVerifier's revocation denylist is
+//                         internally reader-biased;
 //   rng                   draws go through a LockedRng;
 //   counters              atomics, read as snapshots.
 //
@@ -149,13 +152,6 @@ class RightsIssuer {
   /// Intermediate certificates between this RI and the root (may be empty).
   const std::vector<pki::Certificate>& intermediates() const {
     return intermediates_;
-  }
-
-  /// Cache of verified device-certificate chains — under heavy
-  /// registration traffic, re-registrations and retries skip the repeated
-  /// RSA verification the same way the agent skips the RI's.
-  pki::ChainVerifier& device_chain_verifier() {
-    return device_chain_verifier_;
   }
 
   /// Adds a license to the catalog (throws on duplicate ro_id).
@@ -300,12 +296,13 @@ class RightsIssuer {
   static constexpr std::uint64_t kNoSessions = ~std::uint64_t{0};
 
   /// A registered device: its certificate and the verdict of that
-  /// certificate's last chain walk (null until one runs in this process),
-  /// which lets a re-registration with the same certificate take
-  /// ChainVerifier::revalidate's O(1) path.
+  /// certificate's last chain walk (unwalked for a device loaded from the
+  /// store), which a re-registration with the same certificate
+  /// revalidates instead of walking the chain again — the way the agent
+  /// keeps the RI's.
   struct KnownDevice {
     pki::Certificate cert;
-    std::shared_ptr<const pki::ChainVerdict> verdict;
+    pki::ChainVerdict verdict;
   };
 
   /// One device-hash shard: everything a single device's requests touch,
@@ -313,8 +310,8 @@ class RightsIssuer {
   /// replay-lookup → handler → replay-insert sequence.
   struct Shard {
     // Rank kRiShard: the OUTERMOST lock of every handler chain — domain
-    // stripes, the meta lease, the store, chain/Montgomery caches and
-    // the RNG all nest under it; shards are locked one at a time (the
+    // stripes, the meta lease, the store, the chain verifier's denylist
+    // and the RNG all nest under it; shards are locked one at a time (the
     // sweep included), which the validator's two-of-a-kind rule
     // enforces.
     mutable OrderedMutex mu{LockRank::kRiShard, "ri.shard"};

@@ -16,6 +16,8 @@
 #include "ri/rights_issuer.h"
 #include "roap/envelope.h"
 #include "roap/transport.h"
+#include "rsa/rsa.h"
+#include "store/memory_store.h"
 #include "xml/node.h"
 #include "xml/writer.h"
 
@@ -589,6 +591,90 @@ TEST_F(AgentExtended, ExportImportRoundTripIsStable) {
   rebooted.import_state(image1);
   Bytes image2 = rebooted.export_state();
   EXPECT_EQ(image1, image2);
+}
+
+// ---------------------------------------------------------------------------
+// Provisioning and the content index
+// ---------------------------------------------------------------------------
+
+TEST_F(AgentExtended, ProvisionRejectsCertificateOverAnotherExponent) {
+  DrmAgent fresh("device-02", ca_->root_certificate(),
+                 provider::plain_provider(), *rng_, 512);
+  // The device's own modulus under e = 3: every signature the device
+  // makes would fail at the RI, so the certificate must not be installed.
+  const rsa::PublicKey other_e(fresh.public_key().n(), Bytes{3});
+  try {
+    fresh.provision(ca_->issue("device-02", other_e, kValidity, *rng_));
+    ADD_FAILURE() << "a certificate over another exponent was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kProtocol);
+  }
+  EXPECT_FALSE(fresh.is_provisioned());
+}
+
+TEST_F(AgentExtended, ReinstalledRoIdLeavesItsOldContentIndex) {
+  // Two RIs offer the same RO id for different content: X ("ro:same" at
+  // ri.example) and Y ("ro:y") bind content A, X' ("ro:same" at
+  // ri2.example) binds content B.
+  auto package = [&](const std::string& cid) {
+    dcf::Headers h;
+    h.content_type = "audio/mpeg";
+    h.content_id = cid;
+    h.rights_issuer_url = ri_->url();
+    return ci_->package(h, rng_->bytes(400));
+  };
+  auto offer = [&](ri::RightsIssuer& ri, const std::string& ro_id,
+                   const dcf::Dcf& dcf) {
+    ri::LicenseOffer o;
+    o.ro_id = ro_id;
+    o.content_id = dcf.headers().content_id;
+    o.dcf_hash = dcf.hash();
+    rel::Permission play;
+    play.type = rel::PermissionType::kPlay;
+    o.permissions = {play};
+    o.kcek = *ci_->kcek_for(o.content_id);
+    ri.add_offer(o);
+  };
+  ri::RightsIssuer ri2("ri2.example", "http://ri2.example/roap", *ca_,
+                       kValidity, provider::plain_provider(), *rng_);
+  roap::InProcessTransport tx2(ri2, kNow);
+  const dcf::Dcf a = package("cid:a@content.example");
+  const dcf::Dcf b = package("cid:b@content.example");
+  offer(*ri_, "ro:same", a);
+  offer(*ri_, "ro:y", a);
+  offer(ri2, "ro:same", b);
+
+  store::MemoryStore store;
+  ASSERT_TRUE(device_->bind_store(store).ok());
+  ASSERT_EQ(device_->register_with(tx(), kNow), AgentStatus::kOk);
+  ASSERT_EQ(device_->register_with(tx2, kNow), AgentStatus::kOk);
+  auto install = [&](roap::Transport& t, const std::string& ri_id,
+                     const std::string& ro_id) {
+    auto ro = device_->acquire_ro(t, ri_id, ro_id, kNow);
+    ASSERT_EQ(ro, AgentStatus::kOk) << ri_id << " " << ro_id;
+    ASSERT_EQ(device_->install_ro(*ro, kNow), AgentStatus::kOk);
+  };
+  install(tx(), "ri.example", "ro:same");  // X for A
+  install(tx(), "ri.example", "ro:y");     // Y for A
+  install(tx2, "ri2.example", "ro:same");  // X' replaces X, for B
+
+  auto expect_granted = [](DrmAgent& agent, const dcf::Dcf& dcf,
+                           const std::string& ro_id, const char* when) {
+    agent::ContentSession session =
+        agent.open_content(dcf, rel::PermissionType::kPlay, kNow);
+    EXPECT_EQ(session.status(), AgentStatus::kOk) << when;
+    EXPECT_EQ(session.ro_id(), ro_id) << when;
+  };
+  expect_granted(*device_, a, "ro:y", "live");
+  expect_granted(*device_, b, "ro:same", "live");
+
+  auto reloaded =
+      DrmAgent::from_store(store, device_->device_key(),
+                           ca_->root_certificate(),
+                           provider::plain_provider(), *rng_);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.describe();
+  expect_granted(*reloaded, a, "ro:y", "reloaded");
+  expect_granted(*reloaded, b, "ro:same", "reloaded");
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 //   - re-registrations, of distinct devices and of one device from two
 //     threads, reuse the certificates both ends hold and build no
 //     Montgomery context;
+//   - a device revoked mid-run is refused while the others keep
+//     registering on their held verdicts;
 //   - domain join/leave storms across devices in different shards
 //     converge to consistent membership, and the persisted image
 //     rebuilds an identical RI;
@@ -310,6 +312,82 @@ TEST_F(ConcurrentRi, ReRegistrationsReuseStoredCertificatesUnderContention) {
   for (DrmAgent* a : agents) {
     EXPECT_TRUE(ri_->is_registered(a->device_id()));
     EXPECT_TRUE(a->has_ri_context("ri.example"));
+  }
+}
+
+TEST_F(ConcurrentRi, RevokedDeviceIsRefusedWhileOthersKeepRegistering) {
+  // Four threads re-register and acquire for distinct devices; half-way
+  // through, the CA revokes one of them. Its next registration denylists
+  // the serial in the RI's verifier (the writer side of its lock) while
+  // the other shards revalidate the verdicts they hold (the reader side).
+  // The CA's revocation list is configuration state, not thread-safe, so
+  // the revocation itself lands while the threads wait at a barrier.
+  constexpr int kDevices = 4;
+  constexpr int kRounds = 4;
+  std::vector<std::unique_ptr<Device>> devices;
+  std::set<std::size_t> shards_touched;
+  for (int i = 0; i < kDevices; ++i) {
+    const std::string id = "device-revoke-" + std::to_string(i);
+    devices.push_back(std::make_unique<Device>(id, *ca_, 0xD0 + i));
+    shards_touched.insert(ri::RightsIssuer::shard_of(id));
+  }
+  ASSERT_GE(shards_touched.size(), 2u);
+  {
+    roap::InProcessTransport loop(*ri_, kNow);
+    for (auto& d : devices) {
+      ASSERT_TRUE(d->agent.register_with(loop, kNow).ok());
+    }
+  }
+  DrmAgent& revoked = devices[0]->agent;
+  const ri::RiCounters before = ri_->counters();
+
+  StartGate start(kDevices);
+  StartGate halted(kDevices + 1);
+  StartGate resumed(kDevices + 1);
+  std::atomic<int> failures{0};
+  std::atomic<int> refusals{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kDevices; ++i) {
+    threads.emplace_back([&, i] {
+      DrmAgent& a = devices[i]->agent;
+      roap::InProcessTransport loop(*ri_, kNow);
+      auto round = [&] {
+        Result<> reg = a.register_with(loop, kNow);
+        if (&a == &revoked && !reg.ok()) {
+          refusals += reg.code() == StatusCode::kRiAborted ? 1 : 0;
+          return;
+        }
+        if (!reg.ok()) ++failures;
+        auto ro = a.acquire_ro(loop, "ri.example", "ro:conc", kNow);
+        if (!ro.ok()) ++failures;
+      };
+      start.arrive_and_wait();
+      for (int r = 0; r < kRounds; ++r) round();
+      halted.arrive_and_wait();
+      resumed.arrive_and_wait();
+      for (int r = 0; r < kRounds; ++r) round();
+    });
+  }
+  halted.arrive_and_wait();
+  ca_->revoke(revoked.certificate().serial());
+  resumed.arrive_and_wait();
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(refusals.load(), kRounds);
+  const ri::RiCounters after = ri_->counters();
+  EXPECT_EQ(after.registrations - before.registrations,
+            static_cast<std::uint64_t>(kDevices * kRounds +
+                                       (kDevices - 1) * kRounds));
+  EXPECT_EQ(ri_->pending_session_count(), 0u);
+
+  // Quiescent again: the revoked device stays refused, the others are
+  // still served.
+  roap::InProcessTransport loop(*ri_, kNow);
+  EXPECT_EQ(revoked.register_with(loop, kNow + 1).code(),
+            StatusCode::kRiAborted);
+  for (int i = 1; i < kDevices; ++i) {
+    EXPECT_TRUE(devices[i]->agent.register_with(loop, kNow + 1).ok());
   }
 }
 

@@ -1,7 +1,8 @@
-// Tests for the ROAP hot-path caches: per-key Montgomery contexts (rsa
-// layer), the certificate-chain verdict cache (pki layer), and their
-// wiring into the DRM Agent / Rights Issuer — including the metered-op
-// accounting that shows cache hits cost zero RSA operations.
+// Tests for the ROAP hot-path reuse: per-key Montgomery contexts (rsa
+// layer), chain verdicts held beside the chains they cover (pki layer),
+// and their wiring into the DRM Agent / Rights Issuer — including the
+// metered-op accounting that shows an accepted held verdict costs zero
+// RSA operations.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -246,9 +247,9 @@ TEST(RsaCrt, CrtAndPlainPathsAgree) {
 }
 
 // ---------------------------------------------------------------------------
-// Chain verifier
+// Chain verifier: RSA operations charged per walk, none per accepted
+// held verdict
 // ---------------------------------------------------------------------------
-
 
 class ChainFixture : public ::testing::Test {
  protected:
@@ -263,6 +264,13 @@ class ChainFixture : public ::testing::Test {
     chain_ = {leaf_, ica_->certificate()};
   }
 
+  /// RSAVP1 operations the metered verifiers have charged so far.
+  std::uint64_t rsavp1() const {
+    return ledger_.ops_by_algorithm(model::Algorithm::kRsaPublic);
+  }
+
+  model::CycleLedger ledger_{model::ArchitectureProfile::pure_software()};
+  model::MeteredCryptoProvider metered_{ledger_};
   std::unique_ptr<DeterministicRng> rng_;
   std::unique_ptr<pki::CertificationAuthority> ca_;
   std::unique_ptr<pki::SubordinateAuthority> ica_;
@@ -271,91 +279,118 @@ class ChainFixture : public ::testing::Test {
   std::vector<pki::Certificate> chain_;
 };
 
-TEST_F(ChainFixture, CacheHitReturnsIdenticalVerdict) {
-  pki::ChainVerifier verifier(ca_->root_certificate());
-  auto first = verifier.verify(chain_, kNow);
-  ASSERT_EQ(first->status, pki::CertStatus::kValid);
-  EXPECT_EQ(first->serials.size(), 2u);
-  EXPECT_EQ(first->leaf_subject_cn, "leaf");
+TEST_F(ChainFixture, EveryWalkChargesOneRsavp1PerLink) {
+  pki::ChainVerifier verifier(ca_->root_certificate(), metered_);
+  const pki::ChainVerdict first = verifier.verify(chain_, kNow);
+  ASSERT_EQ(first.status, pki::CertStatus::kValid);
+  EXPECT_EQ(first.serials.size(), 2u);
+  EXPECT_EQ(rsavp1(), 2u);
 
-  auto second = verifier.verify(chain_, kNow + 1000);
-  EXPECT_EQ(first.get(), second.get());  // the very same verdict object
-  EXPECT_EQ(verifier.stats().hits, 1u);
-  EXPECT_EQ(verifier.stats().misses, 1u);
+  // verify() keeps nothing: the same chain again is a second walk.
+  EXPECT_EQ(verifier.verify(chain_, kNow + 1000).status,
+            pki::CertStatus::kValid);
+  EXPECT_EQ(rsavp1(), 4u);
 }
 
-TEST_F(ChainFixture, RevalidateUsesHandleWithoutHashing) {
-  pki::ChainVerifier verifier(ca_->root_certificate());
-  auto handle = verifier.verify(chain_, kNow);
-  auto again = verifier.revalidate(handle, chain_, kNow + 5);
-  EXPECT_EQ(handle.get(), again.get());
-  EXPECT_EQ(verifier.stats().hits, 1u);
+TEST_F(ChainFixture, HeldVerdictRevalidatesWithoutRsa) {
+  pki::ChainVerifier verifier(ca_->root_certificate(), metered_);
+  // A default verdict has not been walked: the first revalidation walks.
+  pki::ChainVerdict held;
+  EXPECT_EQ(verifier.revalidate(held, chain_, kNow), pki::CertStatus::kValid);
+  EXPECT_EQ(held.status, pki::CertStatus::kValid);
+  EXPECT_EQ(rsavp1(), 2u);
 
-  // A null handle falls back to the fingerprint lookup.
-  auto from_cache = verifier.revalidate(nullptr, chain_, kNow);
-  EXPECT_EQ(from_cache.get(), handle.get());
-  EXPECT_EQ(verifier.stats().hits, 2u);
+  // Every later one, inside the window, is accepted as held.
+  for (std::uint64_t t = kNow; t < kNow + 5; ++t) {
+    EXPECT_EQ(verifier.revalidate(held, chain_, t), pki::CertStatus::kValid);
+  }
+  EXPECT_EQ(rsavp1(), 2u);
+
+  // A copy is an independent held verdict that vouches the same way.
+  pki::ChainVerdict copy = held;
+  EXPECT_EQ(verifier.revalidate(copy, chain_, kNow), pki::CertStatus::kValid);
+  EXPECT_EQ(rsavp1(), 2u);
 }
 
-TEST_F(ChainFixture, ExpiredChainIsNotServedFromCache) {
-  pki::ChainVerifier verifier(ca_->root_certificate());
-  auto valid = verifier.verify(chain_, kNow);
-  ASSERT_EQ(valid->status, pki::CertStatus::kValid);
+TEST_F(ChainFixture, ExpiredHeldVerdictReadsExpired) {
+  pki::ChainVerifier verifier(ca_->root_certificate(), metered_);
+  pki::ChainVerdict held = verifier.verify(chain_, kNow);
+  ASSERT_EQ(held.status, pki::CertStatus::kValid);
 
   const std::uint64_t after_expiry = kValidity.not_after + 10;
-  auto expired = verifier.verify(chain_, after_expiry);
-  EXPECT_EQ(expired->status, pki::CertStatus::kExpired);
-  EXPECT_GE(verifier.stats().invalidations, 1u);  // stale entry dropped
+  EXPECT_EQ(verifier.revalidate(held, chain_, after_expiry),
+            pki::CertStatus::kExpired);
+  EXPECT_EQ(held.status, pki::CertStatus::kExpired);
+  EXPECT_EQ(verifier.verify(chain_, after_expiry).status,
+            pki::CertStatus::kExpired);
 
-  // The stale handle is rejected by revalidate as well.
-  auto handle_result = verifier.revalidate(valid, chain_, after_expiry);
-  EXPECT_EQ(handle_result->status, pki::CertStatus::kExpired);
-
-  // Failure verdicts are never cached.
-  verifier.reset_stats();
-  verifier.verify(chain_, after_expiry);
-  verifier.verify(chain_, after_expiry);
-  EXPECT_EQ(verifier.stats().hits, 0u);
+  // A failed verdict is never accepted as held: each use walks again
+  // (and the expired links fail before any RSA work).
+  const std::uint64_t walked = rsavp1();
+  EXPECT_EQ(verifier.revalidate(held, chain_, after_expiry),
+            pki::CertStatus::kExpired);
+  EXPECT_EQ(rsavp1(), walked);
 }
 
-TEST_F(ChainFixture, RevocationInvalidatesCachedVerdict) {
-  pki::ChainVerifier verifier(ca_->root_certificate());
-  auto handle = verifier.verify(chain_, kNow);
-  ASSERT_EQ(handle->status, pki::CertStatus::kValid);
+TEST_F(ChainFixture, RevocationReachesTheHeldVerdict) {
+  pki::ChainVerifier verifier(ca_->root_certificate(), metered_);
+  pki::ChainVerdict held = verifier.verify(chain_, kNow);
+  ASSERT_EQ(held.status, pki::CertStatus::kValid);
+  const std::uint64_t walked = rsavp1();
 
   verifier.invalidate_serial(leaf_.serial());
-  EXPECT_EQ(verifier.stats().invalidations, 1u);
 
-  // Revocation is durable: the cached verdict, outstanding handles, AND
-  // any future walk of a chain containing the serial are all rejected.
-  auto after = verifier.revalidate(handle, chain_, kNow);
-  EXPECT_EQ(after->status, pki::CertStatus::kRevoked);
-  auto again = verifier.verify(chain_, kNow);
-  EXPECT_EQ(again->status, pki::CertStatus::kRevoked);
-  EXPECT_EQ(verifier.stats().hits, 0u);
+  // Revocation is durable: the held verdict AND any future walk of a
+  // chain containing the serial are rejected, without RSA work.
+  EXPECT_EQ(verifier.revalidate(held, chain_, kNow),
+            pki::CertStatus::kRevoked);
+  EXPECT_EQ(held.status, pki::CertStatus::kRevoked);
+  EXPECT_EQ(verifier.verify(chain_, kNow).status, pki::CertStatus::kRevoked);
+  EXPECT_EQ(rsavp1(), walked);
 
   // A sibling chain under the same (unrevoked) intermediate still works.
   rsa::PrivateKey k2 = rsa::generate_key(512, *rng_);
   pki::Certificate leaf2 = ica_->issue("leaf-ok", k2.public_key(), kValidity,
                                        *rng_);
-  EXPECT_EQ(
-      verifier.verify(Chain{leaf2, ica_->certificate()}, kNow)->status,
-      pki::CertStatus::kValid);
+  EXPECT_EQ(verifier.verify(Chain{leaf2, ica_->certificate()}, kNow).status,
+            pki::CertStatus::kValid);
+}
+
+TEST_F(ChainFixture, RevokingOneChainChargesNoWalkForAnother) {
+  pki::ChainVerifier verifier(ca_->root_certificate(), metered_);
+  pki::ChainVerdict held = verifier.verify(chain_, kNow);
+
+  // A second chain under the same intermediate; revoke only its leaf.
+  rsa::PrivateKey k2 = rsa::generate_key(512, *rng_);
+  pki::Certificate leaf2 = ica_->issue("leaf2", k2.public_key(), kValidity,
+                                       *rng_);
+  const Chain other{leaf2, ica_->certificate()};
+  pki::ChainVerdict other_held = verifier.verify(other, kNow);
+  verifier.invalidate_serial(leaf2.serial());
+  const std::uint64_t walked = rsavp1();
+
+  // The unrelated held verdict keeps vouching, at no RSA cost.
+  EXPECT_EQ(verifier.revalidate(held, chain_, kNow), pki::CertStatus::kValid);
+  EXPECT_EQ(verifier.revalidate(held, chain_, kNow + 1),
+            pki::CertStatus::kValid);
+  EXPECT_EQ(verifier.revalidate(other_held, other, kNow),
+            pki::CertStatus::kRevoked);
+  EXPECT_EQ(rsavp1(), walked);
 }
 
 TEST_F(ChainFixture, TamperedAndMismatchedChains) {
-  pki::ChainVerifier verifier(ca_->root_certificate());
+  pki::ChainVerifier verifier(ca_->root_certificate(),
+                              provider::plain_provider());
 
   pki::Certificate tampered = leaf_;
   Bytes bad_sig = tampered.signature();
   bad_sig[0] ^= 0x01;
   tampered.set_signature(bad_sig);
-  EXPECT_EQ(
-      verifier.verify(Chain{tampered, ica_->certificate()}, kNow)->status,
-      pki::CertStatus::kBadSignature);
+  EXPECT_EQ(verifier.verify(Chain{tampered, ica_->certificate()}, kNow).status,
+            pki::CertStatus::kBadSignature);
 
   // Leaf presented without its intermediate: issuer CN doesn't match root.
-  EXPECT_EQ(verifier.verify(Chain{leaf_}, kNow)->status,
+  EXPECT_EQ(verifier.verify(Chain{leaf_}, kNow).status,
             pki::CertStatus::kIssuerMismatch);
 
   EXPECT_THROW(verifier.verify({}, kNow), Error);
@@ -375,8 +410,9 @@ TEST_F(ChainFixture, NonCaIntermediateRejected) {
                            "fake-ri", kValidity, fake_ri_key.public_key());
   fake_ri.set_signature(rsa::pss_sign(rogue_key, fake_ri.tbs_der(), *rng_));
 
-  pki::ChainVerifier verifier(ca_->root_certificate());
-  EXPECT_EQ(verifier.verify(Chain{fake_ri, rogue_issuer}, kNow)->status,
+  pki::ChainVerifier verifier(ca_->root_certificate(),
+                              provider::plain_provider());
+  EXPECT_EQ(verifier.verify(Chain{fake_ri, rogue_issuer}, kNow).status,
             pki::CertStatus::kIssuerMismatch);
 }
 
@@ -388,49 +424,15 @@ TEST_F(ChainFixture, ExpiredRootRejectsOtherwiseValidChain) {
   pki::Certificate leaf = shortca.issue("leaf2", lk.public_key(), kValidity,
                                         rng2);
 
-  pki::ChainVerifier verifier(shortca.root_certificate());
-  EXPECT_EQ(verifier.verify(Chain{leaf}, kNow)->status,
-            pki::CertStatus::kValid);
+  pki::ChainVerifier verifier(shortca.root_certificate(),
+                              provider::plain_provider());
+  pki::ChainVerdict held = verifier.verify(Chain{leaf}, kNow);
+  EXPECT_EQ(held.status, pki::CertStatus::kValid);
   // The leaf is still inside its own window, but the anchor is not: a
-  // dead root must not keep vouching (and the cached verdict's window is
-  // the intersection, so this is a recompute, not a stale hit).
-  EXPECT_EQ(verifier.verify(Chain{leaf}, kNow + 200)->status,
+  // dead root must not keep vouching (the held verdict's window is the
+  // intersection, so this is a walk, not an accepted verdict).
+  EXPECT_EQ(verifier.revalidate(held, Chain{leaf}, kNow + 200),
             pki::CertStatus::kExpired);
-}
-
-TEST_F(ChainFixture, EpochRestampKeepsHandlesAlive) {
-  pki::ChainVerifier verifier(ca_->root_certificate());
-  auto handle = verifier.verify(chain_, kNow);
-
-  // A second chain under the same intermediate, then revoke only it:
-  // the epoch bump retires all handles, but our entry survives the map.
-  rsa::PrivateKey k2 = rsa::generate_key(512, *rng_);
-  pki::Certificate leaf2 = ica_->issue("leaf2", k2.public_key(), kValidity,
-                                       *rng_);
-  verifier.verify(Chain{leaf2, ica_->certificate()}, kNow);
-  verifier.invalidate_serial(leaf2.serial());
-
-  // Stale-epoch handle falls back to the map hit, which re-stamps the
-  // surviving verdict…
-  auto r1 = verifier.revalidate(handle, chain_, kNow);
-  EXPECT_EQ(r1.get(), handle.get());
-  // …so the next revalidation rides the O(1) handle path again.
-  auto r2 = verifier.revalidate(r1, chain_, kNow);
-  EXPECT_EQ(r2.get(), handle.get());
-  pki::ChainCacheStats s = verifier.stats();
-  EXPECT_EQ(s.misses, 2u);  // only the two initial walks
-  EXPECT_EQ(s.hits, 2u);
-}
-
-TEST_F(ChainFixture, DisabledVerifierNeverCaches) {
-  pki::ChainVerifier verifier(ca_->root_certificate());
-  verifier.set_enabled(false);
-  auto a = verifier.verify(chain_, kNow);
-  auto b = verifier.verify(chain_, kNow);
-  EXPECT_EQ(a->status, pki::CertStatus::kValid);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(verifier.stats().hits, 0u);
-  EXPECT_EQ(verifier.stats().misses, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -453,12 +455,8 @@ TEST(CachedRoap, IntermediateChainFlowsThroughRegistration) {
   ASSERT_NE(ctx, nullptr);
   ASSERT_EQ(ctx->ri_chain.size(), 2u);  // RI leaf + intermediate
   EXPECT_EQ(ctx->ri_chain[1].subject_cn(), "Mid");
-  ASSERT_NE(ctx->verified_chain, nullptr);
-  EXPECT_EQ(ctx->verified_chain->status, pki::CertStatus::kValid);
-
-  // Registration verified the 2-link chain once (a miss); nothing has hit
-  // the cache yet.
-  EXPECT_EQ(device.chain_verifier().stats().misses, 1u);
+  EXPECT_EQ(ctx->verified_chain.status, pki::CertStatus::kValid);
+  EXPECT_EQ(ctx->verified_chain.serials.size(), 2u);
 
   ri::LicenseOffer offer;
   offer.ro_id = "ro:x";
@@ -472,27 +470,33 @@ TEST(CachedRoap, IntermediateChainFlowsThroughRegistration) {
 
   auto acq = device.acquire_ro(tx, "ri:x", "ro:x", kNow + 60);
   EXPECT_EQ(acq, agent::AgentStatus::kOk);
-  // Context revalidation rode the verdict handle — once before sending,
-  // once at response processing: two hits, no second walk.
-  EXPECT_EQ(device.chain_verifier().stats().hits, 2u);
-  EXPECT_EQ(device.chain_verifier().stats().misses, 1u);
 
-  // Acquisition after the RI certificate expires: the cached verdict ages
+  // Acquisition after the RI certificate expires: the held verdict ages
   // out and the context is reported expired.
   auto late = device.acquire_ro(tx, "ri:x", "ro:x", kValidity.not_after + 100);
   EXPECT_EQ(late, agent::AgentStatus::kRiContextExpired);
+  EXPECT_EQ(device.ri_context("ri:x")->verified_chain.status,
+            pki::CertStatus::kExpired);
 }
 
-TEST(CachedRoap, MeteredAcquisitionChargesNoChainRsa) {
+TEST(CachedRoap, MeteredRoapChargesNoChainRsaOnceVerdictsAreHeld) {
   DeterministicRng rng(0x22B);
   model::CycleLedger ledger(model::ArchitectureProfile::pure_software());
   model::MeteredCryptoProvider metered(ledger);
+  model::CycleLedger ri_ledger(model::ArchitectureProfile::pure_software());
+  model::MeteredCryptoProvider ri_metered(ri_ledger);
   pki::CertificationAuthority ca("Root", 512, kValidity, rng);
   pki::SubordinateAuthority ica("Mid", 512, ca, kValidity, rng);
-  ri::RightsIssuer ri("ri:m", "http://ri/roap", ca, kValidity,
-                      provider::plain_provider(), rng, &ica, 512);
+  ri::RightsIssuer ri("ri:m", "http://ri/roap", ca, kValidity, ri_metered,
+                      rng, &ica, 512);
   agent::DrmAgent device("dev:m", ca.root_certificate(), metered, rng, 512);
   device.provision(ca.issue("dev:m", device.public_key(), kValidity, rng));
+  auto agent_rsavp1 = [&] {
+    return ledger.ops_by_algorithm(model::Algorithm::kRsaPublic);
+  };
+  auto ri_rsavp1 = [&] {
+    return ri_ledger.ops_by_algorithm(model::Algorithm::kRsaPublic);
+  };
 
   ri::LicenseOffer offer;
   offer.ro_id = "ro:m";
@@ -506,53 +510,81 @@ TEST(CachedRoap, MeteredAcquisitionChargesNoChainRsa) {
 
   roap::InProcessTransport tx(ri, kNow);
   ASSERT_EQ(device.register_with(tx, kNow), agent::AgentStatus::kOk);
-  // Registration with a 2-link chain: 2 chain RSAVP1 + OCSP + message.
-  EXPECT_EQ(ledger.ops_by_algorithm(model::Algorithm::kRsaPublic), 4u);
-  const std::uint64_t reg_private =
+  // Cold registration. Agent: 2 chain RSAVP1 + OCSP + message. RI: the
+  // device certificate's 1-link chain + the request signature.
+  EXPECT_EQ(agent_rsavp1(), 4u);
+  EXPECT_EQ(ri_rsavp1(), 2u);
+
+  // Warm re-registration: both ends revalidate the verdicts they hold.
+  // Agent: OCSP + message only. RI: the request signature only.
+  ASSERT_EQ(device.register_with(tx, kNow + 1), agent::AgentStatus::kOk);
+  EXPECT_EQ(agent_rsavp1(), 6u);
+  EXPECT_EQ(ri_rsavp1(), 3u);
+
+  // Each acquisition charges the agent one public op (the response
+  // signature) and one private op (the request signature) — both context
+  // revalidations (pre-send and at response processing) are free — and
+  // the RI two public ops (the request signature and the RSAES-KEM
+  // encapsulation to the device key), neither of them a chain walk.
+  const std::uint64_t private0 =
       ledger.ops_by_algorithm(model::Algorithm::kRsaPrivate);
-
-  ASSERT_EQ(device.acquire_ro(tx, "ri:m", "ro:m", kNow + 5),
-            agent::AgentStatus::kOk);
-  // The cached acquisition charges exactly one public (response signature)
-  // and one private (request signature) op — both context revalidations
-  // (pre-send and at response processing) were free.
-  EXPECT_EQ(ledger.ops_by_algorithm(model::Algorithm::kRsaPublic), 5u);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(device.acquire_ro(tx, "ri:m", "ro:m", kNow + 5 + i),
+              agent::AgentStatus::kOk);
+  }
+  EXPECT_EQ(agent_rsavp1(), 9u);
+  EXPECT_EQ(ri_rsavp1(), 9u);
   EXPECT_EQ(ledger.ops_by_algorithm(model::Algorithm::kRsaPrivate),
-            reg_private + 1);
-
-  // With the verdict cache disabled the same exchange re-walks the chain
-  // at both revalidation points: four extra RSAVP1 ops per acquisition.
-  device.chain_verifier().set_enabled(false);
-  ASSERT_EQ(device.acquire_ro(tx, "ri:m", "ro:m", kNow + 10),
-            agent::AgentStatus::kOk);
-  EXPECT_EQ(ledger.ops_by_algorithm(model::Algorithm::kRsaPublic), 10u);
-  device.chain_verifier().set_enabled(true);
+            private0 + 3);
 }
 
-TEST(CachedRoap, RevokedRiInvalidatesAgentCache) {
+TEST(CachedRoap, RevokedRiChainReadsRevokedAtTheAgent) {
   DeterministicRng rng(0x33C);
+  model::CycleLedger ledger(model::ArchitectureProfile::pure_software());
+  model::MeteredCryptoProvider metered(ledger);
   pki::CertificationAuthority ca("Root", 512, kValidity, rng);
   provider::PlainCryptoProvider& plain = provider::plain_provider();
   ri::RightsIssuer ri("ri:r", "http://ri/roap", ca, kValidity, plain, rng,
                       nullptr, 512);
-  agent::DrmAgent device("dev:r", ca.root_certificate(), plain, rng, 512);
+  agent::DrmAgent device("dev:r", ca.root_certificate(), metered, rng, 512);
   device.provision(ca.issue("dev:r", device.public_key(), kValidity, rng));
+  ri::LicenseOffer offer;
+  offer.ro_id = "ro:r";
+  offer.content_id = "cid:r";
+  offer.dcf_hash = Bytes(20, 6);
+  rel::Permission play;
+  play.type = rel::PermissionType::kPlay;
+  offer.permissions = {play};
+  offer.kcek = rng.bytes(16);
+  ri.add_offer(offer);
 
   roap::InProcessTransport tx(ri, kNow);
   ASSERT_EQ(device.register_with(tx, kNow), agent::AgentStatus::kOk);
 
+  // The stapled OCSP response reports the revocation: the registration
+  // fails, and the held verdict naming the serial stops vouching.
   ca.revoke(ri.certificate().serial());
+  EXPECT_EQ(device.register_with(tx, kNow + 1),
+            agent::AgentStatus::kCertificateRevoked);
+  const std::uint64_t public0 =
+      ledger.ops_by_algorithm(model::Algorithm::kRsaPublic);
+  EXPECT_EQ(device.acquire_ro(tx, "ri:r", "ro:r", kNow + 2),
+            agent::AgentStatus::kCertificateRevoked);
+  EXPECT_EQ(device.ri_context("ri:r")->verified_chain.status,
+            pki::CertStatus::kRevoked);
+  EXPECT_EQ(ledger.ops_by_algorithm(model::Algorithm::kRsaPublic), public0);
+
+  // A device meeting the revoked RI for the first time is refused too.
   agent::DrmAgent second("dev:r2", ca.root_certificate(), plain, rng, 512);
   second.provision(ca.issue("dev:r2", second.public_key(), kValidity, rng));
   EXPECT_EQ(second.register_with(tx, kNow),
             agent::AgentStatus::kCertificateRevoked);
-  // The revoked chain verdict was cached during the attempt, then
-  // invalidated when the OCSP staple reported the revocation.
-  EXPECT_EQ(second.chain_verifier().stats().invalidations, 1u);
 }
 
-TEST(CachedRoap, PersistedContextKeepsChain) {
+TEST(CachedRoap, ImportedContextWalksOnceThenChargesNothing) {
   DeterministicRng rng(0x44D);
+  model::CycleLedger ledger(model::ArchitectureProfile::pure_software());
+  model::MeteredCryptoProvider metered(ledger);
   pki::CertificationAuthority ca("Root", 512, kValidity, rng);
   pki::SubordinateAuthority ica("Mid", 512, ca, kValidity, rng);
   provider::PlainCryptoProvider& plain = provider::plain_provider();
@@ -564,13 +596,16 @@ TEST(CachedRoap, PersistedContextKeepsChain) {
   ASSERT_EQ(device.register_with(tx, kNow), agent::AgentStatus::kOk);
 
   Bytes blob = device.export_state();
-  agent::DrmAgent rebooted("dev:tmp", ca.root_certificate(), plain, rng, 512);
+  agent::DrmAgent rebooted("dev:tmp", ca.root_certificate(), metered, rng,
+                           512);
   rebooted.import_state(blob);
 
   const agent::RiContext* ctx = rebooted.ri_context("ri:p");
   ASSERT_NE(ctx, nullptr);
   ASSERT_EQ(ctx->ri_chain.size(), 2u);
   EXPECT_EQ(ctx->ri_chain[1].subject_cn(), "Mid");
+  // The verdict is not part of the image: the loaded context is unwalked.
+  EXPECT_NE(ctx->verified_chain.status, pki::CertStatus::kValid);
 
   ri::LicenseOffer offer;
   offer.ro_id = "ro:p";
@@ -582,12 +617,17 @@ TEST(CachedRoap, PersistedContextKeepsChain) {
   offer.kcek = rng.bytes(16);
   ri.add_offer(offer);
 
-  // The imported context re-verifies (miss) and then serves hits.
+  // First acquisition: one walk of the 2-link chain + the response
+  // signature. Second: the response signature only.
+  auto rsavp1 = [&] {
+    return ledger.ops_by_algorithm(model::Algorithm::kRsaPublic);
+  };
   EXPECT_EQ(rebooted.acquire_ro(tx, "ri:p", "ro:p", kNow + 1),
             agent::AgentStatus::kOk);
+  EXPECT_EQ(rsavp1(), 3u);
   EXPECT_EQ(rebooted.acquire_ro(tx, "ri:p", "ro:p", kNow + 2),
             agent::AgentStatus::kOk);
-  EXPECT_GE(rebooted.chain_verifier().stats().hits, 1u);
+  EXPECT_EQ(rsavp1(), 4u);
 }
 
 TEST(CachedRoap, SixtyFourDevicesAcquireWithoutBuildingContexts) {
@@ -646,9 +686,9 @@ class ReRegistration : public ::testing::Test {
                                                         kValidity, *rng_);
     ica_ = std::make_unique<pki::SubordinateAuthority>("Mid", 512, *ca_,
                                                        kValidity, *rng_);
-    ri_ = std::make_unique<ri::RightsIssuer>(
-        "ri:rr", "http://ri/roap", *ca_, kValidity, provider::plain_provider(),
-        *rng_, ica_.get(), 512);
+    ri_ = std::make_unique<ri::RightsIssuer>("ri:rr", "http://ri/roap", *ca_,
+                                             kValidity, ri_crypto_, *rng_,
+                                             ica_.get(), 512);
     ASSERT_TRUE(ri_->bind_store(ri_store_).ok());
     ri::LicenseOffer offer;
     offer.ro_id = "ro:rr";
@@ -680,6 +720,9 @@ class ReRegistration : public ::testing::Test {
     return {};
   }
 
+  /// The RI's RSA operations.
+  model::CycleLedger ri_ledger_{model::ArchitectureProfile::pure_software()};
+  model::MeteredCryptoProvider ri_crypto_{ri_ledger_};
   store::MemoryStore ri_store_;
   std::unique_ptr<DeterministicRng> rng_;
   std::unique_ptr<pki::CertificationAuthority> ca_;
@@ -736,15 +779,20 @@ TEST_F(ReRegistration, DeviceRevokedAfterItsCertificateWasReusedIsRefused) {
   auto dev = make_device("dev:revoked-late");
   ASSERT_EQ(dev->register_with(*tx_, kNow), agent::AgentStatus::kOk);
   // The repeat registrations reuse the stored certificate and revalidate
-  // the chain verdict held beside it: no chain walk.
-  const pki::ChainCacheStats before = ri_->device_chain_verifier().stats();
+  // the chain verdict held beside it: no chain walk, so the RI's only
+  // RSAVP1 is each request's signature.
+  const std::uint64_t before =
+      ri_ledger_.ops_by_algorithm(model::Algorithm::kRsaPublic);
   ASSERT_EQ(dev->register_with(*tx_, kNow + 1), agent::AgentStatus::kOk);
   ASSERT_EQ(dev->register_with(*tx_, kNow + 2), agent::AgentStatus::kOk);
-  EXPECT_EQ(ri_->device_chain_verifier().stats().misses, before.misses);
+  EXPECT_EQ(ri_ledger_.ops_by_algorithm(model::Algorithm::kRsaPublic),
+            before + 2);
   const std::uint64_t admitted = ri_->counters().registrations;
 
   // Revoked at the CA after the reuse: the held verdict is still current
-  // as far as the verifier knows, and the revocation check refuses anyway.
+  // as far as the verifier knows, and the revocation check refuses anyway
+  // (and denylists the serial, so the held verdict reads kRevoked from
+  // then on).
   ca_->revoke(dev->certificate().serial());
   EXPECT_EQ(dev->register_with(*tx_, kNow + 3),
             agent::AgentStatus::kRiAborted);

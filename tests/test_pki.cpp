@@ -197,11 +197,13 @@ TEST_F(PkiFixture, NonMinimalSerialIsTheMinimalSerial) {
 
   // Revoking the minimal serial catches the padded spelling, at the CA
   // and in a chain verifier's denylist.
-  ChainVerifier verifier(ca().root_certificate());
+  ChainVerifier verifier(ca().root_certificate(), provider::plain_provider());
   const std::span<const Certificate> chain(&odd, 1);
-  ASSERT_EQ(verifier.verify(chain, kNow)->status, CertStatus::kValid);
+  ChainVerdict held = verifier.verify(chain, kNow);
+  ASSERT_EQ(held.status, CertStatus::kValid);
   verifier.invalidate_serial(leaf.serial());
-  EXPECT_EQ(verifier.verify(chain, kNow)->status, CertStatus::kRevoked);
+  EXPECT_EQ(verifier.revalidate(held, chain, kNow), CertStatus::kRevoked);
+  EXPECT_EQ(verifier.verify(chain, kNow).status, CertStatus::kRevoked);
   ca().revoke(leaf.serial());
   EXPECT_TRUE(ca().is_revoked(odd.serial()));
 }
