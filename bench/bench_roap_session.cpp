@@ -26,7 +26,12 @@
 //                call of the fastest block), so the cost split between crypto and message
 //                handling is explicit instead of inferred. chain_walk
 //                is one ChainVerifier::verify of the 2-link RI chain:
-//                what each held verdict saves per revalidation.
+//                what each held verdict saves per revalidation. Its
+//                heap allocations per walk go to the JSON as
+//                chain_walk.allocs_per_walk, which
+//                scripts/check_bench_regression.py caps (each link's
+//                check reads the TBS bytes its certificate keeps, so a
+//                walk copies only the serials its verdict records).
 //   allocations  a global operator-new counter. The wire path
 //                (streaming serialize into reused buffers, zero-copy
 //                arena parse, pooled envelopes) must perform ZERO heap
@@ -650,6 +655,7 @@ int main(int argc, char** argv) {
       "\"chain_walk\": %.3f},\n"
       "  \"wire_allocs_per_op\": {\"serialize\": %.2f, \"parse\": %.2f, "
       "\"wrap\": %.2f, \"from_wire\": %.2f},\n"
+      "  \"chain_walk\": {\"allocs_per_walk\": %.1f},\n"
       "  \"multi_agent\": {\"agents\": %zu, \"acquisitions_per_agent\": "
       "%zu, \"registration_ms_avg\": %.3f, \"acquisition_ms_avg\": %.4f, "
       "\"acquisition_ms_p50\": %.4f, \"acquisition_ms_p95\": %.4f, "
@@ -671,6 +677,7 @@ int main(int argc, char** argv) {
       stages.chain_walk.us_per_op,
       stages.serialize.allocs_per_op, stages.parse.allocs_per_op,
       stages.wrap.allocs_per_op, stages.from_wire.allocs_per_op,
+      stages.chain_walk.allocs_per_op,
       fleet.agents, fleet.acquisitions_per_agent, fleet.registration_ms_avg,
       fleet.acquisition_ms_avg, fleet.acquisition_ms.p50,
       fleet.acquisition_ms.p95, fleet.exchanges_per_s,

@@ -25,7 +25,12 @@ field:
                  already hold instead of decoding them again. Also
                  before the back-end check, allocs_per_exchange of the
                  cached acquisitions and of the multi_agent block may not
-                 exceed the baseline's (a count, the same on every host).
+                 exceed the baseline's (a count, the same on every host),
+                 and chain_walk.allocs_per_walk, the heap allocations of
+                 one cold walk of the 2-link RI chain, may not exceed an
+                 absolute ceiling (CHAIN_WALK_ALLOC_CEILING): a walk reads
+                 the TBS bytes each certificate keeps, and one that
+                 re-encoded them would allocate hundreds of times.
   dcf_stream     gates on streaming decrypt MB/s at the largest payload
                  size present in BOTH documents (quick CI runs omit the
                  16 MiB point the full baseline carries), and on SHA-1
@@ -194,6 +199,30 @@ def check_roap_allocs(baseline: dict, current: dict) -> bool:
                   f"checked-in baseline", file=sys.stderr)
             ok = False
     return ok
+
+
+# Heap allocations one cold walk of the bench's 2-link RI chain may make:
+# a copy of each link's serial for the verdict, and the verdict's list.
+CHAIN_WALK_ALLOC_CEILING = 3.0
+
+
+def check_roap_chain_walk_allocs(current: dict) -> bool:
+    """roap_session gate: chain_walk.allocs_per_walk stays at or under
+    CHAIN_WALK_ALLOC_CEILING. A count, the same on every host, so it runs
+    whatever the back end; a current document without the key fails."""
+    allocs = current.get("chain_walk", {}).get("allocs_per_walk")
+    if allocs is None:
+        print("FAIL: current document has no chain_walk.allocs_per_walk",
+              file=sys.stderr)
+        return False
+    print(f"chain walk allocs/walk: {float(allocs):.1f} "
+          f"(ceiling {CHAIN_WALK_ALLOC_CEILING:.1f})")
+    if float(allocs) > CHAIN_WALK_ALLOC_CEILING:
+        print("FAIL: a chain walk allocates more than its ceiling; each "
+              "link's check must read the TBS bytes its certificate keeps",
+              file=sys.stderr)
+        return False
+    return True
 
 
 def same_mont_backend(baseline: dict, current: dict) -> bool:
@@ -369,6 +398,8 @@ def check(baseline_path: str, current_path: str, tolerance: float) -> int:
             return 1
         if not check_roap_allocs(baseline, current):
             return 1
+        if not check_roap_chain_walk_allocs(current):
+            return 1
         if not same_mont_backend(baseline, current):
             print("OK")
             return 0
@@ -462,6 +493,7 @@ def self_test_current() -> dict:
     doc["per_stage_us"]["chain_walk"] = 33.0
     doc["ro_acquisition"]["cached"]["allocs_per_exchange"] = 54.0
     doc["multi_agent"]["allocs_per_exchange"] = 54.0
+    doc["chain_walk"] = {"allocs_per_walk": CHAIN_WALK_ALLOC_CEILING}
     return doc
 
 
@@ -472,11 +504,20 @@ def self_test() -> list[str]:
     del no_ctx_builds["multi_agent"]["ctx_builds"]
     over_ceiling = self_test_current()
     over_ceiling["multi_agent"]["allocs_per_exchange"] = 57.0
+    walk_over_ceiling = self_test_current()
+    walk_over_ceiling["chain_walk"]["allocs_per_walk"] = (
+        CHAIN_WALK_ALLOC_CEILING + 1)
+    no_walk_allocs = self_test_current()
+    del no_walk_allocs["chain_walk"]
     cases = (
         ("a current document without multi_agent.ctx_builds",
          no_ctx_builds, 1),
         ("multi_agent.allocs_per_exchange over the baseline's",
          over_ceiling, 1),
+        ("chain_walk.allocs_per_walk over its ceiling",
+         walk_over_ceiling, 1),
+        ("a current document without chain_walk.allocs_per_walk",
+         no_walk_allocs, 1),
         ("a current document without the deleted uncached_crypto and "
          "chain_* keys", self_test_current(), 0),
     )

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant linter for the OMA DRM 2 reproduction.
 
-Seven rule classes, each encoding an invariant the test suite cannot see
+Eight rule classes, each encoding an invariant the test suite cannot see
 (tests exercise behavior; these are structural properties of the source):
 
   failpoint-adjacency  Every raw durability syscall in src/store/ sits
@@ -62,6 +62,17 @@ Seven rule classes, each encoding an invariant the test suite cannot see
                        lives in tests/oracle/ as the reference the tests
                        compare against, and only the test executables
                        link it.
+
+  metered-verify       No file under src/ outside src/rsa/ and
+                       src/provider/ calls rsa::pss_verify( directly:
+                       every RSASSA-PSS verification (certificate links,
+                       OCSP responses, ROAP messages) goes through the
+                       CryptoProvider, so the cycle ledger sees each
+                       RSAVP1 the paper's cost model charges. A call
+                       that is deliberately not charged (the trust
+                       root's boot-time self-check) carries an
+                       `// unmetered: <reason>` comment on the lines
+                       above it.
 
 Exit status: 0 clean, 1 violations (one `path:line: [rule] message` per
 finding), 2 usage/internal error. `--self-test` first proves every rule
@@ -445,6 +456,23 @@ def check_one_integer(path: str, lines: list[str]) -> list[Finding]:
             for i, raw in enumerate(lines) if ONE_INTEGER_RE.search(raw)]
 
 
+METERED_VERIFY_RE = re.compile(r"\brsa::pss_verify\s*\(")
+METERED_VERIFY_EXEMPT = ("src/rsa/", "src/provider/")
+UNMETERED = re.compile(r"//\s*unmetered:\s*\S")
+
+
+def check_metered_verify(path: str, lines: list[str]) -> list[Finding]:
+    covered = escape_covered(lines, UNMETERED)
+    return [Finding(path, i + 1, "metered-verify",
+                    "rsa::pss_verify outside src/rsa/ and src/provider/ — "
+                    "verify through the CryptoProvider so the cycle "
+                    "ledger charges it, or escape a deliberate exception "
+                    "with `// unmetered: <reason>`")
+            for i, raw in enumerate(lines)
+            if i not in covered and METERED_VERIFY_RE.search(
+                strip_comment(raw))]
+
+
 # --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
@@ -480,6 +508,9 @@ def run_lint(repo: pathlib.Path) -> list[Finding]:
             findings += check_mutex_header(path, lines)
         if path.startswith(ONE_INTEGER_ROOTS):
             findings += check_one_integer(path, lines)
+        if path.startswith("src/") and \
+                not path.startswith(METERED_VERIFY_EXEMPT):
+            findings += check_metered_verify(path, lines)
 
     findings += check_wire_scope(files, WIRE_FILES)
 
@@ -696,6 +727,25 @@ def self_test() -> list[str]:
                              ['#include "bigint/limbs.h"',
                               "  bigint::Limbs m(bytes);"]),
            False, "limbs only")
+
+    # metered-verify ------------------------------------------------------
+    expect("metered-verify",
+           check_metered_verify(
+               "src/pki/x.cpp",
+               ["  ok = rsa::pss_verify(key, tbs, sig);"]), True,
+           "a direct rsa::pss_verify call")
+    expect("metered-verify",
+           check_metered_verify(
+               "src/pki/x.cpp",
+               ["  // unmetered: checked once at boot",
+                "  ok = rsa::pss_verify(key, tbs, sig);"]), False,
+           "an escaped rsa::pss_verify call")
+    expect("metered-verify",
+           check_metered_verify(
+               "src/pki/x.cpp",
+               ["  ok = crypto_->pss_verify(key, tbs, sig);",
+                "  // not rsa::pss_verify(key, tbs, sig) here"]), False,
+           "a provider call and a comment naming the raw call")
     return errors
 
 
@@ -736,7 +786,8 @@ def main() -> int:
         return 1
     print("lint_invariants: OK "
           "(failpoint-adjacency, classify-coverage, wire-alloc, "
-          "mutex-header, catalog-drift, isa-confinement, one-integer)")
+          "mutex-header, catalog-drift, isa-confinement, one-integer, "
+          "metered-verify)")
     return 0
 
 

@@ -124,31 +124,6 @@ const RiContext* DrmAgent::ri_context(const std::string& ri_id) const {
   return it == ri_contexts_.end() ? nullptr : &it->second;
 }
 
-AgentStatus DrmAgent::verify_ocsp_metered(const pki::OcspResponse& ocsp,
-                                          const pki::Serial& expected_serial,
-                                          ByteView expected_nonce,
-                                          std::uint64_t now) {
-  if (!(ocsp.serial() == expected_serial)) return AgentStatus::kOcspInvalid;
-  if (!ct_equal(ocsp.nonce(), expected_nonce)) {
-    return AgentStatus::kOcspInvalid;
-  }
-  if (ocsp.produced_at() > now || now - ocsp.produced_at() > kMaxOcspAge) {
-    return AgentStatus::kOcspInvalid;
-  }
-  // Our profile has the CA sign OCSP responses with the root key.
-  if (!crypto_.pss_verify(trust_root_.subject_key(), ocsp.tbs_der(),
-                          ocsp.signature())) {
-    return AgentStatus::kOcspInvalid;
-  }
-  if (ocsp.status() == pki::OcspCertStatus::kRevoked) {
-    return AgentStatus::kCertificateRevoked;
-  }
-  if (ocsp.status() != pki::OcspCertStatus::kGood) {
-    return AgentStatus::kOcspInvalid;
-  }
-  return AgentStatus::kOk;
-}
-
 Result<> DrmAgent::revalidate_context(RiContext& ctx, std::uint64_t now) {
   const pki::CertStatus status =
       chain_verifier_.revalidate(ctx.verified_chain, ctx.ri_chain, now);
@@ -272,14 +247,20 @@ Result<> DrmAgent::accept_registration_response(
     return Result<>(AgentStatus::kOcspInvalid,
                     std::string("stapled OCSP unparseable: ") + e.what());
   }
-  AgentStatus ocsp_status =
-      verify_ocsp_metered(ocsp, ri_cert.serial(), pending.ocsp_nonce, now);
-  if (ocsp_status != AgentStatus::kOk) {
-    if (ocsp_status == AgentStatus::kCertificateRevoked) {
+  // Our profile has the CA sign OCSP responses with the root key.
+  switch (pki::check_ocsp(ocsp, ri_cert.serial(), pending.ocsp_nonce,
+                          trust_root_.subject_key(), now, kMaxOcspAge,
+                          crypto_)) {
+    case pki::OcspCheck::kGood:
+      break;
+    case pki::OcspCheck::kRevoked:
       // A held verdict naming the revoked serial must stop vouching.
       chain_verifier_.invalidate_serial(ri_cert.serial());
-    }
-    return Result<>(ocsp_status, "stapled OCSP response rejected");
+      return Result<>(AgentStatus::kCertificateRevoked,
+                      "stapled OCSP response rejected");
+    case pki::OcspCheck::kInvalid:
+      return Result<>(AgentStatus::kOcspInvalid,
+                      "stapled OCSP response rejected");
   }
 
   // Verify the message signature with the (now trusted) RI key.

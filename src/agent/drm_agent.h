@@ -113,7 +113,7 @@ class DrmAgent {
 
   /// Installs the certificate a CA issued over public_key().
   void provision(pki::Certificate device_certificate);
-  bool is_provisioned() const { return !certificate_.signature().empty(); }
+  bool is_provisioned() const { return !certificate_.to_der().empty(); }
   const pki::Certificate& certificate() const;
 
   // -- Phase 1: Registration ------------------------------------------------
@@ -340,10 +340,6 @@ class DrmAgent {
   /// records, leaving the live state untouched.
   void load_from_records(const std::vector<store::Record>& records);
   Result<> bind_store_impl(store::StateStore& s, bool require_identity);
-
-  AgentStatus verify_ocsp_metered(const pki::OcspResponse& ocsp,
-                                  const pki::Serial& expected_serial,
-                                  ByteView expected_nonce, std::uint64_t now);
 
   std::string device_id_;
   pki::Certificate trust_root_;

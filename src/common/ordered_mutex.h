@@ -26,6 +26,8 @@
 //    50   store.backing        MemoryStore::mu_ (terminal store mutex)
 //    60   pki.chain_verdict    ChainVerifier::State::mu (shared; the
 //                              revocation denylist)
+//    70   pki.authority        CertificationAuthority::mu_ (serials and
+//                              the revocation list)
 //    80   common.rng           LockedRng::mu_
 //   110   net.stop             RiServer::stop_mu_
 //   120   net.conns            RiServer::conns_mu_
@@ -68,6 +70,7 @@ enum class LockRank : std::uint16_t {
   kStoreFront = 40,
   kStoreBacking = 50,
   kChainVerdict = 60,
+  kPkiAuthority = 70,
   kRng = 80,
   kNetStop = 110,
   kNetConns = 120,

@@ -57,7 +57,7 @@ class Realm {
   /// threads while the server-side RI draws from the realm rng through
   /// its LockedRng, which serializes only the RI's own draws, so sharing
   /// one generator would be a data race. Call make_agent itself from one
-  /// thread only (it touches the CA's issuance state); the returned agent
+  /// thread only (it appends to the realm's rng list); the returned agent
   /// is then thread-confined to whichever thread drives it.
   std::unique_ptr<agent::DrmAgent> make_agent(const std::string& device_id);
 

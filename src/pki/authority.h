@@ -2,11 +2,18 @@
 // (the role CMLA plays in the paper's Figure 1). Issues certificates to
 // Rights Issuers and DRM Agents, maintains a revocation list, and acts as
 // the OCSP responder.
+//
+// Thread-safe: an RI's handler threads read the revocation list
+// (is_revoked, ocsp_respond) while an operator may revoke or issue. The
+// serial counter and the issued and revoked sets sit under one mutex that
+// is held only for set lookups and inserts, never across RSA work.
 #pragma once
 
 #include <string>
 
+#include "common/ordered_mutex.h"
 #include "common/random.h"
+#include "common/thread_annotations.h"
 #include "pki/certificate.h"
 #include "pki/ocsp.h"
 
@@ -23,7 +30,6 @@ class CertificationAuthority {
                          const Validity& validity, Rng& rng);
 
   const Certificate& root_certificate() const { return root_cert_; }
-  const std::string& cn() const { return cn_; }
   rsa::PublicKey public_key() const { return key_.public_key(); }
 
   /// Issues a certificate over `subject_key` with a fresh serial. Pass
@@ -42,20 +48,24 @@ class CertificationAuthority {
   void revoke(const Serial& serial);
   bool is_revoked(const Serial& serial) const;
 
-  /// Responds to an OCSP request at time `now`. Serials this CA never
-  /// issued report kUnknown. The response is signed through `crypto`, so
-  /// a Rights Issuer stapling it to its registration response charges
-  /// the signature to its own provider.
-  OcspResponse ocsp_respond(const OcspRequest& request, std::uint64_t now,
-                            Rng& rng, provider::CryptoProvider& crypto);
+  /// Answers an OCSP query for `serial`, bound to `nonce`, at time `now`.
+  /// Serials this CA never issued report kUnknown. The response is signed
+  /// through `crypto`, so a Rights Issuer stapling it to its registration
+  /// response charges the signature to its own provider.
+  OcspResponse ocsp_respond(const Serial& serial, ByteView nonce,
+                            std::uint64_t now, Rng& rng,
+                            provider::CryptoProvider& crypto);
 
  private:
   std::string cn_;
   rsa::PrivateKey key_;
   Certificate root_cert_;
-  std::uint64_t next_serial_ = 2;  // serial 1 is the root itself
-  SerialSet issued_;
-  SerialSet revoked_;
+  // Rank kPkiAuthority: taken under a shard lock (the RI's revocation
+  // checks) and never held across RSA work or another lock.
+  mutable OrderedMutex mu_{LockRank::kPkiAuthority, "pki.authority"};
+  std::uint64_t next_serial_ GUARDED_BY(mu_) = 2;  // 1 is the root itself
+  SerialSet issued_ GUARDED_BY(mu_);
+  SerialSet revoked_ GUARDED_BY(mu_);
 };
 
 /// An intermediate CA: holds its own key pair, carries a certificate
@@ -71,9 +81,7 @@ class SubordinateAuthority {
                        CertificationAuthority& parent,
                        const Validity& validity, Rng& rng);
 
-  const std::string& cn() const { return cn_; }
   const Certificate& certificate() const { return cert_; }
-  rsa::PublicKey public_key() const { return key_.public_key(); }
 
   /// Issues a certificate signed with this intermediate's key.
   Certificate issue(const std::string& subject_cn,
@@ -86,11 +94,5 @@ class SubordinateAuthority {
   rsa::PrivateKey key_;
   Certificate cert_;
 };
-
-/// Validates a leaf certificate against a trusted root at time `now`,
-/// checking both the leaf signature/validity and the root's self-signature.
-CertStatus validate_against_root(const Certificate& leaf,
-                                 const Certificate& trusted_root,
-                                 std::uint64_t now);
 
 }  // namespace omadrm::pki

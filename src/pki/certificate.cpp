@@ -96,16 +96,33 @@ Serial serial_number(std::uint64_t v) {
   return minimal_serial(be);
 }
 
+SignedDer::SignedDer(ByteView tbs, ByteView algorithm, ByteView signature) {
+  Encoder sig;
+  sig.write_bit_string(signature);
+  Encoder out;
+  out.write_sequence(concat({tbs, algorithm, sig.bytes()}));
+  der_ = out.take();
+  tbs_begin_ =
+      der_.size() - tbs.size() - algorithm.size() - sig.bytes().size();
+  tbs_size_ = tbs.size();
+  sig_size_ = signature.size();
+}
+
 Certificate::Certificate(ByteView serial, std::string issuer_cn,
                          std::string subject_cn, Validity validity,
-                         rsa::PublicKey subject_key)
+                         rsa::PublicKey subject_key, bool is_ca,
+                         const rsa::PrivateKey& issuer_key, Rng& rng)
     : serial_(minimal_serial(serial)),
       issuer_cn_(std::move(issuer_cn)),
       subject_cn_(std::move(subject_cn)),
       validity_(validity),
-      subject_key_(std::move(subject_key)) {}
+      subject_key_(std::move(subject_key)),
+      is_ca_(is_ca) {
+  const Bytes tbs = encode_tbs();
+  der_ = SignedDer(tbs, encode_sig_alg(), rsa::pss_sign(issuer_key, tbs, rng));
+}
 
-Bytes Certificate::tbs_der() const {
+Bytes Certificate::encode_tbs() const {
   Encoder body;
   body.write_integer(serial_);
   Bytes sig_alg = encode_sig_alg();
@@ -128,23 +145,6 @@ Bytes Certificate::tbs_der() const {
                              validity_seq.bytes(), subject, spki,
                              tail.bytes()}));
   return tbs.take();
-}
-
-void Certificate::refresh_der() {
-  der_.clear();
-  if (signature_.empty()) return;
-  Encoder sig;
-  sig.write_bit_string(signature_);
-  Encoder out;
-  out.write_sequence(concat({tbs_der(), encode_sig_alg(), sig.bytes()}));
-  der_ = out.take();
-}
-
-const Bytes& Certificate::to_der() const {
-  if (der_.empty()) {
-    throw Error(ErrorKind::kState, "certificate: not signed yet");
-  }
-  return der_;
 }
 
 Certificate Certificate::from_der(ByteView der) {
@@ -181,39 +181,12 @@ Certificate Certificate::from_der(ByteView der) {
                   "certificate: signature algorithm mismatch");
     }
   }
-  out.signature_ = cert.read_bit_string();
+  const Bytes signature = cert.read_bit_string();
   if (!cert.at_end()) {
     throw Error(ErrorKind::kFormat, "certificate: trailing TLVs");
   }
-  out.refresh_der();
+  out.der_ = SignedDer(out.encode_tbs(), encode_sig_alg(), signature);
   return out;
-}
-
-const char* to_string(CertStatus s) {
-  switch (s) {
-    case CertStatus::kValid: return "valid";
-    case CertStatus::kBadSignature: return "bad-signature";
-    case CertStatus::kNotYetValid: return "not-yet-valid";
-    case CertStatus::kExpired: return "expired";
-    case CertStatus::kIssuerMismatch: return "issuer-mismatch";
-    case CertStatus::kRevoked: return "revoked";
-  }
-  return "unknown";
-}
-
-CertStatus verify_certificate(const Certificate& cert,
-                              const rsa::PublicKey& issuer_key,
-                              const std::string& expected_issuer_cn,
-                              std::uint64_t now) {
-  if (cert.issuer_cn() != expected_issuer_cn) {
-    return CertStatus::kIssuerMismatch;
-  }
-  if (now < cert.validity().not_before) return CertStatus::kNotYetValid;
-  if (now > cert.validity().not_after) return CertStatus::kExpired;
-  if (!rsa::pss_verify(issuer_key, cert.tbs_der(), cert.signature())) {
-    return CertStatus::kBadSignature;
-  }
-  return CertStatus::kValid;
 }
 
 }  // namespace omadrm::pki

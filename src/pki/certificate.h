@@ -8,6 +8,12 @@
 // TBS (to-be-signed) structure. That exercises the same terminal-side
 // cryptographic work (SHA-1 over the TBS + RSAVP1) that the paper's cost
 // model charges for certificate verification.
+//
+// A Certificate is an immutable signed value: it is either signed when it
+// is made or decoded with from_der(), and it holds one canonical DER
+// encoding, built once, whose TBS bytes are what every check hashes. The
+// one way to verify a certificate is pki::ChainVerifier (pki/chain.h),
+// which meters each signature through the CryptoProvider.
 #pragma once
 
 #include <cstring>
@@ -44,69 +50,80 @@ struct Validity {
   std::uint64_t not_after = 0;
 };
 
+/// The DER of a signed object, SEQUENCE { tbs, algorithm, BIT STRING
+/// signature }, encoded once, with views of the signed bytes and of the
+/// signature inside it. Certificates and OCSP responses both keep one.
+class SignedDer {
+ public:
+  SignedDer() = default;
+  /// `algorithm` is the encoded TLVs between the TBS and the signature
+  /// (empty when the profile carries none).
+  SignedDer(ByteView tbs, ByteView algorithm, ByteView signature);
+
+  const Bytes& bytes() const { return der_; }
+  ByteView tbs() const {
+    return ByteView(der_).subspan(tbs_begin_, tbs_size_);
+  }
+  ByteView signature() const { return ByteView(der_).last(sig_size_); }
+
+ private:
+  Bytes der_;
+  std::size_t tbs_begin_ = 0;
+  std::size_t tbs_size_ = 0;
+  std::size_t sig_size_ = 0;
+};
+
 class Certificate {
  public:
+  /// No certificate: empty fields and empty DER (an agent's "not
+  /// provisioned" value).
   Certificate() = default;
-  /// `serial` may carry leading zero octets; the certificate keeps its
-  /// minimal form.
-  Certificate(ByteView serial, std::string issuer_cn,
-              std::string subject_cn, Validity validity,
-              rsa::PublicKey subject_key);
+
+  /// Makes a certificate signed with `issuer_key` over its TBS (one
+  /// RSASSA-PSS signature, drawing its salt from `rng`). `serial` may
+  /// carry leading zero octets; the certificate keeps its minimal form.
+  /// `is_ca` is the profile's basicConstraints analogue: only
+  /// certificates with it may act as chain intermediates. It is encoded
+  /// as an optional trailing BOOLEAN, so end-entity certificates keep the
+  /// legacy layout.
+  Certificate(ByteView serial, std::string issuer_cn, std::string subject_cn,
+              Validity validity, rsa::PublicKey subject_key, bool is_ca,
+              const rsa::PrivateKey& issuer_key, Rng& rng);
+
+  /// Decodes a certificate. The DER it keeps is this profile's canonical
+  /// encoding of the decoded fields, even when the input was laxer (a
+  /// serial with redundant leading zeros), so the signed bytes are the
+  /// same however the certificate was spelled.
+  static Certificate from_der(ByteView der);
 
   const Serial& serial() const { return serial_; }
   const std::string& issuer_cn() const { return issuer_cn_; }
   const std::string& subject_cn() const { return subject_cn_; }
   const Validity& validity() const { return validity_; }
   const rsa::PublicKey& subject_key() const { return subject_key_; }
-  const Bytes& signature() const { return signature_; }
-
-  /// CA marker (the profile's basicConstraints analogue): only
-  /// certificates with this bit may act as chain intermediates. Part of
-  /// the signed TBS — set it before signing. Encoded as an optional
-  /// trailing BOOLEAN, so end-entity certificates keep the legacy layout.
   bool is_ca() const { return is_ca_; }
-  void set_ca(bool ca) {
-    is_ca_ = ca;
-    refresh_der();
-  }
-
   bool is_self_signed() const { return issuer_cn_ == subject_cn_; }
 
-  /// DER of the TBSCertificate — the exact bytes that get signed/verified.
-  Bytes tbs_der() const;
-
-  /// Full certificate DER: SEQUENCE { tbs, sigAlg, signature }. Encoded
-  /// once, when the certificate is signed or decoded, and kept: store
-  /// records and the registration reuse checks read these bytes instead
-  /// of re-encoding the body. Always this profile's
-  /// canonical encoding, even when from_der() accepted a laxer input.
-  /// Throws Error(kState) while the certificate is unsigned.
-  const Bytes& to_der() const;
-  static Certificate from_der(ByteView der);
-
-  /// Attaches a signature produced by the issuer over tbs_der().
-  void set_signature(Bytes signature) {
-    signature_ = std::move(signature);
-    refresh_der();
-  }
+  /// The TBSCertificate inside to_der(): the exact bytes that were signed.
+  ByteView tbs_der() const { return der_.tbs(); }
+  ByteView signature() const { return der_.signature(); }
+  /// Full certificate DER: SEQUENCE { tbs, sigAlg, signature }. Store
+  /// records and the registration reuse checks read these bytes.
+  const Bytes& to_der() const { return der_.bytes(); }
 
  private:
-  /// Re-encodes der_ from the fields (empty while unsigned). Every
-  /// mutator calls it, so der_ never goes stale and to_der() stays a pure
-  /// read that threads sharing a certificate may call concurrently.
-  void refresh_der();
+  Bytes encode_tbs() const;
 
   Serial serial_;
   std::string issuer_cn_;
   std::string subject_cn_;
   Validity validity_;
   rsa::PublicKey subject_key_;
-  Bytes signature_;
   bool is_ca_ = false;
-  Bytes der_;
+  SignedDer der_;
 };
 
-/// Outcome of a single-certificate verification.
+/// Outcome of a certificate-chain check.
 enum class CertStatus {
   kValid,
   kBadSignature,
@@ -115,15 +132,5 @@ enum class CertStatus {
   kIssuerMismatch,
   kRevoked,  // reported by ChainVerifier's revocation denylist
 };
-
-const char* to_string(CertStatus s);
-
-/// Verifies `cert` against the issuer public key at time `now`.
-/// `expected_issuer_cn` guards against signature-valid-but-wrong-issuer
-/// confusion when multiple CAs are in play.
-CertStatus verify_certificate(const Certificate& cert,
-                              const rsa::PublicKey& issuer_key,
-                              const std::string& expected_issuer_cn,
-                              std::uint64_t now);
 
 }  // namespace omadrm::pki

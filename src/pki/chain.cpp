@@ -15,9 +15,9 @@ using omadrm::ErrorKind;
 ChainVerifier::ChainVerifier(Certificate trust_root,
                              provider::CryptoProvider& crypto)
     : trust_root_(std::move(trust_root)), crypto_(&crypto) {
-  // One-time anchor self-consistency check (what validate_against_root
-  // performed per call). Deliberately unmetered: a terminal validates its
-  // baked-in root at boot, not per ROAP message.
+  // One-time anchor self-consistency check.
+  // unmetered: a terminal validates its baked-in root at boot, not per
+  // ROAP message, so this signature check is not charged to `crypto`.
   root_self_ok_ = rsa::pss_verify(trust_root_.subject_key(),
                                   trust_root_.tbs_der(),
                                   trust_root_.signature());
@@ -29,6 +29,7 @@ ChainVerdict ChainVerifier::verify(std::span<const Certificate> chain,
     throw Error(ErrorKind::kProtocol, "chain verifier: empty chain");
   }
   ChainVerdict out;
+  out.serials.reserve(chain.size());
   // The verdict window is the intersection of every link's validity,
   // trust anchor included — an expired root must not keep vouching.
   out.valid_from = trust_root_.validity().not_before;

@@ -20,10 +20,15 @@
 // it. A held verdict is the caller's state and follows the caller's own
 // locking.
 //
-// RSA verification goes through the injected CryptoProvider, so a
-// metered provider charges each walk's RSAVP1 operations to the cycle
-// ledger and an accepted verdict charges none — the effect the paper
-// predicts for RI-context caching.
+// ChainVerifier is the one way to verify a certificate: there is no
+// single-certificate check beside it (a lone certificate is a one-link
+// chain). Each link's check hashes the TBS bytes the certificate keeps
+// (Certificate::tbs_der is a view, nothing is re-encoded) and runs one
+// RSAVP1 through the injected CryptoProvider, so a metered provider
+// charges each walk's RSAVP1 operations to the cycle ledger and an
+// accepted verdict charges none — the effect the paper predicts for
+// RI-context caching. The only unmetered check is the trust root's
+// self-signature, verified once when the verifier is built.
 #pragma once
 
 #include <cstdint>

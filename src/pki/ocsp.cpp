@@ -3,7 +3,7 @@
 #include "asn1/der.h"
 #include "asn1/oid.h"
 #include "common/error.h"
-#include "rsa/pss.h"
+#include "provider/provider.h"
 
 namespace omadrm::pki {
 
@@ -12,46 +12,21 @@ using asn1::Encoder;
 using omadrm::Error;
 using omadrm::ErrorKind;
 
-const char* to_string(OcspCertStatus s) {
-  switch (s) {
-    case OcspCertStatus::kGood: return "good";
-    case OcspCertStatus::kRevoked: return "revoked";
-    case OcspCertStatus::kUnknown: return "unknown";
-  }
-  return "?";
-}
-
-Bytes OcspRequest::to_der() const {
-  Encoder body;
-  body.write_integer(serial);
-  body.write_octet_string(nonce);
-  Encoder out;
-  out.write_sequence(body.bytes());
-  return out.take();
-}
-
-OcspRequest OcspRequest::from_der(ByteView der) {
-  Decoder outer(der);
-  Decoder seq = outer.read_sequence();
-  OcspRequest out;
-  out.serial = seq.read_integer();
-  out.nonce = seq.read_octet_string();
-  if (!seq.at_end() || !outer.at_end()) {
-    throw Error(ErrorKind::kFormat, "ocsp request: trailing bytes");
-  }
-  return out;
-}
-
 OcspResponse::OcspResponse(Serial serial, OcspCertStatus status,
                            std::uint64_t produced_at, Bytes nonce,
-                           std::string responder_cn)
+                           std::string responder_cn,
+                           const rsa::PrivateKey& responder_key, Rng& rng,
+                           provider::CryptoProvider& crypto)
     : serial_(std::move(serial)),
       status_(status),
       produced_at_(produced_at),
       nonce_(std::move(nonce)),
-      responder_cn_(std::move(responder_cn)) {}
+      responder_cn_(std::move(responder_cn)) {
+  const Bytes tbs = encode_tbs();
+  der_ = SignedDer(tbs, {}, crypto.pss_sign(responder_key, tbs, rng));
+}
 
-Bytes OcspResponse::tbs_der() const {
+Bytes OcspResponse::encode_tbs() const {
   Encoder body;
   body.write_oid(asn1::oid::kOcspBasic);
   body.write_integer(serial_);
@@ -61,17 +36,6 @@ Bytes OcspResponse::tbs_der() const {
   body.write_utf8_string(responder_cn_);
   Encoder out;
   out.write_sequence(body.bytes());
-  return out.take();
-}
-
-Bytes OcspResponse::to_der() const {
-  if (signature_.empty()) {
-    throw Error(ErrorKind::kState, "ocsp response: not signed yet");
-  }
-  Encoder sig;
-  sig.write_bit_string(signature_);
-  Encoder out;
-  out.write_sequence(concat({tbs_der(), sig.bytes()}));
   return out.take();
 }
 
@@ -92,21 +56,33 @@ OcspResponse OcspResponse::from_der(ByteView der) {
   out.produced_at_ = tbs.read_utc_time();
   out.nonce_ = tbs.read_octet_string();
   out.responder_cn_ = tbs.read_utf8_string();
-  out.signature_ = resp.read_bit_string();
+  const Bytes signature = resp.read_bit_string();
   if (!resp.at_end() || !outer.at_end()) {
     throw Error(ErrorKind::kFormat, "ocsp response: trailing bytes");
   }
+  out.der_ = SignedDer(out.encode_tbs(), {}, signature);
   return out;
 }
 
-bool OcspResponse::verify(const rsa::PublicKey& responder_key,
-                          const OcspRequest& request, std::uint64_t now,
-                          std::uint64_t max_age) const {
-  if (!(serial_ == request.serial)) return false;
-  if (!ct_equal(nonce_, request.nonce)) return false;
-  if (produced_at_ > now) return false;           // from the future
-  if (now - produced_at_ > max_age) return false;  // stale
-  return rsa::pss_verify(responder_key, tbs_der(), signature_);
+OcspCheck check_ocsp(const OcspResponse& response, const Serial& serial,
+                     ByteView nonce, const rsa::PublicKey& responder_key,
+                     std::uint64_t now, std::uint64_t max_age,
+                     provider::CryptoProvider& crypto) {
+  if (!(response.serial() == serial)) return OcspCheck::kInvalid;
+  if (!ct_equal(response.nonce(), nonce)) return OcspCheck::kInvalid;
+  if (response.produced_at() > now ||            // from the future
+      now - response.produced_at() > max_age) {  // stale
+    return OcspCheck::kInvalid;
+  }
+  if (!crypto.pss_verify(responder_key, response.tbs_der(),
+                         response.signature())) {
+    return OcspCheck::kInvalid;
+  }
+  switch (response.status()) {
+    case OcspCertStatus::kGood: return OcspCheck::kGood;
+    case OcspCertStatus::kRevoked: return OcspCheck::kRevoked;
+    default: return OcspCheck::kInvalid;
+  }
 }
 
 }  // namespace omadrm::pki

@@ -563,12 +563,7 @@ roap::RegistrationResponse RightsIssuer::on_registration_request(
     // A device re-sending its stored certificate revalidates the verdict
     // held beside it: zero RSA operations here while it holds. Any other
     // certificate is walked.
-    const std::span<const pki::Certificate> chain(&device_cert, 1);
-    if (device_chain_verifier_.revalidate(chain_verdict, chain, now) !=
-        pki::CertStatus::kValid) {
-      verdict = Status::kAbort;
-    } else if (ca_.is_revoked(device_cert.serial())) {
-      device_chain_verifier_.invalidate_serial(device_cert.serial());
+    if (!device_trusted(device_cert, chain_verdict, now)) {
       verdict = Status::kAbort;
     } else if (!crypto_.pss_verify(device_cert.subject_key(),
                                    request.payload(), request.signature)) {
@@ -615,8 +610,8 @@ roap::RegistrationResponse RightsIssuer::on_registration_request(
 
   // Staple a fresh OCSP response for our own certificate, bound to the
   // nonce the device supplied.
-  pki::OcspRequest ocsp_req{cert_.serial(), request.ocsp_nonce};
-  pki::OcspResponse ocsp = ca_.ocsp_respond(ocsp_req, now, rng_, crypto_);
+  const pki::OcspResponse ocsp =
+      ca_.ocsp_respond(cert_.serial(), request.ocsp_nonce, now, rng_, crypto_);
 
   out.status = Status::kSuccess;
   out.ri_certificate_der = cert_.to_der();
@@ -626,6 +621,21 @@ roap::RegistrationResponse RightsIssuer::on_registration_request(
   out.ocsp_response_der = ocsp.to_der();
   out.signature = crypto_.pss_sign(key_, out.payload(), rng_);
   return out;
+}
+
+bool RightsIssuer::device_trusted(const pki::Certificate& cert,
+                                  pki::ChainVerdict& verdict,
+                                  std::uint64_t now) {
+  const std::span<const pki::Certificate> chain(&cert, 1);
+  if (device_chain_verifier_.revalidate(verdict, chain, now) !=
+      pki::CertStatus::kValid) {
+    return false;
+  }
+  if (ca_.is_revoked(cert.serial())) {
+    device_chain_verifier_.invalidate_serial(cert.serial());
+    return false;
+  }
+  return true;
 }
 
 roap::ProtectedRo RightsIssuer::build_protected_ro(
@@ -672,7 +682,6 @@ roap::ProtectedRo RightsIssuer::build_protected_ro(
 
 roap::RoResponse RightsIssuer::on_ro_request(
     Shard& sh, const roap::RoRequest& request, std::uint64_t now) {
-  (void)now;
   roap::RoResponse out;
   out.device_id = request.device_id;
   out.ri_id = ri_id_;
@@ -681,6 +690,10 @@ roap::RoResponse RightsIssuer::on_ro_request(
   auto device = sh.devices.find(request.device_id);
   if (device == sh.devices.end()) {
     out.status = Status::kNotRegistered;
+    return out;
+  }
+  if (!device_trusted(device->second.cert, device->second.verdict, now)) {
+    out.status = Status::kAbort;
     return out;
   }
   if (!crypto_.pss_verify(device->second.cert.subject_key(), request.payload(),
@@ -721,7 +734,6 @@ roap::RoResponse RightsIssuer::on_ro_request(
 
 roap::JoinDomainResponse RightsIssuer::on_join_domain(
     Shard& sh, const roap::JoinDomainRequest& request, std::uint64_t now) {
-  (void)now;
   roap::JoinDomainResponse out;
   out.domain_id = request.domain_id;
   out.device_nonce = request.device_nonce;
@@ -729,6 +741,10 @@ roap::JoinDomainResponse RightsIssuer::on_join_domain(
   auto device = sh.devices.find(request.device_id);
   if (device == sh.devices.end()) {
     out.status = Status::kNotRegistered;
+    return out;
+  }
+  if (!device_trusted(device->second.cert, device->second.verdict, now)) {
+    out.status = Status::kAbort;
     return out;
   }
   if (!crypto_.pss_verify(device->second.cert.subject_key(), request.payload(),

@@ -35,9 +35,12 @@
 //                         common/ordered_mutex.h; the debug validator
 //                         aborts on any inversion);
 //   chain verdicts        each registered device's verdict lives in its
-//                         shard's KnownDevice, under the shard lock;
-//                         ChainVerifier's revocation denylist is
-//                         internally reader-biased;
+//                         shard's KnownDevice, under the shard lock, and
+//                         is revalidated before every registration,
+//                         acquisition and join; ChainVerifier's
+//                         revocation denylist is internally
+//                         reader-biased, and the CA's revocation list
+//                         sits under the CA's own lock;
 //   rng                   draws go through a LockedRng;
 //   counters              atomics, read as snapshots.
 //
@@ -297,9 +300,9 @@ class RightsIssuer {
 
   /// A registered device: its certificate and the verdict of that
   /// certificate's last chain walk (unwalked for a device loaded from the
-  /// store), which a re-registration with the same certificate
-  /// revalidates instead of walking the chain again — the way the agent
-  /// keeps the RI's.
+  /// store), which every later registration with the same certificate,
+  /// acquisition and join revalidates instead of walking the chain
+  /// again — the way the agent keeps the RI's.
   struct KnownDevice {
     pki::Certificate cert;
     pki::ChainVerdict verdict;
@@ -340,6 +343,14 @@ class RightsIssuer {
   }
   DomainStripe& stripe_for(std::string_view domain_id);
   const DomainStripe& stripe_for(std::string_view domain_id) const;
+
+  /// Whether a device holding `cert` may be served at `now`: `verdict`,
+  /// the verdict held beside it, revalidates (no RSA work while it
+  /// holds), and the CA has not revoked the certificate. A revocation the
+  /// CA reports goes on the verifier's denylist, so the verdict itself
+  /// stops vouching.
+  bool device_trusted(const pki::Certificate& cert, pki::ChainVerdict& verdict,
+                      std::uint64_t now);
 
   roap::RiHello on_device_hello(Shard& sh, const roap::DeviceHello& hello,
                                 std::uint64_t now) REQUIRES(sh.mu);

@@ -10,8 +10,9 @@
 //   - re-registrations, of distinct devices and of one device from two
 //     threads, reuse the certificates both ends hold and build no
 //     Montgomery context;
-//   - a device revoked mid-run is refused while the others keep
-//     registering on their held verdicts;
+//   - a device the CA revokes while traffic runs is refused, for
+//     registration and acquisition, while the others keep registering
+//     on their held verdicts;
 //   - domain join/leave storms across devices in different shards
 //     converge to consistent membership, and the persisted image
 //     rebuilds an identical RI;
@@ -316,14 +317,17 @@ TEST_F(ConcurrentRi, ReRegistrationsReuseStoredCertificatesUnderContention) {
 }
 
 TEST_F(ConcurrentRi, RevokedDeviceIsRefusedWhileOthersKeepRegistering) {
-  // Four threads re-register and acquire for distinct devices; half-way
-  // through, the CA revokes one of them. Its next registration denylists
-  // the serial in the RI's verifier (the writer side of its lock) while
-  // the other shards revalidate the verdicts they hold (the reader side).
-  // The CA's revocation list is configuration state, not thread-safe, so
-  // the revocation itself lands while the threads wait at a barrier.
+  // Four threads re-register and acquire for distinct devices while the
+  // main thread revokes one of them at the CA, mid-traffic: every
+  // shard's handler reads the CA's revocation list as it is written. The
+  // revoked device's next registration or acquisition denylists the
+  // serial in the RI's verifier (the writer side of its lock) while the
+  // other shards revalidate the verdicts they hold (the reader side).
+  // The other devices keep going until the revoked one has been
+  // refused, and kRounds rounds past that.
   constexpr int kDevices = 4;
   constexpr int kRounds = 4;
+  constexpr int kMaxRounds = 10000;  // a bound, so a bug fails, not hangs
   std::vector<std::unique_ptr<Device>> devices;
   std::set<std::size_t> shards_touched;
   for (int i = 0; i < kDevices; ++i) {
@@ -341,51 +345,76 @@ TEST_F(ConcurrentRi, RevokedDeviceIsRefusedWhileOthersKeepRegistering) {
   DrmAgent& revoked = devices[0]->agent;
   const ri::RiCounters before = ri_->counters();
 
-  StartGate start(kDevices);
-  StartGate halted(kDevices + 1);
-  StartGate resumed(kDevices + 1);
+  StartGate start(kDevices + 1);
+  std::atomic<bool> revoking{false};
+  std::atomic<bool> refused{false};
+  std::atomic<int> revoked_rounds{0};
   std::atomic<int> failures{0};
-  std::atomic<int> refusals{0};
+  std::atomic<std::uint64_t> registrations{0};
+  std::atomic<std::uint64_t> acquisitions{0};
   std::vector<std::thread> threads;
   for (int i = 0; i < kDevices; ++i) {
     threads.emplace_back([&, i] {
       DrmAgent& a = devices[i]->agent;
       roap::InProcessTransport loop(*ri_, kNow);
-      auto round = [&] {
-        Result<> reg = a.register_with(loop, kNow);
-        if (&a == &revoked && !reg.ok()) {
-          refusals += reg.code() == StatusCode::kRiAborted ? 1 : 0;
-          return;
-        }
-        if (!reg.ok()) ++failures;
-        auto ro = a.acquire_ro(loop, "ri.example", "ro:conc", kNow);
-        if (!ro.ok()) ++failures;
-      };
       start.arrive_and_wait();
-      for (int r = 0; r < kRounds; ++r) round();
-      halted.arrive_and_wait();
-      resumed.arrive_and_wait();
-      for (int r = 0; r < kRounds; ++r) round();
+      int past_refusal = 0;
+      for (int r = 0; r < kMaxRounds; ++r) {
+        const bool was_refused = refused.load();
+        const StatusCode reg = a.register_with(loop, kNow).code();
+        StatusCode acq = StatusCode::kOk;
+        if (reg == StatusCode::kOk) {
+          ++registrations;
+          acq = a.acquire_ro(loop, "ri.example", "ro:conc", kNow).code();
+          if (acq == StatusCode::kOk) ++acquisitions;
+        }
+        if (&a == &revoked) {
+          const StatusCode refusal = reg != StatusCode::kOk ? reg : acq;
+          if (refusal != StatusCode::kOk) {
+            // Refused only once the revocation is under way, and then
+            // as a refusal, not as some other failure.
+            if (!revoking.load() || refusal != StatusCode::kRiAborted) {
+              ++failures;
+            }
+            refused.store(true);
+            return;
+          }
+          ++revoked_rounds;
+          continue;
+        }
+        if (reg != StatusCode::kOk || acq != StatusCode::kOk) ++failures;
+        if (was_refused && ++past_refusal >= kRounds) return;
+      }
+      ++failures;  // never refused, or never saw the refusal
+      refused.store(true);
     });
   }
-  halted.arrive_and_wait();
+  start.arrive_and_wait();
+  // Revoke mid-traffic: after the doomed device has been served once,
+  // while every thread is still looping.
+  while (revoked_rounds.load() == 0 && !refused.load()) {
+    std::this_thread::yield();
+  }
+  revoking.store(true);
   ca_->revoke(revoked.certificate().serial());
-  resumed.arrive_and_wait();
   for (auto& t : threads) t.join();
 
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(refusals.load(), kRounds);
+  EXPECT_TRUE(refused.load());
   const ri::RiCounters after = ri_->counters();
-  EXPECT_EQ(after.registrations - before.registrations,
-            static_cast<std::uint64_t>(kDevices * kRounds +
-                                       (kDevices - 1) * kRounds));
+  EXPECT_EQ(after.registrations - before.registrations, registrations.load());
+  EXPECT_EQ(after.ros_issued - before.ros_issued, acquisitions.load());
   EXPECT_EQ(ri_->pending_session_count(), 0u);
 
-  // Quiescent again: the revoked device stays refused, the others are
-  // still served.
+  // Quiescent again: the revoked device stays refused, for registration
+  // and acquisition alike, and the others are still served.
   roap::InProcessTransport loop(*ri_, kNow);
   EXPECT_EQ(revoked.register_with(loop, kNow + 1).code(),
             StatusCode::kRiAborted);
+  EXPECT_EQ(revoked.acquire_ro(loop, "ri.example", "ro:conc", kNow + 1)
+                .code(),
+            StatusCode::kRiAborted);
+  EXPECT_EQ(ri_->counters().ros_issued, after.ros_issued);
   for (int i = 1; i < kDevices; ++i) {
     EXPECT_TRUE(devices[i]->agent.register_with(loop, kNow + 1).ok());
   }

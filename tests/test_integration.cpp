@@ -155,6 +155,29 @@ TEST_F(DrmEcosystem, RevokedDeviceCannotRegister) {
   EXPECT_FALSE(ri_->is_registered("device-01"));
 }
 
+TEST_F(DrmEcosystem, DeviceRevokedAfterRegisteringIsRefusedService) {
+  // The RI revalidates a registered device before it serves it, so a
+  // device the CA revokes after registering gets no RO and no domain key.
+  setup_content("late-revoke", 1000);
+  ri_->create_domain("domain:late-revoke");
+  ASSERT_EQ(device_->register_with(tx(), kNow), AgentStatus::kOk);
+  ASSERT_EQ(device_->acquire_ro(tx(), "ri.example", "ro:late-revoke", kNow),
+            AgentStatus::kOk);
+  const ri::RiCounters before = ri_->counters();
+
+  ca_->revoke(device_->certificate().serial());
+  EXPECT_EQ(device_->acquire_ro(tx(), "ri.example", "ro:late-revoke", kNow),
+            AgentStatus::kRiAborted);
+  EXPECT_EQ(device_->join_domain(tx(), "ri.example", "domain:late-revoke",
+                                 kNow),
+            AgentStatus::kRiAborted);
+  // Refused again from the verifier's denylist.
+  EXPECT_EQ(device_->acquire_ro(tx(), "ri.example", "ro:late-revoke", kNow),
+            AgentStatus::kRiAborted);
+  EXPECT_EQ(ri_->counters().ros_issued, before.ros_issued);
+  EXPECT_EQ(ri_->counters().domain_joins, before.domain_joins);
+}
+
 TEST_F(DrmEcosystem, ExpiredDeviceCertificateRejected) {
   // Register far past the certificate's validity (server clock too).
   tx().set_now(kValidity.not_after + 1000);

@@ -109,14 +109,15 @@ TEST(LockOrderDeath, AbortMessageCarriesBothBacktraces) {
 
 TEST(LockOrder, FullCanonicalChainNests) {
   // shard < stripe < meta < store.front < store.backing < verdict <
-  // rng < net ranks < failpoint: one nested walk through every rank in
-  // the table must not trip the validator.
+  // authority < rng < net ranks < failpoint: one nested walk through
+  // every rank in the table must not trip the validator.
   CheckedOrderedMutex shard{LockRank::kRiShard, "t.shard"};
   CheckedOrderedMutex stripe{LockRank::kRiDomainStripe, "t.stripe"};
   CheckedOrderedMutex meta{LockRank::kRiMeta, "t.meta"};
   CheckedOrderedMutex front{LockRank::kStoreFront, "t.front"};
   CheckedOrderedMutex backing{LockRank::kStoreBacking, "t.backing"};
   CheckedOrderedMutex verdict{LockRank::kChainVerdict, "t.verdict"};
+  CheckedOrderedMutex authority{LockRank::kPkiAuthority, "t.authority"};
   CheckedOrderedMutex rng{LockRank::kRng, "t.rng"};
   CheckedOrderedMutex stop{LockRank::kNetStop, "t.stop"};
   CheckedOrderedMutex conns{LockRank::kNetConns, "t.conns"};
@@ -131,6 +132,7 @@ TEST(LockOrder, FullCanonicalChainNests) {
     CheckedMutexLock l4(front);
     CheckedMutexLock l5(backing);
     CheckedMutexLock l6(verdict);
+    CheckedMutexLock l6a(authority);
     CheckedMutexLock l7(rng);
     CheckedMutexLock l8(stop);
     CheckedMutexLock l9(conns);

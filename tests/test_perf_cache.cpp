@@ -211,8 +211,12 @@ TEST(RsaEdge, HostileEvenModulusFailsVerificationGracefully) {
     EXPECT_EQ(decoded.to_der(), cert.to_der());
     EXPECT_EQ(rsa::os2ip(decoded.subject_key().n()), n);
     EXPECT_EQ(decoded.subject_key().bit_length(), n.bit_length());
-    EXPECT_EQ(pki::validate_against_root(decoded, ca.root_certificate(), kNow),
-              pki::CertStatus::kValid);
+    const pki::ChainVerifier verifier(ca.root_certificate(),
+                                      provider::plain_provider());
+    EXPECT_EQ(
+        verifier.verify(std::span<const pki::Certificate>(&decoded, 1), kNow)
+            .status,
+        pki::CertStatus::kValid);
     EXPECT_FALSE(rsa::pss_verify(
         decoded.subject_key(), message,
         Bytes(decoded.subject_key().byte_length(), 0x42)));
@@ -382,10 +386,10 @@ TEST_F(ChainFixture, TamperedAndMismatchedChains) {
   pki::ChainVerifier verifier(ca_->root_certificate(),
                               provider::plain_provider());
 
-  pki::Certificate tampered = leaf_;
-  Bytes bad_sig = tampered.signature();
-  bad_sig[0] ^= 0x01;
-  tampered.set_signature(bad_sig);
+  // The leaf with the first byte of its signature flipped.
+  Bytes bad_der = leaf_.to_der();
+  bad_der[bad_der.size() - leaf_.signature().size()] ^= 0x01;
+  const pki::Certificate tampered = pki::Certificate::from_der(bad_der);
   EXPECT_EQ(verifier.verify(Chain{tampered, ica_->certificate()}, kNow).status,
             pki::CertStatus::kBadSignature);
 
@@ -406,9 +410,10 @@ TEST_F(ChainFixture, NonCaIntermediateRejected) {
   EXPECT_FALSE(rogue_issuer.is_ca());
 
   rsa::PrivateKey fake_ri_key = rsa::generate_key(512, *rng_);
-  pki::Certificate fake_ri(pki::serial_number(999999), "rogue-device",
-                           "fake-ri", kValidity, fake_ri_key.public_key());
-  fake_ri.set_signature(rsa::pss_sign(rogue_key, fake_ri.tbs_der(), *rng_));
+  const pki::Certificate fake_ri(pki::serial_number(999999), "rogue-device",
+                                 "fake-ri", kValidity,
+                                 fake_ri_key.public_key(), /*is_ca=*/false,
+                                 rogue_key, *rng_);
 
   pki::ChainVerifier verifier(ca_->root_certificate(),
                               provider::plain_provider());

@@ -12,7 +12,6 @@
 #include "pki/chain.h"
 #include "pki/ocsp.h"
 #include "provider/provider.h"
-#include "rsa/pss.h"
 
 namespace omadrm::pki {
 namespace {
@@ -38,9 +37,27 @@ class PkiFixture : public ::testing::Test {
   static CertificationAuthority& ca() { return *ca_; }
   static const rsa::PrivateKey& subject_key() { return *subject_key_; }
   static Rng& rng() { return *rng_; }
-  static provider::CryptoProvider& plain_crypto() {
-    static provider::PlainCryptoProvider plain;
-    return plain;
+
+  /// The one way to verify a certificate: a walk of the one-link chain
+  /// against the fixture's root.
+  static CertStatus check(const Certificate& cert,
+                          std::uint64_t now = kNow) {
+    const ChainVerifier verifier(ca().root_certificate(),
+                                 provider::plain_provider());
+    return verifier.verify(std::span<const Certificate>(&cert, 1), now)
+        .status;
+  }
+
+  /// The one OCSP check, against the root key unless told otherwise.
+  static OcspCheck check(const OcspResponse& resp, const Serial& serial,
+                         ByteView nonce, std::uint64_t now = kNow) {
+    return check(resp, serial, nonce, now, ca().public_key());
+  }
+  static OcspCheck check(const OcspResponse& resp, const Serial& serial,
+                         ByteView nonce, std::uint64_t now,
+                         const rsa::PublicKey& responder) {
+    return check_ocsp(resp, serial, nonce, responder, now, 3600,
+                      provider::plain_provider());
   }
 
  private:
@@ -53,14 +70,16 @@ DeterministicRng* PkiFixture::rng_ = nullptr;
 CertificationAuthority* PkiFixture::ca_ = nullptr;
 rsa::PrivateKey* PkiFixture::subject_key_ = nullptr;
 
+bool same_bytes(ByteView a, ByteView b) { return std::ranges::equal(a, b); }
+
 TEST_F(PkiFixture, RootIsSelfSignedAndValid) {
   const Certificate& root = ca().root_certificate();
   EXPECT_TRUE(root.is_self_signed());
+  EXPECT_TRUE(root.is_ca());
   EXPECT_EQ(root.serial(), serial_number(1));
   EXPECT_EQ(root.serial(), Bytes{1});
-  EXPECT_EQ(verify_certificate(root, root.subject_key(), root.subject_cn(),
-                               kNow),
-            CertStatus::kValid);
+  // Walked as a one-link chain, the root's self-signature checks.
+  EXPECT_EQ(check(root), CertStatus::kValid);
 }
 
 TEST_F(PkiFixture, IssueAndVerifyLeaf) {
@@ -69,10 +88,8 @@ TEST_F(PkiFixture, IssueAndVerifyLeaf) {
   EXPECT_EQ(leaf.issuer_cn(), "Test Root CA");
   EXPECT_EQ(leaf.subject_cn(), "device-xyz");
   EXPECT_FALSE(leaf.is_self_signed());
-  EXPECT_EQ(verify_certificate(leaf, ca().public_key(), "Test Root CA", kNow),
-            CertStatus::kValid);
-  EXPECT_EQ(validate_against_root(leaf, ca().root_certificate(), kNow),
-            CertStatus::kValid);
+  EXPECT_FALSE(leaf.is_ca());
+  EXPECT_EQ(check(leaf), CertStatus::kValid);
 }
 
 TEST_F(PkiFixture, SerialsIncrement) {
@@ -95,17 +112,33 @@ TEST_F(PkiFixture, DerRoundTrip) {
   EXPECT_EQ(parsed.validity().not_after, leaf.validity().not_after);
   EXPECT_TRUE(std::ranges::equal(parsed.subject_key().n(),
                                  leaf.subject_key().n()));
-  EXPECT_EQ(parsed.signature(), leaf.signature());
+  EXPECT_TRUE(same_bytes(parsed.signature(), leaf.signature()));
+  EXPECT_EQ(parsed.to_der(), der);
   // The parsed certificate still verifies.
-  EXPECT_EQ(verify_certificate(parsed, ca().public_key(), "Test Root CA",
-                               kNow),
-            CertStatus::kValid);
+  EXPECT_EQ(check(parsed), CertStatus::kValid);
 }
 
-TEST_F(PkiFixture, TbsIsStable) {
+TEST_F(PkiFixture, TbsIsAViewIntoTheDer) {
   Certificate leaf =
       ca().issue("stable", subject_key().public_key(), kValidity, rng());
-  EXPECT_EQ(leaf.tbs_der(), Certificate::from_der(leaf.to_der()).tbs_der());
+  EXPECT_TRUE(same_bytes(leaf.tbs_der(),
+                         Certificate::from_der(leaf.to_der()).tbs_der()));
+  // The signed bytes and the signature sit inside the one encoding the
+  // certificate keeps: nothing is re-encoded to check it.
+  const Bytes& der = leaf.to_der();
+  EXPECT_GT(leaf.tbs_der().data(), der.data());
+  EXPECT_LT(leaf.tbs_der().data() + leaf.tbs_der().size(),
+            leaf.signature().data());
+  EXPECT_EQ(leaf.signature().data() + leaf.signature().size(),
+            der.data() + der.size());
+  EXPECT_EQ(leaf.signature().size(), ca().public_key().byte_length());
+}
+
+TEST_F(PkiFixture, DefaultCertificateHasNoDer) {
+  const Certificate none;
+  EXPECT_TRUE(none.to_der().empty());
+  EXPECT_TRUE(none.tbs_der().empty());
+  EXPECT_TRUE(none.signature().empty());
 }
 
 TEST_F(PkiFixture, DetectsTamperedCertificate) {
@@ -122,37 +155,32 @@ TEST_F(PkiFixture, DetectsTamperedCertificate) {
     } catch (const Error&) {
       continue;  // structurally broken is also an acceptable detection
     }
-    EXPECT_NE(verify_certificate(parsed, ca().public_key(), "Test Root CA",
-                                 kNow),
-              CertStatus::kValid)
-        << "byte " << i;
+    EXPECT_NE(check(parsed), CertStatus::kValid) << "byte " << i;
   }
 }
 
 TEST_F(PkiFixture, ValidityWindowEnforced) {
   Certificate leaf =
       ca().issue("window", subject_key().public_key(), kValidity, rng());
-  EXPECT_EQ(verify_certificate(leaf, ca().public_key(), "Test Root CA",
-                               kValidity.not_before - 10),
+  EXPECT_EQ(check(leaf, kValidity.not_before - 10),
             CertStatus::kNotYetValid);
-  EXPECT_EQ(verify_certificate(leaf, ca().public_key(), "Test Root CA",
-                               kValidity.not_after + 10),
-            CertStatus::kExpired);
+  EXPECT_EQ(check(leaf, kValidity.not_after + 10), CertStatus::kExpired);
 }
 
 TEST_F(PkiFixture, IssuerMismatchDetected) {
-  Certificate leaf =
-      ca().issue("mismatch", subject_key().public_key(), kValidity, rng());
-  EXPECT_EQ(verify_certificate(leaf, ca().public_key(), "Another CA", kNow),
-            CertStatus::kIssuerMismatch);
+  // Signed by a key that is not the root's, naming another issuer.
+  const Certificate leaf(serial_number(77), "Another CA", "mismatch",
+                         kValidity, subject_key().public_key(),
+                         /*is_ca=*/false, subject_key(), rng());
+  EXPECT_EQ(check(leaf), CertStatus::kIssuerMismatch);
 }
 
 TEST_F(PkiFixture, WrongIssuerKeyRejected) {
-  Certificate leaf =
-      ca().issue("wrongkey", subject_key().public_key(), kValidity, rng());
-  EXPECT_EQ(verify_certificate(leaf, subject_key().public_key(),
-                               "Test Root CA", kNow),
-            CertStatus::kBadSignature);
+  // Names the root as its issuer but was signed by another key.
+  const Certificate leaf(serial_number(78), "Test Root CA", "wrongkey",
+                         kValidity, subject_key().public_key(),
+                         /*is_ca=*/false, subject_key(), rng());
+  EXPECT_EQ(check(leaf), CertStatus::kBadSignature);
 }
 
 // `cert` re-encoded with its serial INTEGER spelled with two redundant
@@ -190,28 +218,20 @@ TEST_F(PkiFixture, NonMinimalSerialIsTheMinimalSerial) {
   const Certificate odd = Certificate::from_der(der);
   EXPECT_EQ(odd.serial(), leaf.serial());
   // The signed bytes are the canonical TBS, so the signature holds.
-  EXPECT_EQ(odd.tbs_der(), leaf.tbs_der());
+  EXPECT_TRUE(same_bytes(odd.tbs_der(), leaf.tbs_der()));
   EXPECT_EQ(odd.to_der(), leaf.to_der());
-  EXPECT_EQ(validate_against_root(odd, ca().root_certificate(), kNow),
-            CertStatus::kValid);
-
-  // Revoking the minimal serial catches the padded spelling, at the CA
-  // and in a chain verifier's denylist.
   ChainVerifier verifier(ca().root_certificate(), provider::plain_provider());
   const std::span<const Certificate> chain(&odd, 1);
   ChainVerdict held = verifier.verify(chain, kNow);
-  ASSERT_EQ(held.status, CertStatus::kValid);
+  EXPECT_EQ(held.status, CertStatus::kValid);
+
+  // Revoking the minimal serial catches the padded spelling, at the CA
+  // and in a chain verifier's denylist.
   verifier.invalidate_serial(leaf.serial());
   EXPECT_EQ(verifier.revalidate(held, chain, kNow), CertStatus::kRevoked);
   EXPECT_EQ(verifier.verify(chain, kNow).status, CertStatus::kRevoked);
   ca().revoke(leaf.serial());
   EXPECT_TRUE(ca().is_revoked(odd.serial()));
-}
-
-TEST_F(PkiFixture, UnsignedCertificateCannotSerialize) {
-  Certificate cert(serial_number(9), "i", "s", kValidity,
-                   subject_key().public_key());
-  EXPECT_THROW(cert.to_der(), Error);
 }
 
 TEST_F(PkiFixture, RevocationTracking) {
@@ -226,54 +246,79 @@ TEST_F(PkiFixture, OcspGoodRevokedUnknown) {
   Certificate leaf =
       ca().issue("ocsp-leaf", subject_key().public_key(), kValidity, rng());
   DeterministicRng local(7);
+  const Bytes nonce = local.bytes(14);
 
-  OcspRequest req{leaf.serial(), local.bytes(14)};
-  OcspResponse resp = ca().ocsp_respond(req, kNow, rng(), plain_crypto());
+  OcspResponse resp = ca().ocsp_respond(leaf.serial(), nonce, kNow, rng(),
+                                        provider::plain_provider());
   EXPECT_EQ(resp.status(), OcspCertStatus::kGood);
-  EXPECT_TRUE(resp.verify(ca().public_key(), req, kNow, 3600));
+  EXPECT_EQ(check(resp, leaf.serial(), nonce), OcspCheck::kGood);
 
   ca().revoke(leaf.serial());
-  OcspResponse resp2 = ca().ocsp_respond(req, kNow, rng(), plain_crypto());
+  OcspResponse resp2 = ca().ocsp_respond(leaf.serial(), nonce, kNow, rng(),
+                                         provider::plain_provider());
   EXPECT_EQ(resp2.status(), OcspCertStatus::kRevoked);
+  EXPECT_EQ(check(resp2, leaf.serial(), nonce), OcspCheck::kRevoked);
 
-  OcspRequest unknown{serial_number(99999), local.bytes(14)};
-  OcspResponse resp3 = ca().ocsp_respond(unknown, kNow, rng(), plain_crypto());
+  const Serial unknown = serial_number(99999);
+  OcspResponse resp3 = ca().ocsp_respond(unknown, nonce, kNow, rng(),
+                                         provider::plain_provider());
   EXPECT_EQ(resp3.status(), OcspCertStatus::kUnknown);
+  EXPECT_EQ(check(resp3, unknown, nonce), OcspCheck::kInvalid);
 }
 
 TEST_F(PkiFixture, OcspDerRoundTrip) {
   DeterministicRng local(8);
-  OcspRequest req{serial_number(2), local.bytes(14)};
-  OcspResponse resp = ca().ocsp_respond(req, kNow, rng(), plain_crypto());
+  const Bytes nonce = local.bytes(14);
+  OcspResponse resp = ca().ocsp_respond(serial_number(2), nonce, kNow, rng(),
+                                        provider::plain_provider());
   OcspResponse parsed = OcspResponse::from_der(resp.to_der());
   EXPECT_EQ(parsed.serial(), resp.serial());
   EXPECT_EQ(parsed.status(), resp.status());
   EXPECT_EQ(parsed.produced_at(), resp.produced_at());
   EXPECT_EQ(parsed.nonce(), resp.nonce());
-  EXPECT_TRUE(parsed.verify(ca().public_key(), req, kNow, 3600));
-
-  OcspRequest req_rt = OcspRequest::from_der(req.to_der());
-  EXPECT_EQ(req_rt.serial, req.serial);
-  EXPECT_EQ(req_rt.nonce, req.nonce);
+  EXPECT_EQ(parsed.to_der(), resp.to_der());
+  EXPECT_TRUE(same_bytes(parsed.tbs_der(), resp.tbs_der()));
+  EXPECT_EQ(check(parsed, serial_number(2), nonce), OcspCheck::kGood);
 }
 
 TEST_F(PkiFixture, OcspBindingChecks) {
   DeterministicRng local(9);
-  OcspRequest req{serial_number(2), local.bytes(14)};
-  OcspResponse resp = ca().ocsp_respond(req, kNow, rng(), plain_crypto());
+  const Bytes nonce = local.bytes(14);
+  const Serial serial = serial_number(2);
+  OcspResponse resp = ca().ocsp_respond(serial, nonce, kNow, rng(),
+                                        provider::plain_provider());
+  ASSERT_EQ(check(resp, serial, nonce), OcspCheck::kGood);
 
   // Wrong nonce.
-  OcspRequest other{serial_number(2), local.bytes(14)};
-  EXPECT_FALSE(resp.verify(ca().public_key(), other, kNow, 3600));
+  EXPECT_EQ(check(resp, serial, local.bytes(14)), OcspCheck::kInvalid);
   // Wrong serial.
-  OcspRequest wrong_serial{serial_number(3), req.nonce};
-  EXPECT_FALSE(resp.verify(ca().public_key(), wrong_serial, kNow, 3600));
+  EXPECT_EQ(check(resp, serial_number(3), nonce), OcspCheck::kInvalid);
   // Stale.
-  EXPECT_FALSE(resp.verify(ca().public_key(), req, kNow + 7200, 3600));
+  EXPECT_EQ(check(resp, serial, nonce, kNow + 7200), OcspCheck::kInvalid);
   // From the future.
-  EXPECT_FALSE(resp.verify(ca().public_key(), req, kNow - 10, 3600));
+  EXPECT_EQ(check(resp, serial, nonce, kNow - 10), OcspCheck::kInvalid);
   // Wrong responder key.
-  EXPECT_FALSE(resp.verify(subject_key().public_key(), req, kNow, 3600));
+  EXPECT_EQ(check(resp, serial, nonce, kNow, subject_key().public_key()),
+            OcspCheck::kInvalid);
+  // A flipped signature byte.
+  Bytes bad = resp.to_der();
+  bad.back() ^= 0x01;
+  EXPECT_EQ(check(OcspResponse::from_der(bad), serial, nonce),
+            OcspCheck::kInvalid);
+}
+
+TEST_F(PkiFixture, OcspRevokedOnlyWhenGenuinelySigned) {
+  // A "revoked" answer signed by another key is invalid, not a
+  // revocation: the status is believed only after the signature holds.
+  DeterministicRng local(10);
+  const Bytes nonce = local.bytes(14);
+  const Serial serial = serial_number(2);
+  const OcspResponse forged(serial, OcspCertStatus::kRevoked, kNow, nonce,
+                            "Test Root CA", subject_key(), rng(),
+                            provider::plain_provider());
+  EXPECT_EQ(check(forged, serial, nonce), OcspCheck::kInvalid);
+  EXPECT_EQ(check(forged, serial, nonce, kNow, subject_key().public_key()),
+            OcspCheck::kRevoked);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "common/random.h"
 #include "dcf/dcf.h"
 #include "pki/authority.h"
+#include "pki/chain.h"
 #include "provider/provider.h"
 #include "ri/rights_issuer.h"
 #include "roap/messages.h"
@@ -103,6 +104,8 @@ TEST(Robustness, DerDecoderOnMutatedCertificates) {
   pki::Certificate cert =
       ca.issue("leaf", leaf_key.public_key(), kValidity, rng);
   Bytes der = cert.to_der();
+  const pki::ChainVerifier verifier(ca.root_certificate(),
+                                    provider::plain_provider());
 
   int structurally_ok_but_invalid = 0;
   for (int i = 0; i < 400; ++i) {
@@ -110,8 +113,9 @@ TEST(Robustness, DerDecoderOnMutatedCertificates) {
     try {
       pki::Certificate parsed = pki::Certificate::from_der(m);
       // Structure survived the mutation: the signature must not.
-      pki::CertStatus status = pki::verify_certificate(
-          parsed, ca.public_key(), "Fuzz CA", kNow);
+      pki::CertStatus status =
+          verifier.verify(std::span<const pki::Certificate>(&parsed, 1), kNow)
+              .status;
       if (status == pki::CertStatus::kValid) {
         // Only acceptable if the mutation did not change any covered byte
         // (possible when insert+erase cancel out); re-serialize to check.
