@@ -71,11 +71,16 @@ Both documents' "host" blocks are printed beside the throughput lines,
 so a floor failure shows which machines are being compared (printed
 only; nothing gates on them).
 
+Every gate runs and prints its verdict before the exit status is
+settled, and a failing run ends with one line naming every gate that
+failed, so one run shows all of them.
+
 Usage: check_bench_regression.py BASELINE.json CURRENT.json [--tolerance 0.25]
        check_bench_regression.py --self-test
 
 `--self-test` runs the roap_session gates on seeded documents and exits
-0 when each passes or fails as it must, 1 otherwise.
+0 when each passes or fails as it must and names the gates it failed (a
+document failing two gates must name both), 1 otherwise.
 """
 
 import argparse
@@ -347,7 +352,9 @@ def check_net_overload(baseline: dict, current: dict) -> bool:
 
 
 def check(baseline_path: str, current_path: str, tolerance: float) -> int:
-    """Gates CURRENT against BASELINE; returns the exit status."""
+    """Gates CURRENT against BASELINE; returns the exit status. Every gate
+    runs and prints its verdict before the exit status is settled, so one
+    run shows every failure."""
     with open(baseline_path) as f:
         baseline = json.load(f)
     with open(current_path) as f:
@@ -359,6 +366,13 @@ def check(baseline_path: str, current_path: str, tolerance: float) -> int:
               f"{kind!r}", file=sys.stderr)
         return 1
 
+    failed = []
+
+    def gate(name: str, passed: bool) -> None:
+        if not passed:
+            failed.append(name)
+
+    throughput = None  # (base, base_label, cur, cur_label, unit)
     if kind == "dcf_stream":
         shared = (set(s["payload_bytes"] for s in baseline["sizes"]) &
                   set(s["payload_bytes"] for s in current["sizes"]))
@@ -369,14 +383,17 @@ def check(baseline_path: str, current_path: str, tolerance: float) -> int:
         dcf_payload = max(shared)
         base, base_label, unit = dcf_throughput(baseline, dcf_payload)
         cur, cur_label, _ = dcf_throughput(current, dcf_payload)
+        throughput = (base, base_label, cur, cur_label, unit)
     elif kind == "state_store":
         base, base_label, unit = store_throughput(baseline)
         cur, cur_label, _ = store_throughput(current)
+        throughput = (base, base_label, cur, cur_label, unit)
     elif kind == "net_fleet":
-        if not current.get("server_clean_exit", False):
+        clean = current.get("server_clean_exit", False)
+        if not clean:
             print("FAIL: server did not drain cleanly on SIGTERM",
                   file=sys.stderr)
-            return 1
+        gate("server drain", clean)
         errors = sum(int(s.get("transport_errors", 0)) +
                      int(s.get("server_refusals", 0))
                      for s in (current["scales"] +
@@ -384,36 +401,64 @@ def check(baseline_path: str, current_path: str, tolerance: float) -> int:
         if errors:
             print(f"FAIL: {errors} transport errors / server refusals on a "
                   f"quiet loopback", file=sys.stderr)
-            return 1
+        gate("transport errors", errors == 0)
         shared = (set(s["agents"] for s in baseline["scales"]) &
                   set(s["agents"] for s in current["scales"]))
-        if not shared:
+        if shared:
+            base, base_label, unit = net_throughput(baseline, max(shared))
+            cur, cur_label, _ = net_throughput(current, max(shared))
+            throughput = (base, base_label, cur, cur_label, unit)
+        else:
             print("FAIL: no agent count measured in both documents",
                   file=sys.stderr)
-            return 1
-        base, base_label, unit = net_throughput(baseline, max(shared))
-        cur, cur_label, _ = net_throughput(current, max(shared))
+            gate("agent count", False)
     else:
-        if not check_roap_ctx_builds(current):
-            return 1
-        if not check_roap_allocs(baseline, current):
-            return 1
-        if not check_roap_chain_walk_allocs(current):
-            return 1
-        if not same_mont_backend(baseline, current):
-            print("OK")
-            return 0
-        base, base_label, unit = roap_throughput(baseline)
-        cur, cur_label, _ = roap_throughput(current)
+        gate("ctx_builds", check_roap_ctx_builds(current))
+        gate("allocs_per_exchange", check_roap_allocs(baseline, current))
+        gate("chain_walk allocs",
+             check_roap_chain_walk_allocs(current))
+        if same_mont_backend(baseline, current):
+            base, base_label, unit = roap_throughput(baseline)
+            cur, cur_label, _ = roap_throughput(current)
+            throughput = (base, base_label, cur, cur_label, unit)
 
-    floor = base * (1.0 - tolerance)
-    print(f"baseline {base_label}: {base:10.1f} {unit}")
-    print(f"current  {cur_label}: {cur:10.1f} {unit}")
-    print(f"floor (-{tolerance:.0%}): {floor:10.1f} {unit}")
-    for name, doc in (("baseline", baseline), ("current ", current)):
-        if "host" in doc:
-            print(f"{name} host: {json.dumps(doc['host'], sort_keys=True)}")
+    if throughput is not None:
+        base, base_label, cur, cur_label, unit = throughput
+        floor = base * (1.0 - tolerance)
+        print(f"baseline {base_label}: {base:10.1f} {unit}")
+        print(f"current  {cur_label}: {cur:10.1f} {unit}")
+        print(f"floor (-{tolerance:.0%}): {floor:10.1f} {unit}")
+        for name, doc in (("baseline", baseline), ("current ", current)):
+            if "host" in doc:
+                print(f"{name} host: "
+                      f"{json.dumps(doc['host'], sort_keys=True)}")
+        print_context(kind, current)
+        if cur < floor:
+            print(f"FAIL: throughput regressed more than "
+                  f"{tolerance:.0%} vs the checked-in baseline",
+                  file=sys.stderr)
+        gate("throughput", cur >= floor)
+        if kind == "roap_session":
+            gate("pss_sign", check_roap_pss_sign(baseline, current,
+                                                 tolerance))
+        elif kind == "dcf_stream":
+            gate("sha1", check_dcf_sha1(baseline, current, dcf_payload,
+                                        tolerance))
+    if kind == "net_fleet":
+        gate("worker sweep",
+             check_net_worker_sweep(baseline, current, tolerance))
+        gate("overload", check_net_overload(baseline, current))
 
+    if failed:
+        print(f"FAIL: {len(failed)} gate(s) failed: {', '.join(failed)}",
+              file=sys.stderr)
+        return 1
+    print("OK")
+    return 0
+
+
+def print_context(kind: str, current: dict) -> None:
+    """Prints the current document's latency-style fields (not gated)."""
     if kind == "dcf_stream":
         largest = max(current["sizes"], key=lambda s: s["payload_bytes"])
         print(f"current open latency: {largest.get('open_us')} us, "
@@ -441,25 +486,6 @@ def check(baseline_path: str, current_path: str, tolerance: float) -> int:
                   f"ms (p50 {cached.get('full_ms_p50')}, "
                   f"p95 {cached.get('full_ms_p95')}), "
                   f"{cached.get('allocs_per_exchange')} allocs/exchange")
-
-    if cur < floor:
-        print(f"FAIL: throughput regressed more than "
-              f"{tolerance:.0%} vs the checked-in baseline",
-              file=sys.stderr)
-        return 1
-    if kind == "roap_session" and not check_roap_pss_sign(
-            baseline, current, tolerance):
-        return 1
-    if kind == "dcf_stream" and not check_dcf_sha1(
-            baseline, current, dcf_payload, tolerance):
-        return 1
-    if kind == "net_fleet" and not check_net_worker_sweep(
-            baseline, current, tolerance):
-        return 1
-    if kind == "net_fleet" and not check_net_overload(baseline, current):
-        return 1
-    print("OK")
-    return 0
 
 
 # A roap_session baseline in the shape of the checked-in BENCH_roap.json,
@@ -509,24 +535,32 @@ def self_test() -> list[str]:
         CHAIN_WALK_ALLOC_CEILING + 1)
     no_walk_allocs = self_test_current()
     del no_walk_allocs["chain_walk"]
+    # Fails a count gate checked first and the timing gate checked last:
+    # both must be reported, not just the first.
+    two_gates = self_test_current()
+    two_gates["multi_agent"]["allocs_per_exchange"] = 57.0
+    two_gates["per_stage_us"]["pss_sign"] = 53.0 * 2
+    # (what, document, exit status, failed gates the summary must name)
     cases = (
         ("a current document without multi_agent.ctx_builds",
-         no_ctx_builds, 1),
+         no_ctx_builds, 1, ["ctx_builds"]),
         ("multi_agent.allocs_per_exchange over the baseline's",
-         over_ceiling, 1),
+         over_ceiling, 1, ["allocs_per_exchange"]),
         ("chain_walk.allocs_per_walk over its ceiling",
-         walk_over_ceiling, 1),
+         walk_over_ceiling, 1, ["chain_walk allocs"]),
         ("a current document without chain_walk.allocs_per_walk",
-         no_walk_allocs, 1),
+         no_walk_allocs, 1, ["chain_walk allocs"]),
+        ("allocs_per_exchange and pss_sign both over their ceilings",
+         two_gates, 1, ["allocs_per_exchange", "pss_sign"]),
         ("a current document without the deleted uncached_crypto and "
-         "chain_* keys", self_test_current(), 0),
+         "chain_* keys", self_test_current(), 0, []),
     )
     errors = []
     with tempfile.TemporaryDirectory() as tmp:
         baseline_path = os.path.join(tmp, "baseline.json")
         with open(baseline_path, "w") as f:
             json.dump(SELF_TEST_BASELINE, f)
-        for what, doc, want in cases:
+        for what, doc, want, want_failed in cases:
             current_path = os.path.join(tmp, "current.json")
             with open(current_path, "w") as f:
                 json.dump(doc, f)
@@ -534,8 +568,13 @@ def self_test() -> list[str]:
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(out):
                 got = check(baseline_path, current_path, 0.25)
-            if got != want:
-                errors.append(f"{what}: exit {got}, expected {want}\n"
+            summary = [line for line in out.getvalue().splitlines()
+                       if "gate(s) failed:" in line]
+            got_failed = (summary[0].split("gate(s) failed: ")[1].split(", ")
+                          if summary else [])
+            if got != want or got_failed != want_failed:
+                errors.append(f"{what}: exit {got} failing {got_failed}, "
+                              f"expected {want} failing {want_failed}\n"
                               f"{out.getvalue()}")
     return errors
 

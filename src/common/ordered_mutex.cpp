@@ -87,8 +87,8 @@ void note_acquire(const void* mtx, std::uint16_t rank, const char* name) {
 
 void note_release(const void* mtx) {
   HeldStack& s = t_held;
-  // Search from the top, but allow mid-stack release: on_device_hello
-  // drops meta_mu_ before persist() on the fast path, and UniqueLock
+  // Search from the top, but allow mid-stack release: RightsIssuer::persist
+  // drops meta_mu_ before the commit on the fast path, and UniqueLock
   // relock patterns release/reacquire around backing commits.
   for (int i = s.depth - 1; i >= 0; --i) {
     if (s.entries[i].mtx != mtx) continue;

@@ -37,8 +37,8 @@
 //   200   common.failpoint     failpoint registry (fires under store
 //                              locks and under net.conn — must be last)
 //
-// Note the RI band pins meta BEFORE the store ranks: on_device_hello
-// deliberately holds meta_mu_ across persist() so session-lease
+// Note the RI band pins meta BEFORE the store ranks: RightsIssuer::persist
+// deliberately holds meta_mu_ across the commit so session-lease
 // extensions reach the journal in lease order (ri/rights_issuer.cpp).
 // ISSUE 10's prose table (store=3, meta=4) had this backwards — the
 // first drift this validator flushed out was in the spec, not the code;

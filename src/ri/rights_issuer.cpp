@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <span>
+#include <type_traits>
 
 #include "common/error.h"
 #include "crypto/sha1.h"
@@ -113,12 +114,11 @@ RightsIssuer::RightsIssuer(std::string ri_id, std::string url,
 
 namespace {
 
-Bytes encode_pending(const Bytes& ri_nonce, const std::string& device_id,
-                     std::uint64_t created_at) {
+Bytes encode_pending(const PendingSession& p) {
   Bytes out;
-  append_be64(out, created_at);
-  put_lv(out, ri_nonce);
-  out.insert(out.end(), device_id.begin(), device_id.end());
+  append_be64(out, p.created_at);
+  put_lv(out, p.ri_nonce);
+  out.insert(out.end(), p.device_id.begin(), p.device_id.end());
   return out;
 }
 
@@ -142,7 +142,7 @@ Bytes encode_meta(std::uint64_t session_lease) {
 
 }  // namespace
 
-void RightsIssuer::persist(const store::Transaction& tx) {
+void RightsIssuer::commit(const store::Transaction& tx) {
   if (store_ == nullptr || tx.empty()) return;
   Result<> committed = store_->commit(tx);
   if (!committed.ok()) {
@@ -248,8 +248,7 @@ Result<> RightsIssuer::bind_store(store::StateStore& s) {
   tx.put(kMetaKey, encode_meta(next_session_.load(std::memory_order_relaxed)));
   for (const Shard& sh : shards_) {
     for (const auto& [id, p] : sh.sessions) {
-      tx.put(sess_record_key(id),
-             encode_pending(p.ri_nonce, p.device_id, p.created_at));
+      tx.put(sess_record_key(id), encode_pending(p));
     }
     for (const auto& [id, known] : sh.devices) {
       tx.put(dev_record_key(id), known.cert.to_der());
@@ -301,7 +300,7 @@ void RightsIssuer::create_domain(const std::string& domain_id,
   d.max_members = max_members;
   store::Transaction tx;
   tx.put(domain_record_key(domain_id), encode_domain(d));
-  persist(tx);
+  commit(tx);
   ds.domains.emplace(domain_id, std::move(d));
 }
 
@@ -310,15 +309,6 @@ const Domain* RightsIssuer::domain(const std::string& domain_id) const {
   MutexLock lock(ds.mu);
   auto it = ds.domains.find(domain_id);
   return it == ds.domains.end() ? nullptr : &it->second;
-}
-
-std::optional<Domain> RightsIssuer::domain_snapshot(
-    const std::string& domain_id) const {
-  const DomainStripe& ds = stripe_for(domain_id);
-  MutexLock lock(ds.mu);
-  auto it = ds.domains.find(domain_id);
-  if (it == ds.domains.end()) return std::nullopt;
-  return it->second;
 }
 
 void RightsIssuer::upgrade_domain(const std::string& domain_id) {
@@ -339,7 +329,7 @@ void RightsIssuer::upgrade_domain(const std::string& domain_id) {
   upgraded.members.clear();
   store::Transaction tx;
   tx.put(domain_record_key(upgraded.domain_id), encode_domain(upgraded));
-  persist(tx);
+  commit(tx);
   it->second = std::move(upgraded);
 }
 
@@ -373,20 +363,6 @@ std::size_t RightsIssuer::pending_session_count() const {
   return total;
 }
 
-std::vector<std::string> RightsIssuer::stale_sessions(
-    const Shard& sh, std::uint64_t now,
-    const std::string* superseded_device) const {
-  std::vector<std::string> out;
-  for (const auto& [id, p] : sh.sessions) {
-    const bool expired =
-        now >= p.created_at && now - p.created_at > kPendingSessionTtl;
-    const bool superseded =
-        superseded_device != nullptr && p.device_id == *superseded_device;
-    if (expired || superseded) out.push_back(id);
-  }
-  return out;
-}
-
 void RightsIssuer::refresh_oldest(Shard& sh) {
   std::uint64_t oldest = kNoSessions;
   for (const auto& [id, p] : sh.sessions) {
@@ -408,21 +384,18 @@ std::size_t RightsIssuer::sweep_stale_shards(std::uint64_t now,
       continue;
     }
     MutexLock lock(sh.mu);
-    const std::vector<std::string> doomed = stale_sessions(sh, now, nullptr);
-    if (doomed.empty()) continue;
-    store::Transaction tx;
-    for (const std::string& id : doomed) tx.erase(sess_record_key(id));
+    Delta sweep;
+    sweep.erased_sessions = stale_sessions(sh.sessions, now, nullptr);
+    if (sweep.erased_sessions.empty()) continue;
     try {
-      persist(tx);
+      persist(sh, sweep);
     } catch (const Error& e) {
       if (e.kind() != ErrorKind::kState) throw;
       // Degraded store: leave the stale sessions for a later sweep
       // rather than failing the request that merely triggered the GC.
       continue;
     }
-    for (const std::string& id : doomed) sh.sessions.erase(id);
-    refresh_oldest(sh);
-    total += doomed.size();
+    total += sweep.erased_sessions.size();
   }
   return total;
 }
@@ -431,424 +404,255 @@ std::size_t RightsIssuer::expire_pending_sessions(std::uint64_t now) {
   return sweep_stale_shards(now, nullptr);
 }
 
-roap::RiHello RightsIssuer::on_device_hello(Shard& sh,
-                                            const roap::DeviceHello& hello,
-                                            std::uint64_t now) {
-  // Garbage-collect this shard's abandoned handshakes, then supersede any
-  // pending session of this same device: only its newest hello stays
-  // live. (Other shards were swept in handle() before the shard lock was
-  // taken.) DeviceHello is unauthenticated (nothing in pass 1 is signed,
-  // per the protocol), so a peer spoofing another device's id can abort
-  // that device's in-flight handshake — the deliberate tradeoff for
-  // bounding per-device pending state to one entry; the aborted device
-  // just restarts from DeviceHello. Real authentication lands in pass 3.
-  const std::vector<std::string> doomed =
-      stale_sessions(sh, now, &hello.device_id);
+Bytes RightsIssuer::kem_wrap(const rsa::PublicKey& key, const Bytes& secret) {
+  rsa::KemEncapsulation enc = crypto_.kem_encapsulate(key, rng_);
+  return concat({enc.c1, crypto_.aes_wrap(enc.kek, secret)});
+}
 
-  // Session-id reservation is lock-free; the persisted lease bound in
-  // "meta" is what a restart resumes from, re-extended (under meta_mu_,
-  // inside this hello's transaction) only when the reservation crosses
-  // the current bound — roughly one meta write per kSessionLeaseBlock
-  // hellos instead of one per hello, and never a stale smaller bound
-  // overwriting a larger one. A reservation burned by a refused commit
-  // is simply skipped: ids need uniqueness, not density.
-  const std::uint64_t session_number =
-      next_session_.fetch_add(1, std::memory_order_relaxed);
+// ---------------------------------------------------------------------------
+// The exchange pipeline: authenticate → decide → persist → seal
+// ---------------------------------------------------------------------------
 
-  roap::RiHello out;
-  out.ri_id = ri_id_;
-  out.session_id = ri_id_ + "-session-" + std::to_string(session_number);
-  // Capability negotiation: the standard's mandatory suite always wins
-  // unless the device advertises nothing (paper §2.4.1).
-  out.algorithms = {"SHA-1", "HMAC-SHA1", "AES-128-CBC", "AES-WRAP",
-                    "RSA-1024", "RSA-PSS", "KDF2"};
-  out.ri_nonce = rng_.bytes(roap::kNonceLen);
+template <typename Msg>
+roap::Envelope RightsIssuer::exchange(Shard& sh, const Msg& msg,
+                                      std::uint64_t now) {
+  constexpr bool kHello = std::is_same_v<Msg, roap::DeviceHello>;
+  constexpr bool kMembership = std::is_same_v<Msg, roap::JoinDomainRequest> ||
+                               std::is_same_v<Msg, roap::LeaveDomainRequest>;
+  View view{.ri_id = ri_id_, .ri_url = url_, .now = now,
+            .sessions = &sh.sessions};
 
-  // The pending nonce (and the lease that bounds session ids) must
-  // survive an RI restart, or every in-flight handshake dies with the
-  // process. Persist BEFORE touching RAM: a refused commit (degraded
-  // mode) must leave no half-created session and no superseded-but-alive
-  // entries.
+  // authenticate, or for a DeviceHello (nothing in pass 1 is signed) draw
+  // the session number and RI nonce decide needs. Session ids are
+  // reserved lock-free; persist extends the lease that bounds them.
+  KnownDevice presented;
+  KnownDevice* signer = nullptr;
+  if constexpr (kHello) {
+    view.session_number = next_session_.fetch_add(1, std::memory_order_relaxed);
+    view.nonce = rng_.bytes(roap::kNonceLen);
+  } else if constexpr (std::is_same_v<Msg, roap::RegistrationRequest>) {
+    // The cheap session and nonce checks come before any RSA work.
+    if (session_check(sh.sessions, msg, now) == Status::kSuccess) {
+      view.auth = authenticate(sh, msg, now, presented, signer);
+    }
+  } else {
+    view.auth = authenticate(sh, msg, now, presented, signer);
+  }
+  view.device = signer;
+
+  std::optional<Domain> snapshot;
+  std::optional<MutexLock> stripe_lock;
+  if constexpr (std::is_same_v<Msg, roap::RoRequest>) {
+    auto offer = offers_.find(msg.ro_id);
+    if (offer != offers_.end()) view.offer = &offer->second;
+    if (view.auth == Status::kSuccess && view.offer && view.offer->domain_ro) {
+      // One copy under the stripe lock is both the membership check and
+      // the key and generation the RO is built with, consistent even
+      // against a racing join or upgrade.
+      const DomainStripe& ds = stripe_for(view.offer->domain_id);
+      MutexLock lock(ds.mu);
+      auto live = ds.domains.find(view.offer->domain_id);
+      if (live != ds.domains.end()) {
+        view.domain = &snapshot.emplace(live->second);
+      }
+    }
+  } else if constexpr (kMembership) {
+    // Joins and leaves cross device shards, so membership lives in its
+    // own striped table. The stripe lock spans decide → persist → apply:
+    // two membership changes to one domain serialize here, so neither's
+    // write swallows the other's. The RSA work of seal stays outside it.
+    if (view.auth == Status::kSuccess) {
+      DomainStripe& ds = stripe_for(msg.domain_id);
+      stripe_lock.emplace(ds.mu);
+      ds.mu.assert_held();
+      auto live = ds.domains.find(msg.domain_id);
+      if (live != ds.domains.end()) view.domain = &live->second;
+    }
+  }
+
+  auto [out, delta] = decide(msg, view);
+  persist(sh, delta);
+  stripe_lock.reset();
+
+  if constexpr (!kHello) {
+    if (out.status == Status::kSuccess) {
+      seal(out, msg, view, delta, now);
+      if constexpr (std::is_same_v<Msg, roap::RegistrationRequest>) {
+        counters_.registrations.fetch_add(1, std::memory_order_relaxed);
+      } else if constexpr (std::is_same_v<Msg, roap::RoRequest>) {
+        counters_.ros_issued.fetch_add(1, std::memory_order_relaxed);
+      } else if constexpr (std::is_same_v<Msg, roap::JoinDomainRequest>) {
+        counters_.domain_joins.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        counters_.domain_leaves.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  }
+  return roap::Envelope::wrap(out);
+}
+
+template <typename Msg>
+Status RightsIssuer::authenticate(Shard& sh, const Msg& request,
+                                  std::uint64_t now, KnownDevice& presented,
+                                  KnownDevice*& signer) {
+  constexpr bool kRegistration =
+      std::is_same_v<Msg, roap::RegistrationRequest>;
+  auto known = sh.devices.find(request.device_id);
+  signer = known == sh.devices.end() ? nullptr : &known->second;
+  if constexpr (kRegistration) {
+    // A device re-sending the certificate on file is checked against it:
+    // no decode, its key keeps its Montgomery context, and its held
+    // verdict revalidates with no RSA work. Any other certificate is
+    // decoded and walked.
+    if (signer == nullptr || signer->cert.to_der() != request.certificate_der) {
+      try {
+        presented.cert = pki::Certificate::from_der(request.certificate_der);
+      } catch (const Error&) {
+        return Status::kAbort;
+      }
+      signer = &presented;
+    }
+  } else if (signer == nullptr) {
+    return Status::kNotRegistered;
+  }
+  // A revoked device may still leave a domain: membership only shrinks.
+  if constexpr (!std::is_same_v<Msg, roap::LeaveDomainRequest>) {
+    const std::span<const pki::Certificate> chain(&signer->cert, 1);
+    if (device_chain_verifier_.revalidate(signer->verdict, chain, now) !=
+        pki::CertStatus::kValid) {
+      return Status::kAbort;
+    }
+    // A revocation the CA reports goes on the verifier's denylist, so the
+    // held verdict itself stops vouching.
+    if (ca_.is_revoked(signer->cert.serial())) {
+      device_chain_verifier_.invalidate_serial(signer->cert.serial());
+      return Status::kAbort;
+    }
+  }
+  if (!crypto_.pss_verify(signer->cert.subject_key(), request.payload(),
+                          request.signature)) {
+    return Status::kSignatureInvalid;
+  }
+  if constexpr (kRegistration) {
+    // A revoked issuing intermediate must stop the service: the single
+    // OCSP staple covers only the RI leaf, so the devices cannot see
+    // intermediate revocation themselves (multi-staple support is a
+    // protocol extension this profile does not carry yet).
+    for (const pki::Certificate& intermediate : intermediates_) {
+      if (ca_.is_revoked(intermediate.serial())) return Status::kAbort;
+    }
+  }
+  return Status::kSuccess;
+}
+
+void RightsIssuer::persist(Shard& sh, Delta& delta) {
   store::Transaction tx;
-  for (const std::string& id : doomed) tx.erase(sess_record_key(id));
-  tx.put(sess_record_key(out.session_id),
-         encode_pending(out.ri_nonce, hello.device_id, now));
-  {
+  for (const std::string& id : delta.erased_sessions) {
+    tx.erase(sess_record_key(id));
+  }
+  if (delta.opened_session) {
+    tx.put(sess_record_key(delta.opened_session->first),
+           encode_pending(delta.opened_session->second));
+  }
+  if (delta.admitted) {
+    tx.put(dev_record_key(delta.admitted->first),
+           delta.admitted->second.cert.to_der());
+  }
+  if (delta.domain) {
+    tx.put(domain_record_key(delta.domain->domain_id),
+           encode_domain(*delta.domain));
+  }
+  if (delta.session_number == 0) {
+    commit(tx);
+  } else {
+    // "meta" persists the bound session ids may reach, so a restart
+    // resumes past every id handed out. It is re-extended, inside this
+    // transaction, only when a reservation crosses it: one meta write per
+    // kSessionLeaseBlock hellos, never a stale smaller bound overwriting
+    // a larger one. An id burned by a refused commit is simply skipped.
     UniqueLock meta_lock(meta_mu_);
-    if (session_number + 1 > session_lease_) {
-      const std::uint64_t new_lease = session_number + kSessionLeaseBlock;
+    if (delta.session_number + 1 > session_lease_) {
+      const std::uint64_t new_lease = delta.session_number + kSessionLeaseBlock;
       tx.put(kMetaKey, encode_meta(new_lease));
-      persist(tx);  // meta_mu_ held: lease extensions commit in order
+      commit(tx);  // meta_mu_ held: lease extensions commit in order
       session_lease_ = new_lease;
     } else {
       meta_lock.unlock();
-      persist(tx);
+      commit(tx);
     }
   }
 
-  for (const std::string& id : doomed) sh.sessions.erase(id);
-  sh.sessions[out.session_id] =
-      PendingSession{out.ri_nonce, hello.device_id, now};
-  refresh_oldest(sh);
-  return out;
-}
-
-roap::RegistrationResponse RightsIssuer::on_registration_request(
-    Shard& sh, const roap::RegistrationRequest& request, std::uint64_t now) {
-  roap::RegistrationResponse out;
-  out.session_id = request.session_id;
-  out.ri_id = ri_id_;
-  out.ri_url = url_;
-
-  // Shard-local TTL sweep staged up front; its RAM erases apply only
-  // after the commit below succeeds (compute → persist → apply, like
-  // every handler — a refused commit must leave RAM and store agreeing).
-  std::vector<std::string> doomed = stale_sessions(sh, now, nullptr);
-  const auto is_doomed = [&doomed](const std::string& id) {
-    return std::find(doomed.begin(), doomed.end(), id) != doomed.end();
-  };
-
-  auto session = sh.sessions.find(request.session_id);
-  if (session == sh.sessions.end() || is_doomed(session->first)) {
-    // The pending session is gone — TTL garbage collection, supersession
-    // by a newer hello, an RI restart racing this retry, or a request
-    // whose device id does not match the hello's (a session lives in its
-    // device's shard, so a cross-device forgery simply finds nothing
-    // here). Not a refusal: an honest device did nothing wrong and must
-    // simply restart from DeviceHello with fresh nonces. kSessionExpired
-    // is that clean restart signal (kAbort stays reserved for genuine
-    // refusals).
-    store::Transaction tx;
-    for (const std::string& id : doomed) tx.erase(sess_record_key(id));
-    persist(tx);
-    for (const std::string& id : doomed) sh.sessions.erase(id);
+  // The commit held: apply the same change to RAM.
+  for (const std::string& id : delta.erased_sessions) sh.sessions.erase(id);
+  if (delta.opened_session) {
+    sh.sessions.insert_or_assign(delta.opened_session->first,
+                                 std::move(delta.opened_session->second));
+  }
+  if (!delta.erased_sessions.empty() || delta.opened_session) {
     refresh_oldest(sh);
-    out.status = Status::kSessionExpired;
-    return out;
   }
-  if (!ct_equal(session->second.ri_nonce, request.ri_nonce)) {
-    // A live session but the wrong nonce: a forgery or a cross-wired
-    // handshake. Refused without consuming the session — the honest
-    // device's in-flight request can still land.
-    out.status = Status::kAbort;
-    return out;
+  if (delta.admitted) {
+    // Copies of a key share its form, so the entry keeps the Montgomery
+    // context the signature check built for every later request.
+    sh.devices.insert_or_assign(delta.admitted->first,
+                                std::move(delta.admitted->second));
   }
-  // The handshake is consumed one-shot: whatever the outcome below, a
-  // retry must restart from DeviceHello with fresh nonces. (A *byte
-  // identical* retry is instead served by the replay cache upstream and
-  // never reaches this point while the entry lives.)
-  doomed.push_back(session->first);
+  if (delta.domain) {
+    DomainStripe& ds = stripe_for(delta.domain->domain_id);
+    ds.mu.assert_held();
+    ds.domains.insert_or_assign(delta.domain->domain_id, *delta.domain);
+  }
+}
 
-  // Verify the device certificate chain and the message signature — all
-  // pure computation against the request; no state changes yet. A device
-  // re-sending the certificate already on file is checked against the
-  // stored one: no decode, and its key keeps the Montgomery context it
-  // built before. Any other certificate is decoded afresh.
-  Status verdict = Status::kSuccess;
-  auto known = sh.devices.find(request.device_id);
-  const bool reuse = known != sh.devices.end() &&
-                     known->second.cert.to_der() == request.certificate_der;
-  pki::Certificate decoded;
-  if (!reuse) {
-    try {
-      decoded = pki::Certificate::from_der(request.certificate_der);
-    } catch (const Error&) {
-      verdict = Status::kAbort;
-    }
-  }
-  const pki::Certificate& device_cert = reuse ? known->second.cert : decoded;
-  pki::ChainVerdict walked;
-  pki::ChainVerdict& chain_verdict = reuse ? known->second.verdict : walked;
-  if (verdict == Status::kSuccess) {
-    // A device re-sending its stored certificate revalidates the verdict
-    // held beside it: zero RSA operations here while it holds. Any other
-    // certificate is walked.
-    if (!device_trusted(device_cert, chain_verdict, now)) {
-      verdict = Status::kAbort;
-    } else if (!crypto_.pss_verify(device_cert.subject_key(),
-                                   request.payload(), request.signature)) {
-      verdict = Status::kSignatureInvalid;
-    }
-  }
-  // A revoked issuing intermediate must stop the service: the single
-  // OCSP staple below covers only the RI leaf, so the devices cannot see
-  // intermediate revocation themselves (multi-staple support is a
-  // protocol extension this profile does not carry yet).
-  if (verdict == Status::kSuccess) {
+template <typename Msg, typename Response>
+void RightsIssuer::seal(Response& out, const Msg& msg, const View& view,
+                        const Delta& delta, std::uint64_t now) {
+  if constexpr (std::is_same_v<Msg, roap::RegistrationRequest>) {
+    out.ri_certificate_der = cert_.to_der();
     for (const pki::Certificate& intermediate : intermediates_) {
-      if (ca_.is_revoked(intermediate.serial())) {
-        verdict = Status::kAbort;
-        break;
-      }
+      out.ri_certificate_chain_der.push_back(intermediate.to_der());
     }
+    // Staple a fresh OCSP response for our own certificate, bound to the
+    // nonce the device supplied.
+    out.ocsp_response_der =
+        ca_.ocsp_respond(cert_.serial(), msg.ocsp_nonce, now, rng_, crypto_)
+            .to_der();
+  } else if constexpr (std::is_same_v<Msg, roap::RoRequest>) {
+    const LicenseOffer& offer = *view.offer;
+    roap::ProtectedRo& ro = out.ros.emplace_back();
+    ro.rights.ro_id = offer.ro_id;
+    ro.rights.content_id = offer.content_id;
+    ro.rights.dcf_hash = offer.dcf_hash;
+    ro.rights.permissions = offer.permissions;
+    ro.ri_id = ri_id_;
+    // Fresh rights keys per issued RO (Figure 3), in a two-layer chain:
+    // K_CEK under K_REK, K_MAC||K_REK under the transport.
+    Bytes kmac = rng_.bytes(16);
+    Bytes krek = rng_.bytes(16);
+    Bytes kmac_krek = concat({kmac, krek});
+    ro.enc_kcek = crypto_.aes_wrap(krek, offer.kcek);
+    if (offer.domain_ro) {
+      // view.domain is the snapshot copied under the stripe lock: key and
+      // generation come from one instant even while a concurrent
+      // upgrade_domain re-keys the live table.
+      ro.is_domain_ro = true;
+      ro.domain_id = offer.domain_id;
+      ro.domain_generation = view.domain->generation;
+      ro.wrapped_keys = crypto_.aes_wrap(view.domain->key, kmac_krek);
+    } else {
+      ro.wrapped_keys = kem_wrap(view.device->cert.subject_key(), kmac_krek);
+    }
+    ro.mac = crypto_.hmac_sha1(kmac, ro.mac_payload());
+    // RI signature: mandatory for Domain ROs, optional for Device ROs.
+    if (offer.domain_ro || sign_device_ros_) {
+      ro.signature = crypto_.pss_sign(key_, ro.signed_payload(), rng_);
+    }
+  } else if constexpr (std::is_same_v<Msg, roap::JoinDomainRequest>) {
+    // K_D travels to the device by the same RSA-KEM chain as RO keys.
+    out.wrapped_domain_key =
+        kem_wrap(view.device->cert.subject_key(), delta.domain->key);
   }
-
-  // Session consumption (and device admission) is durable before the
-  // response leaves: a replayed RegistrationRequest against a restarted
-  // RI must still find its one-shot session consumed.
-  store::Transaction tx;
-  for (const std::string& id : doomed) tx.erase(sess_record_key(id));
-  if (verdict == Status::kSuccess) {
-    tx.put(dev_record_key(request.device_id), device_cert.to_der());
-  }
-  persist(tx);
-  for (const std::string& id : doomed) sh.sessions.erase(id);
-  refresh_oldest(sh);
-  if (verdict != Status::kSuccess) {
-    out.status = verdict;
-    return out;
-  }
-  // Moved, not copied: the key keeps the Montgomery context the signature
-  // check above built, for every later request from this device; the
-  // verdict rides along for the next re-registration. A reused
-  // certificate's verdict was revalidated in place.
-  if (!reuse) {
-    sh.devices[request.device_id] =
-        KnownDevice{std::move(decoded), std::move(walked)};
-  }
-  counters_.registrations.fetch_add(1, std::memory_order_relaxed);
-
-  // Staple a fresh OCSP response for our own certificate, bound to the
-  // nonce the device supplied.
-  const pki::OcspResponse ocsp =
-      ca_.ocsp_respond(cert_.serial(), request.ocsp_nonce, now, rng_, crypto_);
-
-  out.status = Status::kSuccess;
-  out.ri_certificate_der = cert_.to_der();
-  for (const pki::Certificate& intermediate : intermediates_) {
-    out.ri_certificate_chain_der.push_back(intermediate.to_der());
-  }
-  out.ocsp_response_der = ocsp.to_der();
   out.signature = crypto_.pss_sign(key_, out.payload(), rng_);
-  return out;
-}
-
-bool RightsIssuer::device_trusted(const pki::Certificate& cert,
-                                  pki::ChainVerdict& verdict,
-                                  std::uint64_t now) {
-  const std::span<const pki::Certificate> chain(&cert, 1);
-  if (device_chain_verifier_.revalidate(verdict, chain, now) !=
-      pki::CertStatus::kValid) {
-    return false;
-  }
-  if (ca_.is_revoked(cert.serial())) {
-    device_chain_verifier_.invalidate_serial(cert.serial());
-    return false;
-  }
-  return true;
-}
-
-roap::ProtectedRo RightsIssuer::build_protected_ro(
-    const LicenseOffer& offer, const rsa::PublicKey& device_key,
-    const Domain* domain_state) {
-  roap::ProtectedRo ro;
-  ro.rights.ro_id = offer.ro_id;
-  ro.rights.content_id = offer.content_id;
-  ro.rights.dcf_hash = offer.dcf_hash;
-  ro.rights.permissions = offer.permissions;
-  ro.ri_id = ri_id_;
-
-  // Fresh rights keys per issued RO (Figure 3).
-  Bytes kmac = rng_.bytes(16);
-  Bytes krek = rng_.bytes(16);
-  Bytes kmac_krek = concat({kmac, krek});
-
-  // Two-layer chain: K_CEK under K_REK, K_MAC||K_REK under the transport.
-  ro.enc_kcek = crypto_.aes_wrap(krek, offer.kcek);
-
-  if (offer.domain_ro) {
-    // `domain_state` is the caller's snapshot (copied under the stripe
-    // lock): key + generation are read from one consistent instant even
-    // while a concurrent upgrade_domain re-keys the live table.
-    const Domain& d = *domain_state;
-    ro.is_domain_ro = true;
-    ro.domain_id = offer.domain_id;
-    ro.domain_generation = d.generation;
-    ro.wrapped_keys = crypto_.aes_wrap(d.key, kmac_krek);
-  } else {
-    rsa::KemEncapsulation enc = crypto_.kem_encapsulate(device_key, rng_);
-    Bytes c2 = crypto_.aes_wrap(enc.kek, kmac_krek);
-    ro.wrapped_keys = concat({enc.c1, c2});
-  }
-
-  ro.mac = crypto_.hmac_sha1(kmac, ro.mac_payload());
-
-  // RI signature: mandatory for Domain ROs, optional for Device ROs.
-  if (offer.domain_ro || sign_device_ros_) {
-    ro.signature = crypto_.pss_sign(key_, ro.signed_payload(), rng_);
-  }
-  return ro;
-}
-
-roap::RoResponse RightsIssuer::on_ro_request(
-    Shard& sh, const roap::RoRequest& request, std::uint64_t now) {
-  roap::RoResponse out;
-  out.device_id = request.device_id;
-  out.ri_id = ri_id_;
-  out.device_nonce = request.device_nonce;
-
-  auto device = sh.devices.find(request.device_id);
-  if (device == sh.devices.end()) {
-    out.status = Status::kNotRegistered;
-    return out;
-  }
-  if (!device_trusted(device->second.cert, device->second.verdict, now)) {
-    out.status = Status::kAbort;
-    return out;
-  }
-  if (!crypto_.pss_verify(device->second.cert.subject_key(), request.payload(),
-                          request.signature)) {
-    out.status = Status::kSignatureInvalid;
-    return out;
-  }
-  auto offer = offers_.find(request.ro_id);
-  if (offer == offers_.end()) {
-    out.status = Status::kUnknownRoId;
-    return out;
-  }
-  std::optional<Domain> dsnap;
-  if (offer->second.domain_ro) {
-    // Domain ROs are only handed to current members of the domain. The
-    // snapshot (one copy under the stripe lock) is both the membership
-    // check and the key/generation source for the RO below — one
-    // consistent view even against a racing join/upgrade.
-    dsnap = domain_snapshot(offer->second.domain_id);
-    bool member = false;
-    if (dsnap) {
-      for (const auto& m : dsnap->members) member |= (m == request.device_id);
-    }
-    if (!member) {
-      out.status = Status::kAccessDenied;
-      return out;
-    }
-  }
-
-  out.status = Status::kSuccess;
-  out.ros.push_back(build_protected_ro(offer->second,
-                                       device->second.cert.subject_key(),
-                                       dsnap ? &*dsnap : nullptr));
-  out.signature = crypto_.pss_sign(key_, out.payload(), rng_);
-  counters_.ros_issued.fetch_add(1, std::memory_order_relaxed);
-  return out;
-}
-
-roap::JoinDomainResponse RightsIssuer::on_join_domain(
-    Shard& sh, const roap::JoinDomainRequest& request, std::uint64_t now) {
-  roap::JoinDomainResponse out;
-  out.domain_id = request.domain_id;
-  out.device_nonce = request.device_nonce;
-
-  auto device = sh.devices.find(request.device_id);
-  if (device == sh.devices.end()) {
-    out.status = Status::kNotRegistered;
-    return out;
-  }
-  if (!device_trusted(device->second.cert, device->second.verdict, now)) {
-    out.status = Status::kAbort;
-    return out;
-  }
-  if (!crypto_.pss_verify(device->second.cert.subject_key(), request.payload(),
-                          request.signature)) {
-    out.status = Status::kSignatureInvalid;
-    return out;
-  }
-  // Joins cross device shards, so membership lives in its own striped
-  // table. The stripe lock is held across compute → persist → apply: two
-  // concurrent joins to one domain serialize here, so neither's
-  // membership write can swallow the other's (lock order: device shard →
-  // domain stripe → store; never two stripes).
-  Domain joined_snapshot;
-  {
-    DomainStripe& ds = stripe_for(request.domain_id);
-    MutexLock stripe_lock(ds.mu);
-    auto it = ds.domains.find(request.domain_id);
-    if (it == ds.domains.end()) {
-      out.status = Status::kAccessDenied;
-      return out;
-    }
-    // Compute the post-join membership on a copy, persist it, and only
-    // then let it replace the live domain: a refused commit (degraded
-    // mode) must leave RAM still agreeing with the store.
-    Domain joined = it->second;
-    bool already_member = false;
-    for (const auto& m : joined.members) {
-      already_member |= (m == request.device_id);
-    }
-    if (!already_member) {
-      if (joined.members.size() >= joined.max_members) {
-        out.status = Status::kAccessDenied;
-        return out;
-      }
-      joined.members.push_back(request.device_id);
-    }
-    // Persisted on EVERY successful join, not just first admission: if a
-    // prior join's commit failed (the response never left), the retry
-    // hits the already-member path — it must still make the membership
-    // durable before K_D is handed out.
-    store::Transaction tx;
-    tx.put(domain_record_key(joined.domain_id), encode_domain(joined));
-    persist(tx);
-    it->second = std::move(joined);
-    joined_snapshot = it->second;
-  }
-  counters_.domain_joins.fetch_add(1, std::memory_order_relaxed);
-
-  out.status = Status::kSuccess;
-  out.generation = joined_snapshot.generation;
-  // Transport K_D to the device with the same RSA-KEM chain as RO keys
-  // (RSA work deliberately outside the stripe lock).
-  rsa::KemEncapsulation enc =
-      crypto_.kem_encapsulate(device->second.cert.subject_key(), rng_);
-  Bytes c2 = crypto_.aes_wrap(enc.kek, joined_snapshot.key);
-  out.wrapped_domain_key = concat({enc.c1, c2});
-  out.signature = crypto_.pss_sign(key_, out.payload(), rng_);
-  return out;
-}
-
-roap::LeaveDomainResponse RightsIssuer::on_leave_domain(
-    Shard& sh, const roap::LeaveDomainRequest& request, std::uint64_t now) {
-  (void)now;
-  roap::LeaveDomainResponse out;
-  out.domain_id = request.domain_id;
-  out.device_nonce = request.device_nonce;
-
-  auto device = sh.devices.find(request.device_id);
-  if (device == sh.devices.end()) {
-    out.status = Status::kNotRegistered;
-    return out;
-  }
-  if (!crypto_.pss_verify(device->second.cert.subject_key(), request.payload(),
-                          request.signature)) {
-    out.status = Status::kSignatureInvalid;
-    return out;
-  }
-  {
-    // Same stripe-lock-across-copy→persist→apply discipline as
-    // on_join_domain.
-    DomainStripe& ds = stripe_for(request.domain_id);
-    MutexLock stripe_lock(ds.mu);
-    auto it = ds.domains.find(request.domain_id);
-    if (it == ds.domains.end()) {
-      out.status = Status::kAccessDenied;
-      return out;
-    }
-    Domain left = it->second;
-    std::erase(left.members, request.device_id);
-    // Persisted on EVERY successful leave (mirroring on_join_domain): if
-    // a prior leave's commit failed (the response never left), the retry
-    // finds nothing to erase — it must still make the removal durable
-    // before success is signed, or an RI restart resurrects the departed
-    // member.
-    store::Transaction tx;
-    tx.put(domain_record_key(left.domain_id), encode_domain(left));
-    persist(tx);
-    it->second = std::move(left);
-  }
-  counters_.domain_leaves.fetch_add(1, std::memory_order_relaxed);
-
-  out.status = Status::kSuccess;
-  out.signature = crypto_.pss_sign(key_, out.payload(), rng_);
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -1002,17 +806,27 @@ void RightsIssuer::replay_insert(Shard& sh, const std::string& key,
   ++sh.replay_stats.insertions;
 }
 
-template <typename Handler, typename Refusal>
-roap::Envelope RightsIssuer::serve(Shard& sh, const std::string& key,
+template <typename Msg>
+roap::Envelope RightsIssuer::serve(const Msg& msg, const char* replay_prefix,
                                    const roap::Envelope& request,
-                                   std::uint64_t now, Handler&& handler,
-                                   Refusal&& refusal) {
-  // The shard lock spans lookup → handler → insert: a duplicate racing
+                                   std::uint64_t now) {
+  constexpr bool kRegistration =
+      std::is_same_v<Msg, roap::RegistrationRequest>;
+  const std::string* requester = &msg.device_id;
+  if constexpr (kRegistration) requester = &msg.session_id;
+  const std::string key =
+      replay_key(replay_prefix, *requester, msg.device_nonce);
+  Shard& sh = shard_for(msg.device_id);
+  if constexpr (kRegistration || std::is_same_v<Msg, roap::DeviceHello>) {
+    // Cross-shard TTL GC before this shard's lock is taken (one shard at a
+    // time, never two). This shard's own sweep rides in the exchange.
+    sweep_stale_shards(now, &sh);
+  }
+  // The shard lock spans lookup → exchange → insert: a duplicate racing
   // its original on another worker parks here, then hits the cache — one
   // issuance, one byte-identical cached reply, by construction.
   // try_lock-then-lock keeps the contended counter exact; the adopting
-  // scoped guard then owns the release (the annotated equivalent of the
-  // old unique_lock try_to_lock dance).
+  // scoped guard then owns the release.
   bool was_contended = false;
   if (!sh.mu.try_lock()) {
     sh.mu.lock();
@@ -1029,16 +843,18 @@ roap::Envelope RightsIssuer::serve(Shard& sh, const std::string& key,
   }
   roap::Envelope response;
   try {
-    response = handler();
+    response = exchange(sh, msg, now);
   } catch (const Error& e) {
     if (e.kind() != ErrorKind::kState) throw;
     // Degraded mode: the durable store refused the commit this request
-    // needed. Every handler persists before touching RAM, so nothing
-    // changed — answer with a typed retriable refusal instead of
-    // unwinding through the transport. Deliberately not cached: a retry
-    // after the store heals must be re-processed, not re-refused.
+    // needed. persist commits before it touches RAM, so nothing changed —
+    // answer with a typed retriable refusal instead of unwinding through
+    // the transport. Deliberately not cached: a retry after the store
+    // heals must be re-processed, not re-refused.
     counters_.degraded_refusals.fetch_add(1, std::memory_order_relaxed);
-    return refusal();
+    auto refusal = header(msg, View{.ri_id = ri_id_, .ri_url = url_});
+    refusal.status = Status::kStoreFailure;
+    return roap::Envelope::wrap(refusal);
   }
   replay_insert(sh, key, request.wire(), response.wire(), now);
   return response;
@@ -1046,103 +862,21 @@ roap::Envelope RightsIssuer::serve(Shard& sh, const std::string& key,
 
 roap::Envelope RightsIssuer::handle(const roap::Envelope& request,
                                     std::uint64_t now) {
-  using roap::Envelope;
   using roap::MessageType;
   switch (request.type()) {
-    case MessageType::kDeviceHello: {
-      const auto msg = request.open<roap::DeviceHello>();
-      Shard& sh = shard_for(msg.device_id);
-      // Cross-shard TTL GC before this shard's lock is taken (lock order:
-      // one shard at a time, never two). The target shard's own sweep
-      // happens inside the handler, staged with its transaction.
-      sweep_stale_shards(now, &sh);
-      return serve(
-          sh, replay_key("dh/", msg.device_id, msg.device_nonce), request,
-          now, [&] {
-            sh.mu.assert_held();  // serve() holds it; TSA can't see through the seam
-            return Envelope::wrap(on_device_hello(sh, msg, now));
-          },
-          [&] {
-            roap::RiHello out;
-            out.status = Status::kStoreFailure;
-            out.ri_id = ri_id_;
-            return Envelope::wrap(out);
-          });
-    }
-    case MessageType::kRegistrationRequest: {
-      const auto msg = request.open<roap::RegistrationRequest>();
-      Shard& sh = shard_for(msg.device_id);
-      sweep_stale_shards(now, &sh);
-      return serve(
-          sh, replay_key("rr/", msg.session_id, msg.device_nonce), request,
-          now,
-          [&] {
-            sh.mu.assert_held();
-            return Envelope::wrap(on_registration_request(sh, msg, now));
-          },
-          [&] {
-            roap::RegistrationResponse out;
-            out.status = Status::kStoreFailure;
-            out.session_id = msg.session_id;
-            out.ri_id = ri_id_;
-            out.ri_url = url_;
-            return Envelope::wrap(out);
-          });
-    }
-    case MessageType::kRoRequest: {
-      const auto msg = request.open<roap::RoRequest>();
-      Shard& sh = shard_for(msg.device_id);
-      return serve(
-          sh, replay_key("ro/", msg.device_id, msg.device_nonce), request,
-          now, [&] {
-            sh.mu.assert_held();  // serve() holds it; TSA can't see through the seam
-            return Envelope::wrap(on_ro_request(sh, msg, now));
-          },
-          [&] {
-            // RO issuing persists nothing, but keep the refusal builder:
-            // future stateful extensions (metered ROs) land here safely.
-            roap::RoResponse out;
-            out.status = Status::kStoreFailure;
-            out.device_id = msg.device_id;
-            out.ri_id = ri_id_;
-            out.device_nonce = msg.device_nonce;
-            return Envelope::wrap(out);
-          });
-    }
-    case MessageType::kJoinDomainRequest: {
-      const auto msg = request.open<roap::JoinDomainRequest>();
-      Shard& sh = shard_for(msg.device_id);
-      return serve(
-          sh, replay_key("jd/", msg.device_id, msg.device_nonce), request,
-          now, [&] {
-            sh.mu.assert_held();  // serve() holds it; TSA can't see through the seam
-            return Envelope::wrap(on_join_domain(sh, msg, now));
-          },
-          [&] {
-            roap::JoinDomainResponse out;
-            out.status = Status::kStoreFailure;
-            out.domain_id = msg.domain_id;
-            out.device_nonce = msg.device_nonce;
-            return Envelope::wrap(out);
-          });
-    }
-    case MessageType::kLeaveDomainRequest: {
-      const auto msg = request.open<roap::LeaveDomainRequest>();
-      Shard& sh = shard_for(msg.device_id);
-      return serve(
-          sh, replay_key("ld/", msg.device_id, msg.device_nonce), request,
-          now, [&] {
-            sh.mu.assert_held();  // serve() holds it; TSA can't see through the seam
-            return Envelope::wrap(on_leave_domain(sh, msg, now));
-          },
-          [&] {
-            roap::LeaveDomainResponse out;
-            out.status = Status::kStoreFailure;
-            out.domain_id = msg.domain_id;
-            out.device_nonce = msg.device_nonce;
-            return Envelope::wrap(out);
-          });
-    }
+    case MessageType::kDeviceHello:
+      return serve(request.open<roap::DeviceHello>(), "dh/", request, now);
+    case MessageType::kRegistrationRequest:
+      return serve(request.open<roap::RegistrationRequest>(), "rr/", request,
+                   now);
+    case MessageType::kRoRequest:
+      return serve(request.open<roap::RoRequest>(), "ro/", request, now);
+    case MessageType::kJoinDomainRequest:
+      return serve(request.open<roap::JoinDomainRequest>(), "jd/", request,
+                   now);
+    case MessageType::kLeaveDomainRequest:
+      return serve(request.open<roap::LeaveDomainRequest>(), "ld/", request,
+                   now);
     default:
       throw Error(ErrorKind::kProtocol,
                   std::string("ri: ") + roap::to_string(request.type()) +

@@ -22,12 +22,11 @@
 // is concurrent on its own terms:
 //
 //   session-id counter    atomic reservation + a persisted lease block
-//                         (see on_device_hello) so ids never repeat
-//                         across a restart without serializing hellos
-//                         on the store;
+//                         (see persist) so ids never repeat across a
+//                         restart without serializing hellos on the store;
 //   domains               their own striped table (joins cross device
 //                         shards); a stripe lock is held across the
-//                         copy → persist → apply of a membership change
+//                         decide → persist → apply of a membership change
 //                         so concurrent joins to one domain never lose
 //                         an update. Lock order: device shard → domain
 //                         stripe → meta lease → store — never two
@@ -68,34 +67,12 @@
 #include "common/random.h"
 #include "common/thread_annotations.h"
 #include "pki/authority.h"
-#include "pki/chain.h"
 #include "provider/provider.h"
-#include "rel/rights.h"
+#include "ri/decide.h"
 #include "roap/envelope.h"
-#include "roap/messages.h"
 #include "store/state_store.h"
 
 namespace omadrm::ri {
-
-/// A license the RI can mint: content binding + permissions + the K_CEK
-/// obtained from the Content Issuer.
-struct LicenseOffer {
-  std::string ro_id;
-  std::string content_id;
-  Bytes dcf_hash;
-  std::vector<rel::Permission> permissions;
-  Bytes kcek;
-  bool domain_ro = false;     // minted for a domain instead of one device
-  std::string domain_id;      // required when domain_ro
-};
-
-struct Domain {
-  std::string domain_id;
-  Bytes key;                  // K_D, 128-bit
-  std::uint32_t generation = 0;
-  std::vector<std::string> members;  // device ids
-  std::size_t max_members = 8;
-};
 
 /// Observability for the idempotent replay cache.
 struct ReplayCacheStats {
@@ -277,14 +254,6 @@ class RightsIssuer {
   store::StateStore* bound_store() const { return store_; }
 
  private:
-  /// One in-flight registration handshake (between RIHello and
-  /// RegistrationRequest).
-  struct PendingSession {
-    Bytes ri_nonce;
-    std::string device_id;
-    std::uint64_t created_at = 0;
-  };
-
   /// One remembered response. The digest pins the entry to the *exact*
   /// request bytes: a different request that happens to reuse the key
   /// (e.g. a nonce collision) is processed fresh, never served a stale
@@ -298,16 +267,6 @@ class RightsIssuer {
 
   static constexpr std::uint64_t kNoSessions = ~std::uint64_t{0};
 
-  /// A registered device: its certificate and the verdict of that
-  /// certificate's last chain walk (unwalked for a device loaded from the
-  /// store), which every later registration with the same certificate,
-  /// acquisition and join revalidates instead of walking the chain
-  /// again — the way the agent keeps the RI's.
-  struct KnownDevice {
-    pki::Certificate cert;
-    pki::ChainVerdict verdict;
-  };
-
   /// One device-hash shard: everything a single device's requests touch,
   /// guarded by one mutex the dispatcher holds across the whole
   /// replay-lookup → handler → replay-insert sequence.
@@ -318,7 +277,7 @@ class RightsIssuer {
     // sweep included), which the validator's two-of-a-kind rule
     // enforces.
     mutable OrderedMutex mu{LockRank::kRiShard, "ri.shard"};
-    std::map<std::string, PendingSession> sessions GUARDED_BY(mu);
+    Sessions sessions GUARDED_BY(mu);
     std::map<std::string, KnownDevice> devices GUARDED_BY(mu);
     std::map<std::string, ReplayEntry> replay GUARDED_BY(mu);
     std::list<std::string> replay_lru GUARDED_BY(mu);  // front = MRU
@@ -344,56 +303,20 @@ class RightsIssuer {
   DomainStripe& stripe_for(std::string_view domain_id);
   const DomainStripe& stripe_for(std::string_view domain_id) const;
 
-  /// Whether a device holding `cert` may be served at `now`: `verdict`,
-  /// the verdict held beside it, revalidates (no RSA work while it
-  /// holds), and the CA has not revoked the certificate. A revocation the
-  /// CA reports goes on the verifier's denylist, so the verdict itself
-  /// stops vouching.
-  bool device_trusted(const pki::Certificate& cert, pki::ChainVerdict& verdict,
-                      std::uint64_t now);
-
-  roap::RiHello on_device_hello(Shard& sh, const roap::DeviceHello& hello,
-                                std::uint64_t now) REQUIRES(sh.mu);
-  roap::RegistrationResponse on_registration_request(
-      Shard& sh, const roap::RegistrationRequest& request, std::uint64_t now)
-      REQUIRES(sh.mu);
-  roap::RoResponse on_ro_request(Shard& sh, const roap::RoRequest& request,
-                                 std::uint64_t now) REQUIRES(sh.mu);
-  roap::JoinDomainResponse on_join_domain(
-      Shard& sh, const roap::JoinDomainRequest& request, std::uint64_t now)
-      REQUIRES(sh.mu);
-  roap::LeaveDomainResponse on_leave_domain(
-      Shard& sh, const roap::LeaveDomainRequest& request, std::uint64_t now)
-      REQUIRES(sh.mu);
-
-  /// Pending sessions in `sh` past their TTL at `now` — and, when
-  /// `superseded_device` is non-null, that device's sessions too (only
-  /// its newest hello may stay live; a device's sessions always live in
-  /// its own shard). Pure: the caller stages the store erases, commits,
-  /// and only then applies the RAM erases, so a refused commit leaves
-  /// RAM and store agreeing. Caller holds sh.mu.
-  std::vector<std::string> stale_sessions(
-      const Shard& sh, std::uint64_t now,
-      const std::string* superseded_device) const REQUIRES(sh.mu);
-
   /// Recomputes sh.oldest_session from sh.sessions (caller holds sh.mu).
   void refresh_oldest(Shard& sh) REQUIRES(sh.mu);
 
   /// Cross-shard TTL sweep: for every shard (except `skip`, whose
-  /// sessions the in-handler sweep covers inside the handler's own
-  /// transaction) whose oldest pending session is past the TTL, erase
-  /// the stale entries — store first, RAM second, one shard lock at a
-  /// time (never two). A refused sweep commit skips that shard; the
-  /// sessions stay for a later sweep. Returns how many died.
+  /// sessions the exchange's own Delta sweeps) whose oldest pending
+  /// session is past the TTL, persist the erasure of the stale entries,
+  /// one shard lock at a time (never two). A refused sweep commit skips
+  /// that shard; the sessions stay for a later sweep. Returns how many
+  /// died.
   std::size_t sweep_stale_shards(std::uint64_t now, const Shard* skip);
 
   /// Commits `tx` when a store is bound; throws omadrm::Error(kState) on
-  /// a refused commit (the RI must not answer with unkept state). Every
-  /// handler orders its work compute → persist → apply-to-RAM, so the
-  /// throw is always raised before any live state changed; handle()
-  /// catches it and answers with a typed Status::kStoreFailure refusal
-  /// (degraded mode) instead of unwinding through the transport.
-  void persist(const store::Transaction& tx);
+  /// a refused commit (the RI must not answer with unkept state).
+  void commit(const store::Transaction& tx);
 
   /// Replay-cache core: serve `key` if `sh` holds a fresh entry whose
   /// request digest matches `request_wire` byte-for-byte. Caller holds
@@ -408,23 +331,44 @@ class RightsIssuer {
                      std::string response_wire, std::uint64_t now)
       REQUIRES(sh.mu);
 
-  /// handle() per-type skeleton: lock the shard (counting contention),
-  /// replay-cache lookup → handler → cache the response; a refused store
-  /// commit (Error(kState)) from inside the handler is converted into
-  /// the typed refusal `refusal()` builds.
-  template <typename Handler, typename Refusal>
-  roap::Envelope serve(Shard& sh, const std::string& key,
-                       const roap::Envelope& request, std::uint64_t now,
-                       Handler&& handler, Refusal&& refusal);
+  /// handle() per message: under the device's shard lock (counting
+  /// contention), replay lookup → exchange → replay insert. A refused
+  /// commit (Error(kState)) is answered with kStoreFailure in the
+  /// message's response header().
+  template <typename Msg>
+  roap::Envelope serve(const Msg& msg, const char* replay_prefix,
+                       const roap::Envelope& request, std::uint64_t now);
 
-  /// `domain_snapshot` copies the named domain out under its stripe lock
-  /// (nullopt when absent) so RO building reads a consistent key +
-  /// generation without holding the stripe across RSA work.
-  std::optional<Domain> domain_snapshot(const std::string& domain_id) const;
+  /// The one exchange pipeline: authenticate → decide → persist → seal.
+  template <typename Msg>
+  roap::Envelope exchange(Shard& sh, const Msg& msg, std::uint64_t now)
+      REQUIRES(sh.mu);
 
-  roap::ProtectedRo build_protected_ro(const LicenseOffer& offer,
-                                       const rsa::PublicKey& device_key,
-                                       const Domain* domain_state);
+  /// Device trust (revalidating the held verdict) and the request
+  /// signature. Registration presents a certificate, decoded into
+  /// `presented` unless it is the one on file; the rest name a registered
+  /// device. Sets `signer` to the device checked.
+  template <typename Msg>
+  roap::Status authenticate(Shard& sh, const Msg& request, std::uint64_t now,
+                            KnownDevice& presented, KnownDevice*& signer)
+      REQUIRES(sh.mu);
+
+  /// The only path from an exchange to the store: commits `delta` as one
+  /// transaction (with the session-id lease it needs), then applies it to
+  /// RAM, moving its session and device in. A refused commit throws
+  /// Error(kState) before RAM changed. Caller holds the delta's domain
+  /// stripe lock too.
+  void persist(Shard& sh, Delta& delta) REQUIRES(sh.mu);
+
+  /// Completes a successful response (certificates and OCSP staple, the
+  /// RO with its keys wrapped, or the wrapped K_D) and signs it.
+  template <typename Msg, typename Response>
+  void seal(Response& out, const Msg& msg, const View& view,
+            const Delta& delta, std::uint64_t now);
+
+  /// RSA-KEM transport of `secret` to the holder of `key`:
+  /// C1 || AES-WRAP(KEK, secret).
+  Bytes kem_wrap(const rsa::PublicKey& key, const Bytes& secret);
 
   std::string ri_id_;
   std::string url_;
@@ -446,11 +390,10 @@ class RightsIssuer {
   /// the extending hello's transaction). Ids skipped by a crash or a
   /// refused commit are simply never used — uniqueness, not density.
   std::atomic<std::uint64_t> next_session_{1};
-  // Rank kRiMeta: taken under a shard lock; deliberately held ACROSS
-  // persist() when extending the lease, so lease extensions reach the
-  // journal in lease order — meta ranks BEFORE the store ranks. (ISSUE
-  // 10's prose table said store-then-meta; the code's order is the
-  // correct one and the validator + tests/test_lock_order.cpp pin it.)
+  // Rank kRiMeta: taken under a shard lock; deliberately held across the
+  // commit in persist() when extending the lease, so lease extensions
+  // reach the journal in lease order — meta ranks BEFORE the store ranks
+  // (the validator and tests/test_lock_order.cpp pin it).
   OrderedMutex meta_mu_{LockRank::kRiMeta, "ri.meta"};
   std::uint64_t session_lease_ GUARDED_BY(meta_mu_) = 1;
 
@@ -468,10 +411,5 @@ class RightsIssuer {
   };
   AtomicCounters counters_;
 };
-
-/// How long an RI keeps a pending registration session alive while
-/// waiting for the RegistrationRequest (seconds). Abandoned handshakes —
-/// dropped envelopes, crashed devices — are garbage-collected past this.
-inline constexpr std::uint64_t kPendingSessionTtl = 600;
 
 }  // namespace omadrm::ri

@@ -178,6 +178,29 @@ TEST_F(DrmEcosystem, DeviceRevokedAfterRegisteringIsRefusedService) {
   EXPECT_EQ(ri_->counters().domain_joins, before.domain_joins);
 }
 
+TEST_F(DrmEcosystem, DeviceRevokedAfterRegisteringCanStillLeaveDomain) {
+  // Leaving is the one request the RI serves without the trust check:
+  // a revoked device may still leave, so membership only shrinks.
+  ri_->create_domain("domain:late-leave");
+  ASSERT_EQ(device_->register_with(tx(), kNow), AgentStatus::kOk);
+  ASSERT_EQ(device_->join_domain(tx(), "ri.example", "domain:late-leave",
+                                 kNow),
+            AgentStatus::kOk);
+  const ri::RiCounters before = ri_->counters();
+
+  ca_->revoke(device_->certificate().serial());
+  EXPECT_EQ(device_->join_domain(tx(), "ri.example", "domain:late-leave",
+                                 kNow),
+            AgentStatus::kRiAborted);
+  EXPECT_EQ(device_->leave_domain(tx(), "ri.example", "domain:late-leave",
+                                  kNow),
+            AgentStatus::kOk);
+  EXPECT_EQ(ri_->counters().domain_leaves, before.domain_leaves + 1);
+  const ri::Domain* left = ri_->domain("domain:late-leave");
+  ASSERT_NE(left, nullptr);
+  EXPECT_TRUE(left->members.empty());
+}
+
 TEST_F(DrmEcosystem, ExpiredDeviceCertificateRejected) {
   // Register far past the certificate's validity (server clock too).
   tx().set_now(kValidity.not_after + 1000);

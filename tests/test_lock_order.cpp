@@ -9,8 +9,8 @@
 // rather than deadlocking some future soak run.
 //
 // The positive tests also pin the corrected global order:
-// ISSUE 10's prose put store(3) before meta(4), but on_device_hello
-// holds meta_mu_ across StateStore::persist() — the real order is
+// a design note once put store(3) before meta(4), but RightsIssuer::persist
+// holds meta_mu_ across StateStore::commit() — the real order is
 // shard < stripe < meta < store.front < store.backing, and that is what
 // LockRank encodes. See the rank table in common/ordered_mutex.h.
 
@@ -148,7 +148,7 @@ TEST(LockOrder, FullCanonicalChainNests) {
 }
 
 TEST(LockOrder, MidStackReleaseKeepsValidatorConsistent) {
-  // on_device_hello's pattern: take meta, drop it mid-scope, go on to
+  // RightsIssuer::persist's pattern: take meta, drop it mid-scope, go to
   // the store. The held stack must support releasing from the middle.
   CheckedOrderedMutex shard{LockRank::kRiShard, "t.shard"};
   CheckedOrderedMutex meta{LockRank::kRiMeta, "t.meta"};
